@@ -1,15 +1,16 @@
 """Simulation and verification toolkit for anisotropic Gaussian random fields."""
 
-from .errors import ModelRejected, PhaseJumpTooLarge, Refusal, ZeroHit
+from .errors import (ModelRejected, NumericalCheckFailed, PhaseJumpTooLarge,
+                     Refusal, ZeroHit)
 from .metric import (BallCover, ChainingSchedule, EuclideanBall, GridCover,
                      HurstVector, IndexSet, anisotropy_index,
                      ball_bounding_box, chaining_schedule,
                      chaining_series_bound, covering_number_upper,
                      entropy_integral_closed_form, grid_cover,
-                     hausdorff_premeasure, rho_distance)
-from .field import (FieldModel, Grid, ModulusReport, SamplePathSet,
-                    build_covariance, modulus_statistic, sample_paths,
-                    verify_condition1, verify_condition2)
+                     hausdorff_premeasure, max_pair_ratio, rho_distance)
+from .field import (FieldModel, GaussianSampler, Grid, ModulusReport,
+                    SamplePathSet, build_covariance, modulus_statistic,
+                    sample_paths, verify_condition1, verify_condition2)
 from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
                       hitting_probability, lipschitz_verify, polarity_scan,
                       scaling_exponent, wilson_interval)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma
 
-from .errors import PhaseJumpTooLarge, ZeroHit
+from .errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
 from .field import cholesky_with_jitter, standard_normal_batch
 
 _QUAD_TOL = 1e-10
@@ -192,7 +192,7 @@ def lambda_min_on_IV(noise: NoiseLevel, V: float,
     eigen_min = float(eigen_route.min())
     # phi grid contains the minimizing phase only approximately
     if not math.isclose(grid_min, eigen_min, rel_tol=1e-3, abs_tol=1e-6):
-        raise AssertionError(
+        raise NumericalCheckFailed(
             f"grid search ({grid_min:g}) and eigenvalue route ({eigen_min:g}) disagree")
 
     # local refinement in v around the eigenvalue-route minimizer
@@ -304,14 +304,17 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     X1 = z1 @ L1.T
     X2 = z2 @ L2.T
 
-    vals = np.empty((n_samples, grid.points.size), dtype=complex)
     m = pos.size
     a = grid.anchor_index
+    if a != m:
+        raise NumericalCheckFailed(
+            f"anchor index {a} does not split the grid into {m} negative "
+            f"and {m} positive frequencies")
+    vals = np.empty((n_samples, grid.points.size), dtype=complex)
     pos_block = X1[:, 1:] + 1j * X2
     vals[:, a] = X1[:, 0]
     vals[:, a + 1:] = pos_block
     vals[:, :a] = np.conj(pos_block[:, ::-1])
-    assert a == m
     return SpectralSampleSet(grid=grid, values=vals, seed=seed)
 
 
@@ -440,11 +443,3 @@ def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
                        well_defined=True, min_arg_modulus=min_mod,
                        unwrap_margin=margin, max_phase_jump=max_jump,
                        failure=failure)
-
-
-def export_psi_csv(est: PsiEstimate, path: str) -> None:
-    """Columns: v, Re psi~, Im psi~, |A(v)|."""
-    with open(path, "w", newline="") as fh:
-        fh.write("v,re_psi,im_psi,abs_arg\n")
-        for v, p, a in zip(est.grid.points, est.values, np.abs(est.arg_values)):
-            fh.write(f"{v:.17g},{p.real:.17g},{p.imag:.17g},{a:.17g}\n")

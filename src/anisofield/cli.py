@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import ModelRejected, Refusal
+from .errors import ModelRejected, NumericalCheckFailed, Refusal
 from .experiments import (PARAM_CLASSES, ExperimentConfig, default_out_dir,
                           run_experiment)
 
@@ -62,7 +62,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         manifest = run_experiment(config)
-    except (Refusal, ModelRejected, ValueError, OSError) as exc:
+    except (Refusal, ModelRejected, NumericalCheckFailed, ValueError,
+            OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

@@ -16,3 +16,7 @@ class ZeroHit(RuntimeError):
 
 class PhaseJumpTooLarge(RuntimeError):
     """An adjacent phase increment came too close to pi; the grid is under-resolved."""
+
+
+class NumericalCheckFailed(RuntimeError):
+    """Two routes to the same internal quantity disagreed; the result cannot be trusted."""

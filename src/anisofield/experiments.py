@@ -319,6 +319,8 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     model = _model(p.hurst, p.mixing)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = _drift(p.drift_kind, p.drift_L, model)
+    if not p.radii:
+        raise ValueError("radii must be nonempty")
     ests = []
     for r in p.radii:
         widths = 2.0 * r ** (1.0 / model.H.as_array())

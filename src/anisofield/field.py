@@ -10,14 +10,16 @@ assumptions with explicit constants:
 * an eigenvalue floor lambda = lambda_min(A A^T) > 0 for nonsingular A A^T.
 
 Sampling is dense Cholesky on the full grid covariance, so grids are kept
-small (a few thousand points); exactness over scale.
+small (a few thousand points); exactness over scale. The factor is computed
+once per (model, grid) and held by a GaussianSampler, which then draws any
+number of replicates, one Philox stream per replicate.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -174,19 +176,19 @@ class SamplePathSet:
         return self.values.shape[0]
 
 
-def standard_normal_batch(dim: int, n: int, master_seed: int, stream: str,
-                          workers: int = 1) -> np.ndarray:
-    """(n, dim) standard normals, one Philox stream per replicate.
+def standard_normals(dim: int, seeds: Sequence[int],
+                     workers: int = 1) -> np.ndarray:
+    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i]).
 
-    Output depends only on (dim, n, master_seed, stream), never on workers.
+    Output depends only on (dim, seeds), never on workers.
     """
+    n = len(seeds)
     z = np.empty((n, dim))
 
     def fill(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            rng = np.random.Generator(
-                np.random.Philox(derive_seed(master_seed, i, stream)))
-            z[i] = rng.standard_normal(dim)
+            z[i] = np.random.Generator(
+                np.random.Philox(seeds[i])).standard_normal(dim)
 
     if workers <= 1 or n < 64:
         fill(0, n)
@@ -198,19 +200,60 @@ def standard_normal_batch(dim: int, n: int, master_seed: int, stream: str,
     return z
 
 
+def standard_normal_batch(dim: int, n: int, master_seed: int, stream: str,
+                          workers: int = 1) -> np.ndarray:
+    """(n, dim) standard normals, replicate i seeded by derive_seed(master_seed, i, stream)."""
+    seeds = [derive_seed(master_seed, i, stream) for i in range(n)]
+    return standard_normals(dim, seeds, workers)
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianSampler:
+    """Factor once, draw many: the Cholesky factor of one (model, grid) covariance.
+
+    Draws have shape (k, grid.n, model.d). ``jitter`` is the absolute diagonal
+    jitter the factorization needed (0.0 when none).
+    """
+
+    model: FieldModel
+    grid: Grid
+    L: np.ndarray
+    jitter: float
+
+    @classmethod
+    def build(cls, model: FieldModel, grid: Grid) -> "GaussianSampler":
+        L, jitter = cholesky_with_jitter(build_covariance(model, grid))
+        return cls(model=model, grid=grid, L=L, jitter=jitter)
+
+    def matches(self, model: FieldModel, points: np.ndarray) -> bool:
+        """Whether this sampler's factor is the covariance of model on points."""
+        return self.model == model and np.array_equal(self.grid.points, points)
+
+    def _transform(self, z: np.ndarray) -> np.ndarray:
+        """Map (k, n*d) standard normals to (k, n, d) field values."""
+        return (z @ self.L.T).reshape(z.shape[0], self.grid.n, self.model.d)
+
+    def draw(self, seeds: Sequence[int], workers: int = 1) -> np.ndarray:
+        """One replicate per seed, replicate i drawn from Philox(seeds[i])."""
+        return self._transform(standard_normals(self.L.shape[0], seeds, workers))
+
+    def sample(self, n: int, master_seed: int, stream: str,
+               workers: int = 1) -> np.ndarray:
+        """n replicates, replicate i seeded by derive_seed(master_seed, i, stream)."""
+        return self._transform(standard_normal_batch(
+            self.L.shape[0], n, master_seed, stream, workers))
+
+
 def sample_paths(model: FieldModel, grid: Grid, n_samples: int, seed: int,
                  workers: int = 1, stream: str = "field") -> SamplePathSet:
     """Draw exact finite-dimensional Gaussian samples of the field on the grid."""
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
-    d = model.d
     if n_samples == 0:
-        return SamplePathSet(values=np.empty((0, grid.n, d)), seed=seed,
-                             model=model, grid=grid)
-    cov = build_covariance(model, grid)
-    L, _ = cholesky_with_jitter(cov)
-    z = standard_normal_batch(cov.shape[0], n_samples, seed, stream, workers)
-    vals = (z @ L.T).reshape(n_samples, grid.n, d)
+        vals = np.empty((0, grid.n, model.d))
+    else:
+        vals = GaussianSampler.build(model, grid).sample(
+            n_samples, seed, stream, workers)
     return SamplePathSet(values=vals, seed=seed, model=model, grid=grid)
 
 
@@ -230,6 +273,8 @@ def modulus_statistic(paths: SamplePathSet, H: HurstVector,
                       eps_list: list[float]) -> ModulusReport:
     """max over grid pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps))."""
     eps_sorted = sorted(float(e) for e in eps_list)
+    if not eps_sorted:
+        raise ValueError("eps list must be nonempty")
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
@@ -263,32 +308,3 @@ def modulus_statistic(paths: SamplePathSet, H: HurstVector,
             missing.append(False)
             M[:, col] = running / (e * np.sqrt(np.log(1.0 / e)))
     return ModulusReport(eps=tuple(eps_sorted), M=M, missing=tuple(missing))
-
-
-def export_samples_csv(paths: SamplePathSet, path: str) -> None:
-    """One row per (replicate, grid point) with the d value columns."""
-    d = paths.model.d
-    with open(path, "w", newline="") as fh:
-        coords = [f"s{j}" for j in range(paths.grid.N)]
-        cols = [f"x{a}" for a in range(d)]
-        fh.write(",".join(["replicate", "point"] + coords + cols) + "\n")
-        for rep in range(paths.n_samples):
-            for p in range(paths.grid.n):
-                row = [str(rep), str(p)]
-                row += [f"{v:.17g}" for v in paths.grid.points[p]]
-                row += [f"{v:.17g}" for v in paths.values[rep, p]]
-                fh.write(",".join(row) + "\n")
-
-
-def export_samples_manifest(paths: SamplePathSet, path: str) -> None:
-    doc = {
-        "hurst": list(paths.model.H.H),
-        "mixing": [list(r) for r in paths.model.mixing],
-        "seed": paths.seed,
-        "n_samples": paths.n_samples,
-        "grid_hash": paths.grid.digest(),
-        "grid_points": paths.grid.n,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .errors import ModelRejected, Refusal
-from .field import (FieldModel, Grid, cholesky_with_jitter, build_covariance,
-                    sample_paths, standard_normal_batch)
-from .metric import HurstVector, IndexSet, ball_bounding_box, rho_pairwise, rho_to_point
+from .errors import Refusal
+from .field import FieldModel, GaussianSampler, Grid
+from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
+                     rho_pairwise, rho_to_point)
 from .seeds import derive_seed
 
 
@@ -72,36 +72,45 @@ class LipschitzDrift:
 
     def evaluate(self, points: np.ndarray, H: HurstVector, d: int,
                  seed: int = 0) -> np.ndarray:
-        """Drift values on the given points, shape (n, d).
+        """Drift values on the given points, shape (n, d); evaluate_many with one seed."""
+        return self.evaluate_many(points, H, d, [seed])[0]
 
-        For the "field" kind the seed selects the sample path; callers must
-        use a stream separate from the field's own draws.
+    def evaluate_many(self, points: np.ndarray, H: HurstVector, d: int,
+                      seeds: Sequence[int],
+                      sampler: Optional[GaussianSampler] = None,
+                      workers: int = 1) -> np.ndarray:
+        """Drift values on the given points for each seed, shape (len(seeds), n, d).
+
+        For the "field" kind seeds[i] selects replicate i's sample path, drawn
+        from Philox(derive_seed(seeds[i], 0, "drift")); callers must use
+        seeds separate from the field's own draws. ``sampler`` may carry an
+        existing factor of drift_model on exactly these points; otherwise one
+        is built. Each replicate is rescaled so its empirical Lipschitz ratio
+        on the points equals L (a path with ratio 0, e.g. on fewer than two
+        points, becomes the zero drift).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
+        n, k = pts.shape[0], len(seeds)
         if self.kind == "zero":
-            return np.zeros((n, d))
+            return np.zeros((k, n, d))
         if self.kind == "affine":
             e = np.asarray(self.direction, dtype=float)
             if e.size != d:
                 raise ValueError("direction dimension mismatch")
             e = e / np.linalg.norm(e)
             vals = self.L * rho_to_point(pts, self.anchor, H)
-            return vals[:, None] * e[None, :]
-        # sampled random field, rescaled to the claimed constant on this grid
-        raw = sample_paths(self.drift_model, Grid(points=pts), 1, seed,
-                           stream="drift").values[0]
-        if n < 2:
-            return np.zeros((n, raw.shape[1]))
-        rho = rho_pairwise(pts, H)
-        iu = np.triu_indices(n, k=1)
-        num = np.linalg.norm(raw[iu[0]] - raw[iu[1]], axis=1)
-        den = rho[iu]
-        mask = den > 0
-        ratio = float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
-        if ratio == 0.0:
-            return np.zeros_like(raw)
-        return raw * (self.L / ratio)
+            return np.repeat((vals[:, None] * e[None, :])[None], k, axis=0)
+        # sampled random fields, each rescaled to the claimed constant on this grid
+        if sampler is None:
+            sampler = GaussianSampler.build(self.drift_model, Grid(points=pts))
+        elif not sampler.matches(self.drift_model, pts):
+            raise ValueError("sampler does not factor the drift model on these points")
+        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds], workers)
+        ratio = max_pair_ratio(raw, rho_pairwise(pts, H))
+        zero = ratio == 0.0
+        raw *= (self.L / np.where(zero, 1.0, ratio))[:, None, None]
+        raw[zero] = 0.0
+        return raw
 
 
 def check_lipschitz(values: np.ndarray, L: float, grid: Grid,
@@ -110,12 +119,7 @@ def check_lipschitz(values: np.ndarray, L: float, grid: Grid,
     if grid.n < 2:
         raise ValueError("need at least two grid points")
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    rho = rho_pairwise(grid.points, H)
-    iu = np.triu_indices(grid.n, k=1)
-    num = np.linalg.norm(vals[iu[0]] - vals[iu[1]], axis=1)
-    den = rho[iu]
-    mask = den > 0
-    max_ratio = float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
+    max_ratio = float(max_pair_ratio(vals[None], rho_pairwise(grid.points, H))[0])
     return max_ratio, max_ratio <= L * (1.0 + 1e-9)
 
 
@@ -181,6 +185,18 @@ def grid_bias_margin(grid_step: float, H: HurstVector, c_emp: float = 1.0) -> fl
     return c_emp * h ** min(H.H) * math.sqrt(math.log(1.0 / h))
 
 
+def _drift_values(f: LipschitzDrift, sampler: GaussianSampler, n_mc: int,
+                  seed: int, workers: int) -> np.ndarray:
+    """(n_mc, n, d) drift values on the sampler's grid, replicate i seeded by
+    derive_seed(seed, i, "drift"); a field drift reuses the field's factor
+    when it is an independent copy of the same model."""
+    model, pts = sampler.model, sampler.grid.points
+    seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
+    shared = sampler if f.drift_model == model else None
+    return f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared,
+                           workers=workers)
+
+
 def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
                         f: LipschitzDrift, n_mc: int, seed: int,
                         grid_step: float, workers: int = 1,
@@ -198,20 +214,11 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
     t = np.asarray(t, dtype=float).reshape(-1)
     pts = _ball_grid(t, r, index_set, model.H, grid_step)
     grid = Grid(points=pts)
-    cov = build_covariance(model, grid)
-    L_chol, _ = cholesky_with_jitter(cov)
-    z = standard_normal_batch(cov.shape[0], n_mc, seed, "field", workers)
-    X = (z @ L_chol.T).reshape(n_mc, grid.n, model.d)
-
-    if f.is_random:
-        mins = np.empty(n_mc)
-        for i in range(n_mc):
-            fv = f.evaluate(pts, model.H, model.d,
-                            seed=derive_seed(seed, i, "drift"))
-            mins[i] = np.linalg.norm(X[i] - fv, axis=1).min()
-    else:
-        fv = f.evaluate(pts, model.H, model.d)
-        mins = np.linalg.norm(X - fv[None], axis=2).min(axis=1)
+    sampler = GaussianSampler.build(model, grid)
+    X = sampler.sample(n_mc, seed, "field", workers)
+    fv = _drift_values(f, sampler, n_mc, seed, workers)
+    np.subtract(X, fv, out=fv)
+    mins = np.linalg.norm(fv, axis=2).min(axis=1)
 
     margin = grid_bias_margin(grid_step, model.H, margin_coeff)
     hits = int(np.sum(mins <= r))
@@ -262,6 +269,8 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
             f"polarity bound requires Q < d, got Q = {Q:g} >= d = {model.d}; "
             "no nontrivial polar sets are predicted in this regime")
     deltas = [float(x) for x in deltas]
+    if not deltas:
+        raise ValueError("deltas must be nonempty")
     if any(x <= 0 for x in deltas) or any(
             a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be positive and strictly decreasing")
@@ -287,20 +296,12 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
     pts = np.concatenate(axes_pts, axis=0)
     grid = Grid(points=pts)
 
-    cov = build_covariance(model, grid)
-    L_chol, _ = cholesky_with_jitter(cov)
-    z = standard_normal_batch(cov.shape[0], n_mc, seed, "field", workers)
-    X = (z @ L_chol.T).reshape(n_mc, grid.n, model.d)
-
-    if drift.is_random:
-        dmin = np.empty(n_mc)
-        for i in range(n_mc):
-            fv = drift.evaluate(pts, model.H, model.d,
-                                seed=derive_seed(seed, i, "drift"))
-            dmin[i] = np.linalg.norm(X[i] + fv - center, axis=1).min()
-    else:
-        fv = drift.evaluate(pts, model.H, model.d)
-        dmin = np.linalg.norm(X + fv[None] - center[None, None], axis=2).min(axis=1)
+    sampler = GaussianSampler.build(model, grid)
+    X = sampler.sample(n_mc, seed, "field", workers)
+    fv = _drift_values(drift, sampler, n_mc, seed, workers)
+    fv += X
+    fv -= center
+    dmin = np.linalg.norm(fv, axis=2).min(axis=1)
 
     ests = []
     for delta in deltas:

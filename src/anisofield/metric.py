@@ -63,6 +63,29 @@ def rho_pairwise(points: np.ndarray, H: HurstVector) -> np.ndarray:
     return np.sum(diff ** H.as_array(), axis=2)
 
 
+def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Per replicate, max over pairs s < t with rho(s, t) > 0 of ||v(s) - v(t)|| / rho(s, t).
+
+    values has shape (k, n, d) and rho is the (n, n) distance matrix of the
+    same points; the result has shape (k,) and is 0 where no pair has
+    rho > 0. The pairs are walked one superdiagonal of rho at a time through
+    contiguous per-component slices, so no (k, pairs, d) gather is ever
+    built and no grid regularity is assumed.
+    """
+    vals = np.asarray(values, dtype=float)
+    comps = [np.ascontiguousarray(vals[:, :, c]) for c in range(vals.shape[2])]
+    best = np.zeros(vals.shape[0])
+    for lag in range(1, vals.shape[1]):
+        den = np.diagonal(rho, lag)
+        mask = den > 0
+        if not mask.any():
+            continue
+        num = np.sqrt(sum(np.square(v[:, lag:] - v[:, :-lag]) for v in comps))
+        ratio = num / den if mask.all() else num[:, mask] / den[mask]
+        np.maximum(best, ratio.max(axis=1), out=best)
+    return best
+
+
 def rho_to_point(points: np.ndarray, t, H: HurstVector) -> np.ndarray:
     """rho distances from each row of points to a single point t."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -13,7 +13,8 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     lambda_min_on_IV, moment_integral,
                                     psi_estimator, simulate_spectral_noise,
                                     tail_integral, total_mass)
-from anisofield.errors import PhaseJumpTooLarge, ZeroHit
+from anisofield import calibration
+from anisofield.errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
 
 POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
 BUMP = NoiseLevel(family="bump", support=2.0, amplitude=1.0, p=1.5)
@@ -167,6 +168,14 @@ class TestLambdaMin:
         with pytest.raises(ValueError):
             lambda_min_on_IV(POW, 1.0)
 
+    def test_route_disagreement_is_a_typed_error(self, monkeypatch):
+        # a transform that returns NaN leaves the grid and eigenvalue routes
+        # incomparable; that must surface as a typed error, not an assert
+        monkeypatch.setattr(calibration, "cos_transform_many",
+                            lambda noise, ws: np.full(np.shape(ws), np.nan))
+        with pytest.raises(NumericalCheckFailed, match="disagree"):
+            lambda_min_on_IV(POW, 2.0)
+
     def test_matches_direct_phase_quadrature(self):
         # independent oracle: smallest int sin^2(phi + vx) eps^2 over a grid
         best = np.inf
@@ -267,6 +276,12 @@ class TestSpectralSimulation:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             simulate_spectral_noise(POW, FrequencyGrid.build(2.0, 0.5), -1, 0)
+
+    def test_asymmetric_grid_is_a_typed_error(self):
+        lopsided = FrequencyGrid(V=3.0, step=1.0,
+                                 points=np.array([-2.0, 0.0, 1.0, 2.0]))
+        with pytest.raises(NumericalCheckFailed, match="anchor index"):
+            simulate_spectral_noise(POW, lopsided, 2, 0)
 
 
 class TestFourierO:

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from anisofield import calibration
 from anisofield.cli import build_parser, config_from_args, main
+from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import (ExperimentConfig, default_out_dir,
                                     params_from_dict, run_experiment,
                                     HittingScanParams, MetricCheckParams)
@@ -69,6 +71,31 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "Refusal"
         assert "Q < d" in err["message"]
+
+    @pytest.mark.parametrize("kind,key,size", [
+        ("polarity-scan", "deltas", "n_mc=10"),
+        ("hitting-scan", "radii", "n_mc=10"),
+        ("modulus-scan", "eps", "n_samples=2")])
+    def test_empty_scan_exits_2(self, tmp_path, capsys, kind, key, size):
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"{key}=[]", "--set", size])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "nonempty" in err["message"]
+        assert not (out / "results.csv").exists()
+
+    def test_numerical_check_failure_exits_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericalCheckFailed("routes disagree")
+        monkeypatch.setattr(calibration, "simulate_spectral_noise", broken)
+        rc = main(["calib-sim", "--out", str(tmp_path / "run"),
+                   "--set", "n_replicates=2"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NumericalCheckFailed",
+                       "message": "routes disagree"}
 
     def test_bad_key_exits_2(self, tmp_path, capsys):
         rc = main(["metric-check", "--out", str(tmp_path / "run"),

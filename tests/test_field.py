@@ -5,11 +5,13 @@ import pytest
 from scipy import stats
 
 from anisofield.errors import ModelRejected
-from anisofield.field import (FieldModel, Grid, build_covariance,
-                              cholesky_with_jitter, modulus_statistic,
-                              sample_paths, verify_condition1,
-                              verify_condition2)
+from anisofield.field import (FieldModel, GaussianSampler, Grid,
+                              build_covariance, cholesky_with_jitter,
+                              modulus_statistic, sample_paths,
+                              standard_normal_batch, standard_normals,
+                              verify_condition1, verify_condition2)
 from anisofield.metric import HurstVector
+from anisofield.seeds import derive_seed
 
 
 def model_2x2(H=(0.5,)):
@@ -114,11 +116,50 @@ class TestSamplePaths:
         assert pval > 1e-3
 
 
+class TestGaussianSampler:
+    def test_sample_matches_sample_paths(self):
+        m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 8)
+        vals = GaussianSampler.build(m, g).sample(40, 9, "field")
+        assert vals.shape == (40, 8, 2)
+        assert vals.tobytes() == sample_paths(m, g, 40, 9).values.tobytes()
+
+    def test_draw_from_stream_seeds_equals_sample(self):
+        s = GaussianSampler.build(model_2x2(), Grid.uniform_1d(0.0, 1.0, 8))
+        seeds = [derive_seed(9, i, "drift") for i in range(40)]
+        assert s.draw(seeds).tobytes() == s.sample(40, 9, "drift").tobytes()
+
+    def test_standard_normal_batch_is_the_stream_case(self):
+        seeds = [derive_seed(3, i, "x") for i in range(70)]
+        assert np.array_equal(standard_normals(5, seeds, workers=3),
+                              standard_normal_batch(5, 70, 3, "x"))
+
+    def test_draw_deterministic_and_worker_invariant(self):
+        s = GaussianSampler.build(model_2x2(), Grid.uniform_1d(0.0, 1.0, 6))
+        seeds = [derive_seed(1, i, "field") for i in range(100)]
+        assert s.draw(seeds, workers=1).tobytes() == s.draw(seeds, workers=3).tobytes()
+
+    def test_matches_model_and_points(self):
+        m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 5)
+        s = GaussianSampler.build(m, g)
+        assert s.matches(m, g.points.copy())
+        assert not s.matches(model_2x2(H=(0.75,)), g.points)
+        assert not s.matches(m, Grid.uniform_1d(0.0, 1.0, 6).points)
+
+    def test_jitter_reported(self):
+        s = GaussianSampler.build(model_2x2(), Grid(points=np.array([[0.1], [0.1]])))
+        assert s.jitter > 0.0
+        assert GaussianSampler.build(model_2x2(), Grid.uniform_1d(0, 1, 4)).jitter == 0.0
+
+
 class TestModulusStatistic:
     def setup_method(self):
         self.m = model_2x2(H=(0.5,))
         self.grid = Grid.uniform_1d(0.0, 0.2, 201)  # rho spacing 0.0316
         self.paths = sample_paths(self.m, self.grid, 50, 5)
+
+    def test_empty_eps_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            modulus_statistic(self.paths, self.m.H, [])
 
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from anisofield import field as fieldmod
 from anisofield.errors import Refusal
-from anisofield.field import FieldModel, Grid
+from anisofield.field import FieldModel, GaussianSampler, Grid
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
                                 lipschitz_verify, polarity_scan,
                                 scaling_exponent, wilson_interval)
 from anisofield.metric import HurstVector, IndexSet
+from anisofield.seeds import derive_seed
 
 H075 = HurstVector(H=(0.75,))
 UNIT = IndexSet.box([0.0], [1.0])
@@ -16,6 +18,20 @@ UNIT = IndexSet.box([0.0], [1.0])
 
 def model(H=(0.75,)):
     return FieldModel(H=HurstVector(H=H), mixing=((1.0, 0.0), (1.0, 1.0)))
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Shapes of every covariance factored while the test runs."""
+    calls = []
+    real = fieldmod.cholesky_with_jitter
+
+    def counting(cov):
+        calls.append(cov.shape)
+        return real(cov)
+
+    monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
+    return calls
 
 
 class TestWilsonInterval:
@@ -86,6 +102,59 @@ class TestLipschitzDrift:
         assert np.array_equal(a, b)
 
 
+class TestBatchedFieldDrift:
+    SEEDS = [derive_seed(4, i, "drift") for i in range(6)]
+    GRID = Grid.uniform_1d(0, 1, 33)
+
+    def drift(self, L=0.5, m=None):
+        return LipschitzDrift(kind="field", L=L, drift_model=m or model())
+
+    def test_rows_match_single_seed_evaluate(self):
+        f = self.drift()
+        many = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        assert many.shape == (6, 33, 2)
+        for i, s in enumerate(self.SEEDS):
+            # one GEMM for all rows versus one row at a time: ~1e-15 apart
+            np.testing.assert_allclose(
+                many[i], f.evaluate(self.GRID.points, H075, 2, seed=s),
+                rtol=1e-12)
+
+    def test_every_row_rescaled_to_L(self):
+        many = self.drift().evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        for row in many:
+            ratio, ok = check_lipschitz(row, 0.5, self.GRID, H075)
+            assert ok and ratio == pytest.approx(0.5, rel=1e-9)
+
+    def test_shared_sampler_gives_same_values(self, factor_calls):
+        f = self.drift()
+        own = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        sampler = GaussianSampler.build(model(), self.GRID)
+        shared = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS,
+                                 sampler=sampler)
+        assert np.array_equal(own, shared)
+        assert len(factor_calls) == 2      # one for own, one for sampler
+
+    def test_mismatched_sampler_rejected(self):
+        sampler = GaussianSampler.build(model(), Grid.uniform_1d(0, 1, 10))
+        with pytest.raises(ValueError, match="sampler"):
+            self.drift().evaluate_many(self.GRID.points, H075, 2, self.SEEDS,
+                                       sampler=sampler)
+
+    def test_single_point_gives_zero_drift(self):
+        vals = self.drift().evaluate_many(np.array([[0.5]]), H075, 2, self.SEEDS)
+        assert vals.shape == (6, 1, 2) and np.all(vals == 0.0)
+
+    def test_deterministic_kinds_repeat_per_seed(self):
+        f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
+                           direction=(1.0, 0.0))
+        many = f.evaluate_many(self.GRID.points, H075, 2, [0, 1, 2])
+        one = f.evaluate(self.GRID.points, H075, 2)
+        assert all(np.array_equal(row, one) for row in many)
+        zero = LipschitzDrift(kind="zero").evaluate_many(
+            self.GRID.points, H075, 2, [0, 1])
+        assert zero.shape == (2, 33, 2) and not zero.any()
+
+
 class TestHittingProbability:
     def test_zero_replicates_rejected(self):
         with pytest.raises(ValueError):
@@ -123,6 +192,13 @@ class TestHittingProbability:
         # monotone up to MC noise: assert via non-overlapping Wilson CIs
         assert ests[0].ci_low > ests[1].ci_high
         assert ests[1].ci_low > ests[2].ci_high
+
+    def test_field_drift_factors_once(self, factor_calls):
+        m = model()
+        hitting_probability(m, UNIT, [0.5], 0.1,
+                            LipschitzDrift(kind="field", L=0.5, drift_model=m),
+                            50, 2, 2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
+        assert len(factor_calls) == 1
 
     def test_margin_estimate_dominates(self):
         m = model()
@@ -178,6 +254,34 @@ class TestPolarityScan:
                             [0.0, 0.0], [0.2, 0.1, 0.05, 0.025], 2000, 3, 1 / 64)
         p = [e.p_hat for e in rep.estimates]
         assert all(a >= b for a, b in zip(p, p[1:]))
+
+    def test_empty_deltas_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            polarity_scan(model(), UNIT, LipschitzDrift(kind="zero"),
+                          [0.0, 0.0], [], 10, 0, 1 / 64)
+
+    def test_field_drift_factors_once(self, factor_calls):
+        m = model()
+        polarity_scan(m, UNIT, LipschitzDrift(kind="field", L=0.5, drift_model=m),
+                      [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
+        assert len(factor_calls) == 1
+
+    def test_other_drift_model_factored_once_more(self, factor_calls):
+        other = FieldModel(H=HurstVector(H=(0.75,)), mixing=((2.0, 0.0), (0.0, 1.0)))
+        polarity_scan(model(), UNIT,
+                      LipschitzDrift(kind="field", L=0.5, drift_model=other),
+                      [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
+        assert len(factor_calls) == 2
+
+    def test_field_drift_golden(self):
+        # pinned from the one-replicate-at-a-time drift: batching moves no hit
+        m = model()
+        rep = polarity_scan(m, UNIT,
+                            LipschitzDrift(kind="field", L=0.5, drift_model=m),
+                            [0.0, 0.0], [0.2, 0.1, 0.05, 0.025], 600, 7, 1 / 128)
+        assert [e.p_hat for e in rep.estimates] == [
+            0.245, 0.12, 0.07166666666666667, 0.03333333333333333]
+        assert rep.fitted_slope == 0.9376892996587222
 
     def test_deltas_must_decrease(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                chaining_schedule, chaining_series_bound,
                                covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
-                               hausdorff_premeasure, rho_distance)
+                               hausdorff_premeasure, max_pair_ratio,
+                               rho_distance, rho_pairwise)
 
 H1 = HurstVector(H=(1.0,))
 H05 = HurstVector(H=(0.5,))
@@ -65,6 +66,43 @@ class TestRhoDistance:
         assert dst >= 0.0
         # each |.|^H with H <= 1 is subadditive, so rho satisfies the triangle
         assert dst <= rho_distance(s, u, H) + rho_distance(u, t, H) + 1e-9
+
+
+class TestMaxPairRatio:
+    @staticmethod
+    def all_pairs(vals, rho):
+        best = np.zeros(vals.shape[0])
+        n = vals.shape[1]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rho[i, j] > 0:
+                    r = np.linalg.norm(vals[:, i] - vals[:, j], axis=1) / rho[i, j]
+                    best = np.maximum(best, r)
+        return best
+
+    def test_matches_all_pairs_on_irregular_grid_with_duplicates(self):
+        rng = np.random.default_rng(4)
+        H = HurstVector(H=(0.5, 0.9))
+        pts = rng.uniform(size=(15, 2))
+        pts = np.concatenate([pts, pts[[2, 7]]])   # duplicates: rho = 0 pairs
+        rho = rho_pairwise(pts, H)
+        vals = rng.standard_normal((4, pts.shape[0], 3))
+        got = max_pair_ratio(vals, rho)
+        assert got.shape == (4,)
+        assert np.allclose(got, self.all_pairs(vals, rho), rtol=1e-12, atol=0.0)
+
+    def test_unordered_points_max_on_last_superdiagonal(self):
+        # the closest pair is (0, 2), which only the last lag visits
+        pts = np.array([[0.0], [1.0], [0.01]])
+        vals = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+        got = max_pair_ratio(vals, rho_pairwise(pts, H1))
+        assert got == pytest.approx([100.0], rel=1e-12)
+
+    def test_no_pair_with_positive_distance(self):
+        rho = rho_pairwise(np.zeros((3, 1)), H05)
+        assert np.array_equal(max_pair_ratio(np.ones((2, 3, 2)), rho), [0.0, 0.0])
+        single = rho_pairwise(np.zeros((1, 1)), H05)
+        assert np.array_equal(max_pair_ratio(np.ones((2, 1, 2)), single), [0.0, 0.0])
 
 
 class TestBallBoundingBox:
