@@ -31,6 +31,8 @@ from .field import cholesky_with_jitter, standard_normal_batch
 
 _QUAD_TOL = 1e-10
 _W_ROUND = 10  # decimals for deduplicating transform arguments
+_COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2001
+_VERDICT_ROWS = 128  # replicates per block of log arguments in psi_verdicts
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def moment_integral(noise: NoiseLevel, q: float) -> float:
     return 2.0 * body
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_COS_CACHE_SIZE)
 def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
     if w == 0.0:
         if noise.family == "power-law":
@@ -281,6 +283,8 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
     nonnegative frequencies are sampled; the negative side is the reflection.
     X1 and X2 decouple (even noise), each with a cosine-transform covariance.
+    Since q1 = [0, *pos], the X2 transforms over pos are the trailing blocks
+    of the X1 transforms, so only one pair of transforms is assembled.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -293,9 +297,8 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     Cm1 = cos_transform_many(noise, q1[:, None] - q1[None, :])
     Cp1 = cos_transform_many(noise, q1[:, None] + q1[None, :])
     cov1 = 0.5 * (Cm1 + Cp1)
-    Cm2 = cos_transform_many(noise, pos[:, None] - pos[None, :])
-    Cp2 = cos_transform_many(noise, pos[:, None] + pos[None, :])
-    cov2 = 0.5 * (Cm2 - Cp2)
+    cov2 = 0.5 * (Cm1[1:, 1:] - Cp1[1:, 1:])
+    del Cm1, Cp1
 
     L1, _ = cholesky_with_jitter(cov1)
     L2, _ = cholesky_with_jitter(cov2)
@@ -390,6 +393,90 @@ def distinguished_log(values: np.ndarray, anchor_index: int,
     return np.log(mods) + 1j * phase, max_jump
 
 
+def _log_argument(FO: np.ndarray, c: np.ndarray, noise_scale: float,
+                  spectral_values: Optional[np.ndarray]) -> np.ndarray:
+    """A(v) = 1 + c(v) (FO(v) + noise_scale X(v)) with c = iv(1+iv).
+
+    Each row of X gives one row of A; without noise A is the single
+    noiseless row and X is not read.
+    """
+    if noise_scale != 0.0:
+        F_obs = FO + noise_scale * spectral_values
+    else:
+        F_obs = FO.astype(complex)
+    return 1.0 + c * F_obs
+
+
+@dataclass(frozen=True)
+class PsiVerdicts:
+    """Per-replicate well-definedness of psi~, one entry per row of A."""
+
+    min_arg_modulus: np.ndarray   # min_v |A(v)|
+    zero_hit: np.ndarray          # |A| < tol_zero somewhere
+    max_phase_jump: np.ndarray    # max |angle(A[j+1] / A[j])|, NaN on zero-hit
+    margin: float
+
+    @property
+    def well_defined(self) -> np.ndarray:
+        return ~self.zero_hit
+
+    @property
+    def failures(self) -> list[Optional[str]]:
+        """"zero-hit", "phase-jump" (well defined but under-resolved) or None."""
+        jump = self.max_phase_jump >= math.pi - self.margin
+        return ["zero-hit" if z else "phase-jump" if j else None
+                for z, j in zip(self.zero_hit.tolist(), jump.tolist())]
+
+
+def _verdict_rows(A: np.ndarray, anchor_index: int,
+                  tol_zero: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(min modulus, zero-hit flag, max phase jump) of each row of A.
+
+    The same checks as distinguished_log, row-wise: the anchor must equal 1,
+    a modulus below tol_zero is a zero hit, and the jump is the largest
+    wrapped increment between adjacent grid points.
+    """
+    if np.any(np.abs(A[:, anchor_index] - 1.0) > 1e-9):
+        raise ValueError("anchor value must equal 1")
+    mods = np.abs(A)
+    zero = np.any(mods < tol_zero, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = np.max(np.abs(np.angle(A[:, 1:] / A[:, :-1])), axis=1,
+                      initial=0.0)
+    jump[zero] = np.nan
+    return np.min(mods, axis=1), zero, jump
+
+
+def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
+                 spectral_values: np.ndarray, tol_zero: float = 1e-12,
+                 margin: float = math.pi / 2.0) -> PsiVerdicts:
+    """Verdicts of psi_estimator for a (k, n) block of spectral replicates.
+
+    A is formed _VERDICT_ROWS replicates at a time, so each complex
+    temporary holds _VERDICT_ROWS * n * 16 bytes; the log path itself is
+    never unwrapped. Row i equals psi_estimator's verdict on row i bit for
+    bit.
+    """
+    X = np.asarray(spectral_values)
+    v = grid.points
+    if X.ndim != 2 or X.shape[1] != v.size:
+        raise ValueError(f"spectral values must have shape (k, {v.size})")
+    FO = fourier_O(model, v)
+    c = 1j * v * (1.0 + 1j * v)
+    k = X.shape[0]
+    min_mod = np.empty(k)
+    zero = np.empty(k, dtype=bool)
+    jump = np.empty(k)
+    for lo in range(0, k, _VERDICT_ROWS):
+        hi = min(lo + _VERDICT_ROWS, k)
+        A = np.broadcast_to(_log_argument(FO, c, noise_scale, X[lo:hi]),
+                            (hi - lo, v.size))
+        min_mod[lo:hi], zero[lo:hi], jump[lo:hi] = _verdict_rows(
+            A, grid.anchor_index, tol_zero)
+    return PsiVerdicts(min_arg_modulus=min_mod, zero_hit=zero,
+                       max_phase_jump=jump, margin=margin)
+
+
 @dataclass(frozen=True)
 class PsiEstimate:
     """Estimator path psi~ on the frequency grid with a well-definedness verdict."""
@@ -413,32 +500,27 @@ def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
 
     At the anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus
     below tol_zero (the polar-set event at machine scale) or a too-large
-    phase increment is reported in the verdict instead of aborting.
+    phase increment is reported in the verdict instead of aborting; the
+    verdict is psi_verdicts' rule applied to this one row.
     """
     v = grid.points
-    FO = fourier_O(model, v)
-    if noise_scale != 0.0:
-        if spectral_values is None:
-            if noise is None:
-                raise ValueError("noisy run needs a noise level")
-            spectral_values = simulate_spectral_noise(noise, grid, 1, seed).values[0]
-        F_obs = FO + noise_scale * spectral_values
-    else:
-        F_obs = FO.astype(complex)
-    A = 1.0 + 1j * v * (1.0 + 1j * v) * F_obs
-    min_mod = float(np.min(np.abs(A)))
-    anchor = grid.anchor_index
-    try:
-        log_path, max_jump = distinguished_log(A, anchor, tol_zero=tol_zero,
-                                               margin=margin, raise_on_jump=False)
-    except ZeroHit:
+    if noise_scale != 0.0 and spectral_values is None:
+        if noise is None:
+            raise ValueError("noisy run needs a noise level")
+        spectral_values = simulate_spectral_noise(noise, grid, 1, seed).values[0]
+    A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
+                      noise_scale, spectral_values)
+    verdict = PsiVerdicts(*_verdict_rows(A[None, :], grid.anchor_index, tol_zero),
+                          margin=margin)
+    min_mod = float(verdict.min_arg_modulus[0])
+    failure = verdict.failures[0]
+    if failure == "zero-hit":
         return PsiEstimate(grid=grid, values=np.full(v.shape, np.nan, complex),
                            arg_values=A, well_defined=False,
                            min_arg_modulus=min_mod, unwrap_margin=margin,
-                           max_phase_jump=float("nan"), failure="zero-hit")
-    failure = None
-    if max_jump >= math.pi - margin:
-        failure = "phase-jump"
+                           max_phase_jump=float("nan"), failure=failure)
+    log_path, max_jump = distinguished_log(A, grid.anchor_index, tol_zero=tol_zero,
+                                           margin=margin, raise_on_jump=False)
     return PsiEstimate(grid=grid, values=log_path / model.T, arg_values=A,
                        well_defined=True, min_arg_modulus=min_mod,
                        unwrap_margin=margin, max_phase_jump=max_jump,

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -41,11 +41,26 @@ def _listify(v):
     return v
 
 
+# accepted value types per annotation; bool is refused everywhere even though
+# it subclasses int, and nothing is coerced, so a valid config echoes as given
+_ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+             str: ((str,), "a string"), tuple: ((list, tuple), "a list")}
+
+
+def _check_type(key: str, value, annotation: type) -> None:
+    accepted, expected = _ACCEPTED[annotation]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"config key {key!r} expects {expected}, got "
+                         f"{type(value).__name__} {value!r}")
+
+
 def params_from_dict(cls, data: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown config keys for {cls.__name__}: {unknown}")
+    for key, value in data.items():
+        _check_type(key, value, hints[key])
     return cls(**{k: _tupleize(v) for k, v in data.items()})
 
 
@@ -168,9 +183,11 @@ class ExperimentConfig:
         if kind not in PARAM_CLASSES:
             raise ValueError(f"unknown experiment kind {kind!r}")
         data = dict(data)
-        seed = int(data.pop("seed", 0))
+        seed = data.pop("seed", 0)
         out_dir = str(data.pop("out_dir", ""))
-        workers = int(data.pop("workers", 1))
+        workers = data.pop("workers", 1)
+        _check_type("seed", seed, int)
+        _check_type("workers", workers, int)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         params = params_from_dict(PARAM_CLASSES[kind], data)
@@ -349,6 +366,8 @@ def _run_polarity_scan(cfg: ExperimentConfig):
 
 def _run_modulus_scan(cfg: ExperimentConfig):
     p: ModulusScanParams = cfg.params
+    if not p.eps:
+        raise ValueError("eps must be nonempty")
     model = _model(p.hurst, p.mixing)
     grid = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
     paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed,
@@ -406,16 +425,20 @@ def _run_calib_sim(cfg: ExperimentConfig):
     model = calib.OptionModel(kind="exp", T=p.T)
     samples = calib.simulate_spectral_noise(noise, grid, p.n_replicates,
                                             cfg.seed, workers=cfg.workers)
+    verdicts = {}
+    for scale in p.noise_scales:
+        vd = calib.psi_verdicts(model, grid, scale, samples.values)
+        verdicts[scale] = list(zip(vd.well_defined.tolist(),
+                                   vd.min_arg_modulus.tolist(), vd.failures))
     rows = []
     n_ok = {s: 0 for s in p.noise_scales}
     for i in range(p.n_replicates):
         for scale in p.noise_scales:
-            est = calib.psi_estimator(model, noise, grid, scale, cfg.seed,
-                                      spectral_values=samples.values[i])
-            if est.well_defined:
+            well_defined, min_mod, failure = verdicts[scale][i]
+            if well_defined:
                 n_ok[scale] += 1
-            rows.append([i, scale, est.well_defined, est.min_arg_modulus,
-                         "" if est.failure is None else est.failure])
+            rows.append([i, scale, well_defined, min_mod,
+                         "" if failure is None else failure])
     report = {"n_replicates": p.n_replicates,
               "well_defined_counts": {str(s): n_ok[s] for s in p.noise_scales}}
     return (["replicate", "noise_scale", "well_defined", "min_arg_modulus",

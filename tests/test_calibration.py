@@ -11,10 +11,12 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     fourier_O_numeric, holder_bound_check,
                                     holder_exponent, ito_covariance,
                                     lambda_min_on_IV, moment_integral,
-                                    psi_estimator, simulate_spectral_noise,
-                                    tail_integral, total_mass)
+                                    psi_estimator, psi_verdicts,
+                                    simulate_spectral_noise, tail_integral,
+                                    total_mass)
 from anisofield import calibration
 from anisofield.errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
+from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
 POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
 BUMP = NoiseLevel(family="bump", support=2.0, amplitude=1.0, p=1.5)
@@ -111,6 +113,25 @@ class TestCosTransform:
         assert vals.shape == (2, 2)
         assert vals[0, 1] == cos_transform(BUMP, 0.7)
         assert vals[1, 0] == vals[0, 1]
+
+
+class TestCosCache:
+    def test_cache_is_bounded(self):
+        maxsize = calibration._cos_transform_cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 2001
+
+    def test_one_miss_per_distinct_argument(self):
+        # the calib-sim-fine grid: both transform pairs draw on 2001 keys
+        g = FrequencyGrid.build(10.0, 0.01)
+        q1 = np.concatenate([[0.0], g.positive])
+        ws = np.concatenate([(q1[:, None] - q1[None, :]).ravel(),
+                             (q1[:, None] + q1[None, :]).ravel()])
+        distinct = np.unique(np.round(np.abs(ws), 10)).size
+        calibration._cos_transform_cached.cache_clear()
+        simulate_spectral_noise(POW, g, 1, 0)
+        info = calibration._cos_transform_cached.cache_info()
+        assert info.misses == distinct == 2001
+        assert info.currsize == distinct
 
 
 class TestHolderExponent:
@@ -273,6 +294,26 @@ class TestSpectralSimulation:
             target = cov[idx, idx]
             assert abs(np.var(part) - target) <= 5.0 * target * math.sqrt(2.0 / n)
 
+    def test_matches_four_transform_construction(self):
+        # reference: separate transform pairs over [0, *pos] and over pos
+        g = FrequencyGrid.build(5.0, 0.05)
+        n, seed = 50, 8
+        pos = g.positive
+        q1 = np.concatenate([[0.0], pos])
+        cov1 = 0.5 * (cos_transform_many(POW, q1[:, None] - q1[None, :])
+                      + cos_transform_many(POW, q1[:, None] + q1[None, :]))
+        cov2 = 0.5 * (cos_transform_many(POW, pos[:, None] - pos[None, :])
+                      - cos_transform_many(POW, pos[:, None] + pos[None, :]))
+        X1 = standard_normal_batch(q1.size, n, seed, "spec-cos") @ \
+            cholesky_with_jitter(cov1)[0].T
+        X2 = standard_normal_batch(pos.size, n, seed, "spec-sin") @ \
+            cholesky_with_jitter(cov2)[0].T
+        pos_block = X1[:, 1:] + 1j * X2
+        ref = np.concatenate([np.conj(pos_block[:, ::-1]), X1[:, :1] + 0j,
+                              pos_block], axis=1)
+        s = simulate_spectral_noise(POW, g, n, seed)
+        assert np.array_equal(s.values, ref)
+
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             simulate_spectral_noise(POW, FrequencyGrid.build(2.0, 0.5), -1, 0)
@@ -397,3 +438,56 @@ class TestPsiEstimator:
         g = FrequencyGrid.build(2.0, 0.5)
         with pytest.raises(ValueError):
             psi_estimator(OptionModel(), None, g, 0.1, 0)
+
+
+class TestPsiVerdicts:
+    SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
+
+    @staticmethod
+    def assert_rows_match(verdicts, model, grid, scale, spec):
+        failures = verdicts.failures
+        for i in range(spec.shape[0]):
+            est = psi_estimator(model, POW, grid, scale, 0,
+                                spectral_values=spec[i])
+            assert verdicts.min_arg_modulus[i] == est.min_arg_modulus
+            assert bool(verdicts.well_defined[i]) == est.well_defined
+            assert failures[i] == est.failure
+
+    def test_matches_per_row_estimator(self):
+        # 300 rows span three row blocks; large scales force phase jumps
+        g = FrequencyGrid.build(10.0, 0.05)
+        spec = simulate_spectral_noise(POW, g, 300, 4).values
+        model = OptionModel()
+        seen = set()
+        for scale in self.SCALES:
+            vd = psi_verdicts(model, g, scale, spec)
+            self.assert_rows_match(vd, model, g, scale, spec)
+            seen.update(vd.failures)
+        assert "phase-jump" in seen and None in seen
+
+    def test_zero_hit_row(self):
+        g = FrequencyGrid.build(2.0, 0.5)
+        v = g.points
+        FO = fourier_O(OptionModel(), v)
+        k = g.anchor_index + 1
+        spec = np.zeros((3, v.size), dtype=complex)
+        spec[1, k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
+        vd = psi_verdicts(OptionModel(), g, 1.0, spec)
+        assert vd.zero_hit.tolist() == [False, True, False]
+        assert vd.failures[1] == "zero-hit" and np.isnan(vd.max_phase_jump[1])
+        self.assert_rows_match(vd, OptionModel(), g, 1.0, spec)
+
+    def test_noiseless_rows_ignore_spectral_values(self):
+        g = FrequencyGrid.build(5.0, 0.05)
+        spec = simulate_spectral_noise(POW, g, 4, 1).values
+        vd = psi_verdicts(OptionModel(), g, 0.0, spec)
+        est = psi_estimator(OptionModel(), None, g, 0.0, 0)
+        assert np.all(vd.min_arg_modulus == est.min_arg_modulus)
+        assert vd.failures == [None] * 4
+
+    def test_empty_block_and_shape_check(self):
+        g = FrequencyGrid.build(2.0, 0.5)
+        vd = psi_verdicts(OptionModel(), g, 1.0, np.empty((0, g.points.size)))
+        assert vd.min_arg_modulus.shape == (0,) and vd.failures == []
+        with pytest.raises(ValueError, match="shape"):
+            psi_verdicts(OptionModel(), g, 1.0, np.zeros(g.points.size))

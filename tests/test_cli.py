@@ -1,14 +1,32 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, strategies as st
 
 from anisofield import calibration
+from anisofield import field as fieldmod
 from anisofield.cli import build_parser, config_from_args, main
 from anisofield.errors import NumericalCheckFailed
-from anisofield.experiments import (ExperimentConfig, default_out_dir,
-                                    params_from_dict, run_experiment,
-                                    HittingScanParams, MetricCheckParams)
+from anisofield.experiments import (PARAM_CLASSES, ExperimentConfig,
+                                    default_out_dir, params_from_dict,
+                                    run_experiment, HittingScanParams,
+                                    MetricCheckParams)
+
+NUMERIC_KEYS = [(kind, f.name, get_type_hints(cls)[f.name])
+                for kind, cls in PARAM_CLASSES.items()
+                for f in dataclasses.fields(cls)
+                if get_type_hints(cls)[f.name] in (int, float)]
+WRONG_VALUES = {
+    int: st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
+                   st.lists(st.integers(), max_size=2)),
+    float: st.one_of(st.booleans(), st.none(), st.text(max_size=4),
+                     st.lists(st.floats(), max_size=2)),
+}
 
 
 class TestConfigParsing:
@@ -49,6 +67,20 @@ class TestConfigParsing:
         monkeypatch.setenv("ANISOFIELD_OUT", str(tmp_path))
         assert default_out_dir("metric-check") == str(tmp_path / "metric-check")
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_replicates", [1]), ("n_replicates", "x"), ("n_replicates", 1e9),
+        ("n_replicates", True), ("V", False), ("noise_scales", 0.1),
+        ("seed", 1.5), ("workers", "2")])
+    def test_wrong_type_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' expects"):
+            ExperimentConfig.from_dict("calib-sim", {key: value})
+
+    def test_valid_values_kept_as_given(self):
+        cfg = ExperimentConfig.from_dict(
+            "calib-sim", {"V": 3, "noise_scales": [1e-3, 1], "seed": 2})
+        assert cfg.params.V == 3 and type(cfg.params.V) is int
+        assert cfg.echo()["noise_scales"] == [1e-3, 1]
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict("metric-check", {"workers": 0})
@@ -84,6 +116,39 @@ class TestMainExitCodes:
         assert err["error"] == "ValueError"
         assert "nonempty" in err["message"]
         assert not (out / "results.csv").exists()
+
+    @given(st.sampled_from(NUMERIC_KEYS), st.data())
+    def test_wrongly_typed_number_exits_2(self, tmp_path_factory, target, data):
+        kind, key, annotation = target
+        value = data.draw(WRONG_VALUES[annotation])
+        out = tmp_path_factory.getbasetemp() / "typed"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([kind, "--out", str(out),
+                       "--set", f"{key}={json.dumps(value)}"])
+        assert rc == 2
+        doc = json.loads(err.getvalue())
+        assert doc["error"] == "ValueError" and repr(key) in doc["message"]
+        assert not out.exists()
+
+    def test_empty_eps_refused_before_factoring(self, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        real = fieldmod.cholesky_with_jitter
+
+        def counting(cov):
+            calls.append(cov.shape)
+            return real(cov)
+        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
+        rc = main(["modulus-scan", "--out", str(tmp_path / "empty"),
+                   "--set", "eps=[]", "--set", "n_samples=2"])
+        assert rc == 2 and calls == []
+        assert "eps must be nonempty" in capsys.readouterr().err
+        # the counter sees the factor of a nonempty scan
+        rc = main(["modulus-scan", "--out", str(tmp_path / "run"),
+                   "--set", "eps=[0.1]", "--set", "n_samples=2",
+                   "--set", "n_points=21"])
+        assert rc == 0 and len(calls) == 1
 
     def test_numerical_check_failure_exits_2(self, tmp_path, capsys,
                                              monkeypatch):
@@ -132,6 +197,15 @@ class TestReproducibility:
         m1 = self.run("field-sim", over, tmp_path / "s1", seed=1)
         m2 = self.run("field-sim", over, tmp_path / "s2", seed=2)
         assert m1.outputs["results.csv"] != m2.outputs["results.csv"]
+
+    def test_calib_sim_golden_digests(self, tmp_path):
+        # pinned digests: a change of any output bit must be declared
+        man = self.run("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
+                       tmp_path / "g", seed=17)
+        assert man.outputs == {
+            "results.csv": "5ff53ac3722c862ae8dad94ef1317e830025b067d1fdb158d61e3ed4324e243b",
+            "report.json": "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20",
+        }
 
     def test_manifest_structure(self, tmp_path):
         self.run("calib-sim", {"n_replicates": 3, "V": 2.0, "step": 0.25},
