@@ -3,7 +3,7 @@
 from .errors import (ModelRejected, NumericalCheckFailed, PhaseJumpTooLarge,
                      Refusal, ZeroHit)
 from .metric import (BallCover, ChainingSchedule, EuclideanBall, GridCover,
-                     HurstVector, IndexSet, anisotropy_index,
+                     HurstVector, IndexSet,
                      ball_bounding_box, chaining_schedule,
                      chaining_series_bound, covering_number_upper,
                      entropy_integral_closed_form, grid_cover,

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,11 +47,18 @@ _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
              str: ((str,), "a string"), tuple: ((list, tuple), "a list")}
 
 
-def _check_type(key: str, value, annotation: type) -> None:
-    accepted, expected = _ACCEPTED[annotation]
+def _check_type(key: str, value, annotation, where: str = "") -> None:
+    """Refuse value unless it has the annotated type; a tuple[X, ...] is a
+    list whose every element is checked against X by the same rules."""
+    origin = get_origin(annotation) or annotation
+    accepted, expected = _ACCEPTED[origin]
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"config key {key!r} expects {expected}, got "
+        raise ValueError(f"config key {key!r} expects {expected}{where}, got "
                          f"{type(value).__name__} {value!r}")
+    if origin is tuple:
+        for element in value:
+            _check_type(key, element, get_args(annotation)[0],
+                        " in each element")
 
 
 def params_from_dict(cls, data: dict):
@@ -66,9 +73,9 @@ def params_from_dict(cls, data: dict):
 
 @dataclass(frozen=True)
 class MetricCheckParams:
-    hurst: tuple = (0.75, 0.75)
-    entropy_x: tuple = (0.01, 0.1, 0.5, 1.0)
-    cover_radii: tuple = (0.5, 0.25, 0.125)
+    hurst: tuple[float, ...] = (0.75, 0.75)
+    entropy_x: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0)
+    cover_radii: tuple[float, ...] = (0.5, 0.25, 0.125)
     test_grid_points: int = 10_000
     chaining_r: float = 1.0
     chaining_beta: float = 28.0
@@ -81,22 +88,22 @@ class MetricCheckParams:
 
 @dataclass(frozen=True)
 class FieldSimParams:
-    hurst: tuple = (0.5,)
-    mixing: tuple = ((1.0, 0.0), (1.0, 1.0))
-    box_lo: tuple = (0.0,)
-    box_hi: tuple = (1.0,)
+    hurst: tuple[float, ...] = (0.5,)
+    mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
+    box_lo: tuple[float, ...] = (0.0,)
+    box_hi: tuple[float, ...] = (1.0,)
     n_grid: int = 10
     n_samples: int = 200
 
 
 @dataclass(frozen=True)
 class HittingScanParams:
-    hurst: tuple = (0.75,)
-    mixing: tuple = ((1.0, 0.0), (1.0, 1.0))
-    box_lo: tuple = (0.0,)
-    box_hi: tuple = (1.0,)
-    t: tuple = (0.5,)
-    radii: tuple = (0.2, 0.1, 0.05)
+    hurst: tuple[float, ...] = (0.75,)
+    mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
+    box_lo: tuple[float, ...] = (0.0,)
+    box_hi: tuple[float, ...] = (1.0,)
+    t: tuple[float, ...] = (0.5,)
+    radii: tuple[float, ...] = (0.2, 0.1, 0.05)
     n_mc: int = 400
     ball_points_per_axis: int = 16
     drift_kind: str = "zero"
@@ -105,12 +112,12 @@ class HittingScanParams:
 
 @dataclass(frozen=True)
 class PolarityScanParams:
-    hurst: tuple = (0.75,)
-    mixing: tuple = ((1.0, 0.0), (1.0, 1.0))
-    box_lo: tuple = (0.0,)
-    box_hi: tuple = (1.0,)
-    center: tuple = (0.0, 0.0)
-    deltas: tuple = (0.2, 0.1, 0.05)
+    hurst: tuple[float, ...] = (0.75,)
+    mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
+    box_lo: tuple[float, ...] = (0.0,)
+    box_hi: tuple[float, ...] = (1.0,)
+    center: tuple[float, ...] = (0.0, 0.0)
+    deltas: tuple[float, ...] = (0.2, 0.1, 0.05)
     n_mc: int = 400
     grid_step: float = 1.0 / 64.0
     drift_kind: str = "zero"
@@ -119,12 +126,12 @@ class PolarityScanParams:
 
 @dataclass(frozen=True)
 class ModulusScanParams:
-    hurst: tuple = (0.5,)
-    mixing: tuple = ((1.0, 0.0), (1.0, 1.0))
-    box_lo: tuple = (0.0,)
-    box_hi: tuple = (0.2,)
+    hurst: tuple[float, ...] = (0.5,)
+    mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
+    box_lo: tuple[float, ...] = (0.0,)
+    box_hi: tuple[float, ...] = (0.2,)
     n_points: int = 401
-    eps: tuple = (0.2, 0.1)
+    eps: tuple[float, ...] = (0.2, 0.1)
     n_samples: int = 200
 
 
@@ -154,7 +161,7 @@ class CalibSimParams:
     V: float = 5.0
     step: float = 0.1
     T: float = 1.0
-    noise_scales: tuple = (1e-3,)
+    noise_scales: tuple[float, ...] = (1e-3,)
     n_replicates: int = 20
 
 
@@ -303,9 +310,8 @@ def _run_metric_check(cfg: ExperimentConfig):
 
 
 def _grid_from_box(lo, hi, n_per_axis) -> fieldmod.Grid:
-    axes = [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return fieldmod.Grid(points=np.stack([m.ravel() for m in mesh], axis=1))
+    return fieldmod.Grid(points=metmod.product_grid(
+        [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)]))
 
 
 def _run_field_sim(cfg: ExperimentConfig):

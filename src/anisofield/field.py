@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelRejected
-from .metric import HurstVector, rho_pairwise
+from .metric import HurstVector, pair_lags, rho_pairwise
 from .seeds import derive_seed
 
 JITTER_REL = 1e-10
@@ -143,11 +143,8 @@ def verify_condition1(model: FieldModel, grid: Grid) -> tuple[float, float, bool
     K = model.kernel_matrix(grid.points)
     tr = float(np.trace(model.gram))
     canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
-    iu = np.triu_indices(grid.n, k=1)
-    num = canon[iu]
-    den = rho[iu]
-    mask = den > 0
-    max_ratio = float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
+    mask = rho > 0
+    max_ratio = float(np.max(canon[mask] / rho[mask])) if np.any(mask) else 0.0
     c_analytic = model.condition1_constant
     return max_ratio, c_analytic, max_ratio <= c_analytic * (1.0 + 1e-12)
 
@@ -278,33 +275,21 @@ def modulus_statistic(paths: SamplePathSet, H: HurstVector,
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
-    pts = paths.grid.points
-    n = pts.shape[0]
-    rho = rho_pairwise(pts, H)
-    iu, ju = np.triu_indices(n, k=1)
-    dist = rho[iu, ju]
-    keep = dist <= eps_sorted[-1]
-    iu, ju, dist = iu[keep], ju[keep], dist[keep]
-    order = np.argsort(dist, kind="stable")
-    iu, ju, dist = iu[order], ju[order], dist[order]
-
-    n_samples = paths.n_samples
-    running = np.zeros(n_samples)
-    M = np.full((n_samples, len(eps_sorted)), np.nan)
-    missing = []
-    pos = 0
-    chunk = max(1, 5_000_000 // max(1, n_samples))
+    rho = rho_pairwise(paths.grid.points, H)
+    # pairs with rho == 0 count toward every eps
+    best = np.zeros((len(eps_sorted), paths.n_samples))
+    found = [False] * len(eps_sorted)
+    for den, num, _ in pair_lags(paths.values, rho,
+                                 lambda den: den <= eps_sorted[-1]):
+        for col, e in enumerate(eps_sorted):
+            mask = den <= e
+            if mask.any():
+                found[col] = True
+                part = num if mask.all() else num[:, mask]
+                np.maximum(best[col], part.max(axis=1), out=best[col])
+    M = np.full((paths.n_samples, len(eps_sorted)), np.nan)
     for col, e in enumerate(eps_sorted):
-        hi = int(np.searchsorted(dist, e, side="right"))
-        while pos < hi:
-            end = min(pos + chunk, hi)
-            diffs = paths.values[:, iu[pos:end], :] - paths.values[:, ju[pos:end], :]
-            norms = np.sqrt(np.sum(diffs * diffs, axis=2))
-            running = np.maximum(running, norms.max(axis=1))
-            pos = end
-        if hi == 0:
-            missing.append(True)
-        else:
-            missing.append(False)
-            M[:, col] = running / (e * np.sqrt(np.log(1.0 / e)))
-    return ModulusReport(eps=tuple(eps_sorted), M=M, missing=tuple(missing))
+        if found[col]:
+            M[:, col] = best[col] / (e * np.sqrt(np.log(1.0 / e)))
+    return ModulusReport(eps=tuple(eps_sorted), M=M,
+                         missing=tuple(not f for f in found))

@@ -19,7 +19,7 @@ from scipy.stats import norm as _norm
 from .errors import Refusal
 from .field import FieldModel, GaussianSampler, Grid
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
-                     rho_pairwise, rho_to_point)
+                     product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
 
 
@@ -156,20 +156,24 @@ class ScalingReport:
     status: str = "ok"
 
 
-def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
-               grid_step: float) -> np.ndarray:
-    """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I."""
-    lo, hi = ball_bounding_box(t, r, H)
+def _stepped_grid(lo: Sequence[float], hi: Sequence[float],
+                  grid_step: float) -> np.ndarray:
+    """Product grid of the axes lo_j + arange(n_j) * grid_step inside [lo, hi]."""
     axes = []
-    for j in range(H.N):
-        n_pts = int(np.floor((hi[j] - lo[j]) / grid_step)) + 1
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        n_pts = int(np.floor((b - a) / grid_step)) + 1
         if n_pts < 8:
             raise Refusal(
                 f"grid_step {grid_step:g} gives {n_pts} points on axis {j}; "
-                "at least 8 per axis are required to resolve the ball")
-        axes.append(lo[j] + np.arange(n_pts) * grid_step)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+                "at least 8 per axis are required")
+        axes.append(a + np.arange(n_pts) * grid_step)
+    return product_grid(axes)
+
+
+def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
+               grid_step: float) -> np.ndarray:
+    """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I."""
+    pts = _stepped_grid(*ball_bounding_box(t, r, H), grid_step)
     mask = (rho_to_point(pts, t, H) <= r) & I.contains(pts, atol=1e-12)
     pts = pts[mask]
     if pts.shape[0] == 0:
@@ -280,20 +284,8 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
     if center.size != model.d:
         raise ValueError("target center dimension mismatch")
 
-    # grid over the whole index set
-    axes_pts = []
-    for lo, hi in index_set.boxes:
-        axes = []
-        for j in range(index_set.dim):
-            n_pts = int(np.floor((hi[j] - lo[j]) / grid_step)) + 1
-            if n_pts < 8:
-                raise Refusal(
-                    f"grid_step {grid_step:g} gives {n_pts} points on axis {j}; "
-                    "at least 8 per axis are required")
-            axes.append(lo[j] + np.arange(n_pts) * grid_step)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        axes_pts.append(np.stack([m.ravel() for m in mesh], axis=1))
-    pts = np.concatenate(axes_pts, axis=0)
+    pts = np.concatenate([_stepped_grid(lo, hi, grid_step)
+                          for lo, hi in index_set.boxes], axis=0)
     grid = Grid(points=pts)
 
     sampler = GaussianSampler.build(model, grid)

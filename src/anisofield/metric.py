@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,27 +63,56 @@ def rho_pairwise(points: np.ndarray, H: HurstVector) -> np.ndarray:
     return np.sum(diff ** H.as_array(), axis=2)
 
 
+def pair_lags(values: np.ndarray, rho: np.ndarray,
+              keep: Callable[[np.ndarray], np.ndarray]
+              ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk the grid pairs i < j one superdiagonal of rho at a time.
+
+    values has shape (k, n, d) and rho is the (n, n) distance matrix of the
+    same points. For each lag = j - i, yields (den, num, mask): den =
+    np.diagonal(rho, lag), num the (k, n - lag) norms ||v(j) - v(i)||, and
+    mask = keep(den), the pairs of the lag that the caller reduces over. A lag
+    where no pair is kept is skipped before its norms are computed. The norms
+    come from contiguous per-component slices, so no (k, pairs, d) gather is
+    ever built and no grid regularity is assumed: memory is one contiguous
+    copy of each component plus two (k, n - lag) temporaries.
+    """
+    vals = np.asarray(values, dtype=float)
+    comps = [np.ascontiguousarray(vals[:, :, c]) for c in range(vals.shape[2])]
+    for lag in range(1, vals.shape[1]):
+        den = np.diagonal(rho, lag)
+        mask = keep(den)
+        if not mask.any():
+            continue
+        # the squares are summed in place, in component order: the same
+        # additions as a plain sum, without a fresh array per operation
+        num = comps[0][:, lag:] - comps[0][:, :-lag]
+        np.square(num, out=num)
+        for v in comps[1:]:
+            diff = v[:, lag:] - v[:, :-lag]
+            num += np.square(diff, out=diff)
+        yield den, np.sqrt(num, out=num), mask
+
+
 def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Per replicate, max over pairs s < t with rho(s, t) > 0 of ||v(s) - v(t)|| / rho(s, t).
 
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
     same points; the result has shape (k,) and is 0 where no pair has
-    rho > 0. The pairs are walked one superdiagonal of rho at a time through
-    contiguous per-component slices, so no (k, pairs, d) gather is ever
-    built and no grid regularity is assumed.
+    rho > 0. The pairs come from pair_lags.
     """
-    vals = np.asarray(values, dtype=float)
-    comps = [np.ascontiguousarray(vals[:, :, c]) for c in range(vals.shape[2])]
-    best = np.zeros(vals.shape[0])
-    for lag in range(1, vals.shape[1]):
-        den = np.diagonal(rho, lag)
-        mask = den > 0
-        if not mask.any():
-            continue
-        num = np.sqrt(sum(np.square(v[:, lag:] - v[:, :-lag]) for v in comps))
+    best = np.zeros(np.shape(values)[0])
+    for den, num, mask in pair_lags(values, rho, lambda den: den > 0):
         ratio = num / den if mask.all() else num[:, mask] / den[mask]
         np.maximum(best, ratio.max(axis=1), out=best)
     return best
+
+
+def product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of the product of 1-D axes, shape (prod of lengths, len(axes)),
+    with the last axis varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def rho_to_point(points: np.ndarray, t, H: HurstVector) -> np.ndarray:
@@ -91,10 +120,6 @@ def rho_to_point(points: np.ndarray, t, H: HurstVector) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(t, dtype=float).reshape(-1)
     return np.sum(np.abs(pts - t) ** H.as_array(), axis=1)
-
-
-def anisotropy_index(H: HurstVector) -> float:
-    return H.Q
 
 
 def ball_bounding_box(t, r: float, H: HurstVector) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +194,8 @@ class IndexSet:
             lo = np.asarray(lo)
             hi = np.asarray(hi)
             per_axis = max(2, math.ceil(n_points ** (1.0 / len(lo))))
-            axes = [np.linspace(a, b, per_axis) if b > a else np.array([a])
-                    for a, b in zip(lo, hi)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            out.append(np.stack([m.ravel() for m in mesh], axis=1))
+            out.append(product_grid([np.linspace(a, b, per_axis) if b > a
+                                     else np.array([a]) for a, b in zip(lo, hi)]))
         return np.concatenate(out, axis=0)
 
 
@@ -186,23 +209,6 @@ class BallCover:
     @property
     def count(self) -> int:
         return int(np.atleast_2d(self.centers).shape[0])
-
-    def max_min_distance(self, points: np.ndarray, H: HurstVector,
-                         chunk: int = 2048) -> float:
-        """Largest distance from a test point to its nearest center."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        exps = H.as_array()
-        worst = 0.0
-        for i in range(0, pts.shape[0], chunk):
-            block = pts[i:i + chunk]
-            d = np.sum(np.abs(block[:, None, :] - centers[None, :, :]) ** exps, axis=2)
-            worst = max(worst, float(d.min(axis=1).max()))
-        return worst
-
-    def is_valid_on(self, points: np.ndarray, H: HurstVector,
-                    rtol: float = 1e-12) -> bool:
-        return self.max_min_distance(points, H) <= self.radius * (1.0 + rtol)
 
 
 @dataclass(frozen=True)
@@ -270,9 +276,8 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
         L = hi_a - lo_a
         counts = np.maximum(1, np.ceil(L / spacing - 1e-12).astype(int))
         piece = L / counts
-        axes = [lo_a[j] + (np.arange(counts[j]) + 0.5) * piece[j] for j in range(N)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        all_centers.append(np.stack([m.ravel() for m in mesh], axis=1))
+        all_centers.append(product_grid(
+            [lo_a[j] + (np.arange(counts[j]) + 0.5) * piece[j] for j in range(N)]))
         cells.append((tuple(lo_a), tuple(piece), tuple(int(c) for c in counts)))
         c8 += float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
     centers = np.concatenate(all_centers, axis=0)

@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import os
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,44 @@ WRONG_VALUES = {
     float: st.one_of(st.booleans(), st.none(), st.text(max_size=4),
                      st.lists(st.floats(), max_size=2)),
 }
+
+# one list value per list key: a kind's default with its first number
+# replaced by a wrongly typed element
+LIST_KEYS = [pytest.param(kind, f.name, json.loads(json.dumps(f.default)),
+                          id=f"{kind}-{f.name}")
+             for kind, cls in PARAM_CLASSES.items()
+             for f in dataclasses.fields(cls)
+             if get_origin(get_type_hints(cls)[f.name]) is tuple]
+BAD_ELEMENTS = ["0.1", True, [0.1]]
+
+# the small configs of the determinism acceptance test, at seed 17
+GOLDEN = [
+    ("modulus-scan", {"n_samples": 40, "n_points": 101, "eps": [0.05, 0.1]},
+     "cda96b036febf83daea31cff52e3ae61dda7e41e81f75682c7e0b4476db58283",
+     "70b2ff8d91b32d66b9d7de4e2e9f5570c886642ba84987f161f572ab46db47df"),
+    ("field-sim", {"n_samples": 40, "n_grid": 6},
+     "6d9a30fb1fcec78fcd5a5266002b71d7081b34666edd57b501f65406b63130e7",
+     "c023cea511a7be936be810e57265c619a0fa7c8d972e1b76d1f5fd24154bb7b8"),
+    ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1]},
+     "e73f93ac027f8f41383c50395b13426980879fbcbfaf091541da0d44a4052ec6",
+     "c9c2df4986f0e1761f910d39b777bc4772df9f6ff075f0860cc01c427dd61fea"),
+    ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1]},
+     "c7dc75ba645c0e21f18b37f502d00cd98c74ae06d34e55a073bf5ccb0b7a7d2d",
+     "7bf22ee70b1f9b77101560dca5946249725e508096131680e60f5a568d8097ac"),
+    ("metric-check", {},
+     "b37ffebed8639736201c26ccac0796c792fcae9b2e8b356755f129dc74b83c1b",
+     "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
+    ("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
+     "5ff53ac3722c862ae8dad94ef1317e830025b067d1fdb158d61e3ed4324e243b",
+     "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20"),
+]
+
+
+def _with_first_leaf(value, element):
+    """value with its first (innermost, leftmost) number replaced by element."""
+    if isinstance(value, list):
+        return [_with_first_leaf(value[0], element)] + value[1:]
+    return element
 
 
 class TestConfigParsing:
@@ -150,6 +188,19 @@ class TestMainExitCodes:
                    "--set", "n_points=21"])
         assert rc == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("bad", BAD_ELEMENTS, ids=["str", "bool", "list"])
+    @pytest.mark.parametrize("kind,key,default", LIST_KEYS)
+    def test_wrongly_typed_list_element_exits_2(self, tmp_path, capsys, kind,
+                                                key, default, bad):
+        value = _with_first_leaf(default, bad)
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"{key}={json.dumps(value)}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"config key {key!r} expects a number in each element" in err["message"]
+        assert not out.exists()
+
     def test_numerical_check_failure_exits_2(self, tmp_path, capsys,
                                              monkeypatch):
         def broken(*args, **kwargs):
@@ -198,14 +249,12 @@ class TestReproducibility:
         m2 = self.run("field-sim", over, tmp_path / "s2", seed=2)
         assert m1.outputs["results.csv"] != m2.outputs["results.csv"]
 
-    def test_calib_sim_golden_digests(self, tmp_path):
+    @pytest.mark.parametrize("kind,over,results,report", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_golden_digests(self, tmp_path, kind, over, results, report):
         # pinned digests: a change of any output bit must be declared
-        man = self.run("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
-                       tmp_path / "g", seed=17)
-        assert man.outputs == {
-            "results.csv": "5ff53ac3722c862ae8dad94ef1317e830025b067d1fdb158d61e3ed4324e243b",
-            "report.json": "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20",
-        }
+        man = self.run(kind, over, tmp_path / "g", seed=17)
+        assert man.outputs == {"results.csv": results, "report.json": report}
 
     def test_manifest_structure(self, tmp_path):
         self.run("calib-sim", {"n_replicates": 3, "V": 2.0, "step": 0.25},

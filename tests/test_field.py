@@ -10,7 +10,7 @@ from anisofield.field import (FieldModel, GaussianSampler, Grid,
                               modulus_statistic, sample_paths,
                               standard_normal_batch, standard_normals,
                               verify_condition1, verify_condition2)
-from anisofield.metric import HurstVector
+from anisofield.metric import HurstVector, rho_pairwise
 from anisofield.seeds import derive_seed
 
 
@@ -180,3 +180,53 @@ class TestModulusStatistic:
     def test_nonnegative(self):
         rep = modulus_statistic(self.paths, self.m.H, [0.1, 0.2])
         assert np.all(rep.M[:, :] >= 0)
+
+
+class TestModulusMatchesAllPairs:
+    """modulus_statistic against an inline loop over every pair s < t."""
+
+    @staticmethod
+    def all_pairs(paths, H, eps_list):
+        vals = paths.values
+        rho = rho_pairwise(paths.grid.points, H)
+        eps = sorted(eps_list)
+        M = np.full((vals.shape[0], len(eps)), np.nan)
+        for col, e in enumerate(eps):
+            best = None
+            for i in range(vals.shape[1]):
+                for j in range(i + 1, vals.shape[1]):
+                    if rho[i, j] <= e:
+                        diff = vals[:, i] - vals[:, j]
+                        norm = np.sqrt(np.sum(diff * diff, axis=1))
+                        best = norm if best is None else np.maximum(best, norm)
+            if best is not None:
+                M[:, col] = best / (e * np.sqrt(np.log(1.0 / e)))
+        return M, tuple(np.isnan(M[0]))
+
+    def check(self, model, points, eps, n_samples=6, seed=3):
+        paths = sample_paths(model, Grid(points=points), n_samples, seed)
+        rep = modulus_statistic(paths, model.H, eps)
+        M, missing = self.all_pairs(paths, model.H, eps)
+        assert np.array_equal(rep.M, M, equal_nan=True)
+        assert rep.missing == missing
+        return rep
+
+    def test_1d_grid_with_missing_eps(self):
+        rep = self.check(model_2x2(H=(0.5,)), np.linspace(0.0, 0.2, 41)[:, None],
+                         [0.2, 0.08, 0.05])
+        assert rep.missing == (True, False, False)
+
+    def test_2d_grid(self):
+        g = np.stack(np.meshgrid(np.linspace(0, 0.3, 6), np.linspace(0, 0.1, 5),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        rep = self.check(model_2x2(H=(0.5, 0.8)), g, [0.1, 0.3, 0.6])
+        assert not any(rep.missing)
+
+    def test_duplicate_points(self):
+        pts = np.random.default_rng(8).uniform(size=(12, 1))
+        pts = np.concatenate([pts, pts[[1, 5]]])   # rho = 0 pairs count
+        m = FieldModel(H=HurstVector(H=(0.7,)), mixing=((1.0, 0.0, 0.0),
+                                                        (0.0, 1.0, 0.0),
+                                                        (1.0, 1.0, 1.0)))
+        rep = self.check(m, pts, [1e-3, 0.2, 0.2])
+        assert not any(rep.missing)

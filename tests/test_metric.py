@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
-                               anisotropy_index, ball_bounding_box,
-                               chaining_schedule, chaining_series_bound,
-                               covering_number_upper,
+                               ball_bounding_box, chaining_schedule,
+                               chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
                                hausdorff_premeasure, max_pair_ratio,
                                rho_distance, rho_pairwise)
@@ -32,9 +31,9 @@ class TestHurstVector:
             HurstVector(H=(1.5,))
 
     def test_anisotropy_index(self):
-        assert anisotropy_index(HurstVector(H=(1.0, 1.0))) == 2.0
-        assert anisotropy_index(H05) == 2.0
-        assert anisotropy_index(HurstVector(H=(0.75, 0.75))) == pytest.approx(8.0 / 3.0)
+        assert HurstVector(H=(1.0, 1.0)).Q == 2.0
+        assert H05.Q == 2.0
+        assert HurstVector(H=(0.75, 0.75)).Q == pytest.approx(8.0 / 3.0)
 
     @given(hursts())
     def test_q_at_least_n(self, H):
