@@ -132,7 +132,8 @@ def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
             0.0, noise.support, epsabs=_QUAD_TOL, limit=200)
         return 2.0 * body
     if noise.family == "power-law":
-        val, _ = integrate.quad(lambda x: (1.0 + x) ** (-2.0 * noise.a),
+        power = -2.0 * noise.a
+        val, _ = integrate.quad(lambda x: (1.0 + x) ** power,
                                 0.0, np.inf, weight="cos", wvar=w,
                                 epsabs=_QUAD_TOL, limit=400)
         return 2.0 * val
@@ -194,7 +195,10 @@ def lambda_min_on_IV(noise: NoiseLevel, V: float,
 
     eigen_route = 0.5 * (M - np.abs(C2))
     eigen_min = float(eigen_route.min())
-    # phi grid contains the minimizing phase only approximately
+    # with an even n_phi (the default) the phi grid holds 0 and pi/2, the
+    # minimizing phases for C(2v) >= 0 and <= 0, so the two routes agree up
+    # to rounding and this check only fires on a NaN transform (an infinite
+    # one gives -inf on both routes and passes)
     if not math.isclose(grid_min, eigen_min, rel_tol=1e-3, abs_tol=1e-6):
         raise NumericalCheckFailed(
             f"grid search ({grid_min:g}) and eigenvalue route ({eigen_min:g}) disagree")

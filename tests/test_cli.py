@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 from typing import get_origin, get_type_hints
 
 import pytest
@@ -57,6 +59,12 @@ GOLDEN = [
     ("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
      "5ff53ac3722c862ae8dad94ef1317e830025b067d1fdb158d61e3ed4324e243b",
      "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20"),
+    ("chaining-check", {},
+     "be3e16b7b3ba7923181393abc1558b1f3b3a6f920c9ff7dfbb39e4bc1e9f0349",
+     "9ec627ae33f106907a4c21ab17e29f895eac98445f3c110823178686d4546e8b"),
+    ("calib-noiseless", {"V": 5.0, "step": 0.05},
+     "eff29e2b936909a16efed4bf80db80dd5426b4b15c7550153eb0866e00581ad9",
+     "bf4ffca15af8231d29b29019ec4a9599129a70bd3acc4364b649eab53769b14a"),
 ]
 
 
@@ -122,6 +130,23 @@ class TestConfigParsing:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict("metric-check", {"workers": 0})
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats would add about half a second to every cold start
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, anisofield\n"
+                "from anisofield import experiments, cli\n"
+                "assert anisofield.__file__.startswith(sys.argv[1])\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMainExitCodes:

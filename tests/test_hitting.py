@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anisofield import field as fieldmod
+from anisofield import hitting
 from anisofield.errors import Refusal
 from anisofield.field import FieldModel, GaussianSampler, Grid
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
@@ -61,6 +64,27 @@ class TestWilsonInterval:
             lo, hi = wilson_interval(int(k), n)
             covered += lo <= p <= hi
         assert 0.93 <= covered / 1000 <= 0.97
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_z_is_norm_ppf_bit_for_bit(self, monkeypatch, confidence):
+        from scipy.stats import norm
+        real, zs = hitting.ndtri, []
+
+        def recording(q):
+            zs.append(float(real(q)))
+            return zs[-1]
+
+        monkeypatch.setattr(hitting, "ndtri", recording)
+        lo, hi = wilson_interval(7, 40, confidence)
+        z = float(norm.ppf(0.5 + confidence / 2.0))
+        assert [v.hex() for v in zs] == [z.hex()]
+        # the interval is the one a norm.ppf quantile would give
+        p, n = 7 / 40, 40
+        denom = 1.0 + z * z / n
+        center = (p + z * z / (2 * n)) / denom
+        half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert (lo, hi) == (min(p, max(0.0, center - half)),
+                            max(p, min(1.0, center + half)))
 
 
 class TestLipschitzDrift:
