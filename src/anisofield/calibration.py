@@ -35,6 +35,8 @@ _COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 
 _VERDICT_ROWS = 128  # replicates per block of log arguments in psi_verdicts (speed, see there)
 _TOL_ZERO = 1e-12  # |A| below this is a zero hit of the log argument
 _UNWRAP_MARGIN = math.pi / 2.0  # increments from pi - margin on are phase jumps
+_N_V = 400  # frequencies of lambda_min_on_IV's grid search over [1/V, V]
+_N_PHI = 200  # phases of that search over [0, pi); even, so 0 and pi/2 are on it
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,7 @@ def ito_covariance(noise: NoiseLevel, u: float, v: float) -> np.ndarray:
                      [0.0, 0.5 * (Cm - Cp)]])
 
 
-def lambda_min_on_IV(noise: NoiseLevel, V: float,
-                     n_v: int = 400, n_phi: int = 200) -> float:
+def lambda_min_on_IV(noise: NoiseLevel, V: float) -> float:
     """Minimum over I_V x [0, 2pi] of g(v, phi) = int sin^2(phi + vx) eps^2 dx.
 
     g(v, phi) = (M - cos(2 phi) C(2v)) / 2, so the phi-minimum at fixed v is
@@ -187,18 +188,18 @@ def lambda_min_on_IV(noise: NoiseLevel, V: float,
     if V <= 1:
         raise ValueError("V must exceed 1")
     M = total_mass(noise)
-    vs = np.linspace(1.0 / V, V, n_v)
+    vs = np.linspace(1.0 / V, V, _N_V)
     C2 = cos_transform_many(noise, 2.0 * vs)
-    phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
+    phis = np.linspace(0.0, math.pi, _N_PHI, endpoint=False)
     g = 0.5 * (M - np.cos(2.0 * phis)[None, :] * C2[:, None])
     grid_min = float(g.min())
 
     eigen_route = 0.5 * (M - np.abs(C2))
     eigen_min = float(eigen_route.min())
-    # with an even n_phi (the default) the phi grid holds 0 and pi/2, the
-    # minimizing phases for C(2v) >= 0 and <= 0, so the two routes agree up
-    # to rounding and this check only fires on a NaN transform (an infinite
-    # one gives -inf on both routes and passes)
+    # with the even _N_PHI the phi grid holds 0 and pi/2, the minimizing
+    # phases for C(2v) >= 0 and <= 0, so the two routes agree up to rounding
+    # and this check only fires on a NaN transform (an infinite one gives
+    # -inf on both routes and passes)
     if not math.isclose(grid_min, eigen_min, rel_tol=1e-3, abs_tol=1e-6):
         raise NumericalCheckFailed(
             f"grid search ({grid_min:g}) and eigenvalue route ({eigen_min:g}) disagree")
@@ -206,7 +207,7 @@ def lambda_min_on_IV(noise: NoiseLevel, V: float,
     # local refinement in v around the eigenvalue-route minimizer
     k = int(np.argmin(eigen_route))
     lo = vs[max(0, k - 1)]
-    hi = vs[min(n_v - 1, k + 1)]
+    hi = vs[min(_N_V - 1, k + 1)]
     from scipy.optimize import minimize_scalar
     res = minimize_scalar(
         lambda v: 0.5 * (M - abs(cos_transform(noise, 2.0 * v))),
@@ -282,8 +283,7 @@ class SpectralSampleSet:
 
 
 def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
-                            n_samples: int, seed: int,
-                            workers: int = 1) -> SpectralSampleSet:
+                            n_samples: int, seed: int) -> SpectralSampleSet:
     """Sample the spectral process on the grid with its exact Gaussian law.
 
     A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
@@ -308,8 +308,8 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
 
     L1, _ = cholesky_with_jitter(cov1)
     L2, _ = cholesky_with_jitter(cov2)
-    z1 = standard_normal_batch(q1.size, n_samples, seed, "spec-cos", workers)
-    z2 = standard_normal_batch(pos.size, n_samples, seed, "spec-sin", workers)
+    z1 = standard_normal_batch(q1.size, n_samples, seed, "spec-cos")
+    z2 = standard_normal_batch(pos.size, n_samples, seed, "spec-sin")
     X1 = z1 @ L1.T
     X2 = z2 @ L2.T
 
@@ -362,18 +362,18 @@ def fourier_O_numeric(model: OptionModel, v: float) -> float:
     return 2.0 * val
 
 
-def _verdict_rows(A: np.ndarray, anchor_index: int,
-                  tol_zero: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _verdict_rows(A: np.ndarray,
+                  anchor_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(min modulus, zero-hit flag, max phase jump) of each row of A.
 
-    The anchor must equal 1, a modulus below tol_zero is a zero hit, and the
+    The anchor must equal 1, a modulus below _TOL_ZERO is a zero hit, and the
     jump is the largest wrapped increment between adjacent grid points (NaN
     on zero-hit rows).
     """
     if np.any(np.abs(A[:, anchor_index] - 1.0) > 1e-9):
         raise ValueError("anchor value must equal 1")
     mods = np.abs(A)
-    zero = np.any(mods < tol_zero, axis=1)
+    zero = np.any(mods < _TOL_ZERO, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         jump = np.max(np.abs(np.angle(A[:, 1:] / A[:, :-1])), axis=1,
                       initial=0.0)
@@ -381,10 +381,9 @@ def _verdict_rows(A: np.ndarray, anchor_index: int,
     return np.min(mods, axis=1), zero, jump
 
 
-def _failures(zero: np.ndarray, jump: np.ndarray,
-              margin: float) -> list[Optional[str]]:
+def _failures(zero: np.ndarray, jump: np.ndarray) -> list[Optional[str]]:
     """"zero-hit", "phase-jump" (well defined but under-resolved) or None per row."""
-    under_resolved = jump >= math.pi - margin
+    under_resolved = jump >= math.pi - _UNWRAP_MARGIN
     return ["zero-hit" if z else "phase-jump" if j else None
             for z, j in zip(zero.tolist(), under_resolved.tolist())]
 
@@ -404,28 +403,27 @@ def _unwrap(z: np.ndarray, anchor_index: int) -> np.ndarray:
 
 
 def distinguished_log(values: np.ndarray, anchor_index: int,
-                      tol_zero: float = _TOL_ZERO,
-                      margin: float = _UNWRAP_MARGIN,
                       raise_on_jump: bool = True) -> tuple[np.ndarray, float]:
     """Continuous branch of log along an ordered path anchored at value 1.
 
     Phase increments between adjacent grid points are wrapped into (-pi, pi]
     and accumulated from the anchor outward. Returns (log path, largest
-    absolute increment). Raises ZeroHit if any modulus drops below tol_zero
-    and PhaseJumpTooLarge if an increment reaches pi - margin (the grid
-    cannot distinguish winding directions there).
+    absolute increment). Raises ZeroHit if any modulus drops below _TOL_ZERO
+    and PhaseJumpTooLarge if an increment reaches pi - _UNWRAP_MARGIN (the
+    grid cannot distinguish winding directions there).
     """
     z = np.asarray(values, dtype=complex)
     if z.ndim != 1 or not (0 <= anchor_index < z.size):
         raise ValueError("values must be 1-D with a valid anchor index")
-    min_mod, zero, jump = _verdict_rows(z[None, :], anchor_index, tol_zero)
+    min_mod, zero, jump = _verdict_rows(z[None, :], anchor_index)
     if zero[0]:
         k = int(np.argmin(np.abs(z)))
-        raise ZeroHit(f"path modulus {min_mod[0]:g} below {tol_zero:g} at index {k}")
+        raise ZeroHit(f"path modulus {min_mod[0]:g} below {_TOL_ZERO:g} at index {k}")
     max_jump = float(jump[0])
-    if raise_on_jump and max_jump >= math.pi - margin:
+    if raise_on_jump and max_jump >= math.pi - _UNWRAP_MARGIN:
         raise PhaseJumpTooLarge(
-            f"phase increment {max_jump:g} >= pi - margin = {math.pi - margin:g}")
+            f"phase increment {max_jump:g} >= pi - margin = "
+            f"{math.pi - _UNWRAP_MARGIN:g}")
     return _unwrap(z, anchor_index), max_jump
 
 
@@ -457,7 +455,7 @@ class PsiVerdicts:
 
     @property
     def failures(self) -> list[Optional[str]]:
-        return _failures(self.zero_hit, self.max_phase_jump, _UNWRAP_MARGIN)
+        return _failures(self.zero_hit, self.max_phase_jump)
 
 
 def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
@@ -469,8 +467,7 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     not memory: at k = 1000, n = 2001 three calls take about 0.17 s in
     blocks of 128 rows and 0.24 s in one block, while the peak RSS of a
     calib-sim run differs by under 1 MiB. The log path itself is never
-    unwrapped. Row i equals psi_estimator's verdict on row i bit for bit
-    at psi_estimator's default tol_zero and margin.
+    unwrapped. Row i equals psi_estimator's verdict on row i bit for bit.
     """
     X = np.asarray(spectral_values)
     v = grid.points
@@ -487,7 +484,7 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
         A = np.broadcast_to(_log_argument(FO, c, noise_scale, X[lo:hi]),
                             (hi - lo, v.size))
         min_mod[lo:hi], zero[lo:hi], jump[lo:hi] = _verdict_rows(
-            A, grid.anchor_index, _TOL_ZERO)
+            A, grid.anchor_index)
     return PsiVerdicts(min_arg_modulus=min_mod, zero_hit=zero,
                        max_phase_jump=jump)
 
@@ -501,20 +498,17 @@ class PsiEstimate:
     arg_values: np.ndarray       # A(v), the argument of the logarithm
     well_defined: bool
     min_arg_modulus: float
-    unwrap_margin: float
     max_phase_jump: float
     failure: Optional[str] = None
 
 
 def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
                   grid: FrequencyGrid, noise_scale: float, seed: int,
-                  spectral_values: Optional[np.ndarray] = None,
-                  tol_zero: float = _TOL_ZERO,
-                  margin: float = _UNWRAP_MARGIN) -> PsiEstimate:
+                  spectral_values: Optional[np.ndarray] = None) -> PsiEstimate:
     """psi~(v) = (1/T) log(1 + iv(1+iv)(FO(v) + noise_scale X(v))).
 
     At the anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus
-    below tol_zero (the polar-set event at machine scale) or a too-large
+    below _TOL_ZERO (the polar-set event at machine scale) or a too-large
     phase increment is reported in the verdict instead of aborting; the
     verdict is psi_verdicts' rule applied to this one row, and a path that
     does not hit zero is unwrapped as in distinguished_log.
@@ -526,13 +520,13 @@ def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
         spectral_values = simulate_spectral_noise(noise, grid, 1, seed).values[0]
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
-    min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index, tol_zero)
-    failure = _failures(zero, jump, margin)[0]
+    min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index)
+    failure = _failures(zero, jump)[0]
     if zero[0]:
         values = np.full(v.shape, np.nan, complex)
     else:
         values = _unwrap(A, grid.anchor_index) / model.T
     return PsiEstimate(grid=grid, values=values, arg_values=A,
                        well_defined=not zero[0], min_arg_modulus=float(min_mod[0]),
-                       unwrap_margin=margin, max_phase_jump=float(jump[0]),
+                       max_phase_jump=float(jump[0]),
                        failure=failure)

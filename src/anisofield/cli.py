@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="master seed")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--workers", type=int, help="worker count")
+        sp.add_argument("--workers", type=int,
+                        help="accepted and echoed (>= 1); draws are serial")
         sp.add_argument("--set", action="append", default=[], type=_parse_set,
                         metavar="KEY=VALUE", help="override a config key")
     return parser

@@ -17,7 +17,6 @@ number of replicates, one Philox stream per replicate.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,35 +172,19 @@ class SamplePathSet:
         return self.values.shape[0]
 
 
-def standard_normals(dim: int, seeds: Sequence[int],
-                     workers: int = 1) -> np.ndarray:
-    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i]).
-
-    Output depends only on (dim, seeds), never on workers.
-    """
-    n = len(seeds)
-    z = np.empty((n, dim))
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            z[i] = np.random.Generator(
-                np.random.Philox(seeds[i])).standard_normal(dim)
-
-    if workers <= 1 or n < 64:
-        fill(0, n)
-    else:
-        step = -(-n // workers)
-        bounds = [(k, min(k + step, n)) for k in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+def standard_normals(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i])."""
+    z = np.empty((len(seeds), dim))
+    for i, s in enumerate(seeds):
+        z[i] = np.random.Generator(np.random.Philox(s)).standard_normal(dim)
     return z
 
 
-def standard_normal_batch(dim: int, n: int, master_seed: int, stream: str,
-                          workers: int = 1) -> np.ndarray:
+def standard_normal_batch(dim: int, n: int, master_seed: int,
+                          stream: str) -> np.ndarray:
     """(n, dim) standard normals, replicate i seeded by derive_seed(master_seed, i, stream)."""
-    seeds = [derive_seed(master_seed, i, stream) for i in range(n)]
-    return standard_normals(dim, seeds, workers)
+    return standard_normals(dim, [derive_seed(master_seed, i, stream)
+                                  for i in range(n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,19 +213,18 @@ class GaussianSampler:
         """Map (k, n*d) standard normals to (k, n, d) field values."""
         return (z @ self.L.T).reshape(z.shape[0], self.grid.n, self.model.d)
 
-    def draw(self, seeds: Sequence[int], workers: int = 1) -> np.ndarray:
+    def draw(self, seeds: Sequence[int]) -> np.ndarray:
         """One replicate per seed, replicate i drawn from Philox(seeds[i])."""
-        return self._transform(standard_normals(self.L.shape[0], seeds, workers))
+        return self._transform(standard_normals(self.L.shape[0], seeds))
 
-    def sample(self, n: int, master_seed: int, stream: str,
-               workers: int = 1) -> np.ndarray:
+    def sample(self, n: int, master_seed: int, stream: str) -> np.ndarray:
         """n replicates, replicate i seeded by derive_seed(master_seed, i, stream)."""
         return self._transform(standard_normal_batch(
-            self.L.shape[0], n, master_seed, stream, workers))
+            self.L.shape[0], n, master_seed, stream))
 
 
-def sample_paths(model: FieldModel, grid: Grid, n_samples: int, seed: int,
-                 workers: int = 1, stream: str = "field") -> SamplePathSet:
+def sample_paths(model: FieldModel, grid: Grid, n_samples: int,
+                 seed: int) -> SamplePathSet:
     """Draw exact finite-dimensional Gaussian samples of the field on the grid."""
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -250,7 +232,7 @@ def sample_paths(model: FieldModel, grid: Grid, n_samples: int, seed: int,
         vals = np.empty((0, grid.n, model.d))
     else:
         vals = GaussianSampler.build(model, grid).sample(
-            n_samples, seed, stream, workers)
+            n_samples, seed, "field")
     return SamplePathSet(values=vals, seed=seed, model=model, grid=grid)
 
 

@@ -67,10 +67,6 @@ class LipschitzDrift:
         if self.kind == "field" and self.drift_model is None:
             raise ValueError("field drift needs a drift model")
 
-    @property
-    def is_random(self) -> bool:
-        return self.kind == "field"
-
     def evaluate(self, points: np.ndarray, H: HurstVector, d: int,
                  seed: int = 0) -> np.ndarray:
         """Drift values on the given points, shape (n, d); evaluate_many with one seed."""
@@ -78,8 +74,7 @@ class LipschitzDrift:
 
     def evaluate_many(self, points: np.ndarray, H: HurstVector, d: int,
                       seeds: Sequence[int],
-                      sampler: Optional[GaussianSampler] = None,
-                      workers: int = 1) -> np.ndarray:
+                      sampler: Optional[GaussianSampler] = None) -> np.ndarray:
         """Drift values on the given points for each seed, shape (len(seeds), n, d).
 
         For the "field" kind seeds[i] selects replicate i's sample path, drawn
@@ -106,7 +101,7 @@ class LipschitzDrift:
             sampler = GaussianSampler.build(self.drift_model, Grid(points=pts))
         elif not sampler.matches(self.drift_model, pts):
             raise ValueError("sampler does not factor the drift model on these points")
-        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds], workers)
+        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds])
         ratio = max_pair_ratio(raw, rho_pairwise(pts, H))
         zero = ratio == 0.0
         raw *= (self.L / np.where(zero, 1.0, ratio))[:, None, None]
@@ -160,6 +155,9 @@ class ScalingReport:
 def _stepped_grid(lo: Sequence[float], hi: Sequence[float],
                   grid_step: float) -> np.ndarray:
     """Product grid of the axes lo_j + arange(n_j) * grid_step inside [lo, hi]."""
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(
+            f"grid_step must be finite and positive, got {grid_step!r}")
     axes = []
     for j, (a, b) in enumerate(zip(lo, hi)):
         n_pts = int(np.floor((b - a) / grid_step)) + 1
@@ -182,30 +180,28 @@ def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
     return pts
 
 
-def grid_bias_margin(grid_step: float, H: HurstVector, c_emp: float = 1.0) -> float:
-    """Modulus-of-continuity margin m(h) = c_emp h^(H_min) sqrt(log 1/h)."""
+def grid_bias_margin(grid_step: float, H: HurstVector) -> float:
+    """Modulus-of-continuity margin m(h) = h^(H_min) sqrt(log 1/h)."""
     h = float(grid_step)
     if not (0.0 < h < 1.0):
         return 0.0
-    return c_emp * h ** min(H.H) * math.sqrt(math.log(1.0 / h))
+    return h ** min(H.H) * math.sqrt(math.log(1.0 / h))
 
 
 def _drift_values(f: LipschitzDrift, sampler: GaussianSampler, n_mc: int,
-                  seed: int, workers: int) -> np.ndarray:
+                  seed: int) -> np.ndarray:
     """(n_mc, n, d) drift values on the sampler's grid, replicate i seeded by
     derive_seed(seed, i, "drift"); a field drift reuses the field's factor
     when it is an independent copy of the same model."""
     model, pts = sampler.model, sampler.grid.points
     seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
     shared = sampler if f.drift_model == model else None
-    return f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared,
-                           workers=workers)
+    return f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared)
 
 
 def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
                         f: LipschitzDrift, n_mc: int, seed: int,
-                        grid_step: float, workers: int = 1,
-                        margin_coeff: float = 1.0) -> HittingEstimate:
+                        grid_step: float) -> HittingEstimate:
     """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r).
 
     The grid minimum overstates the continuum infimum, so p_hat is biased
@@ -220,12 +216,12 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
     pts = _ball_grid(t, r, index_set, model.H, grid_step)
     grid = Grid(points=pts)
     sampler = GaussianSampler.build(model, grid)
-    X = sampler.sample(n_mc, seed, "field", workers)
-    fv = _drift_values(f, sampler, n_mc, seed, workers)
+    X = sampler.sample(n_mc, seed, "field")
+    fv = _drift_values(f, sampler, n_mc, seed)
     np.subtract(X, fv, out=fv)
     mins = np.linalg.norm(fv, axis=2).min(axis=1)
 
-    margin = grid_bias_margin(grid_step, model.H, margin_coeff)
+    margin = grid_bias_margin(grid_step, model.H)
     hits = int(np.sum(mins <= r))
     hits_margin = int(np.sum(mins <= r + margin))
     lo, hi = wilson_interval(hits, n_mc)
@@ -261,8 +257,7 @@ def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
 
 def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
                   target_center: Sequence[float], deltas: Sequence[float],
-                  n_mc: int, seed: int, grid_step: float,
-                  workers: int = 1) -> ScalingReport:
+                  n_mc: int, seed: int, grid_step: float) -> ScalingReport:
     """Estimate P(exists grid s with X(s) + Y(s) in B(center, delta)) per delta.
 
     One field draw (and one drift draw) per replicate is shared across all
@@ -290,8 +285,8 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
     grid = Grid(points=pts)
 
     sampler = GaussianSampler.build(model, grid)
-    X = sampler.sample(n_mc, seed, "field", workers)
-    fv = _drift_values(drift, sampler, n_mc, seed, workers)
+    X = sampler.sample(n_mc, seed, "field")
+    fv = _drift_values(drift, sampler, n_mc, seed)
     fv += X
     fv -= center
     dmin = np.linalg.norm(fv, axis=2).min(axis=1)

@@ -2,7 +2,7 @@
 
 Every replicate of every random quantity draws from its own counter-based
 stream, keyed by (master seed, replicate index, stream label). Results are
-therefore independent of worker count and replicate scheduling.
+therefore independent of the order in which replicates are drawn.
 """
 from __future__ import annotations
 

@@ -120,7 +120,7 @@ def test_06_polarity_scaling_both_drifts():
         for drift in (LipschitzDrift(kind="zero"),
                       LipschitzDrift(kind="field", L=0.5, drift_model=m)):
             rep = polarity_scan(m, I, drift, [0.0, 0.0], deltas,
-                                10_000, 13, 1.0 / 128.0, workers=4)
+                                10_000, 13, 1.0 / 128.0)
             assert rep.fitted_slope >= 0.36
             p = [e.p_hat for e in rep.estimates]
             # shared per-replicate randomness makes this exact, not statistical
@@ -132,7 +132,7 @@ def test_07_modulus_of_continuity_stability():
     def body():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
         g = Grid.uniform_1d(0.0, 0.2, 1281)
-        paths = sample_paths(m, g, 2000, 21, workers=4)
+        paths = sample_paths(m, g, 2000, 21)
         rep = modulus_statistic(paths, m.H, [0.025, 0.05, 0.1, 0.2])
         assert not any(rep.missing)
         q95 = np.quantile(rep.M, 0.95, axis=0)
@@ -173,7 +173,7 @@ def test_10_psi_noisy_well_definedness():
         grid = FrequencyGrid.build(10.0, 0.05)
         model = OptionModel(kind="exp", T=1.0)
         n_rep = 200
-        samples = simulate_spectral_noise(noise, grid, n_rep, 123, workers=4)
+        samples = simulate_spectral_noise(noise, grid, n_rep, 123)
         scales = (1e-3, 1e-2, 1e-1)
         ok = np.zeros((n_rep, len(scales)), dtype=bool)
         for i in range(n_rep):

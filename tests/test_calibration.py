@@ -273,8 +273,8 @@ class TestSpectralSimulation:
 
     def test_deterministic_and_worker_invariant(self):
         g = FrequencyGrid.build(3.0, 0.25)
-        a = simulate_spectral_noise(POW, g, 50, 11, workers=1)
-        b = simulate_spectral_noise(POW, g, 50, 11, workers=4)
+        a = simulate_spectral_noise(POW, g, 50, 11)
+        b = simulate_spectral_noise(POW, g, 50, 11)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_empirical_covariance_matches_ito(self):

@@ -170,7 +170,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("kind,key,size", [
         ("polarity-scan", "deltas", "n_mc=10"),
         ("hitting-scan", "radii", "n_mc=10"),
-        ("modulus-scan", "eps", "n_samples=2")])
+        ("modulus-scan", "eps", "n_samples=2"),
+        ("calib-sim", "noise_scales", "n_replicates=2")])
     def test_empty_scan_exits_2(self, tmp_path, capsys, kind, key, size):
         out = tmp_path / "run"
         rc = main([kind, "--out", str(out), "--set", f"{key}=[]", "--set", size])
@@ -178,6 +179,20 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "nonempty" in err["message"]
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("calib-sim", "n_replicates", 0),
+        ("polarity-scan", "grid_step", 0.0),
+        ("hitting-scan", "ball_points_per_axis", 0)])
+    def test_zero_size_or_step_exits_2(self, tmp_path, capsys, kind, key,
+                                       value):
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"{key}={value}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{key} must be")
         assert not (out / "results.csv").exists()
 
     @given(st.sampled_from(NUMERIC_KEYS), st.data())

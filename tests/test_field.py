@@ -80,8 +80,8 @@ class TestSamplePaths:
     def test_deterministic_and_worker_invariant(self):
         m = model_2x2()
         g = Grid.uniform_1d(0.0, 1.0, 8)
-        a = sample_paths(m, g, 300, 99, workers=1)
-        b = sample_paths(m, g, 300, 99, workers=4)
+        a = sample_paths(m, g, 300, 99)
+        b = sample_paths(m, g, 300, 99)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_mean_and_covariance_exact(self):
@@ -130,13 +130,17 @@ class TestGaussianSampler:
 
     def test_standard_normal_batch_is_the_stream_case(self):
         seeds = [derive_seed(3, i, "x") for i in range(70)]
-        assert np.array_equal(standard_normals(5, seeds, workers=3),
+        assert np.array_equal(standard_normals(5, seeds),
                               standard_normal_batch(5, 70, 3, "x"))
+        # row i is the first draw of its own Philox stream
+        assert np.all(standard_normals(5, seeds) == np.stack([
+            np.random.Generator(np.random.Philox(s)).standard_normal(5)
+            for s in seeds]))
 
     def test_draw_deterministic_and_worker_invariant(self):
         s = GaussianSampler.build(model_2x2(), Grid.uniform_1d(0.0, 1.0, 6))
         seeds = [derive_seed(1, i, "field") for i in range(100)]
-        assert s.draw(seeds, workers=1).tobytes() == s.draw(seeds, workers=3).tobytes()
+        assert s.draw(seeds).tobytes() == s.draw(seeds).tobytes()
 
     def test_matches_model_and_points(self):
         m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 5)
