@@ -2,7 +2,7 @@
 
 from .errors import (ModelRejected, NumericalCheckFailed, PhaseJumpTooLarge,
                      Refusal, ZeroHit)
-from .metric import (BallCover, ChainingSchedule, EuclideanBall, GridCover,
+from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      HurstVector, IndexSet,
                      ball_bounding_box, chaining_schedule,
                      chaining_series_bound, covering_number_upper,

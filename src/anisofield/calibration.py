@@ -292,14 +292,10 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     Since q1 = [0, *pos], the X2 transforms over pos are the trailing blocks
     of the X1 transforms, so only one pair of transforms is assembled.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     pos = grid.positive
     q1 = np.concatenate([[0.0], pos])          # X1 lives on 0 and positive v
-    if n_samples == 0:
-        return SpectralSampleSet(grid=grid,
-                                 values=np.empty((0, grid.points.size), complex),
-                                 seed=seed)
     Cm1 = cos_transform_many(noise, q1[:, None] - q1[None, :])
     Cp1 = cos_transform_many(noise, q1[:, None] + q1[None, :])
     cov1 = 0.5 * (Cm1 + Cp1)

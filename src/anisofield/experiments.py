@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import calibration as calib
 from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
-from .errors import Refusal
 
 TOOL_VERSION = "0.1.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
@@ -272,18 +271,14 @@ def _drift(kind: str, L: float, model: fieldmod.FieldModel) -> hitmod.LipschitzD
     raise ValueError(f"unknown drift kind {kind!r}")
 
 
-def _estimate_rows(report: hitmod.ScalingReport) -> list[list]:
-    return [[e.r, e.p_hat, e.ci_low, e.ci_high, e.n_mc] for e in report.estimates]
-
-
-def _scaling_report_doc(report: hitmod.ScalingReport) -> dict:
-    return {
-        "radii": list(report.radii),
-        "fitted_slope": report.fitted_slope,
-        "slope_se": report.slope_se,
-        "status": report.status,
-        "p_hat": [e.p_hat for e in report.estimates],
-    }
+def _scan_output(report: hitmod.ScalingReport, **extra):
+    """(header, rows, report_doc) of a hitting or polarity scan; extra keys
+    are added to the report."""
+    rows = [[e.r, e.p_hat, e.ci_low, e.ci_high, e.n_mc] for e in report.estimates]
+    doc = {"radii": list(report.radii), "fitted_slope": report.fitted_slope,
+           "slope_se": report.slope_se, "status": report.status,
+           "p_hat": [e.p_hat for e in report.estimates], **extra}
+    return ["r", "p_hat", "ci_low", "ci_high", "n_mc"], rows, doc
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +353,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
         step = float(widths.min()) / p.ball_points_per_axis
         ests.append(hitmod.hitting_probability(
             model, I, p.t, r, drift, p.n_mc, cfg.seed, step))
-    report = hitmod.scaling_exponent(ests)
-    return (["r", "p_hat", "ci_low", "ci_high", "n_mc"],
-            _estimate_rows(report), _scaling_report_doc(report))
+    return _scan_output(hitmod.scaling_exponent(ests))
 
 
 def _run_polarity_scan(cfg: ExperimentConfig):
@@ -370,10 +363,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
     drift = _drift(p.drift_kind, p.drift_L, model)
     report = hitmod.polarity_scan(model, I, drift, p.center, p.deltas,
                                   p.n_mc, cfg.seed, p.grid_step)
-    doc = _scaling_report_doc(report)
-    doc["target_exponent"] = model.d - model.H.Q
-    return (["r", "p_hat", "ci_low", "ci_high", "n_mc"],
-            _estimate_rows(report), doc)
+    return _scan_output(report, target_exponent=model.d - model.H.Q)
 
 
 def _run_modulus_scan(cfg: ExperimentConfig):

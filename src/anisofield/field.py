@@ -226,13 +226,9 @@ class GaussianSampler:
 def sample_paths(model: FieldModel, grid: Grid, n_samples: int,
                  seed: int) -> SamplePathSet:
     """Draw exact finite-dimensional Gaussian samples of the field on the grid."""
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
-    if n_samples == 0:
-        vals = np.empty((0, grid.n, model.d))
-    else:
-        vals = GaussianSampler.build(model, grid).sample(
-            n_samples, seed, "field")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    vals = GaussianSampler.build(model, grid).sample(n_samples, seed, "field")
     return SamplePathSet(values=vals, seed=seed, model=model, grid=grid)
 
 

@@ -10,7 +10,7 @@ predicted exponent minus a desk-scale tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,7 +136,6 @@ class HittingEstimate:
     n_mc: int
     r: float
     p_hat_margin: float = float("nan")   # event relaxed by the grid-bias margin
-    config: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.ci_low <= self.p_hat <= self.ci_high):
@@ -188,15 +187,34 @@ def grid_bias_margin(grid_step: float, H: HurstVector) -> float:
     return h ** min(H.H) * math.sqrt(math.log(1.0 / h))
 
 
-def _drift_values(f: LipschitzDrift, sampler: GaussianSampler, n_mc: int,
-                  seed: int) -> np.ndarray:
-    """(n_mc, n, d) drift values on the sampler's grid, replicate i seeded by
+def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
+               n_mc: int, seed: int, sign: float, center) -> np.ndarray:
+    """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
+
+    X is drawn from stream "field" and replicate i's drift is seeded by
     derive_seed(seed, i, "drift"); a field drift reuses the field's factor
-    when it is an independent copy of the same model."""
-    model, pts = sampler.model, sampler.grid.points
+    when it is an independent copy of the same model. sign is the direction
+    of the drift's translation in the event: -1 for a hit on the graph of f,
+    +1 for the shifted field X + f. The shape is (n_mc,).
+    """
+    sampler = GaussianSampler.build(model, Grid(points=pts))
     seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
     shared = sampler if f.drift_model == model else None
-    return f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared)
+    fv = f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared)
+    fv *= sign
+    fv += sampler.sample(n_mc, seed, "field")
+    fv -= center
+    return np.linalg.norm(fv, axis=2).min(axis=1)
+
+
+def _estimate(dist: np.ndarray, r: float,
+              p_hat_margin: float = float("nan")) -> HittingEstimate:
+    """Fraction of replicates with distance <= r, with its Wilson interval."""
+    n_mc = dist.shape[0]
+    hits = int(np.sum(dist <= r))
+    lo, hi = wilson_interval(hits, n_mc)
+    return HittingEstimate(p_hat=hits / n_mc, ci_low=lo, ci_high=hi,
+                           n_mc=n_mc, r=float(r), p_hat_margin=p_hat_margin)
 
 
 def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
@@ -214,22 +232,9 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
         raise ValueError("r must be positive")
     t = np.asarray(t, dtype=float).reshape(-1)
     pts = _ball_grid(t, r, index_set, model.H, grid_step)
-    grid = Grid(points=pts)
-    sampler = GaussianSampler.build(model, grid)
-    X = sampler.sample(n_mc, seed, "field")
-    fv = _drift_values(f, sampler, n_mc, seed)
-    np.subtract(X, fv, out=fv)
-    mins = np.linalg.norm(fv, axis=2).min(axis=1)
-
+    mins = _distances(model, pts, f, n_mc, seed, -1.0, 0.0)
     margin = grid_bias_margin(grid_step, model.H)
-    hits = int(np.sum(mins <= r))
-    hits_margin = int(np.sum(mins <= r + margin))
-    lo, hi = wilson_interval(hits, n_mc)
-    return HittingEstimate(
-        p_hat=hits / n_mc, ci_low=lo, ci_high=hi, n_mc=n_mc, r=float(r),
-        p_hat_margin=hits_margin / n_mc,
-        config={"grid_step": grid_step, "grid_points": grid.n,
-                "margin": margin, "seed": seed, "t": list(t)})
+    return _estimate(mins, r, int(np.sum(mins <= r + margin)) / n_mc)
 
 
 def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
@@ -282,22 +287,5 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
 
     pts = np.concatenate([_stepped_grid(lo, hi, grid_step)
                           for lo, hi in index_set.boxes], axis=0)
-    grid = Grid(points=pts)
-
-    sampler = GaussianSampler.build(model, grid)
-    X = sampler.sample(n_mc, seed, "field")
-    fv = _drift_values(drift, sampler, n_mc, seed)
-    fv += X
-    fv -= center
-    dmin = np.linalg.norm(fv, axis=2).min(axis=1)
-
-    ests = []
-    for delta in deltas:
-        hits = int(np.sum(dmin <= delta))
-        lo_ci, hi_ci = wilson_interval(hits, n_mc)
-        ests.append(HittingEstimate(
-            p_hat=hits / n_mc, ci_low=lo_ci, ci_high=hi_ci, n_mc=n_mc,
-            r=delta, p_hat_margin=float("nan"),
-            config={"grid_step": grid_step, "grid_points": grid.n,
-                    "seed": seed, "center": list(center)}))
-    return scaling_exponent(ests)
+    dmin = _distances(model, pts, drift, n_mc, seed, 1.0, center)
+    return scaling_exponent([_estimate(dmin, delta) for delta in deltas])

@@ -8,7 +8,7 @@ premeasure sums and the entropy-integral closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -200,28 +200,17 @@ class IndexSet:
 
 
 @dataclass(frozen=True)
-class BallCover:
-    """A set of rho-balls of common radius, given by their centers."""
-
-    centers: np.ndarray
-    radius: float
-
-    @property
-    def count(self) -> int:
-        return int(np.atleast_2d(self.centers).shape[0])
-
-
-@dataclass(frozen=True)
 class GridCover:
     """Product-grid cover of an IndexSet by rho-balls of radius r.
 
     Built by cutting each box orthogonal to axis j with spacing (r/N)^(1/H_j);
     every resulting cell sits inside one rho-ball centered at the cell midpoint.
     ``c8`` is the constructive constant with count <= c8 * r^(-Q), valid for
-    all radii r <= 1 (computed from the box side lengths).
+    all radii r <= 1 (computed from the box side lengths). The centers are
+    never materialized: their number grows like r^(-Q).
     """
 
-    cover: BallCover
+    radius: float
     H: HurstVector
     c8: float
     # per box: (lo, piece widths, per-axis counts)
@@ -229,7 +218,8 @@ class GridCover:
 
     @property
     def count(self) -> int:
-        return self.cover.count
+        """Number of balls: the cells of every box."""
+        return sum(math.prod(counts) for _, _, counts in self.cells)
 
     def nearest_center_distance(self, points: np.ndarray) -> np.ndarray:
         """rho distance from each point to its covering cell center.
@@ -256,7 +246,7 @@ class GridCover:
 
     def is_valid_on(self, points: np.ndarray, rtol: float = 1e-12) -> bool:
         d = self.nearest_center_distance(points)
-        return bool(np.all(d <= self.cover.radius * (1.0 + rtol)))
+        return bool(np.all(d <= self.radius * (1.0 + rtol)))
 
 
 def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
@@ -267,7 +257,6 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
         raise ValueError("index set dimension does not match Hurst vector")
     N = H.N
     spacing = (r / N) ** (1.0 / H.as_array())
-    all_centers = []
     cells = []
     c8 = 0.0
     for lo, hi in I.boxes:
@@ -276,13 +265,9 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
         L = hi_a - lo_a
         counts = np.maximum(1, np.ceil(L / spacing - 1e-12).astype(int))
         piece = L / counts
-        all_centers.append(product_grid(
-            [lo_a[j] + (np.arange(counts[j]) + 0.5) * piece[j] for j in range(N)]))
         cells.append((tuple(lo_a), tuple(piece), tuple(int(c) for c in counts)))
         c8 += float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
-    centers = np.concatenate(all_centers, axis=0)
-    return GridCover(cover=BallCover(centers=centers, radius=float(r)),
-                     H=H, c8=c8, cells=tuple(cells))
+    return GridCover(radius=float(r), H=H, c8=c8, cells=tuple(cells))
 
 
 def covering_number_upper(r: float, eps: float, H: HurstVector) -> float:

@@ -260,9 +260,8 @@ class TestFrequencyGrid:
 
 class TestSpectralSimulation:
     def test_empty(self):
-        g = FrequencyGrid.build(3.0, 0.5)
-        s = simulate_spectral_noise(POW, g, 0, 0)
-        assert s.values.shape == (0, g.points.size)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            simulate_spectral_noise(POW, FrequencyGrid.build(3.0, 0.5), 0, 0)
 
     def test_conjugate_symmetry_exact(self):
         g = FrequencyGrid.build(3.0, 0.25)

@@ -53,6 +53,15 @@ GOLDEN = [
     ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1]},
      "c7dc75ba645c0e21f18b37f502d00cd98c74ae06d34e55a073bf5ccb0b7a7d2d",
      "7bf22ee70b1f9b77101560dca5946249725e508096131680e60f5a568d8097ac"),
+    # a nonzero drift, so that the sign of its translation is pinned
+    ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1], "drift_kind": "affine",
+                      "drift_L": 0.5},
+     "85fd22e7cfda1cb88788ab6edbaee3bdd8a0b05db54239d9139095bf8a39bfde",
+     "1c37b51fbbf2b3b93eacf3df3682e261b0e3391b11d37a7e1058f4541d1a11de"),
+    ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1], "drift_kind": "field",
+                       "drift_L": 0.5},
+     "85f0dd9e1d22921fdda198502b63bca4f2016358c5d091c82ea6cb1108fa02d9",
+     "72653c19668161b8337357d6e55f6cd23c652f3d7ab67b89faf7dd407bef9be7"),
     ("metric-check", {},
      "b37ffebed8639736201c26ccac0796c792fcae9b2e8b356755f129dc74b83c1b",
      "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
@@ -183,6 +192,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("kind,key,value", [
         ("calib-sim", "n_replicates", 0),
+        ("field-sim", "n_samples", 0),
+        ("modulus-scan", "n_samples", 0),
         ("polarity-scan", "grid_step", 0.0),
         ("hitting-scan", "ball_points_per_axis", 0)])
     def test_zero_size_or_step_exits_2(self, tmp_path, capsys, kind, key,
@@ -289,8 +300,10 @@ class TestReproducibility:
         m2 = self.run("field-sim", over, tmp_path / "s2", seed=2)
         assert m1.outputs["results.csv"] != m2.outputs["results.csv"]
 
-    @pytest.mark.parametrize("kind,over,results,report", GOLDEN,
-                             ids=[g[0] for g in GOLDEN])
+    @pytest.mark.parametrize(
+        "kind,over,results,report", GOLDEN,
+        ids=[g[0] + (f"-{g[1]['drift_kind']}-drift" if "drift_kind" in g[1]
+                     else "") for g in GOLDEN])
     def test_golden_digests(self, tmp_path, kind, over, results, report):
         # pinned digests: a change of any output bit must be declared
         man = self.run(kind, over, tmp_path / "g", seed=17)

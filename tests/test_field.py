@@ -74,8 +74,8 @@ class TestConditions:
 
 class TestSamplePaths:
     def test_empty(self):
-        paths = sample_paths(model_2x2(), Grid.uniform_1d(0, 1, 4), 0, 0)
-        assert paths.values.shape == (0, 4, 2)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sample_paths(model_2x2(), Grid.uniform_1d(0, 1, 4), 0, 0)
 
     def test_deterministic_and_worker_invariant(self):
         m = model_2x2()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestGridCover:
         I = IndexSet(boxes=(((-2.0,), (-1.0,)), ((1.0,), (2.0,))))
         gc = grid_cover(I, 0.25, H1)
         assert gc.is_valid_on(I.test_grid(5_000))
+
+    def test_count_without_centers(self):
+        # 1,368,900 balls: counted from the cells, no array of centers built
+        H = HurstVector(H=(0.75, 0.75))
+        tracemalloc.start()
+        try:
+            gc = grid_cover(IndexSet.unit_box(2), 0.01, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gc.count == 1170 ** 2
+        assert peak < 1 << 20
 
 
 class TestCoveringNumberUpper:
