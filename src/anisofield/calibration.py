@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma
 
 from .errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
 from .field import cholesky_with_jitter, standard_normal_batch
 
-_QUAD_TOL = 1e-10
+_GL_NODES = 400  # Gauss-Legendre nodes on (0, support) for the bump family
+_LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
+_LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
 _W_ROUND = 10  # decimals for deduplicating transform arguments
 _COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2001
 _VERDICT_ROWS = 128  # replicates per block of log arguments in psi_verdicts (speed, see there)
@@ -87,19 +87,11 @@ class NoiseLevel:
 
 
 def tail_integral(noise: NoiseLevel, p: float) -> float:
-    """int (1+|x|)^p eps(x)^2 dx by adaptive quadrature with analytic tails."""
+    """int (1+|x|)^p eps(x)^2 dx; closed form 2 / (2a - p - 1) for the power law."""
     noise.certify_tail(p)
     if noise.family == "power-law":
-        expo = p - 2.0 * noise.a           # integrand (1+x)^expo, expo < -1
-        X = 50.0
-        body, _ = integrate.quad(lambda x: (1.0 + x) ** expo, 0.0, X,
-                                 epsabs=1e-12, limit=200)
-        tail = -((1.0 + X) ** (expo + 1.0)) / (expo + 1.0)
-        return 2.0 * (body + tail)
-    body, _ = integrate.quad(
-        lambda x: (1.0 + x) ** p * float(noise.eps(np.array(x)) ** 2),
-        0.0, noise.support, epsabs=1e-12, limit=200)
-    return 2.0 * body
+        return 2.0 / (2.0 * noise.a - p - 1.0)
+    return _bump_integral(noise, lambda x: (1.0 + x) ** p)
 
 
 def total_mass(noise: NoiseLevel) -> float:
@@ -117,32 +109,62 @@ def moment_integral(noise: NoiseLevel, q: float) -> float:
     if noise.family == "power-law":
         if not (2.0 * noise.a - q - 1.0 > 0):
             raise ValueError("moment diverges: need 2a - q > 1")
-        return 2.0 * _gamma(q + 1.0) * _gamma(2.0 * noise.a - q - 1.0) / _gamma(2.0 * noise.a)
-    body, _ = integrate.quad(
-        lambda x: x ** q * float(noise.eps(np.array(x)) ** 2),
-        0.0, noise.support, epsabs=1e-12, limit=200)
-    return 2.0 * body
+        return (2.0 * math.gamma(q + 1.0) * math.gamma(2.0 * noise.a - q - 1.0)
+                / math.gamma(2.0 * noise.a))
+    return _bump_integral(noise, lambda x: x ** q)
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_NODES-point Gauss-Legendre rule on (0, 1).
+
+    Built on first use (about 20 ms), so that importing the module stays cheap.
+    """
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(_GL_NODES)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _bump_integral(noise: NoiseLevel, f) -> float:
+    """2 int_0^support f(x) eps(x)^2 dx by Gauss-Legendre (eps^2 is C-infinity
+    and flat at the support's edge)."""
+    s, w = _gauss_legendre()
+    x = noise.support * s
+    return 2.0 * noise.support * float(np.dot(w, f(x) * noise.eps(x) ** 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _power_law_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_k and weights g_k with C(w) = sum_k g_k exp(-w u_k) for w > 0.
+
+    Rotating the ray x >= 0 onto x = iu (Cauchy's theorem; the integrand
+    decays in the first quadrant) turns int_0^inf (1+x)^(-2a) e^{iwx} dx into
+    i int_0^inf (1+iu)^(-2a) e^{-wu} du, whose integrand does not oscillate.
+    Its real part is half of C(w):
+
+        C(w) = 2 int_0^inf (1+u^2)^(-a) sin(2a arctan u) e^{-wu} du.
+
+    With u = e^t the integrand is analytic in the strip |Im t| < pi/2 and
+    decays at both ends, so the trapezoid rule in t converges geometrically
+    as _LOG_STEP shrinks; at 0.15 it stayed within 4e-13 of a 25-digit
+    reference for a in [0.51, 10] and w in [1e-10, 1000]. The range
+    _LOG_RANGE drops under 1e-17 below u = e^-20 and, for every w >= 1e-10
+    (the rounding quantum of the arguments), under e^-1000 above u = e^30.
+    """
+    t = np.arange(_LOG_RANGE[0], _LOG_RANGE[1] + _LOG_STEP / 2.0, _LOG_STEP)
+    u = np.exp(t)
+    g = 2.0 * _LOG_STEP * u * (1.0 + u * u) ** (-a) * np.sin(2.0 * a * np.arctan(u))
+    return u, g
 
 
 @functools.lru_cache(maxsize=_COS_CACHE_SIZE)
 def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
-    if w == 0.0:
-        if noise.family == "power-law":
-            return 2.0 / (2.0 * noise.a - 1.0)
-        body, _ = integrate.quad(
-            lambda x: float(noise.eps(np.array(x)) ** 2),
-            0.0, noise.support, epsabs=_QUAD_TOL, limit=200)
-        return 2.0 * body
     if noise.family == "power-law":
-        power = -2.0 * noise.a
-        val, _ = integrate.quad(lambda x: (1.0 + x) ** power,
-                                0.0, np.inf, weight="cos", wvar=w,
-                                epsabs=_QUAD_TOL, limit=400)
-        return 2.0 * val
-    val, _ = integrate.quad(lambda x: float(noise.eps(np.array(x)) ** 2),
-                            0.0, noise.support, weight="cos", wvar=w,
-                            epsabs=_QUAD_TOL, limit=400)
-    return 2.0 * val
+        if w == 0.0:
+            return 2.0 / (2.0 * noise.a - 1.0)
+        u, g = _power_law_rule(noise.a)
+        return float(np.dot(g, np.exp(-w * u)))
+    return _bump_integral(noise, lambda x: np.cos(w * x))
 
 
 def cos_transform(noise: NoiseLevel, w: float) -> float:
@@ -208,12 +230,31 @@ def lambda_min_on_IV(noise: NoiseLevel, V: float) -> float:
     k = int(np.argmin(eigen_route))
     lo = vs[max(0, k - 1)]
     hi = vs[min(_N_V - 1, k + 1)]
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(
-        lambda v: 0.5 * (M - abs(cos_transform(noise, 2.0 * v))),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10})
-    return float(min(eigen_min, res.fun))
+    refined = _golden_min(lambda v: 0.5 * (M - abs(cos_transform(noise, 2.0 * v))),
+                          lo, hi, xtol=1e-10)
+    return float(min(eigen_min, refined))
+
+
+def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
+    """Smallest value of f found by golden-section search on [lo, hi].
+
+    Each step keeps the sub-interval around the better of the two interior
+    points, so for a unimodal f the bracket holds the minimizer and shrinks
+    by the factor 0.618 until it is narrower than xtol.
+    """
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def holder_bound_check(noise: NoiseLevel, p: float,
@@ -344,18 +385,6 @@ def fourier_O(model: OptionModel, v) -> np.ndarray:
     """Fourier transform of O at frequency v (closed form for the test family)."""
     v = np.asarray(v, dtype=float)
     return 2.0 / (1.0 + v * v)
-
-
-def fourier_O_numeric(model: OptionModel, v: float) -> float:
-    """Quadrature cross-check of fourier_O; O is even so only the cosine part survives."""
-    if v == 0.0:
-        val, _ = integrate.quad(lambda x: math.exp(-x), 0.0, np.inf,
-                                epsabs=_QUAD_TOL, limit=400)
-    else:
-        val, _ = integrate.quad(lambda x: math.exp(-x), 0.0, np.inf,
-                                weight="cos", wvar=v,
-                                epsabs=_QUAD_TOL, limit=400)
-    return 2.0 * val
 
 
 def _verdict_rows(A: np.ndarray,

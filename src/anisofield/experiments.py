@@ -24,7 +24,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -285,17 +285,28 @@ def _scan_output(report: hitmod.ScalingReport, **extra):
 # runners: each returns (header, rows, report_doc)
 
 
+def _entropy_quadrature(x: float) -> float:
+    """int_0^x sqrt(log(1/y)) dy by quadrature, independent of the closed form.
+
+    y = exp(-s^2) turns it into int_{s0}^inf 2 s^2 exp(-s^2) ds with
+    s0 = sqrt(log(1/x)); the integrand is entire, so 64-point Gauss-Legendre
+    on [s0, s0 + 8] is exact to rounding (the cut tail is below e^-64).
+    """
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(64)
+    s = math.sqrt(-math.log(x)) + 4.0 * (t + 1.0)
+    return 4.0 * float(np.dot(w, 2.0 * s * s * np.exp(-s * s)))
+
+
 def _run_metric_check(cfg: ExperimentConfig):
     p: MetricCheckParams = cfg.params
     H = metmod.HurstVector(H=tuple(p.hurst))
     I = metmod.IndexSet.unit_box(H.N)
     test_pts = I.test_grid(p.test_grid_points)
     rows = []
-    from scipy import integrate
     for x in p.entropy_x:
         closed = metmod.entropy_integral_closed_form(x)
-        quadval, _ = integrate.quad(lambda y: math.sqrt(-math.log(y)), 0.0, x,
-                                    epsabs=1e-12, limit=200)
+        quadval = _entropy_quadrature(x)
         rows.append(["entropy", x, closed, quadval, abs(closed - quadval) <= 1e-8])
     for r in p.cover_radii:
         gc = metmod.grid_cover(I, r, H)
@@ -469,9 +480,10 @@ def default_out_dir(kind: str) -> str:
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     out_dir = config.out_dir or default_out_dir(config.kind)
-    os.makedirs(out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     header, rows, report = RUNNERS[config.kind](config)
+    # only now, so that a config the runner refuses leaves no directory behind
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     report_path = os.path.join(out_dir, "report.json")
     _write_csv(results_path, header, rows)

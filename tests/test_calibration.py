@@ -8,7 +8,7 @@ from scipy import integrate
 from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     cos_transform, cos_transform_many,
                                     distinguished_log, fourier_O,
-                                    fourier_O_numeric, holder_bound_check,
+                                    holder_bound_check,
                                     holder_exponent, ito_covariance,
                                     lambda_min_on_IV, moment_integral,
                                     psi_estimator, psi_verdicts,
@@ -20,6 +20,37 @@ from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
 POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
 BUMP = NoiseLevel(family="bump", support=2.0, amplitude=1.0, p=1.5)
+
+
+def fourier_O_numeric(model: OptionModel, v: float) -> float:
+    """Quadrature cross-check of fourier_O; O is even so only the cosine part survives."""
+    if v == 0.0:
+        val, _ = integrate.quad(lambda x: math.exp(-x), 0.0, np.inf,
+                                epsabs=1e-10, limit=400)
+    else:
+        val, _ = integrate.quad(lambda x: math.exp(-x), 0.0, np.inf,
+                                weight="cos", wvar=v, epsabs=1e-10, limit=400)
+    return 2.0 * val
+
+
+def quadpack_cos_transform(noise: NoiseLevel, w: float) -> float:
+    """C(w) by QUADPACK: QAWF on (0, inf) for the power law, QAWO on
+    (0, support) for the bump (the transforms' former implementation)."""
+    if noise.family == "power-law":
+        if w == 0.0:
+            return 2.0 / (2.0 * noise.a - 1.0)
+        val, _ = integrate.quad(lambda x: (1.0 + x) ** (-2.0 * noise.a),
+                                0.0, np.inf, weight="cos", wvar=w,
+                                epsabs=1e-10, limit=400)
+        return 2.0 * val
+    eps2 = lambda x: float(noise.eps(np.array(x)) ** 2)
+    if w == 0.0:
+        val, _ = integrate.quad(eps2, 0.0, noise.support, epsabs=1e-10,
+                                limit=200)
+    else:
+        val, _ = integrate.quad(eps2, 0.0, noise.support, weight="cos",
+                                wvar=w, epsabs=1e-10, limit=400)
+    return 2.0 * val
 
 
 class TestNoiseLevel:
@@ -132,6 +163,81 @@ class TestCosCache:
         info = calibration._cos_transform_cached.cache_info()
         assert info.misses == distinct == 2001
         assert info.currsize == distinct
+
+
+class TestQuadpackOracle:
+    """The numpy-only quadratures against scipy's QUADPACK and the former
+    scipy-based implementations."""
+
+    @pytest.mark.parametrize("a", [0.6, 0.75, 1.0, 1.5, 3.0])
+    def test_power_law_transform(self, a):
+        noise = NoiseLevel(family="power-law", a=a, p=1.05)
+        # on arguments already rounded to the cache's _W_ROUND decimals, so
+        # that both sides see the same w (C has an infinite slope at 0 for a <= 1)
+        ws = np.round(np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 81),
+                                      np.linspace(0.01, 20.0, 40)]),
+                      calibration._W_ROUND)
+        got = cos_transform_many(noise, ws)
+        want = np.array([quadpack_cos_transform(noise, w) for w in ws])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("support,amplitude", [(0.5, 1.0), (2.0, 1.0),
+                                                   (10.0, 0.3)])
+    def test_bump_transform(self, support, amplitude):
+        noise = NoiseLevel(family="bump", support=support, amplitude=amplitude)
+        ws = np.round(np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 41)]),
+                      calibration._W_ROUND)
+        got = cos_transform_many(noise, ws)
+        want = np.array([quadpack_cos_transform(noise, w) for w in ws])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_tail_integral(self):
+        # the former route: QUADPACK on (0, 50) plus the analytic tail
+        for a, p in [(1.5, 1.5), (1.2, 1.3), (3.0, 2.0)]:
+            noise = NoiseLevel(family="power-law", a=a, p=p)
+            expo = p - 2.0 * a
+            body, _ = integrate.quad(lambda x: (1.0 + x) ** expo, 0.0, 50.0,
+                                     epsabs=1e-12, limit=200)
+            old = 2.0 * (body - 51.0 ** (expo + 1.0) / (expo + 1.0))
+            assert tail_integral(noise, p) == pytest.approx(old, abs=1e-8)
+        for p in (1.5, 4.0):
+            body, _ = integrate.quad(
+                lambda x: (1.0 + x) ** p * float(BUMP.eps(np.array(x)) ** 2),
+                0.0, BUMP.support, epsabs=1e-12, limit=200)
+            assert tail_integral(BUMP, p) == pytest.approx(2.0 * body, abs=1e-8)
+
+    def test_moment_integral(self):
+        from scipy.special import gamma
+        for a, q in [(1.5, 1.5), (1.5, 0.0), (3.0, 2.0), (0.9, 0.5)]:
+            noise = NoiseLevel(family="power-law", a=a)
+            old = 2.0 * gamma(q + 1.0) * gamma(2.0 * a - q - 1.0) / gamma(2.0 * a)
+            assert moment_integral(noise, q) == pytest.approx(old, rel=1e-9)
+        for q in (0.0, 1.2, 2.0):
+            body, _ = integrate.quad(
+                lambda x: x ** q * float(BUMP.eps(np.array(x)) ** 2),
+                0.0, BUMP.support, epsabs=1e-12, limit=200)
+            assert moment_integral(BUMP, q) == pytest.approx(2.0 * body,
+                                                             rel=1e-9)
+
+    @pytest.mark.parametrize("noise,V", [(POW, 2.0), (POW, 10.0),
+                                         (NoiseLevel(family="power-law", a=0.75),
+                                          5.0),
+                                         (BUMP, 3.0)])
+    def test_lambda_min(self, noise, V):
+        # the former route: the eigenvalue floor on the same v grid from
+        # QUADPACK transforms, refined by scipy's bounded minimize_scalar
+        from scipy.optimize import minimize_scalar
+        M = quadpack_cos_transform(noise, 0.0)
+        vs = np.linspace(1.0 / V, V, calibration._N_V)
+        route = 0.5 * (M - np.abs([quadpack_cos_transform(noise, 2.0 * v)
+                                   for v in vs]))
+        k = int(np.argmin(route))
+        res = minimize_scalar(
+            lambda v: 0.5 * (M - abs(quadpack_cos_transform(noise, 2.0 * v))),
+            bounds=(vs[max(0, k - 1)], vs[min(vs.size - 1, k + 1)]),
+            method="bounded", options={"xatol": 1e-10})
+        old = min(float(route.min()), res.fun)
+        assert lambda_min_on_IV(noise, V) == pytest.approx(old, abs=1e-9)
 
 
 class TestHolderExponent:

@@ -65,6 +65,22 @@ class TestWilsonInterval:
             covered += lo <= p <= hi
         assert 0.93 <= covered / 1000 <= 0.97
 
+    def test_ndtri_is_scipy_bit_for_bit(self):
+        # uniform q, both tails down to 1e-300 and 1 - 1e-16, the branch
+        # boundaries exp(-2) and exp(-32), and the ends 0 and 1
+        from scipy.special import ndtri
+        edge = math.exp(-2.0)
+        qs = np.concatenate([
+            np.linspace(0.0, 1.0, 20001),
+            np.random.default_rng(3).random(20000),
+            np.geomspace(1e-300, 0.5, 5000), 1.0 - np.geomspace(1e-16, 0.5, 5000),
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge,
+             math.exp(-32.0), 5e-324, np.nextafter(1.0, 0.0)]])
+        got = np.array([hitting.ndtri(q) for q in qs])
+        assert got[0] == -math.inf and got[20000] == math.inf
+        assert got.tobytes() == ndtri(qs).tobytes()
+        assert all(math.isnan(hitting.ndtri(q)) for q in (-0.5, 1.5, math.nan))
+
     @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
     def test_z_is_norm_ppf_bit_for_bit(self, monkeypatch, confidence):
         from scipy.stats import norm
