@@ -167,17 +167,68 @@ def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
     return _bump_integral(noise, lambda x: np.cos(w * x))
 
 
+def _w_key(ws):
+    """Cache key of transform arguments: |w| rounded to _W_ROUND decimals.
+
+    np.round's semantics (scale, round half to even, unscale), which differ
+    from Python's correctly rounded round() on a few arguments per million;
+    the scalar and vector routes share this key so they agree bit for bit.
+    """
+    return np.round(np.abs(ws), _W_ROUND)
+
+
 def cos_transform(noise: NoiseLevel, w: float) -> float:
     """C(w) = int cos(wx) eps(x)^2 dx (even in w)."""
-    return _cos_transform_cached(noise, round(abs(float(w)), _W_ROUND))
+    return _cos_transform_cached(noise, float(_w_key(float(w))))
 
 
 def cos_transform_many(noise: NoiseLevel, ws: np.ndarray) -> np.ndarray:
-    ws = np.abs(np.asarray(ws, dtype=float))
-    flat = np.round(ws.ravel(), _W_ROUND)
-    uniq, inv = np.unique(flat, return_inverse=True)
+    ws = np.asarray(ws, dtype=float)
+    uniq, inv = np.unique(_w_key(ws.ravel()), return_inverse=True)
     vals = np.array([_cos_transform_cached(noise, float(w)) for w in uniq])
     return vals[inv].reshape(ws.shape)
+
+
+def _lag_transforms(noise: NoiseLevel, args: np.ndarray,
+                    lag_args: np.ndarray, view) -> np.ndarray:
+    """cos_transform_many(noise, args) for an n x n argument matrix with lags.
+
+    lag_args holds one entry of args per lag, and view lays an array of
+    per-lag values out as the n x n matrix (a strided, read-only view).
+    Every entry whose own key differs from its lag's is transformed on its
+    own, so the result equals cos_transform_many bit for bit on any grid.
+    """
+    lag_keys = _w_key(lag_args)
+    out = np.array(view(np.array([_cos_transform_cached(noise, float(w))
+                                  for w in lag_keys])))
+    off = _w_key(args) != view(lag_keys)
+    out[off] = cos_transform_many(noise, args[off])
+    return out
+
+
+def _pair_transforms(noise: NoiseLevel,
+                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(q_i - q_j) and C(q_i + q_j) over a grid q, equal bit for bit to
+    cos_transform_many on the two n x n argument matrices, without its sort.
+
+    On an evenly stepped grid the key of q_i - q_j depends only on i - j
+    (Toeplitz) and that of q_i + q_j only on i + j (Hankel), so one
+    transform per lag fills each matrix. Lag i - j takes its entry from the
+    last column (i - j < 0) or the last row, lag i + j = s from
+    (s - s//2, s//2) next to the diagonal: both keep off row and column 0
+    where they can, since the anchor q_0 = 0 breaks the step. The entries
+    off their lag's key (the anchor's row and column, lags split by
+    rounding, uneven grids) take the per-entry route.
+    """
+    n = q.size
+    windows = np.lib.stride_tricks.sliding_window_view
+    minus = np.concatenate([q[:-1] - q[-1], q[-1] - q[::-1]])
+    Cm = _lag_transforms(noise, q[:, None] - q[None, :], minus,
+                         lambda lags: windows(lags, n)[:, ::-1])
+    s = np.arange(2 * n - 1)
+    Cp = _lag_transforms(noise, q[:, None] + q[None, :], q[s - s // 2] + q[s // 2],
+                         lambda lags: windows(lags, n))
+    return Cm, Cp
 
 
 def holder_exponent(p: float) -> float:
@@ -328,39 +379,51 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     """Sample the spectral process on the grid with its exact Gaussian law.
 
     A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
-    nonnegative frequencies are sampled; the negative side is the reflection.
-    X1 and X2 decouple (even noise), each with a cosine-transform covariance.
-    Since q1 = [0, *pos], the X2 transforms over pos are the trailing blocks
-    of the X1 transforms, so only one pair of transforms is assembled.
+    nonnegative frequencies are sampled; the negative side is the reflection,
+    which needs a grid mirrored about the anchor. X1 and X2 decouple (even
+    noise), each with a cosine-transform covariance. Since q1 = [0, *pos],
+    the X2 transforms over pos are the trailing blocks of the X1 transforms,
+    so only one pair of transforms is assembled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    pts = grid.points
     pos = grid.positive
-    q1 = np.concatenate([[0.0], pos])          # X1 lives on 0 and positive v
-    Cm1 = cos_transform_many(noise, q1[:, None] - q1[None, :])
-    Cp1 = cos_transform_many(noise, q1[:, None] + q1[None, :])
-    cov1 = 0.5 * (Cm1 + Cp1)
-    cov2 = 0.5 * (Cm1[1:, 1:] - Cp1[1:, 1:])
-    del Cm1, Cp1
-
-    L1, _ = cholesky_with_jitter(cov1)
-    L2, _ = cholesky_with_jitter(cov2)
-    z1 = standard_normal_batch(q1.size, n_samples, seed, "spec-cos")
-    z2 = standard_normal_batch(pos.size, n_samples, seed, "spec-sin")
-    X1 = z1 @ L1.T
-    X2 = z2 @ L2.T
-
     m = pos.size
     a = grid.anchor_index
     if a != m:
         raise NumericalCheckFailed(
             f"anchor index {a} does not split the grid into {m} negative "
             f"and {m} positive frequencies")
-    vals = np.empty((n_samples, grid.points.size), dtype=complex)
-    pos_block = X1[:, 1:] + 1j * X2
-    vals[:, a] = X1[:, 0]
-    vals[:, a + 1:] = pos_block
-    vals[:, :a] = np.conj(pos_block[:, ::-1])
+    if not np.array_equal(pts[:a], -pts[a + 1:][::-1]):
+        raise NumericalCheckFailed(
+            "negative frequencies do not mirror the positive ones, so "
+            "X(-v) = conj X(v) would pair the wrong points")
+    q1 = np.concatenate([[0.0], pos])          # X1 lives on 0 and positive v
+    cov1, Cp = _pair_transforms(noise, q1)   # cov1 holds Cm until made in place
+    cov2 = 0.5 * (cov1[1:, 1:] - Cp[1:, 1:])
+    cov1 += Cp
+    cov1 *= 0.5
+    del Cp
+
+    L1, _ = cholesky_with_jitter(cov1)
+    del cov1
+    L2, _ = cholesky_with_jitter(cov2)
+    del cov2
+    z1 = standard_normal_batch(q1.size, n_samples, seed, "spec-cos")
+    X1 = z1 @ L1.T
+    del z1, L1
+    z2 = standard_normal_batch(m, n_samples, seed, "spec-sin")
+    X2 = z2 @ L2.T
+    del z2, L2
+
+    vals = np.empty((n_samples, pts.size), dtype=complex)
+    vals.real[:, a:] = X1
+    vals.real[:, :a] = X1[:, :0:-1]
+    del X1
+    vals.imag[:, a] = 0.0
+    vals.imag[:, a + 1:] = X2
+    np.negative(X2[:, ::-1], out=vals.imag[:, :a])
     return SpectralSampleSet(grid=grid, values=vals, seed=seed)
 
 
@@ -488,11 +551,12 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     """Verdicts of psi_estimator for a (k, n) block of spectral replicates.
 
     A is formed _VERDICT_ROWS replicates at a time, so each complex
-    temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks are for speed,
-    not memory: at k = 1000, n = 2001 three calls take about 0.17 s in
-    blocks of 128 rows and 0.24 s in one block, while the peak RSS of a
-    calib-sim run differs by under 1 MiB. The log path itself is never
-    unwrapped. Row i equals psi_estimator's verdict on row i bit for bit.
+    temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks save time and
+    memory: at k = 1000, n = 1983 three calls take about 0.15 s in blocks
+    of 128 rows and 0.22 s in one block, and a calib-sim run on that grid
+    peaks at 110 MiB RSS in blocks and at 163 MiB in one block. The log path
+    itself is never unwrapped. Row i equals psi_estimator's verdict on row
+    i bit for bit.
     """
     X = np.asarray(spectral_values)
     v = grid.points

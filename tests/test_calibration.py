@@ -145,6 +145,24 @@ class TestCosTransform:
         assert vals[0, 1] == cos_transform(BUMP, 0.7)
         assert vals[1, 0] == vals[0, 1]
 
+    def test_scalar_and_vector_routes_share_the_key(self):
+        # the 35 of 2,000,000 uniform w in [0, 40] (default_rng(0)) on which
+        # Python's round(w, 10) and np.round(w, 10) disagree
+        ws = [38.68223015175, 35.37839504045, 25.45055793805, 18.38677109305,
+              22.09225884135, 11.83693780145, 36.02428998555, 32.17728976115,
+              24.31101013395, 34.10828076875, 23.69394269095, 38.55134984685,
+              33.61320426335, 12.99373981645, 24.69377857235, 19.03707076445,
+              16.57610480075, 37.15457883195, 21.24931994605, 18.23227476865,
+              36.13188399435, 34.18394304775, 35.61195850675, 18.23912493805,
+              26.82928673155, 37.74628588295, 29.58055684545, 38.56836007305,
+              35.95443288685, 38.92847203215, 9.09931897865, 34.29872847845,
+              18.19616546955, 14.30957274515, 26.77482771425]
+        assert all(round(w, 10) != np.round(w, 10) for w in ws)
+        many = cos_transform_many(POW, np.array(ws))
+        for w, v in zip(ws, many):
+            assert cos_transform(POW, w) == v
+            assert cos_transform(POW, -w) == v
+
 
 class TestCosCache:
     def test_cache_is_bounded(self):
@@ -163,6 +181,66 @@ class TestCosCache:
         info = calibration._cos_transform_cached.cache_info()
         assert info.misses == distinct == 2001
         assert info.currsize == distinct
+
+
+def _uneven_mirrored_grid(V: float, k: int, seed: int) -> FrequencyGrid:
+    pos = np.sort(np.random.default_rng(seed).uniform(1.0 / V, V, k))
+    return FrequencyGrid(V=V, step=float("nan"),
+                         points=np.concatenate([-pos[::-1], [0.0], pos]))
+
+
+@pytest.fixture
+def lookup_sizes(monkeypatch):
+    """Sizes of the argument arrays passed to cos_transform_many."""
+    sizes = []
+    many = calibration.cos_transform_many
+
+    def recording(noise, ws):
+        sizes.append(np.size(ws))
+        return many(noise, ws)
+
+    monkeypatch.setattr(calibration, "cos_transform_many", recording)
+    return sizes
+
+
+class TestPairTransforms:
+    """The lag assembly of both spectral transform pairs against
+    cos_transform_many on the full argument matrices."""
+
+    @pytest.mark.parametrize("noise,grid", [
+        (POW, FrequencyGrid.build(10.0, 0.01)),       # calib-sim-fine
+        (POW, FrequencyGrid.build(10.0, 0.013)),
+        (POW, FrequencyGrid.build(4.0, 1.0 / 3.0)),
+        (POW, FrequencyGrid.build(10.0, 1.0 / 3.0)),
+        # lags on a rounding boundary: keys split inside one lag
+        (POW, FrequencyGrid.build(5.0, 0.05000000005)),
+        # almost every entry off its lag's key
+        (POW, _uneven_mirrored_grid(4.0, 60, 3)),
+        (BUMP, FrequencyGrid.build(5.0, 0.05)),
+    ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10",
+            "rounding-boundary", "uneven", "bump"])
+    def test_matches_cos_transform_many(self, noise, grid):
+        q1 = np.concatenate([[0.0], grid.positive])
+        Cm, Cp = calibration._pair_transforms(noise, q1)
+        assert np.array_equal(
+            Cm, cos_transform_many(noise, q1[:, None] - q1[None, :]))
+        assert np.array_equal(
+            Cp, cos_transform_many(noise, q1[:, None] + q1[None, :]))
+
+    def test_rounding_boundary_takes_the_per_entry_route(self, lookup_sizes):
+        # the split keys of this grid reach the fallback beyond the anchor's
+        # row and column; otherwise the case above would not test it
+        g = FrequencyGrid.build(5.0, 0.05000000005)
+        q1 = np.concatenate([[0.0], g.positive])
+        calibration._pair_transforms(POW, q1)
+        assert max(lookup_sizes) > 2 * q1.size
+
+    def test_no_n_squared_lookup_on_the_fine_grid(self, lookup_sizes):
+        g = FrequencyGrid.build(10.0, 0.01)
+        simulate_spectral_noise(POW, g, 1, 0)
+        n = g.positive.size + 1
+        # only the anchor's row and column leave their lag's key
+        assert lookup_sizes and max(lookup_sizes) <= 2 * n
 
 
 class TestQuadpackOracle:
@@ -428,6 +506,16 @@ class TestSpectralSimulation:
                                  points=np.array([-2.0, 0.0, 1.0, 2.0]))
         with pytest.raises(NumericalCheckFailed, match="anchor index"):
             simulate_spectral_noise(POW, lopsided, 2, 0)
+
+    def test_unmirrored_grid_is_a_typed_error(self, monkeypatch):
+        # equal counts on both sides, but X(-2) = conj X(1.5) would be wrong;
+        # refused before any transform or factorization
+        skewed = FrequencyGrid(V=3.0, step=0.5,
+                               points=np.array([-2.0, -0.5, 0.0, 0.7, 1.5]))
+        monkeypatch.setattr(calibration, "cholesky_with_jitter", None)
+        monkeypatch.setattr(calibration, "_pair_transforms", None)
+        with pytest.raises(NumericalCheckFailed, match="mirror"):
+            simulate_spectral_noise(POW, skewed, 2, 0)
 
 
 class TestFourierO:

@@ -78,6 +78,14 @@ GOLDEN = [
      "bf4ffca15af8231d29b29019ec4a9599129a70bd3acc4364b649eab53769b14a"),
 ]
 
+# the calib-sim-fine benchmark config at seed 101: a 1,983-point grid, so the
+# spectral covariances reach lags the small calib-sim entry above never has
+GOLDEN_CALIB_FINE = (
+    {"V": 10.0, "step": 0.01, "noise_scales": [1e-3, 1e-2, 1e-1],
+     "n_replicates": 1000}, 101,
+    "b7bb366c907223c97356763fd3e3c05616973f947bfd658f9591db2dd57e3bab",
+    "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
+
 
 def _with_first_leaf(value, element):
     """value with its first (innermost, leftmost) number replaced by element."""
@@ -341,6 +349,11 @@ class TestReproducibility:
     def test_golden_digests(self, tmp_path, kind, over, results, report):
         # pinned digests: a change of any output bit must be declared
         man = self.run(kind, over, tmp_path / "g", seed=17)
+        assert man.outputs == {"results.csv": results, "report.json": report}
+
+    def test_golden_digests_calib_sim_fine(self, tmp_path):
+        over, seed, results, report = GOLDEN_CALIB_FINE
+        man = self.run("calib-sim", over, tmp_path / "g", seed=seed)
         assert man.outputs == {"results.csv": results, "report.json": report}
 
     def test_manifest_structure(self, tmp_path):
