@@ -9,8 +9,8 @@ from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      entropy_integral_closed_form, grid_cover,
                      hausdorff_premeasure, max_pair_ratio, rho_distance)
 from .field import (FieldModel, GaussianSampler, Grid, ModulusReport,
-                    SamplePathSet, build_covariance, modulus_statistic,
-                    sample_paths, verify_condition1, verify_condition2)
+                    build_covariance, modulus_statistic, sample_paths,
+                    verify_condition1, verify_condition2)
 from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
                       hitting_probability, lipschitz_verify, polarity_scan,
                       scaling_exponent, wilson_interval)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
-from .field import cholesky_with_jitter, standard_normal_batch
+from .field import GaussianSampler
 
 _GL_NODES = 400  # Gauss-Legendre nodes on (0, support) for the bump family
 _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
@@ -365,23 +365,16 @@ class FrequencyGrid:
         return self.points[self.points > 0]
 
 
-@dataclass(frozen=True)
-class SpectralSampleSet:
-    """Exact draws of X(v) = X1(v) + i X2(v); shape (n_samples, len(points))."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    seed: int
-
-
 def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
-                            n_samples: int, seed: int) -> SpectralSampleSet:
-    """Sample the spectral process on the grid with its exact Gaussian law.
+                            n_samples: int, seed: int) -> np.ndarray:
+    """Exact draws of X(v) = X1(v) + i X2(v) on the grid, shape
+    (n_samples, len(grid.points)) complex.
 
     A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
     nonnegative frequencies are sampled; the negative side is the reflection,
     which needs a grid mirrored about the anchor. X1 and X2 decouple (even
-    noise), each with a cosine-transform covariance. Since q1 = [0, *pos],
+    noise), each with a cosine-transform covariance and its own
+    GaussianSampler (streams "spec-cos" and "spec-sin"). Since q1 = [0, *pos],
     the X2 transforms over pos are the trailing blocks of the X1 transforms,
     so only one pair of transforms is assembled.
     """
@@ -406,16 +399,14 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     cov1 *= 0.5
     del Cp
 
-    L1, _ = cholesky_with_jitter(cov1)
+    cos_part = GaussianSampler.build(cov1)
     del cov1
-    L2, _ = cholesky_with_jitter(cov2)
+    sin_part = GaussianSampler.build(cov2)
     del cov2
-    z1 = standard_normal_batch(q1.size, n_samples, seed, "spec-cos")
-    X1 = z1 @ L1.T
-    del z1, L1
-    z2 = standard_normal_batch(m, n_samples, seed, "spec-sin")
-    X2 = z2 @ L2.T
-    del z2, L2
+    X1 = cos_part.sample(n_samples, seed, "spec-cos")
+    del cos_part
+    X2 = sin_part.sample(n_samples, seed, "spec-sin")
+    del sin_part
 
     vals = np.empty((n_samples, pts.size), dtype=complex)
     vals.real[:, a:] = X1
@@ -424,7 +415,7 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     vals.imag[:, a] = 0.0
     vals.imag[:, a + 1:] = X2
     np.negative(X2[:, ::-1], out=vals.imag[:, :a])
-    return SpectralSampleSet(grid=grid, values=vals, seed=seed)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -606,7 +597,7 @@ def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
     if noise_scale != 0.0 and spectral_values is None:
         if noise is None:
             raise ValueError("noisy run needs a noise level")
-        spectral_values = simulate_spectral_noise(noise, grid, 1, seed).values[0]
+        spectral_values = simulate_spectral_noise(noise, grid, 1, seed)[0]
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
     min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index)

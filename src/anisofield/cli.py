@@ -47,7 +47,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config!r} must hold a JSON "
+                             f"object, got {type(doc).__name__}")
+        data.update(doc)
     for key, value in args.set:
         data[key] = value
     if args.seed is not None:

@@ -47,13 +47,16 @@ _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 
 def _check_type(key: str, value, annotation, where: str = "") -> None:
-    """Refuse value unless it has the annotated type; a tuple[X, ...] is a
-    list whose every element is checked against X by the same rules."""
+    """Refuse value unless it has the annotated type (a float must also be
+    finite); a tuple[X, ...] is a list whose every element is checked
+    against X by the same rules."""
     origin = get_origin(annotation) or annotation
     accepted, expected = _ACCEPTED[origin]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"config key {key!r} expects {expected}{where}, got "
                          f"{type(value).__name__} {value!r}")
+    if origin is float and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     if origin is tuple:
         for element in value:
             _check_type(key, element, get_args(annotation)[0],
@@ -335,9 +338,9 @@ def _run_field_sim(cfg: ExperimentConfig):
     max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, grid)
     paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed)
     rows = []
-    for rep in range(paths.n_samples):
+    for rep in range(p.n_samples):
         for q in range(grid.n):
-            rows.append([rep, q] + list(grid.points[q]) + list(paths.values[rep, q]))
+            rows.append([rep, q] + list(grid.points[q]) + list(paths[rep, q]))
     header = (["replicate", "point"] + [f"s{j}" for j in range(grid.N)]
               + [f"x{a}" for a in range(model.d)])
     report = {
@@ -384,7 +387,7 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     model = _model(p.hurst, p.mixing)
     grid = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
     paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed)
-    rep = fieldmod.modulus_statistic(paths, model.H, list(p.eps))
+    rep = fieldmod.modulus_statistic(paths, grid, model.H, list(p.eps))
     rows = []
     doc_eps = {}
     for col, e in enumerate(rep.eps):
@@ -443,7 +446,7 @@ def _run_calib_sim(cfg: ExperimentConfig):
                                             cfg.seed)
     verdicts = {}
     for scale in p.noise_scales:
-        vd = calib.psi_verdicts(model, grid, scale, samples.values)
+        vd = calib.psi_verdicts(model, grid, scale, samples)
         verdicts[scale] = list(zip(vd.well_defined.tolist(),
                                    vd.min_arg_modulus.tolist(), vd.failures))
     rows = []

@@ -9,10 +9,11 @@ assumptions with explicit constants:
   1 - exp(-a) <= a and sum of squares <= square of sums;
 * an eigenvalue floor lambda = lambda_min(A A^T) > 0 for nonsingular A A^T.
 
-Sampling is dense Cholesky on the full grid covariance, so grids are kept
-small (a few thousand points); exactness over scale. The factor is computed
-once per (model, grid) and held by a GaussianSampler, which then draws any
-number of replicates, one Philox stream per replicate.
+Sampling is dense Cholesky on the full covariance, so grids are kept small
+(a few thousand points); exactness over scale. A GaussianSampler holds the
+factor of one covariance matrix and draws any number of replicates from it,
+one Philox stream per replicate; the field, a sampled drift and both parts
+of the calibration spectral process all draw through it.
 """
 from __future__ import annotations
 
@@ -161,20 +162,6 @@ def verify_condition2(model: FieldModel) -> float:
     return lam
 
 
-@dataclass(frozen=True)
-class SamplePathSet:
-    """Seeded Monte Carlo draws: values has shape (n_samples, n_grid, d)."""
-
-    values: np.ndarray
-    seed: int
-    model: FieldModel
-    grid: Grid
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-
 def standard_normals(dim: int, seeds: Sequence[int]) -> np.ndarray:
     """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i])."""
     z = np.empty((len(seeds), dim))
@@ -192,47 +179,38 @@ def standard_normal_batch(dim: int, n: int, master_seed: int,
 
 @dataclass(frozen=True, eq=False)
 class GaussianSampler:
-    """Factor once, draw many: the Cholesky factor of one (model, grid) covariance.
+    """Factor once, draw many: the Cholesky factor of one covariance matrix.
 
-    Draws have shape (k, grid.n, model.d). ``jitter`` is the absolute diagonal
-    jitter the factorization needed (0.0 when none).
+    Draws are rows of shape (k, dim), dim = L.shape[0]. ``jitter`` is the
+    absolute diagonal jitter the factorization needed (0.0 when none).
     """
 
-    model: FieldModel
-    grid: Grid
     L: np.ndarray
     jitter: float
 
     @classmethod
-    def build(cls, model: FieldModel, grid: Grid) -> "GaussianSampler":
-        L, jitter = cholesky_with_jitter(build_covariance(model, grid))
-        return cls(model=model, grid=grid, L=L, jitter=jitter)
-
-    def matches(self, model: FieldModel, points: np.ndarray) -> bool:
-        """Whether this sampler's factor is the covariance of model on points."""
-        return self.model == model and np.array_equal(self.grid.points, points)
-
-    def _transform(self, z: np.ndarray) -> np.ndarray:
-        """Map (k, n*d) standard normals to (k, n, d) field values."""
-        return (z @ self.L.T).reshape(z.shape[0], self.grid.n, self.model.d)
+    def build(cls, cov: np.ndarray) -> "GaussianSampler":
+        L, jitter = cholesky_with_jitter(cov)
+        return cls(L=L, jitter=jitter)
 
     def draw(self, seeds: Sequence[int]) -> np.ndarray:
         """One replicate per seed, replicate i drawn from Philox(seeds[i])."""
-        return self._transform(standard_normals(self.L.shape[0], seeds))
+        return standard_normals(self.L.shape[0], seeds) @ self.L.T
 
     def sample(self, n: int, master_seed: int, stream: str) -> np.ndarray:
         """n replicates, replicate i seeded by derive_seed(master_seed, i, stream)."""
-        return self._transform(standard_normal_batch(
-            self.L.shape[0], n, master_seed, stream))
+        return standard_normal_batch(self.L.shape[0], n, master_seed,
+                                     stream) @ self.L.T
 
 
 def sample_paths(model: FieldModel, grid: Grid, n_samples: int,
-                 seed: int) -> SamplePathSet:
-    """Draw exact finite-dimensional Gaussian samples of the field on the grid."""
+                 seed: int) -> np.ndarray:
+    """Exact Gaussian draws of the field on the grid, shape (n_samples, n, d)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    vals = GaussianSampler.build(model, grid).sample(n_samples, seed, "field")
-    return SamplePathSet(values=vals, seed=seed, model=model, grid=grid)
+    sampler = GaussianSampler.build(build_covariance(model, grid))
+    return sampler.sample(n_samples, seed, "field").reshape(
+        n_samples, grid.n, model.d)
 
 
 @dataclass(frozen=True)
@@ -247,20 +225,24 @@ class ModulusReport:
     missing: tuple[bool, ...]
 
 
-def modulus_statistic(paths: SamplePathSet, H: HurstVector,
+def modulus_statistic(values: np.ndarray, grid: Grid, H: HurstVector,
                       eps_list: list[float]) -> ModulusReport:
-    """max over grid pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps))."""
+    """max over grid pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps)).
+
+    values holds the draws on the grid, shape (n_samples, grid.n, d).
+    """
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
         raise ValueError("eps list must be nonempty")
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
-    rho = rho_pairwise(paths.grid.points, H)
+    rho = rho_pairwise(grid.points, H)
     # pairs with rho == 0 count toward every eps
-    best = np.zeros((len(eps_sorted), paths.n_samples))
+    n_samples = values.shape[0]
+    best = np.zeros((len(eps_sorted), n_samples))
     found = [False] * len(eps_sorted)
-    for den, num, _ in pair_lags(paths.values, rho,
+    for den, num, _ in pair_lags(values, rho,
                                  lambda den: den <= eps_sorted[-1]):
         for col, e in enumerate(eps_sorted):
             mask = den <= e
@@ -268,7 +250,7 @@ def modulus_statistic(paths: SamplePathSet, H: HurstVector,
                 found[col] = True
                 part = num if mask.all() else num[:, mask]
                 np.maximum(best[col], part.max(axis=1), out=best[col])
-    M = np.full((paths.n_samples, len(eps_sorted)), np.nan)
+    M = np.full((n_samples, len(eps_sorted)), np.nan)
     for col, e in enumerate(eps_sorted):
         if found[col]:
             M[:, col] = best[col] / (e * np.sqrt(np.log(1.0 / e)))

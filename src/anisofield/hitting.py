@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Refusal
-from .field import FieldModel, GaussianSampler, Grid
+from .field import FieldModel, GaussianSampler, Grid, build_covariance
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
@@ -137,17 +137,14 @@ class LipschitzDrift:
         return self.evaluate_many(points, H, d, [seed])[0]
 
     def evaluate_many(self, points: np.ndarray, H: HurstVector, d: int,
-                      seeds: Sequence[int],
-                      sampler: Optional[GaussianSampler] = None) -> np.ndarray:
+                      seeds: Sequence[int]) -> np.ndarray:
         """Drift values on the given points for each seed, shape (len(seeds), n, d).
 
         For the "field" kind seeds[i] selects replicate i's sample path, drawn
         from Philox(derive_seed(seeds[i], 0, "drift")); callers must use
-        seeds separate from the field's own draws. ``sampler`` may carry an
-        existing factor of drift_model on exactly these points; otherwise one
-        is built. Each replicate is rescaled so its empirical Lipschitz ratio
-        on the points equals L (a path with ratio 0, e.g. on fewer than two
-        points, becomes the zero drift).
+        seeds separate from the field's own draws. Each replicate is rescaled
+        so its empirical Lipschitz ratio on the points equals L (a path with
+        ratio 0, e.g. on fewer than two points, becomes the zero drift).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, k = pts.shape[0], len(seeds)
@@ -160,12 +157,18 @@ class LipschitzDrift:
             e = e / np.linalg.norm(e)
             vals = self.L * rho_to_point(pts, self.anchor, H)
             return np.repeat((vals[:, None] * e[None, :])[None], k, axis=0)
-        # sampled random fields, each rescaled to the claimed constant on this grid
-        if sampler is None:
-            sampler = GaussianSampler.build(self.drift_model, Grid(points=pts))
-        elif not sampler.matches(self.drift_model, pts):
-            raise ValueError("sampler does not factor the drift model on these points")
-        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds])
+        if self.drift_model.d != d:
+            raise ValueError("drift model dimension mismatch")
+        sampler = GaussianSampler.build(
+            build_covariance(self.drift_model, Grid(points=pts)))
+        return self._rescaled_draws(sampler, pts, H, seeds)
+
+    def _rescaled_draws(self, sampler: GaussianSampler, pts: np.ndarray,
+                        H: HurstVector, seeds: Sequence[int]) -> np.ndarray:
+        """Field-kind values from a factor of drift_model's covariance on pts,
+        each replicate rescaled to the claimed constant L on pts."""
+        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds]).reshape(
+            len(seeds), pts.shape[0], self.drift_model.d)
         ratio = max_pair_ratio(raw, rho_pairwise(pts, H))
         zero = ratio == 0.0
         raw *= (self.L / np.where(zero, 1.0, ratio))[:, None, None]
@@ -261,12 +264,14 @@ def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
     of the drift's translation in the event: -1 for a hit on the graph of f,
     +1 for the shifted field X + f. The shape is (n_mc,).
     """
-    sampler = GaussianSampler.build(model, Grid(points=pts))
+    sampler = GaussianSampler.build(build_covariance(model, Grid(points=pts)))
     seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
-    shared = sampler if f.drift_model == model else None
-    fv = f.evaluate_many(pts, model.H, model.d, seeds, sampler=shared)
+    if f.kind == "field" and f.drift_model == model:
+        fv = f._rescaled_draws(sampler, pts, model.H, seeds)
+    else:
+        fv = f.evaluate_many(pts, model.H, model.d, seeds)
     fv *= sign
-    fv += sampler.sample(n_mc, seed, "field")
+    fv += sampler.sample(n_mc, seed, "field").reshape(fv.shape)
     fv -= center
     return np.linalg.norm(fv, axis=2).min(axis=1)
 

@@ -85,7 +85,7 @@ def test_04_field_simulation_exactness():
         g = Grid.uniform_1d(0.0, 1.0, 10)
         n = 20_000
         paths = sample_paths(m, g, n, 7)
-        flat = paths.values.reshape(n, -1)
+        flat = paths.reshape(n, -1)
         ana = build_covariance(m, g)
         emp = flat.T @ flat / n
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / n)
@@ -133,7 +133,7 @@ def test_07_modulus_of_continuity_stability():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
         g = Grid.uniform_1d(0.0, 0.2, 1281)
         paths = sample_paths(m, g, 2000, 21)
-        rep = modulus_statistic(paths, m.H, [0.025, 0.05, 0.1, 0.2])
+        rep = modulus_statistic(paths, g, m.H, [0.025, 0.05, 0.1, 0.2])
         assert not any(rep.missing)
         q95 = np.quantile(rep.M, 0.95, axis=0)
         assert float(q95.max() / q95.min()) < 3.0
@@ -179,7 +179,7 @@ def test_10_psi_noisy_well_definedness():
         for i in range(n_rep):
             for j, scale in enumerate(scales):
                 est = psi_estimator(model, noise, grid, scale, 123,
-                                    spectral_values=samples.values[i])
+                                    spectral_values=samples[i])
                 ok[i, j] = est.well_defined
         assert np.all(ok[:, 0])          # smallest scale: every replicate
         # same randomness per replicate: losing well-definedness as the

@@ -15,6 +15,7 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     simulate_spectral_noise, tail_integral,
                                     total_mass)
 from anisofield import calibration
+from anisofield import field as fieldmod
 from anisofield.errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
@@ -450,15 +451,15 @@ class TestSpectralSimulation:
     def test_conjugate_symmetry_exact(self):
         g = FrequencyGrid.build(3.0, 0.25)
         s = simulate_spectral_noise(POW, g, 20, 7)
-        assert np.array_equal(s.values, np.conj(s.values[:, ::-1]))
+        assert np.array_equal(s, np.conj(s[:, ::-1]))
         a = g.anchor_index
-        assert np.all(s.values[:, a].imag == 0.0)
+        assert np.all(s[:, a].imag == 0.0)
 
     def test_deterministic_and_worker_invariant(self):
         g = FrequencyGrid.build(3.0, 0.25)
         a = simulate_spectral_noise(POW, g, 50, 11)
         b = simulate_spectral_noise(POW, g, 50, 11)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_empirical_covariance_matches_ito(self):
         g = FrequencyGrid.build(4.0, 0.5)
@@ -466,14 +467,14 @@ class TestSpectralSimulation:
         s = simulate_spectral_noise(POW, g, n, 3)
         a = g.anchor_index
         # anchor variance equals the total mass
-        var0 = float(np.var(s.values[:, a].real))
+        var0 = float(np.var(s[:, a].real))
         M = total_mass(POW)
         assert abs(var0 - M) <= 5.0 * M * math.sqrt(2.0 / n)
         # real/imag variances at a positive frequency match the Ito blocks
         k = a + 3
         v = g.points[k]
         cov = ito_covariance(POW, v, v)
-        for idx, part in enumerate((s.values[:, k].real, s.values[:, k].imag)):
+        for idx, part in enumerate((s[:, k].real, s[:, k].imag)):
             target = cov[idx, idx]
             assert abs(np.var(part) - target) <= 5.0 * target * math.sqrt(2.0 / n)
 
@@ -495,7 +496,23 @@ class TestSpectralSimulation:
         ref = np.concatenate([np.conj(pos_block[:, ::-1]), X1[:, :1] + 0j,
                               pos_block], axis=1)
         s = simulate_spectral_noise(POW, g, n, seed)
-        assert np.array_equal(s.values, ref)
+        assert np.array_equal(s, ref)
+
+    def test_factors_through_the_field_seam(self, monkeypatch):
+        # both spectral components are factored by field.GaussianSampler
+        calls = []
+        real = fieldmod.cholesky_with_jitter
+
+        def counting(cov):
+            calls.append(cov.shape)
+            return real(cov)
+
+        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
+        g = FrequencyGrid.build(3.0, 0.25)
+        s = simulate_spectral_noise(POW, g, 4, 0)
+        m = g.positive.size
+        assert calls == [(m + 1, m + 1), (m, m)]
+        assert s.shape == (4, g.points.size) and s.dtype == complex
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -512,7 +529,7 @@ class TestSpectralSimulation:
         # refused before any transform or factorization
         skewed = FrequencyGrid(V=3.0, step=0.5,
                                points=np.array([-2.0, -0.5, 0.0, 0.7, 1.5]))
-        monkeypatch.setattr(calibration, "cholesky_with_jitter", None)
+        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", None)
         monkeypatch.setattr(calibration, "_pair_transforms", None)
         with pytest.raises(NumericalCheckFailed, match="mirror"):
             simulate_spectral_noise(POW, skewed, 2, 0)
@@ -603,7 +620,7 @@ class TestPsiEstimator:
 
     def test_common_randomness_reuse(self):
         g = FrequencyGrid.build(5.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 1, 42).values[0]
+        spec = simulate_spectral_noise(POW, g, 1, 42)[0]
         a = psi_estimator(OptionModel(), POW, g, 1e-3, 42, spectral_values=spec)
         b = psi_estimator(OptionModel(), POW, g, 1e-3, 42)
         assert np.array_equal(a.values, b.values)
@@ -649,7 +666,7 @@ class TestPsiVerdicts:
     def test_matches_per_row_estimator(self):
         # 300 rows span three row blocks; large scales force phase jumps
         g = FrequencyGrid.build(10.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 300, 4).values
+        spec = simulate_spectral_noise(POW, g, 300, 4)
         model = OptionModel()
         seen = set()
         for scale in self.SCALES:
@@ -672,7 +689,7 @@ class TestPsiVerdicts:
 
     def test_noiseless_rows_ignore_spectral_values(self):
         g = FrequencyGrid.build(5.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 4, 1).values
+        spec = simulate_spectral_noise(POW, g, 4, 1)
         vd = psi_verdicts(OptionModel(), g, 0.0, spec)
         est = psi_estimator(OptionModel(), None, g, 0.0, 0)
         assert np.all(vd.min_arg_modulus == est.min_arg_modulus)

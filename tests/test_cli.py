@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,8 @@ WRONG_VALUES = {
     int: st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
                    st.lists(st.integers(), max_size=2)),
     float: st.one_of(st.booleans(), st.none(), st.text(max_size=4),
-                     st.lists(st.floats(), max_size=2)),
+                     st.lists(st.floats(), max_size=2),
+                     st.sampled_from([math.nan, math.inf, -math.inf])),
 }
 
 # one list value per list key: a kind's default with its first number
@@ -292,6 +294,31 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert f"config key {key!r} expects a number in each element" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,key,default", LIST_KEYS)
+    def test_non_finite_list_element_exits_2(self, tmp_path, capsys, kind,
+                                             key, default):
+        value = _with_first_leaf(default, math.nan)
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"{key}={json.dumps(value)}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"config key {key!r} must be finite, got nan"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", ["[1]", "3", '"abc"'],
+                             ids=["list", "number", "string"])
+    def test_config_file_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        out = tmp_path / "run"
+        rc = main(["chaining-check", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert str(path) in err["message"] and "JSON object" in err["message"]
         assert not out.exists()
 
     def test_numerical_check_failure_exits_2(self, tmp_path, capsys,

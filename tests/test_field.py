@@ -82,14 +82,14 @@ class TestSamplePaths:
         g = Grid.uniform_1d(0.0, 1.0, 8)
         a = sample_paths(m, g, 300, 99)
         b = sample_paths(m, g, 300, 99)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_mean_and_covariance_exact(self):
         m = model_2x2()
         g = Grid.uniform_1d(0.0, 1.0, 10)
         n = 20_000
         paths = sample_paths(m, g, n, 7)
-        flat = paths.values.reshape(n, -1)
+        flat = paths.reshape(n, -1)
         ana = build_covariance(m, g)
         sd = np.sqrt(np.diag(ana))
         assert np.all(np.abs(flat.mean(axis=0)) <= 4.0 * sd / math.sqrt(n))
@@ -101,7 +101,7 @@ class TestSamplePaths:
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,),))
         g = Grid(points=np.array([[0.0], [0.4]]))
         n = 20_000
-        vals = sample_paths(m, g, n, 3).values[:, :, 0]
+        vals = sample_paths(m, g, n, 3)[:, :, 0]
         expect = math.exp(-0.4)
         corr = float(np.mean(vals[:, 0] * vals[:, 1]))
         se = math.sqrt((1.0 + expect ** 2) / n)
@@ -110,7 +110,7 @@ class TestSamplePaths:
     def test_gaussianity_ks(self):
         m = model_2x2()
         g = Grid.uniform_1d(0.0, 1.0, 5)
-        vals = sample_paths(m, g, 20_000, 17).values
+        vals = sample_paths(m, g, 20_000, 17)
         sd = math.sqrt(build_covariance(m, g)[0, 0])
         _, pval = stats.kstest(vals[:, 0, 0] / sd, "norm")
         assert pval > 1e-3
@@ -119,12 +119,13 @@ class TestSamplePaths:
 class TestGaussianSampler:
     def test_sample_matches_sample_paths(self):
         m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 8)
-        vals = GaussianSampler.build(m, g).sample(40, 9, "field")
-        assert vals.shape == (40, 8, 2)
-        assert vals.tobytes() == sample_paths(m, g, 40, 9).values.tobytes()
+        vals = GaussianSampler.build(build_covariance(m, g)).sample(40, 9, "field")
+        assert vals.shape == (40, 16)
+        assert vals.tobytes() == sample_paths(m, g, 40, 9).tobytes()
 
     def test_draw_from_stream_seeds_equals_sample(self):
-        s = GaussianSampler.build(model_2x2(), Grid.uniform_1d(0.0, 1.0, 8))
+        s = GaussianSampler.build(build_covariance(model_2x2(),
+                                                   Grid.uniform_1d(0.0, 1.0, 8)))
         seeds = [derive_seed(9, i, "drift") for i in range(40)]
         assert s.draw(seeds).tobytes() == s.sample(40, 9, "drift").tobytes()
 
@@ -138,21 +139,17 @@ class TestGaussianSampler:
             for s in seeds]))
 
     def test_draw_deterministic_and_worker_invariant(self):
-        s = GaussianSampler.build(model_2x2(), Grid.uniform_1d(0.0, 1.0, 6))
+        s = GaussianSampler.build(build_covariance(model_2x2(),
+                                                   Grid.uniform_1d(0.0, 1.0, 6)))
         seeds = [derive_seed(1, i, "field") for i in range(100)]
         assert s.draw(seeds).tobytes() == s.draw(seeds).tobytes()
 
-    def test_matches_model_and_points(self):
-        m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 5)
-        s = GaussianSampler.build(m, g)
-        assert s.matches(m, g.points.copy())
-        assert not s.matches(model_2x2(H=(0.75,)), g.points)
-        assert not s.matches(m, Grid.uniform_1d(0.0, 1.0, 6).points)
-
     def test_jitter_reported(self):
-        s = GaussianSampler.build(model_2x2(), Grid(points=np.array([[0.1], [0.1]])))
+        s = GaussianSampler.build(build_covariance(
+            model_2x2(), Grid(points=np.array([[0.1], [0.1]]))))
         assert s.jitter > 0.0
-        assert GaussianSampler.build(model_2x2(), Grid.uniform_1d(0, 1, 4)).jitter == 0.0
+        assert GaussianSampler.build(build_covariance(
+            model_2x2(), Grid.uniform_1d(0, 1, 4))).jitter == 0.0
 
 
 class TestModulusStatistic:
@@ -163,26 +160,25 @@ class TestModulusStatistic:
 
     def test_empty_eps_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            modulus_statistic(self.paths, self.m.H, [])
+            modulus_statistic(self.paths, self.grid, self.m.H, [])
 
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
-            modulus_statistic(self.paths, self.m.H, [1.0])
+            modulus_statistic(self.paths, self.grid, self.m.H, [1.0])
 
     def test_missing_flagged_not_zero(self):
-        rep = modulus_statistic(self.paths, self.m.H, [0.03, 0.2])
+        rep = modulus_statistic(self.paths, self.grid, self.m.H, [0.03, 0.2])
         assert rep.missing[0] is True and np.all(np.isnan(rep.M[:, 0]))
         assert rep.missing[1] is False and np.all(np.isfinite(rep.M[:, 1]))
 
     def test_shift_invariant(self):
-        rep = modulus_statistic(self.paths, self.m.H, [0.2])
-        shifted = sample_paths(self.m, self.grid, 50, 5)
-        shifted.values[:] = shifted.values + np.array([3.0, -1.0])
-        rep2 = modulus_statistic(shifted, self.m.H, [0.2])
+        rep = modulus_statistic(self.paths, self.grid, self.m.H, [0.2])
+        shifted = sample_paths(self.m, self.grid, 50, 5) + np.array([3.0, -1.0])
+        rep2 = modulus_statistic(shifted, self.grid, self.m.H, [0.2])
         assert np.allclose(rep.M[:, 0], rep2.M[:, 0])
 
     def test_nonnegative(self):
-        rep = modulus_statistic(self.paths, self.m.H, [0.1, 0.2])
+        rep = modulus_statistic(self.paths, self.grid, self.m.H, [0.1, 0.2])
         assert np.all(rep.M[:, :] >= 0)
 
 
@@ -190,9 +186,8 @@ class TestModulusMatchesAllPairs:
     """modulus_statistic against an inline loop over every pair s < t."""
 
     @staticmethod
-    def all_pairs(paths, H, eps_list):
-        vals = paths.values
-        rho = rho_pairwise(paths.grid.points, H)
+    def all_pairs(vals, points, H, eps_list):
+        rho = rho_pairwise(points, H)
         eps = sorted(eps_list)
         M = np.full((vals.shape[0], len(eps)), np.nan)
         for col, e in enumerate(eps):
@@ -208,9 +203,10 @@ class TestModulusMatchesAllPairs:
         return M, tuple(np.isnan(M[0]))
 
     def check(self, model, points, eps, n_samples=6, seed=3):
-        paths = sample_paths(model, Grid(points=points), n_samples, seed)
-        rep = modulus_statistic(paths, model.H, eps)
-        M, missing = self.all_pairs(paths, model.H, eps)
+        grid = Grid(points=points)
+        paths = sample_paths(model, grid, n_samples, seed)
+        rep = modulus_statistic(paths, grid, model.H, eps)
+        M, missing = self.all_pairs(paths, grid.points, model.H, eps)
         assert np.array_equal(rep.M, M, equal_nan=True)
         assert rep.missing == missing
         return rep

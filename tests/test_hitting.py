@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from anisofield import field as fieldmod
 from anisofield import hitting
 from anisofield.errors import Refusal
-from anisofield.field import FieldModel, GaussianSampler, Grid
+from anisofield.field import FieldModel, Grid
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
                                 lipschitz_verify, polarity_scan,
@@ -165,20 +165,35 @@ class TestBatchedFieldDrift:
             ratio, ok = check_lipschitz(row, 0.5, self.GRID, H075)
             assert ok and ratio == pytest.approx(0.5, rel=1e-9)
 
-    def test_shared_sampler_gives_same_values(self, factor_calls):
+    def test_shared_sampler_gives_same_values(self, factor_calls, monkeypatch):
+        # a field drift of the field's own model is drawn from the field's
+        # factor inside _distances; that drift must equal evaluate_many's
         f = self.drift()
-        own = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
-        sampler = GaussianSampler.build(model(), self.GRID)
-        shared = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS,
-                                 sampler=sampler)
-        assert np.array_equal(own, shared)
-        assert len(factor_calls) == 2      # one for own, one for sampler
+        added = []
+        real = LipschitzDrift._rescaled_draws
 
-    def test_mismatched_sampler_rejected(self):
-        sampler = GaussianSampler.build(model(), Grid.uniform_1d(0, 1, 10))
-        with pytest.raises(ValueError, match="sampler"):
-            self.drift().evaluate_many(self.GRID.points, H075, 2, self.SEEDS,
-                                       sampler=sampler)
+        def recording(drift, *args):
+            out = real(drift, *args)
+            added.append(out.copy())
+            return out
+
+        monkeypatch.setattr(LipschitzDrift, "_rescaled_draws", recording)
+        hitting._distances(model(), self.GRID.points, f, 6, 4, 1.0, 0.0)
+        assert len(added) == 1 and len(factor_calls) == 1
+        own = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        assert len(factor_calls) == 2
+        assert np.array_equal(own, added[0])
+
+    def test_drift_model_dimension_checked(self):
+        m3 = FieldModel(H=H075, mixing=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (1.0, 1.0, 1.0)))
+        f = self.drift(m=m3)
+        with pytest.raises(ValueError, match="drift model dimension mismatch"):
+            f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        # a scan of a d = 2 field refuses the d = 3 drift the same way
+        with pytest.raises(ValueError, match="drift model dimension mismatch"):
+            polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 4, 0,
+                          1.0 / 16.0)
 
     def test_single_point_gives_zero_drift(self):
         vals = self.drift().evaluate_many(np.array([[0.5]]), H075, 2, self.SEEDS)
