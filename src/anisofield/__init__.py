@@ -12,7 +12,7 @@ from .field import (FieldModel, GaussianSampler, Grid, ModulusReport,
                     build_covariance, modulus_statistic, sample_paths,
                     verify_condition1, verify_condition2)
 from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
-                      hitting_probability, lipschitz_verify, polarity_scan,
+                      check_lipschitz, hitting_probability, polarity_scan,
                       scaling_exponent, wilson_interval)
 from .calibration import (FrequencyGrid, NoiseLevel, OptionModel, PsiEstimate,
                           distinguished_log, fourier_O, holder_bound_check,

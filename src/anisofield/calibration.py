@@ -582,22 +582,21 @@ class PsiEstimate:
     failure: Optional[str] = None
 
 
-def psi_estimator(model: OptionModel, noise: Optional[NoiseLevel],
-                  grid: FrequencyGrid, noise_scale: float, seed: int,
+def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
                   spectral_values: Optional[np.ndarray] = None) -> PsiEstimate:
     """psi~(v) = (1/T) log(1 + iv(1+iv)(FO(v) + noise_scale X(v))).
 
-    At the anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus
-    below _TOL_ZERO (the polar-set event at machine scale) or a too-large
-    phase increment is reported in the verdict instead of aborting; the
-    verdict is psi_verdicts' rule applied to this one row, and a path that
-    does not hit zero is unwrapped as in distinguished_log.
+    X is one spectral replicate on the grid, e.g. a row of
+    simulate_spectral_noise; a noisy call (noise_scale != 0) needs it. At the
+    anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus below
+    _TOL_ZERO (the polar-set event at machine scale) or a too-large phase
+    increment is reported in the verdict instead of aborting; the verdict is
+    psi_verdicts' rule applied to this one row, and a path that does not hit
+    zero is unwrapped as in distinguished_log.
     """
     v = grid.points
     if noise_scale != 0.0 and spectral_values is None:
-        if noise is None:
-            raise ValueError("noisy run needs a noise level")
-        spectral_values = simulate_spectral_noise(noise, grid, 1, seed)[0]
+        raise ValueError("noisy run needs spectral values")
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
     min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index)

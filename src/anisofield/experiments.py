@@ -420,7 +420,7 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
     p: CalibNoiselessParams = cfg.params
     grid = calib.FrequencyGrid.build(p.V, p.step)
     model = calib.OptionModel(kind="exp", T=p.T)
-    est = calib.psi_estimator(model, None, grid, 0.0, cfg.seed)
+    est = calib.psi_estimator(model, grid, 0.0)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
             zip(grid.points, est.values, est.arg_values)]
     oracle = 2.0 * np.arctan(grid.points) / p.T

@@ -21,81 +21,17 @@ from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
 
-# Cephes ndtri: a rational approximation in y - 1/2 for the central region
-# exp(-2) < y < 1 - exp(-2), and in 1/sqrt(-2 log y) for the tails
-# (P1/Q1 down to y = exp(-32), P2/Q2 below).
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-       -5.66762857469070293439e1, 1.39312609387279679503e1,
-       -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-       8.63602421390890590575e1, -2.25462687854119370527e2,
-       2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-       5.71628192246421288162e1, 4.40805073893200834700e1,
-       1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-       -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-       4.13172038254672030440e1, 1.50425385692907503408e1,
-       2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-       3.93881025292474443415e0, 1.33303460815807542389e0,
-       2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6,
-       6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-       1.37702099489081330271e0, 2.16236993594496635890e-1,
-       1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# the two-sided 95% normal quantile, ndtri(0.975) to the last bit
+_Z95 = 1.959963984540054
 
 
-def _horner(x: float, coef: Sequence[float], monic: bool = False) -> float:
-    """Polynomial with the given coefficients (highest power first) at x;
-    with monic=True a leading coefficient 1 is implied."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(y: float) -> float:
-    """Inverse of the standard normal CDF, the Cephes algorithm operation for
-    operation (so its results equal those of Cephes' own ndtri bit for bit)."""
-    y = float(y)
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0, monic=True))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x0 - z * _horner(z, P) / _horner(z, Q, monic=True)
-    return x if upper else -x
-
-
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a Bernoulli proportion; well-behaved at 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a Bernoulli proportion; well-behaved at 0 and 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not (0 <= successes <= trials):
         raise ValueError("successes out of range")
-    z = ndtri(0.5 + confidence / 2.0)
+    z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -130,11 +66,6 @@ class LipschitzDrift:
             raise ValueError("affine drift needs anchor and direction")
         if self.kind == "field" and self.drift_model is None:
             raise ValueError("field drift needs a drift model")
-
-    def evaluate(self, points: np.ndarray, H: HurstVector, d: int,
-                 seed: int = 0) -> np.ndarray:
-        """Drift values on the given points, shape (n, d); evaluate_many with one seed."""
-        return self.evaluate_many(points, H, d, [seed])[0]
 
     def evaluate_many(self, points: np.ndarray, H: HurstVector, d: int,
                       seeds: Sequence[int]) -> np.ndarray:
@@ -178,21 +109,15 @@ class LipschitzDrift:
 
 def check_lipschitz(values: np.ndarray, L: float, grid: Grid,
                     H: HurstVector) -> tuple[float, bool]:
-    """Max pairwise ratio ||f(s)-f(t)|| / rho(s,t) of given values, against L."""
+    """Max pairwise ratio ||f(s)-f(t)|| / rho(s,t) of given values, against L.
+
+    values holds f on the grid points, shape (grid.n, d).
+    """
     if grid.n < 2:
         raise ValueError("need at least two grid points")
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    max_ratio = float(max_pair_ratio(vals[None], rho_pairwise(grid.points, H))[0])
+    vals = np.asarray(values, dtype=float)[None]
+    max_ratio = float(max_pair_ratio(vals, rho_pairwise(grid.points, H))[0])
     return max_ratio, max_ratio <= L * (1.0 + 1e-9)
-
-
-def lipschitz_verify(f: LipschitzDrift, grid: Grid,
-                     H: HurstVector, d: Optional[int] = None,
-                     seed: int = 0) -> tuple[float, bool]:
-    """Empirical Lipschitz ratio of the drift on a grid, against its claimed L."""
-    if d is None:
-        d = f.drift_model.d if f.kind == "field" else max(1, len(f.direction) or 1)
-    return check_lipschitz(f.evaluate(grid.points, H, d, seed), f.L, grid, H)
 
 
 @dataclass(frozen=True)
@@ -202,7 +127,6 @@ class HittingEstimate:
     ci_high: float
     n_mc: int
     r: float
-    p_hat_margin: float = float("nan")   # event relaxed by the grid-bias margin
 
     def __post_init__(self):
         if not (self.ci_low <= self.p_hat <= self.ci_high):
@@ -246,14 +170,6 @@ def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
     return pts
 
 
-def grid_bias_margin(grid_step: float, H: HurstVector) -> float:
-    """Modulus-of-continuity margin m(h) = h^(H_min) sqrt(log 1/h)."""
-    h = float(grid_step)
-    if not (0.0 < h < 1.0):
-        return 0.0
-    return h ** min(H.H) * math.sqrt(math.log(1.0 / h))
-
-
 def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
                n_mc: int, seed: int, sign: float, center) -> np.ndarray:
     """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
@@ -276,14 +192,13 @@ def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
     return np.linalg.norm(fv, axis=2).min(axis=1)
 
 
-def _estimate(dist: np.ndarray, r: float,
-              p_hat_margin: float = float("nan")) -> HittingEstimate:
+def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:
     """Fraction of replicates with distance <= r, with its Wilson interval."""
     n_mc = dist.shape[0]
     hits = int(np.sum(dist <= r))
     lo, hi = wilson_interval(hits, n_mc)
     return HittingEstimate(p_hat=hits / n_mc, ci_low=lo, ci_high=hi,
-                           n_mc=n_mc, r=float(r), p_hat_margin=p_hat_margin)
+                           n_mc=n_mc, r=float(r))
 
 
 def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
@@ -291,9 +206,7 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
                         grid_step: float) -> HittingEstimate:
     """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r).
 
-    The grid minimum overstates the continuum infimum, so p_hat is biased
-    low; p_hat_margin relaxes the threshold to r + m(grid_step) with the
-    modulus-motivated margin and brackets the bias from the other side.
+    The grid minimum overstates the continuum infimum, so p_hat is biased low.
     """
     if n_mc <= 0:
         raise ValueError("n_mc must be positive")
@@ -301,9 +214,7 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
         raise ValueError("r must be positive")
     t = np.asarray(t, dtype=float).reshape(-1)
     pts = _ball_grid(t, r, index_set, model.H, grid_step)
-    mins = _distances(model, pts, f, n_mc, seed, -1.0, 0.0)
-    margin = grid_bias_margin(grid_step, model.H)
-    return _estimate(mins, r, int(np.sum(mins <= r + margin)) / n_mc)
+    return _estimate(_distances(model, pts, f, n_mc, seed, -1.0, 0.0), r)
 
 
 def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
@@ -356,5 +267,8 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
 
     pts = np.concatenate([_stepped_grid(lo, hi, grid_step)
                           for lo, hi in index_set.boxes], axis=0)
+    # boxes that touch share points; each is sampled once, in first-seen order
+    _, first = np.unique(pts, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
     dmin = _distances(model, pts, drift, n_mc, seed, 1.0, center)
     return scaling_exponent([_estimate(dmin, delta) for delta in deltas])

@@ -75,9 +75,13 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     where no pair is kept is skipped before its norms are computed. The norms
     come from contiguous per-component slices, so no (k, pairs, d) gather is
     ever built and no grid regularity is assumed: memory is one contiguous
-    copy of each component plus two (k, n - lag) temporaries.
+    copy of each component plus two (k, n - lag) temporaries. values of any
+    other shape raise ValueError.
     """
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 3 or vals.shape[1] != rho.shape[0]:
+        raise ValueError(f"values must have shape (k, {rho.shape[0]}, d) to "
+                         f"match rho, got {vals.shape}")
     comps = [np.ascontiguousarray(vals[:, :, c]) for c in range(vals.shape[2])]
     for lag in range(1, vals.shape[1]):
         den = np.diagonal(rho, lag)

@@ -158,7 +158,7 @@ def test_08_calibration_closed_forms():
 def test_09_psi_noiseless_oracle():
     def body():
         grid = FrequencyGrid.build(10.0, 0.01)
-        est = psi_estimator(OptionModel(kind="exp", T=1.0), None, grid, 0.0, 0)
+        est = psi_estimator(OptionModel(kind="exp", T=1.0), grid, 0.0)
         assert est.well_defined
         oracle = 2j * np.arctan(grid.points)
         assert float(np.max(np.abs(est.values - oracle))) <= 1e-10
@@ -178,7 +178,7 @@ def test_10_psi_noisy_well_definedness():
         ok = np.zeros((n_rep, len(scales)), dtype=bool)
         for i in range(n_rep):
             for j, scale in enumerate(scales):
-                est = psi_estimator(model, noise, grid, scale, 123,
+                est = psi_estimator(model, grid, scale,
                                     spectral_values=samples[i])
                 ok[i, j] = est.well_defined
         assert np.all(ok[:, 0])          # smallest scale: every replicate

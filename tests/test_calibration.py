@@ -605,7 +605,7 @@ class TestDistinguishedLog:
 class TestPsiEstimator:
     def test_noiseless_oracle(self):
         g = FrequencyGrid.build(10.0, 0.01)
-        est = psi_estimator(OptionModel(), None, g, 0.0, 0)
+        est = psi_estimator(OptionModel(), g, 0.0)
         assert est.well_defined and est.failure is None
         v = g.points
         assert np.max(np.abs(est.values - 2j * np.arctan(v))) < 1e-10
@@ -614,20 +614,14 @@ class TestPsiEstimator:
 
     def test_maturity_equivariance(self):
         g = FrequencyGrid.build(5.0, 0.05)
-        a = psi_estimator(OptionModel(T=1.0), None, g, 0.0, 0)
-        b = psi_estimator(OptionModel(T=2.0), None, g, 0.0, 0)
+        a = psi_estimator(OptionModel(T=1.0), g, 0.0)
+        b = psi_estimator(OptionModel(T=2.0), g, 0.0)
         assert np.allclose(b.values, a.values / 2.0)
-
-    def test_common_randomness_reuse(self):
-        g = FrequencyGrid.build(5.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 1, 42)[0]
-        a = psi_estimator(OptionModel(), POW, g, 1e-3, 42, spectral_values=spec)
-        b = psi_estimator(OptionModel(), POW, g, 1e-3, 42)
-        assert np.array_equal(a.values, b.values)
 
     def test_small_noise_close_to_oracle(self):
         g = FrequencyGrid.build(5.0, 0.05)
-        est = psi_estimator(OptionModel(), POW, g, 1e-4, 9)
+        est = psi_estimator(OptionModel(), g, 1e-4,
+                            simulate_spectral_noise(POW, g, 1, 9)[0])
         assert est.well_defined
         assert np.max(np.abs(est.values - 2j * np.arctan(g.points))) < 1e-2
 
@@ -640,14 +634,14 @@ class TestPsiEstimator:
         spec = np.zeros_like(v, dtype=complex)
         # choose X(v_k) so 1 + iv(1+iv)(FO + X) = 0 exactly
         spec[k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
-        est = psi_estimator(OptionModel(), POW, g, 1.0, 0, spectral_values=spec)
+        est = psi_estimator(OptionModel(), g, 1.0, spectral_values=spec)
         assert not est.well_defined and est.failure == "zero-hit"
         assert np.all(np.isnan(est.values.real))
 
     def test_noisy_run_requires_noise_model(self):
         g = FrequencyGrid.build(2.0, 0.5)
-        with pytest.raises(ValueError):
-            psi_estimator(OptionModel(), None, g, 0.1, 0)
+        with pytest.raises(ValueError, match="spectral values"):
+            psi_estimator(OptionModel(), g, 0.1)
 
 
 class TestPsiVerdicts:
@@ -657,8 +651,7 @@ class TestPsiVerdicts:
     def assert_rows_match(verdicts, model, grid, scale, spec):
         failures = verdicts.failures
         for i in range(spec.shape[0]):
-            est = psi_estimator(model, POW, grid, scale, 0,
-                                spectral_values=spec[i])
+            est = psi_estimator(model, grid, scale, spectral_values=spec[i])
             assert verdicts.min_arg_modulus[i] == est.min_arg_modulus
             assert bool(verdicts.well_defined[i]) == est.well_defined
             assert failures[i] == est.failure
@@ -691,7 +684,7 @@ class TestPsiVerdicts:
         g = FrequencyGrid.build(5.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 4, 1)
         vd = psi_verdicts(OptionModel(), g, 0.0, spec)
-        est = psi_estimator(OptionModel(), None, g, 0.0, 0)
+        est = psi_estimator(OptionModel(), g, 0.0)
         assert np.all(vd.min_arg_modulus == est.min_arg_modulus)
         assert vd.failures == [None] * 4
 

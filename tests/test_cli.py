@@ -88,6 +88,14 @@ GOLDEN_CALIB_FINE = (
     "b7bb366c907223c97356763fd3e3c05616973f947bfd658f9591db2dd57e3bab",
     "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
 
+# the polarity-field-drift benchmark config at seed 101: a 129-point grid whose
+# field drift is drawn from the field's factor and rescaled by the pair walk
+GOLDEN_POLARITY_FIELD_DRIFT = (
+    {"hurst": [0.75], "grid_step": 1.0 / 128.0, "drift_kind": "field",
+     "drift_L": 0.5, "deltas": [0.2, 0.1, 0.05, 0.025], "n_mc": 600}, 101,
+    "61e468e8b6b6bd07377567de95da5d96d00b01863ed699f74fd85c89f78be03f",
+    "e0d1ebd347ca0dbee87a483e12205785a35ac88efb813f1faec336209a29965d")
+
 
 def _with_first_leaf(value, element):
     """value with its first (innermost, leftmost) number replaced by element."""
@@ -381,6 +389,11 @@ class TestReproducibility:
     def test_golden_digests_calib_sim_fine(self, tmp_path):
         over, seed, results, report = GOLDEN_CALIB_FINE
         man = self.run("calib-sim", over, tmp_path / "g", seed=seed)
+        assert man.outputs == {"results.csv": results, "report.json": report}
+
+    def test_golden_digests_polarity_field_drift(self, tmp_path):
+        over, seed, results, report = GOLDEN_POLARITY_FIELD_DRIFT
+        man = self.run("polarity-scan", over, tmp_path / "g", seed=seed)
         assert man.outputs == {"results.csv": results, "report.json": report}
 
     def test_manifest_structure(self, tmp_path):

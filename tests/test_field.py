@@ -181,6 +181,15 @@ class TestModulusStatistic:
         rep = modulus_statistic(self.paths, self.grid, self.m.H, [0.1, 0.2])
         assert np.all(rep.M[:, :] >= 0)
 
+    def test_values_on_other_grid_refused(self):
+        # every pair of both grids lies within eps, so no pair mask is partial
+        small = Grid.uniform_1d(0.0, 0.2, 10)
+        big = Grid.uniform_1d(0.0, 0.2, 20)
+        for drawn_on, grid in ((big, small), (small, big)):
+            values = sample_paths(self.m, drawn_on, 5, 1)
+            with pytest.raises(ValueError, match="shape"):
+                modulus_statistic(values, grid, self.m.H, [0.9])
+
 
 class TestModulusMatchesAllPairs:
     """modulus_statistic against an inline loop over every pair s < t."""

@@ -10,8 +10,8 @@ from anisofield.errors import Refusal
 from anisofield.field import FieldModel, Grid
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
-                                lipschitz_verify, polarity_scan,
-                                scaling_exponent, wilson_interval)
+                                polarity_scan, scaling_exponent,
+                                wilson_interval)
 from anisofield.metric import HurstVector, IndexSet
 from anisofield.seeds import derive_seed
 
@@ -25,13 +25,14 @@ def model(H=(0.75,)):
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """Shapes of every covariance factored while the test runs."""
+    """Shape and jitter of every covariance factored while the test runs."""
     calls = []
     real = fieldmod.cholesky_with_jitter
 
     def counting(cov):
-        calls.append(cov.shape)
-        return real(cov)
+        L, jitter = real(cov)
+        calls.append((cov.shape, jitter))
+        return L, jitter
 
     monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
     return calls
@@ -65,54 +66,47 @@ class TestWilsonInterval:
             covered += lo <= p <= hi
         assert 0.93 <= covered / 1000 <= 0.97
 
-    def test_ndtri_is_scipy_bit_for_bit(self):
-        # uniform q, both tails down to 1e-300 and 1 - 1e-16, the branch
-        # boundaries exp(-2) and exp(-32), and the ends 0 and 1
-        from scipy.special import ndtri
-        edge = math.exp(-2.0)
-        qs = np.concatenate([
-            np.linspace(0.0, 1.0, 20001),
-            np.random.default_rng(3).random(20000),
-            np.geomspace(1e-300, 0.5, 5000), 1.0 - np.geomspace(1e-16, 0.5, 5000),
-            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge,
-             math.exp(-32.0), 5e-324, np.nextafter(1.0, 0.0)]])
-        got = np.array([hitting.ndtri(q) for q in qs])
-        assert got[0] == -math.inf and got[20000] == math.inf
-        assert got.tobytes() == ndtri(qs).tobytes()
-        assert all(math.isnan(hitting.ndtri(q)) for q in (-0.5, 1.5, math.nan))
-
     @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
-    def test_z_is_norm_ppf_bit_for_bit(self, monkeypatch, confidence):
+    def test_z_is_norm_ppf_bit_for_bit(self, confidence):
+        # the interval's z is the 95% quantile of norm.ppf and scipy's ndtri,
+        # bit for bit, and no other level's: at 0.95 the interval equals the
+        # formula at norm.ppf's z, at a lower level it contains the formula's
+        # interval strictly, at a higher one it lies strictly inside it
+        from scipy.special import ndtri
         from scipy.stats import norm
-        real, zs = hitting.ndtri, []
-
-        def recording(q):
-            zs.append(float(real(q)))
-            return zs[-1]
-
-        monkeypatch.setattr(hitting, "ndtri", recording)
-        lo, hi = wilson_interval(7, 40, confidence)
+        q95 = 0.5 + 0.95 / 2.0
+        assert (hitting._Z95.hex() == float(norm.ppf(q95)).hex()
+                == float(ndtri(q95)).hex())
         z = float(norm.ppf(0.5 + confidence / 2.0))
-        assert [v.hex() for v in zs] == [z.hex()]
-        # the interval is the one a norm.ppf quantile would give
+        lo, hi = wilson_interval(7, 40)
         p, n = 7 / 40, 40
         denom = 1.0 + z * z / n
         center = (p + z * z / (2 * n)) / denom
         half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-        assert (lo, hi) == (min(p, max(0.0, center - half)),
-                            max(p, min(1.0, center + half)))
+        lo_z, hi_z = (min(p, max(0.0, center - half)),
+                      max(p, min(1.0, center + half)))
+        if confidence == 0.95:
+            assert (lo, hi) == (lo_z, hi_z)
+        elif confidence < 0.95:
+            assert lo < lo_z and hi_z < hi
+        else:
+            assert lo_z < lo and hi < hi_z
 
 
 class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
-        ratio, ok = lipschitz_verify(f, Grid.uniform_1d(0, 1, 20), H075, d=2)
+        g = Grid.uniform_1d(0, 1, 20)
+        ratio, ok = check_lipschitz(f.evaluate_many(g.points, H075, 2, [0])[0],
+                                    f.L, g, H075)
         assert ratio == 0.0 and ok
 
     def test_affine_saturates_but_respects_bound(self):
         f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
                            direction=(1.0, 0.0))
-        ratio, ok = lipschitz_verify(f, Grid.uniform_1d(0, 1, 30), H075)
+        g = Grid.uniform_1d(0, 1, 30)
+        ratio, ok = check_lipschitz(f.evaluate_many(g.points, H075, 2, [0])[0],
+                                    f.L, g, H075)
         assert ok and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
 
@@ -121,7 +115,7 @@ class TestLipschitzDrift:
         g = Grid.uniform_1d(0, 1, 10)
         f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
                            direction=(1.0, 0.0))
-        vals = f.evaluate(g.points, H075, 2, seed=0)
+        vals = f.evaluate_many(g.points, H075, 2, [0])[0]
         ratio, ok = check_lipschitz(vals, 0.1, g, H075)
         assert not ok and ratio > 0.1
         # the same values pass against the honest bound
@@ -131,15 +125,22 @@ class TestLipschitzDrift:
     def test_field_drift_rescaled_exactly_tight(self):
         g = Grid.uniform_1d(0, 1, 10)
         fdrift = LipschitzDrift(kind="field", L=0.5, drift_model=model())
-        ratio, ok = lipschitz_verify(fdrift, g, H075, seed=3)
+        ratio, ok = check_lipschitz(
+            fdrift.evaluate_many(g.points, H075, 2, [3])[0], fdrift.L, g, H075)
         assert ok and ratio == pytest.approx(0.5, rel=1e-9)
 
     def test_drift_independent_of_field_stream(self):
         fdrift = LipschitzDrift(kind="field", L=1.0, drift_model=model())
         g = Grid.uniform_1d(0, 1, 12)
-        a = fdrift.evaluate(g.points, H075, 2, seed=5)
-        b = fdrift.evaluate(g.points, H075, 2, seed=5)
+        a = fdrift.evaluate_many(g.points, H075, 2, [5])[0]
+        b = fdrift.evaluate_many(g.points, H075, 2, [5])[0]
         assert np.array_equal(a, b)
+
+    def test_values_on_other_points_refused(self):
+        # a 1-D array is not one point with ten components
+        g = Grid.uniform_1d(0, 1, 10)
+        with pytest.raises(ValueError, match="shape"):
+            check_lipschitz(100 * np.linspace(0, 1, 10), 0.1, g, H075)
 
 
 class TestBatchedFieldDrift:
@@ -156,7 +157,7 @@ class TestBatchedFieldDrift:
         for i, s in enumerate(self.SEEDS):
             # one GEMM for all rows versus one row at a time: ~1e-15 apart
             np.testing.assert_allclose(
-                many[i], f.evaluate(self.GRID.points, H075, 2, seed=s),
+                many[i], f.evaluate_many(self.GRID.points, H075, 2, [s])[0],
                 rtol=1e-12)
 
     def test_every_row_rescaled_to_L(self):
@@ -203,7 +204,7 @@ class TestBatchedFieldDrift:
         f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
                            direction=(1.0, 0.0))
         many = f.evaluate_many(self.GRID.points, H075, 2, [0, 1, 2])
-        one = f.evaluate(self.GRID.points, H075, 2)
+        one = f.evaluate_many(self.GRID.points, H075, 2, [0])[0]
         assert all(np.array_equal(row, one) for row in many)
         zero = LipschitzDrift(kind="zero").evaluate_many(
             self.GRID.points, H075, 2, [0, 1])
@@ -254,13 +255,6 @@ class TestHittingProbability:
                             LipschitzDrift(kind="field", L=0.5, drift_model=m),
                             50, 2, 2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
         assert len(factor_calls) == 1
-
-    def test_margin_estimate_dominates(self):
-        m = model()
-        est = hitting_probability(m, UNIT, [0.5], 0.1,
-                                  LipschitzDrift(kind="zero"), 1000, 2,
-                                  2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
-        assert est.p_hat_margin >= est.p_hat
 
 
 class TestScalingExponent:
@@ -327,6 +321,13 @@ class TestPolarityScan:
                       LipschitzDrift(kind="field", L=0.5, drift_model=other),
                       [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
         assert len(factor_calls) == 2
+
+    def test_touching_boxes_share_points(self, factor_calls):
+        # 0.5 lies in both halves; sampled twice it makes the covariance singular
+        halves = IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
+        polarity_scan(model(), halves, LipschitzDrift(kind="zero"),
+                      [0.0, 0.0], [0.2, 0.1], 20, 0, 1 / 16)
+        assert factor_calls == [((34, 34), 0.0)]
 
     def test_field_drift_golden(self):
         # pinned from the one-replicate-at-a-time drift: batching moves no hit
