@@ -21,4 +21,4 @@ from .calibration import (FrequencyGrid, NoiseLevel, OptionModel, PsiEstimate,
                           tail_integral, total_mass)
 from .seeds import derive_seed
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -189,46 +189,33 @@ def cos_transform_many(noise: NoiseLevel, ws: np.ndarray) -> np.ndarray:
     return vals[inv].reshape(ws.shape)
 
 
-def _lag_transforms(noise: NoiseLevel, args: np.ndarray,
-                    lag_args: np.ndarray, view) -> np.ndarray:
-    """cos_transform_many(noise, args) for an n x n argument matrix with lags.
+def _spectral_covariances(noise: NoiseLevel,
+                          pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances of X1 on [0, *pos] and of X2 on pos, an evenly stepped grid.
 
-    lag_args holds one entry of args per lag, and view lays an array of
-    per-lag values out as the n x n matrix (a strided, read-only view).
-    Every entry whose own key differs from its lag's is transformed on its
-    own, so the result equals cos_transform_many bit for bit on any grid.
+    Entry (u, v) is (C(u - v) + C(u + v)) / 2 for X1 and (C(u - v) -
+    C(u + v)) / 2 for X2. On pos the key of pos_i - pos_j depends only on
+    i - j (Toeplitz) and that of pos_i + pos_j only on i + j (Hankel), so
+    one transform per lag fills both blocks: the lags pos - pos[0] and the
+    sums pos[s - s//2] + pos[s//2], laid out as strided views. The anchor
+    0 breaks the step; its row and column are C(pos), its corner C(0).
+    Both blocks are allocated first, so that a grid too large to hold them
+    fails before any transform.
     """
-    lag_keys = _w_key(lag_args)
-    out = np.array(view(np.array([_cos_transform_cached(noise, float(w))
-                                  for w in lag_keys])))
-    off = _w_key(args) != view(lag_keys)
-    out[off] = cos_transform_many(noise, args[off])
-    return out
-
-
-def _pair_transforms(noise: NoiseLevel,
-                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(q_i - q_j) and C(q_i + q_j) over a grid q, equal bit for bit to
-    cos_transform_many on the two n x n argument matrices, without its sort.
-
-    On an evenly stepped grid the key of q_i - q_j depends only on i - j
-    (Toeplitz) and that of q_i + q_j only on i + j (Hankel), so one
-    transform per lag fills each matrix. Lag i - j takes its entry from the
-    last column (i - j < 0) or the last row, lag i + j = s from
-    (s - s//2, s//2) next to the diagonal: both keep off row and column 0
-    where they can, since the anchor q_0 = 0 breaks the step. The entries
-    off their lag's key (the anchor's row and column, lags split by
-    rounding, uneven grids) take the per-entry route.
-    """
-    n = q.size
+    m = pos.size
+    cov1 = np.empty((m + 1, m + 1))
+    cov2 = np.empty((m, m))
     windows = np.lib.stride_tricks.sliding_window_view
-    minus = np.concatenate([q[:-1] - q[-1], q[-1] - q[::-1]])
-    Cm = _lag_transforms(noise, q[:, None] - q[None, :], minus,
-                         lambda lags: windows(lags, n)[:, ::-1])
-    s = np.arange(2 * n - 1)
-    Cp = _lag_transforms(noise, q[:, None] + q[None, :], q[s - s // 2] + q[s // 2],
-                         lambda lags: windows(lags, n))
-    return Cm, Cp
+    lags = cos_transform_many(noise, pos - pos[0])
+    s = np.arange(2 * m - 1)
+    H = windows(cos_transform_many(noise, pos[s - s // 2] + pos[s // 2]), m)
+    T = windows(np.concatenate([lags[:0:-1], lags]), m)[::-1]
+    np.add(T, H, out=cov1[1:, 1:])
+    cov1[1:, 1:] *= 0.5
+    np.subtract(T, H, out=cov2)
+    cov2 *= 0.5
+    cov1[0] = cov1[:, 0] = cos_transform_many(noise, np.concatenate([[0.0], pos]))
+    return cov1, cov2
 
 
 def holder_exponent(p: float) -> float:
@@ -330,39 +317,34 @@ def holder_bound_check(noise: NoiseLevel, p: float,
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Symmetric grid on I_V = [-V, -1/V] u [1/V, V] plus the anchor v = 0."""
+    """The lattice 1/V + k step on [1/V, V], its mirror image and the anchor
+    v = 0; points are derived from V and step, so the grid mirrors exactly
+    and its anchor sits at index m between m negative and m positive points.
+    """
 
     V: float
     step: float
-    points: np.ndarray
+    points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if not np.all(np.diff(pts) > 0):
-            raise ValueError("grid points must be strictly increasing")
-        inner = (np.abs(pts) < 1.0 / self.V - 1e-12) & (pts != 0.0)
-        if np.any(inner) or np.any(np.abs(pts) > self.V + 1e-12):
-            raise ValueError("grid points must lie in I_V or at the anchor 0")
-        if 0.0 not in pts:
-            raise ValueError("grid must contain the anchor v = 0")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def build(cls, V: float, step: float) -> "FrequencyGrid":
-        if V <= 1 or step <= 0:
-            raise ValueError("need V > 1 and step > 0")
+        V, step = float(self.V), float(self.step)
+        if not (1.0 < V < math.inf and 0.0 < step < math.inf):
+            raise ValueError(f"need finite V > 1 and step > 0, got V={V}, step={step}")
         pos = np.arange(1.0 / V, V + step / 2.0, step)
         pos = pos[pos <= V + 1e-12]
-        pts = np.concatenate([-pos[::-1], [0.0], pos])
-        return cls(V=float(V), step=float(step), points=pts)
+        points = np.concatenate([-pos[::-1], [0.0], pos])
+        points.flags.writeable = False  # the mirror and anchor are not re-checked
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "points", points)
 
     @property
     def anchor_index(self) -> int:
-        return int(np.searchsorted(self.points, 0.0))
+        return self.points.size // 2
 
     @property
     def positive(self) -> np.ndarray:
-        return self.points[self.points > 0]
+        return self.points[self.anchor_index + 1:]
 
 
 def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
@@ -371,33 +353,16 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     (n_samples, len(grid.points)) complex.
 
     A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
-    nonnegative frequencies are sampled; the negative side is the reflection,
-    which needs a grid mirrored about the anchor. X1 and X2 decouple (even
-    noise), each with a cosine-transform covariance and its own
-    GaussianSampler (streams "spec-cos" and "spec-sin"). Since q1 = [0, *pos],
-    the X2 transforms over pos are the trailing blocks of the X1 transforms,
-    so only one pair of transforms is assembled.
+    nonnegative frequencies are sampled; the negative side is the reflection
+    (the grid mirrors about its anchor by construction). X1 and X2 decouple
+    (even noise), each with a cosine-transform covariance and its own
+    GaussianSampler (streams "spec-cos" and "spec-sin").
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = grid.points
-    pos = grid.positive
-    m = pos.size
     a = grid.anchor_index
-    if a != m:
-        raise NumericalCheckFailed(
-            f"anchor index {a} does not split the grid into {m} negative "
-            f"and {m} positive frequencies")
-    if not np.array_equal(pts[:a], -pts[a + 1:][::-1]):
-        raise NumericalCheckFailed(
-            "negative frequencies do not mirror the positive ones, so "
-            "X(-v) = conj X(v) would pair the wrong points")
-    q1 = np.concatenate([[0.0], pos])          # X1 lives on 0 and positive v
-    cov1, Cp = _pair_transforms(noise, q1)   # cov1 holds Cm until made in place
-    cov2 = 0.5 * (cov1[1:, 1:] - Cp[1:, 1:])
-    cov1 += Cp
-    cov1 *= 0.5
-    del Cp
+    cov1, cov2 = _spectral_covariances(noise, grid.positive)
 
     cos_part = GaussianSampler.build(cov1)
     del cov1
@@ -597,6 +562,8 @@ def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     v = grid.points
     if noise_scale != 0.0 and spectral_values is None:
         raise ValueError("noisy run needs spectral values")
+    if spectral_values is not None and np.shape(spectral_values) != v.shape:
+        raise ValueError(f"spectral values must have shape ({v.size},)")
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
     min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index)

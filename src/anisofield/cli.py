@@ -68,9 +68,10 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         manifest = run_experiment(config)
     except (Refusal, ModelRejected, NumericalCheckFailed, ValueError,
-            OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
+            OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 2
     print(json.dumps({"kind": manifest.kind, "outputs": manifest.outputs},

@@ -24,7 +24,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.2.1"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -326,6 +326,10 @@ def _run_metric_check(cfg: ExperimentConfig):
 
 
 def _grid_from_box(lo, hi, n_per_axis) -> fieldmod.Grid:
+    ((lo, hi),) = metmod.IndexSet.box(lo, hi).boxes
+    if any(b <= a for a, b in zip(lo, hi)):
+        raise ValueError(f"box needs box_hi > box_lo on every axis, got "
+                         f"box_lo={list(lo)}, box_hi={list(hi)}")
     return fieldmod.Grid(points=metmod.product_grid(
         [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)]))
 
@@ -418,7 +422,7 @@ def _run_chaining_check(cfg: ExperimentConfig):
 
 def _run_calib_noiseless(cfg: ExperimentConfig):
     p: CalibNoiselessParams = cfg.params
-    grid = calib.FrequencyGrid.build(p.V, p.step)
+    grid = calib.FrequencyGrid(p.V, p.step)
     model = calib.OptionModel(kind="exp", T=p.T)
     est = calib.psi_estimator(model, grid, 0.0)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
@@ -440,7 +444,7 @@ def _run_calib_sim(cfg: ExperimentConfig):
         raise ValueError("n_replicates must be >= 1")
     noise = calib.NoiseLevel(family="power-law", a=p.noise_a, p=p.noise_p)
     noise.certify_tail()
-    grid = calib.FrequencyGrid.build(p.V, p.step)
+    grid = calib.FrequencyGrid(p.V, p.step)
     model = calib.OptionModel(kind="exp", T=p.T)
     samples = calib.simulate_spectral_noise(noise, grid, p.n_replicates,
                                             cfg.seed)

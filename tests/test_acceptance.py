@@ -157,7 +157,7 @@ def test_08_calibration_closed_forms():
 
 def test_09_psi_noiseless_oracle():
     def body():
-        grid = FrequencyGrid.build(10.0, 0.01)
+        grid = FrequencyGrid(10.0, 0.01)
         est = psi_estimator(OptionModel(kind="exp", T=1.0), grid, 0.0)
         assert est.well_defined
         oracle = 2j * np.arctan(grid.points)
@@ -170,7 +170,7 @@ def test_09_psi_noiseless_oracle():
 def test_10_psi_noisy_well_definedness():
     def body():
         noise = NoiseLevel(family="power-law", a=1.5, p=1.5)
-        grid = FrequencyGrid.build(10.0, 0.05)
+        grid = FrequencyGrid(10.0, 0.05)
         model = OptionModel(kind="exp", T=1.0)
         n_rep = 200
         samples = simulate_spectral_noise(noise, grid, n_rep, 123)

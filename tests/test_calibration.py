@@ -172,7 +172,7 @@ class TestCosCache:
 
     def test_one_miss_per_distinct_argument(self):
         # the calib-sim-fine grid: both transform pairs draw on 2001 keys
-        g = FrequencyGrid.build(10.0, 0.01)
+        g = FrequencyGrid(10.0, 0.01)
         q1 = np.concatenate([[0.0], g.positive])
         ws = np.concatenate([(q1[:, None] - q1[None, :]).ravel(),
                              (q1[:, None] + q1[None, :]).ravel()])
@@ -182,12 +182,6 @@ class TestCosCache:
         info = calibration._cos_transform_cached.cache_info()
         assert info.misses == distinct == 2001
         assert info.currsize == distinct
-
-
-def _uneven_mirrored_grid(V: float, k: int, seed: int) -> FrequencyGrid:
-    pos = np.sort(np.random.default_rng(seed).uniform(1.0 / V, V, k))
-    return FrequencyGrid(V=V, step=float("nan"),
-                         points=np.concatenate([-pos[::-1], [0.0], pos]))
 
 
 @pytest.fixture
@@ -205,39 +199,50 @@ def lookup_sizes(monkeypatch):
 
 
 class TestPairTransforms:
-    """The lag assembly of both spectral transform pairs against
+    """The lag assembly of both spectral covariance blocks against
     cos_transform_many on the full argument matrices."""
 
+    @staticmethod
+    def per_entry(noise, q1):
+        Cm = cos_transform_many(noise, q1[:, None] - q1[None, :])
+        Cp = cos_transform_many(noise, q1[:, None] + q1[None, :])
+        return 0.5 * (Cm + Cp), 0.5 * (Cm[1:, 1:] - Cp[1:, 1:])
+
     @pytest.mark.parametrize("noise,grid", [
-        (POW, FrequencyGrid.build(10.0, 0.01)),       # calib-sim-fine
-        (POW, FrequencyGrid.build(10.0, 0.013)),
-        (POW, FrequencyGrid.build(4.0, 1.0 / 3.0)),
-        (POW, FrequencyGrid.build(10.0, 1.0 / 3.0)),
-        # lags on a rounding boundary: keys split inside one lag
-        (POW, FrequencyGrid.build(5.0, 0.05000000005)),
-        # almost every entry off its lag's key
-        (POW, _uneven_mirrored_grid(4.0, 60, 3)),
-        (BUMP, FrequencyGrid.build(5.0, 0.05)),
-    ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10",
-            "rounding-boundary", "uneven", "bump"])
+        (POW, FrequencyGrid(10.0, 0.01)),       # calib-sim-fine
+        (POW, FrequencyGrid(10.0, 0.013)),
+        (POW, FrequencyGrid(4.0, 1.0 / 3.0)),
+        (POW, FrequencyGrid(10.0, 1.0 / 3.0)),
+        (BUMP, FrequencyGrid(5.0, 0.05)),
+    ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10", "bump"])
     def test_matches_cos_transform_many(self, noise, grid):
         q1 = np.concatenate([[0.0], grid.positive])
-        Cm, Cp = calibration._pair_transforms(noise, q1)
-        assert np.array_equal(
-            Cm, cos_transform_many(noise, q1[:, None] - q1[None, :]))
-        assert np.array_equal(
-            Cp, cos_transform_many(noise, q1[:, None] + q1[None, :]))
+        cov1, cov2 = calibration._spectral_covariances(noise, grid.positive)
+        ref1, ref2 = self.per_entry(noise, q1)
+        assert np.array_equal(cov1, ref1)
+        assert np.array_equal(cov2, ref2)
 
-    def test_rounding_boundary_takes_the_per_entry_route(self, lookup_sizes):
-        # the split keys of this grid reach the fallback beyond the anchor's
-        # row and column; otherwise the case above would not test it
-        g = FrequencyGrid.build(5.0, 0.05000000005)
-        q1 = np.concatenate([[0.0], g.positive])
-        calibration._pair_transforms(POW, q1)
-        assert max(lookup_sizes) > 2 * q1.size
+    def test_rounding_boundary_is_toeplitz_plus_hankel(self):
+        # keys split inside one lag: every entry of a lag takes the lag's
+        # transform, within rounding of the per-entry lookup
+        pos = FrequencyGrid(5.0, 0.05000000005).positive
+        q1 = np.concatenate([[0.0], pos])
+        cov1, cov2 = calibration._spectral_covariances(POW, pos)
+        i, j = np.indices((pos.size, pos.size))
+        T = cos_transform_many(POW, pos - pos[0])[np.abs(i - j)]
+        H = cos_transform_many(POW, pos[(i + j) - (i + j) // 2]
+                               + pos[(i + j) // 2])
+        assert np.array_equal(cov1[1:, 1:], 0.5 * (T + H))
+        assert np.array_equal(cov2, 0.5 * (T - H))
+        edge = cos_transform_many(POW, q1)
+        assert np.array_equal(cov1[0], edge) and np.array_equal(cov1[:, 0], edge)
+        ref1, ref2 = self.per_entry(POW, q1)
+        assert not np.array_equal(cov1, ref1)
+        assert np.max(np.abs(cov1 - ref1)) <= 1e-10
+        assert np.max(np.abs(cov2 - ref2)) <= 1e-10
 
     def test_no_n_squared_lookup_on_the_fine_grid(self, lookup_sizes):
-        g = FrequencyGrid.build(10.0, 0.01)
+        g = FrequencyGrid(10.0, 0.01)
         simulate_spectral_noise(POW, g, 1, 0)
         n = g.positive.size + 1
         # only the anchor's row and column leave their lag's key
@@ -422,47 +427,43 @@ class TestHolderBound:
 
 class TestFrequencyGrid:
     def test_build_structure(self):
-        g = FrequencyGrid.build(5.0, 0.1)
-        assert g.points[g.anchor_index] == 0.0
-        assert np.allclose(g.points, -g.points[::-1])
+        g = FrequencyGrid(5.0, 0.1)
         pos = g.positive
+        m = pos.size
+        assert g.anchor_index == m and g.points.size == 2 * m + 1
+        assert g.points[g.anchor_index] == 0.0
+        assert np.array_equal(g.points, -g.points[::-1])
+        assert not g.points.flags.writeable
+        assert np.allclose(np.diff(pos), 0.1, rtol=0.0, atol=1e-12)
         assert pos[0] == pytest.approx(0.2) and pos[-1] <= 5.0 + 1e-12
 
-    def test_rejects_points_in_gap(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(V=5.0, step=0.1, points=np.array([-0.05, 0.0, 0.05]))
-
-    def test_rejects_missing_anchor(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(V=5.0, step=0.1, points=np.array([0.2, 0.4]))
-
     def test_rejects_bad_build_args(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid.build(1.0, 0.1)
-        with pytest.raises(ValueError):
-            FrequencyGrid.build(5.0, 0.0)
+        for V, step in [(1.0, 0.1), (5.0, 0.0), (math.nan, 0.1), (5.0, math.nan),
+                        (math.inf, 0.1), (5.0, math.inf)]:
+            with pytest.raises(ValueError):
+                FrequencyGrid(V, step)
 
 
 class TestSpectralSimulation:
     def test_empty(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            simulate_spectral_noise(POW, FrequencyGrid.build(3.0, 0.5), 0, 0)
+            simulate_spectral_noise(POW, FrequencyGrid(3.0, 0.5), 0, 0)
 
     def test_conjugate_symmetry_exact(self):
-        g = FrequencyGrid.build(3.0, 0.25)
+        g = FrequencyGrid(3.0, 0.25)
         s = simulate_spectral_noise(POW, g, 20, 7)
         assert np.array_equal(s, np.conj(s[:, ::-1]))
         a = g.anchor_index
         assert np.all(s[:, a].imag == 0.0)
 
     def test_deterministic_and_worker_invariant(self):
-        g = FrequencyGrid.build(3.0, 0.25)
+        g = FrequencyGrid(3.0, 0.25)
         a = simulate_spectral_noise(POW, g, 50, 11)
         b = simulate_spectral_noise(POW, g, 50, 11)
         assert a.tobytes() == b.tobytes()
 
     def test_empirical_covariance_matches_ito(self):
-        g = FrequencyGrid.build(4.0, 0.5)
+        g = FrequencyGrid(4.0, 0.5)
         n = 40_000
         s = simulate_spectral_noise(POW, g, n, 3)
         a = g.anchor_index
@@ -480,7 +481,7 @@ class TestSpectralSimulation:
 
     def test_matches_four_transform_construction(self):
         # reference: separate transform pairs over [0, *pos] and over pos
-        g = FrequencyGrid.build(5.0, 0.05)
+        g = FrequencyGrid(5.0, 0.05)
         n, seed = 50, 8
         pos = g.positive
         q1 = np.concatenate([[0.0], pos])
@@ -508,7 +509,7 @@ class TestSpectralSimulation:
             return real(cov)
 
         monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
-        g = FrequencyGrid.build(3.0, 0.25)
+        g = FrequencyGrid(3.0, 0.25)
         s = simulate_spectral_noise(POW, g, 4, 0)
         m = g.positive.size
         assert calls == [(m + 1, m + 1), (m, m)]
@@ -516,23 +517,7 @@ class TestSpectralSimulation:
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
-            simulate_spectral_noise(POW, FrequencyGrid.build(2.0, 0.5), -1, 0)
-
-    def test_asymmetric_grid_is_a_typed_error(self):
-        lopsided = FrequencyGrid(V=3.0, step=1.0,
-                                 points=np.array([-2.0, 0.0, 1.0, 2.0]))
-        with pytest.raises(NumericalCheckFailed, match="anchor index"):
-            simulate_spectral_noise(POW, lopsided, 2, 0)
-
-    def test_unmirrored_grid_is_a_typed_error(self, monkeypatch):
-        # equal counts on both sides, but X(-2) = conj X(1.5) would be wrong;
-        # refused before any transform or factorization
-        skewed = FrequencyGrid(V=3.0, step=0.5,
-                               points=np.array([-2.0, -0.5, 0.0, 0.7, 1.5]))
-        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", None)
-        monkeypatch.setattr(calibration, "_pair_transforms", None)
-        with pytest.raises(NumericalCheckFailed, match="mirror"):
-            simulate_spectral_noise(POW, skewed, 2, 0)
+            simulate_spectral_noise(POW, FrequencyGrid(2.0, 0.5), -1, 0)
 
 
 class TestFourierO:
@@ -604,7 +589,7 @@ class TestDistinguishedLog:
 
 class TestPsiEstimator:
     def test_noiseless_oracle(self):
-        g = FrequencyGrid.build(10.0, 0.01)
+        g = FrequencyGrid(10.0, 0.01)
         est = psi_estimator(OptionModel(), g, 0.0)
         assert est.well_defined and est.failure is None
         v = g.points
@@ -613,20 +598,20 @@ class TestPsiEstimator:
         assert est.values[g.anchor_index] == 0.0
 
     def test_maturity_equivariance(self):
-        g = FrequencyGrid.build(5.0, 0.05)
+        g = FrequencyGrid(5.0, 0.05)
         a = psi_estimator(OptionModel(T=1.0), g, 0.0)
         b = psi_estimator(OptionModel(T=2.0), g, 0.0)
         assert np.allclose(b.values, a.values / 2.0)
 
     def test_small_noise_close_to_oracle(self):
-        g = FrequencyGrid.build(5.0, 0.05)
+        g = FrequencyGrid(5.0, 0.05)
         est = psi_estimator(OptionModel(), g, 1e-4,
                             simulate_spectral_noise(POW, g, 1, 9)[0])
         assert est.well_defined
         assert np.max(np.abs(est.values - 2j * np.arctan(g.points))) < 1e-2
 
     def test_zero_hit_reported_not_raised(self):
-        g = FrequencyGrid.build(2.0, 0.5)
+        g = FrequencyGrid(2.0, 0.5)
         # inject spectral values that drive the argument to zero at one point
         v = g.points
         FO = fourier_O(OptionModel(), v)
@@ -639,9 +624,20 @@ class TestPsiEstimator:
         assert np.all(np.isnan(est.values.real))
 
     def test_noisy_run_requires_noise_model(self):
-        g = FrequencyGrid.build(2.0, 0.5)
+        g = FrequencyGrid(2.0, 0.5)
         with pytest.raises(ValueError, match="spectral values"):
             psi_estimator(OptionModel(), g, 0.1)
+
+    def test_constant_spectral_value_refused(self):
+        g = FrequencyGrid(2.0, 0.5)
+        with pytest.raises(ValueError, match=rf"shape \({g.points.size},\)"):
+            psi_estimator(OptionModel(), g, 0.1, np.array([0.5 + 0j]))
+
+    def test_replicate_block_refused(self):
+        g = FrequencyGrid(2.0, 0.5)
+        spec = simulate_spectral_noise(POW, g, 3, 0)
+        with pytest.raises(ValueError, match=rf"shape \({g.points.size},\)"):
+            psi_estimator(OptionModel(), g, 0.1, spec)
 
 
 class TestPsiVerdicts:
@@ -658,7 +654,7 @@ class TestPsiVerdicts:
 
     def test_matches_per_row_estimator(self):
         # 300 rows span three row blocks; large scales force phase jumps
-        g = FrequencyGrid.build(10.0, 0.05)
+        g = FrequencyGrid(10.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 300, 4)
         model = OptionModel()
         seen = set()
@@ -669,7 +665,7 @@ class TestPsiVerdicts:
         assert "phase-jump" in seen and None in seen
 
     def test_zero_hit_row(self):
-        g = FrequencyGrid.build(2.0, 0.5)
+        g = FrequencyGrid(2.0, 0.5)
         v = g.points
         FO = fourier_O(OptionModel(), v)
         k = g.anchor_index + 1
@@ -681,7 +677,7 @@ class TestPsiVerdicts:
         self.assert_rows_match(vd, OptionModel(), g, 1.0, spec)
 
     def test_noiseless_rows_ignore_spectral_values(self):
-        g = FrequencyGrid.build(5.0, 0.05)
+        g = FrequencyGrid(5.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 4, 1)
         vd = psi_verdicts(OptionModel(), g, 0.0, spec)
         est = psi_estimator(OptionModel(), g, 0.0)
@@ -689,7 +685,7 @@ class TestPsiVerdicts:
         assert vd.failures == [None] * 4
 
     def test_empty_block_and_shape_check(self):
-        g = FrequencyGrid.build(2.0, 0.5)
+        g = FrequencyGrid(2.0, 0.5)
         vd = psi_verdicts(OptionModel(), g, 1.0, np.empty((0, g.points.size)))
         assert vd.min_arg_modulus.shape == (0,) and vd.failures == []
         with pytest.raises(ValueError, match="shape"):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from typing import get_origin, get_type_hints
 
 import pytest
@@ -256,6 +257,36 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["field-sim", "modulus-scan"])
+    @pytest.mark.parametrize("lo,hi,message", [
+        ("[0.0,0.0]", "[1.0]", "malformed box"),
+        ("[0.5]", "[0.5]", "box_hi > box_lo"),
+        ("[0.5]", "[0.2]", "empty or unbounded box")],
+        ids=["mismatched", "zero-width", "reversed"])
+    def test_malformed_box_exits_2(self, tmp_path, capsys, kind, lo, hi,
+                                   message):
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"box_lo={lo}",
+                   "--set", f"box_hi={hi}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
+        # about 10^7 frequencies: the covariance blocks would need hundreds of
+        # TiB, which is refused before any transform is computed
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        rc = main(["calib-sim", "--out", str(out), "--set", "V=10.0",
+                   "--set", "step=1e-6"])
+        assert time.perf_counter() - start < 10.0
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "MemoryError"
         assert not out.exists()
 
     @given(st.sampled_from(NUMERIC_KEYS), st.data())
