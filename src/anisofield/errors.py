@@ -10,13 +10,5 @@ class ModelRejected(RuntimeError):
     """Covariance factorization failed after maximal jitter, or the model is degenerate."""
 
 
-class ZeroHit(RuntimeError):
-    """A path modulus fell below the zero tolerance: the polar-set event at machine scale."""
-
-
-class PhaseJumpTooLarge(RuntimeError):
-    """An adjacent phase increment came too close to pi; the grid is under-resolved."""
-
-
 class NumericalCheckFailed(RuntimeError):
     """Two routes to the same internal quantity disagreed; the result cannot be trusted."""

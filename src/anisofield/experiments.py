@@ -24,7 +24,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.2.1"
+TOOL_VERSION = "0.2.2"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -436,6 +436,21 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
     return ["v", "re_psi", "im_psi", "abs_arg"], rows, report
 
 
+def _check_spectral_blocks_fit(V: float, step: float) -> None:
+    """Refuse, before any grid array exists, a lattice of m points whose two
+    spectral covariance blocks, 8 ((m+1)^2 + m^2) bytes, exceed physical
+    memory. V and step outside FrequencyGrid's domain are left to it."""
+    if not (1.0 < V < math.inf and 0.0 < step < math.inf):
+        return
+    m = (V - 1.0 / V) / step + 1.5  # at least the length of FrequencyGrid's arange
+    need = 8.0 * ((m + 1.0) * (m + 1.0) + m * m)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(f"the spectral covariance blocks of up to {m:.0f} "
+                          f"frequencies need {need:.3g} bytes, more than the "
+                          f"{have} bytes of physical memory")
+
+
 def _run_calib_sim(cfg: ExperimentConfig):
     p: CalibSimParams = cfg.params
     if not p.noise_scales:
@@ -444,6 +459,7 @@ def _run_calib_sim(cfg: ExperimentConfig):
         raise ValueError("n_replicates must be >= 1")
     noise = calib.NoiseLevel(family="power-law", a=p.noise_a, p=p.noise_p)
     noise.certify_tail()
+    _check_spectral_blocks_fit(p.V, p.step)
     grid = calib.FrequencyGrid(p.V, p.step)
     model = calib.OptionModel(kind="exp", T=p.T)
     samples = calib.simulate_spectral_noise(noise, grid, p.n_replicates,

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     cos_transform, cos_transform_many,
-                                    distinguished_log, fourier_O,
+                                    fourier_O,
                                     holder_bound_check,
                                     holder_exponent, ito_covariance,
                                     lambda_min_on_IV, moment_integral,
@@ -16,7 +16,7 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
                                     total_mass)
 from anisofield import calibration
 from anisofield import field as fieldmod
-from anisofield.errors import NumericalCheckFailed, PhaseJumpTooLarge, ZeroHit
+from anisofield.errors import NumericalCheckFailed
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
 POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
@@ -173,7 +173,7 @@ class TestCosCache:
     def test_one_miss_per_distinct_argument(self):
         # the calib-sim-fine grid: both transform pairs draw on 2001 keys
         g = FrequencyGrid(10.0, 0.01)
-        q1 = np.concatenate([[0.0], g.positive])
+        q1 = g.points
         ws = np.concatenate([(q1[:, None] - q1[None, :]).ravel(),
                              (q1[:, None] + q1[None, :]).ravel()])
         distinct = np.unique(np.round(np.abs(ws), 10)).size
@@ -216,7 +216,7 @@ class TestPairTransforms:
         (BUMP, FrequencyGrid(5.0, 0.05)),
     ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10", "bump"])
     def test_matches_cos_transform_many(self, noise, grid):
-        q1 = np.concatenate([[0.0], grid.positive])
+        q1 = grid.points
         cov1, cov2 = calibration._spectral_covariances(noise, grid.positive)
         ref1, ref2 = self.per_entry(noise, q1)
         assert np.array_equal(cov1, ref1)
@@ -225,8 +225,8 @@ class TestPairTransforms:
     def test_rounding_boundary_is_toeplitz_plus_hankel(self):
         # keys split inside one lag: every entry of a lag takes the lag's
         # transform, within rounding of the per-entry lookup
-        pos = FrequencyGrid(5.0, 0.05000000005).positive
-        q1 = np.concatenate([[0.0], pos])
+        q1 = FrequencyGrid(5.0, 0.05000000005).points
+        pos = q1[1:]
         cov1, cov2 = calibration._spectral_covariances(POW, pos)
         i, j = np.indices((pos.size, pos.size))
         T = cos_transform_many(POW, pos - pos[0])[np.abs(i - j)]
@@ -244,7 +244,7 @@ class TestPairTransforms:
     def test_no_n_squared_lookup_on_the_fine_grid(self, lookup_sizes):
         g = FrequencyGrid(10.0, 0.01)
         simulate_spectral_noise(POW, g, 1, 0)
-        n = g.positive.size + 1
+        n = g.points.size
         # only the anchor's row and column leave their lag's key
         assert lookup_sizes and max(lookup_sizes) <= 2 * n
 
@@ -427,12 +427,11 @@ class TestHolderBound:
 
 class TestFrequencyGrid:
     def test_build_structure(self):
+        # the anchor first, then the lattice 1/V + k step on [1/V, V]
         g = FrequencyGrid(5.0, 0.1)
         pos = g.positive
-        m = pos.size
-        assert g.anchor_index == m and g.points.size == 2 * m + 1
-        assert g.points[g.anchor_index] == 0.0
-        assert np.array_equal(g.points, -g.points[::-1])
+        assert g.points[0] == 0.0 and np.array_equal(g.points[1:], pos)
+        assert pos.size == 49 and np.all(pos > 0.0)
         assert not g.points.flags.writeable
         assert np.allclose(np.diff(pos), 0.1, rtol=0.0, atol=1e-12)
         assert pos[0] == pytest.approx(0.2) and pos[-1] <= 5.0 + 1e-12
@@ -449,13 +448,6 @@ class TestSpectralSimulation:
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             simulate_spectral_noise(POW, FrequencyGrid(3.0, 0.5), 0, 0)
 
-    def test_conjugate_symmetry_exact(self):
-        g = FrequencyGrid(3.0, 0.25)
-        s = simulate_spectral_noise(POW, g, 20, 7)
-        assert np.array_equal(s, np.conj(s[:, ::-1]))
-        a = g.anchor_index
-        assert np.all(s[:, a].imag == 0.0)
-
     def test_deterministic_and_worker_invariant(self):
         g = FrequencyGrid(3.0, 0.25)
         a = simulate_spectral_noise(POW, g, 50, 11)
@@ -466,13 +458,12 @@ class TestSpectralSimulation:
         g = FrequencyGrid(4.0, 0.5)
         n = 40_000
         s = simulate_spectral_noise(POW, g, n, 3)
-        a = g.anchor_index
         # anchor variance equals the total mass
-        var0 = float(np.var(s[:, a].real))
+        var0 = float(np.var(s[:, 0].real))
         M = total_mass(POW)
         assert abs(var0 - M) <= 5.0 * M * math.sqrt(2.0 / n)
         # real/imag variances at a positive frequency match the Ito blocks
-        k = a + 3
+        k = 3
         v = g.points[k]
         cov = ito_covariance(POW, v, v)
         for idx, part in enumerate((s[:, k].real, s[:, k].imag)):
@@ -483,8 +474,8 @@ class TestSpectralSimulation:
         # reference: separate transform pairs over [0, *pos] and over pos
         g = FrequencyGrid(5.0, 0.05)
         n, seed = 50, 8
+        q1 = g.points
         pos = g.positive
-        q1 = np.concatenate([[0.0], pos])
         cov1 = 0.5 * (cos_transform_many(POW, q1[:, None] - q1[None, :])
                       + cos_transform_many(POW, q1[:, None] + q1[None, :]))
         cov2 = 0.5 * (cos_transform_many(POW, pos[:, None] - pos[None, :])
@@ -493,11 +484,10 @@ class TestSpectralSimulation:
             cholesky_with_jitter(cov1)[0].T
         X2 = standard_normal_batch(pos.size, n, seed, "spec-sin") @ \
             cholesky_with_jitter(cov2)[0].T
-        pos_block = X1[:, 1:] + 1j * X2
-        ref = np.concatenate([np.conj(pos_block[:, ::-1]), X1[:, :1] + 0j,
-                              pos_block], axis=1)
+        ref = X1 + 1j * np.concatenate([np.zeros((n, 1)), X2], axis=1)
         s = simulate_spectral_noise(POW, g, n, seed)
         assert np.array_equal(s, ref)
+        assert np.all(s[:, 0].imag == 0.0)
 
     def test_factors_through_the_field_seam(self, monkeypatch):
         # both spectral components are factored by field.GaussianSampler
@@ -513,7 +503,7 @@ class TestSpectralSimulation:
         s = simulate_spectral_noise(POW, g, 4, 0)
         m = g.positive.size
         assert calls == [(m + 1, m + 1), (m, m)]
-        assert s.shape == (4, g.points.size) and s.dtype == complex
+        assert s.shape == (4, m + 1) and s.dtype == complex
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -539,42 +529,65 @@ class TestFourierO:
             OptionModel(T=0.0)
 
 
+def psi_along(grid: FrequencyGrid, A: np.ndarray):
+    """psi_estimator at noise scale 1 on the spectral values that make its log
+    argument A on the grid (up to rounding); A[0] is the anchor 1."""
+    v = grid.points
+    assert A.shape == v.shape and A[0] == 1.0
+    spec = np.zeros(v.size, dtype=complex)
+    spec[1:] = ((A[1:] - 1.0) / (1j * v[1:] * (1.0 + 1j * v[1:]))
+                - fourier_O(OptionModel(), v[1:]))
+    return psi_estimator(OptionModel(), grid, 1.0, spectral_values=spec)
+
+
+def lattice_of(n: int) -> FrequencyGrid:
+    """A grid of the anchor and n lattice points on [1/2, 2]."""
+    g = FrequencyGrid(2.0, 1.5 / (n - 1) if n > 1 else 2.0)
+    assert g.positive.size == n
+    return g
+
+
 class TestDistinguishedLog:
+    """psi_estimator's unwrapping on log arguments chosen through X."""
+
     def test_constant_path_is_zero(self):
-        log, jump = distinguished_log(np.ones(9, dtype=complex), 4)
-        assert np.allclose(log, 0.0) and jump == 0.0
+        est = psi_along(lattice_of(8), np.ones(9, dtype=complex))
+        assert np.allclose(est.values, 0.0) and est.max_phase_jump == 0.0
 
     def test_winding_path_oracle(self):
         # A(v) = (1+iv)^2 / (1+v^2) has modulus 1 and log = 2i arctan(v);
         # the principal-branch angle would wrap, the distinguished one does not
-        v = np.linspace(-20.0, 20.0, 4001)
-        A = (1.0 + 1j * v) ** 2 / (1.0 + v * v)
-        log, _ = distinguished_log(A, 2000)
-        assert np.max(np.abs(log - 2j * np.arctan(v))) < 1e-10
+        g = FrequencyGrid(20.0, 0.01)
+        v = g.points
+        est = psi_along(g, (1.0 + 1j * v) ** 2 / (1.0 + v * v))
+        assert np.max(np.abs(est.values - 2j * np.arctan(v))) < 1e-10
 
     def test_exp_inverts_log(self):
         rng = np.random.default_rng(5)
         steps = rng.normal(scale=0.2, size=50) + 1j * rng.normal(scale=0.2, size=50)
         z = np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-        log, _ = distinguished_log(z, 0)
-        assert np.max(np.abs(np.exp(log) - z)) < 1e-12
+        est = psi_along(lattice_of(50), z)
+        assert np.max(np.abs(np.exp(est.values) - est.arg_values)) < 1e-12
+        assert np.max(np.abs(est.arg_values - z)) < 1e-12
 
     def test_zero_hit(self):
-        z = np.array([1.0, 1e-13, 1.0], dtype=complex)
-        with pytest.raises(ZeroHit):
-            distinguished_log(z, 0)
+        est = psi_along(lattice_of(2), np.array([1.0, 1e-13, 1.0], dtype=complex))
+        assert est.failure == "zero-hit" and not est.well_defined
+        assert est.min_arg_modulus < calibration._TOL_ZERO
 
     def test_phase_jump(self):
-        z = np.array([1.0, -1.0], dtype=complex)
-        with pytest.raises(PhaseJumpTooLarge):
-            distinguished_log(z, 0)
-        # with raise_on_jump=False the jump is reported, not raised
-        _, jump = distinguished_log(z, 0, raise_on_jump=False)
-        assert jump == pytest.approx(math.pi)
+        # reported, with its size, on a path that stays well defined
+        est = psi_along(lattice_of(1), np.array([1.0, -1.0], dtype=complex))
+        assert est.failure == "phase-jump" and est.well_defined
+        assert est.max_phase_jump == pytest.approx(math.pi)
 
-    def test_anchor_must_be_one(self):
-        with pytest.raises(ValueError):
-            distinguished_log(np.array([2.0, 2.0], dtype=complex), 0)
+    def test_anchor_must_be_one(self, monkeypatch):
+        # 1 + c(0)(...) is 1 for any X since c(0) = 0, so the argument is
+        # replaced to reach the check
+        monkeypatch.setattr(calibration, "_log_argument",
+                            lambda FO, c, scale, X: np.full(FO.shape, 2.0 + 0j))
+        with pytest.raises(ValueError, match="anchor"):
+            psi_estimator(OptionModel(), lattice_of(1), 0.0)
 
     @given(st.integers(0, 2 ** 31))
     def test_branch_continuity(self, seed):
@@ -582,9 +595,9 @@ class TestDistinguishedLog:
         steps = (rng.normal(scale=0.3, size=30)
                  + 1j * rng.normal(scale=0.3, size=30))
         z = np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-        log, jump = distinguished_log(z, 0, raise_on_jump=False)
+        est = psi_along(lattice_of(30), z)
         # adjacent imaginary parts never differ by more than the raw increment
-        assert np.max(np.abs(np.diff(log.imag))) <= jump + 1e-12
+        assert np.max(np.abs(np.diff(est.values.imag))) <= est.max_phase_jump + 1e-12
 
 
 class TestPsiEstimator:
@@ -595,7 +608,7 @@ class TestPsiEstimator:
         v = g.points
         assert np.max(np.abs(est.values - 2j * np.arctan(v))) < 1e-10
         assert np.max(np.abs(np.abs(est.arg_values) - 1.0)) < 1e-10
-        assert est.values[g.anchor_index] == 0.0
+        assert est.values[0] == 0.0
 
     def test_maturity_equivariance(self):
         g = FrequencyGrid(5.0, 0.05)
@@ -615,7 +628,7 @@ class TestPsiEstimator:
         # inject spectral values that drive the argument to zero at one point
         v = g.points
         FO = fourier_O(OptionModel(), v)
-        k = g.anchor_index + 1
+        k = 1
         spec = np.zeros_like(v, dtype=complex)
         # choose X(v_k) so 1 + iv(1+iv)(FO + X) = 0 exactly
         spec[k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
@@ -668,13 +681,55 @@ class TestPsiVerdicts:
         g = FrequencyGrid(2.0, 0.5)
         v = g.points
         FO = fourier_O(OptionModel(), v)
-        k = g.anchor_index + 1
+        k = 1
         spec = np.zeros((3, v.size), dtype=complex)
         spec[1, k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
         vd = psi_verdicts(OptionModel(), g, 1.0, spec)
         assert vd.zero_hit.tolist() == [False, True, False]
         assert vd.failures[1] == "zero-hit" and np.isnan(vd.max_phase_jump[1])
         self.assert_rows_match(vd, OptionModel(), g, 1.0, spec)
+
+    @staticmethod
+    def mirrored_verdicts(model, grid, scale, spec):
+        """Verdict fields on the full path over [-V, V]: X(-v) = conj X(v)
+        mirrors the half block, and A is formed at every v of both halves."""
+        pos = grid.positive
+        v = np.concatenate([-pos[::-1], grid.points])
+        X = np.concatenate([np.conj(spec[:, :0:-1]), spec], axis=1)
+        A = 1.0 + 1j * v * (1.0 + 1j * v) * (fourier_O(model, v) + scale * X)
+        mods = np.abs(A)
+        zero = np.any(mods < calibration._TOL_ZERO, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump = np.max(np.abs(np.angle(A[:, 1:] / A[:, :-1])), axis=1)
+        labels = ["zero-hit" if z else
+                  "phase-jump" if j >= math.pi - calibration._UNWRAP_MARGIN
+                  else None for z, j in zip(zero, jump)]
+        return np.min(mods, axis=1), zero, labels
+
+    @pytest.mark.parametrize("zero_row", [False, True],
+                             ids=["phase-jumps", "zero-hit"])
+    def test_half_grid_matches_mirrored_path(self, zero_row):
+        # the half grid's verdicts against the conjugate-mirrored full path,
+        # on a random block with X(0) real whose rows grow from 1e-4 to 1
+        g = FrequencyGrid(10.0, 0.05)
+        rng = np.random.default_rng(31)
+        spec = (rng.normal(size=(200, g.points.size))
+                + 1j * rng.normal(size=(200, g.points.size)))
+        spec[:, 0] = spec[:, 0].real
+        spec *= np.geomspace(1e-4, 1.0, 200)[:, None]
+        model = OptionModel()
+        scale = 1.0
+        if zero_row:
+            v, k = g.points, 7
+            spec[3, k] = (-1.0 / (1j * v[k] * (1.0 + 1j * v[k]))
+                          - fourier_O(model, v[k]))
+        vd = psi_verdicts(model, g, scale, spec)
+        min_mod, zero, labels = self.mirrored_verdicts(model, g, scale, spec)
+        assert np.array_equal(vd.min_arg_modulus, min_mod)
+        assert np.array_equal(vd.zero_hit, zero)
+        assert vd.failures == labels
+        assert "phase-jump" in labels and None in labels
+        assert ("zero-hit" in labels) == zero_row
 
     def test_noiseless_rows_ignore_spectral_values(self):
         g = FrequencyGrid(5.0, 0.05)

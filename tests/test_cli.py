@@ -76,12 +76,15 @@ GOLDEN = [
     ("chaining-check", {},
      "be3e16b7b3ba7923181393abc1558b1f3b3a6f920c9ff7dfbb39e4bc1e9f0349",
      "9ec627ae33f106907a4c21ab17e29f895eac98445f3c110823178686d4546e8b"),
+    # re-pinned when the grid dropped its mirrored v < 0 half (tool version
+    # 0.2.2): the v >= 0 rows are unchanged, and the report's error is now
+    # taken over them alone
     ("calib-noiseless", {"V": 5.0, "step": 0.05},
-     "eff29e2b936909a16efed4bf80db80dd5426b4b15c7550153eb0866e00581ad9",
-     "bf4ffca15af8231d29b29019ec4a9599129a70bd3acc4364b649eab53769b14a"),
+     "200dbb1a8a67dd2482ea2bf999662c1a7f2067908d72f7455cc85e85ce3aa7aa",
+     "760ce7349235e90339465d3d4bf4434741630a3c11e0efe0c9d9f1dc4ae7d592"),
 ]
 
-# the calib-sim-fine benchmark config at seed 101: a 1,983-point grid, so the
+# the calib-sim-fine benchmark config at seed 101: a 992-point grid, so the
 # spectral covariances reach lags the small calib-sim entry above never has
 GOLDEN_CALIB_FINE = (
     {"V": 10.0, "step": 0.01, "noise_scales": [1e-3, 1e-2, 1e-1],
@@ -287,6 +290,34 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
         assert err["error"] == "MemoryError"
+        assert not out.exists()
+
+    def test_oversized_grid_refused_before_allocating(self, tmp_path):
+        # the bound comes from V and step alone: a child refused by it peaks
+        # near its import footprint, far below the ~10^7-point grid's arrays.
+        # A small relay starts the child, because a child forked from this
+        # process would count this process's peak RSS as its own.
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        relay = ("import os, subprocess, sys\n"
+                 "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                 "_, status, usage = os.wait4(proc.pid, 0)\n"
+                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", relay, sys.executable, "-m", "anisofield",
+             "calib-sim", "--out", str(out), "--set", "V=10.0",
+             "--set", "step=1e-6"],
+            env=env, capture_output=True, text=True)
+        rc, maxrss_kib = map(int, proc.stdout.split())
+        assert rc == 2
+        assert maxrss_kib < 80 * 1024  # ru_maxrss is in KiB on Linux
+        err = json.loads(proc.stderr)
+        assert err["error"] == "MemoryError"
+        assert "physical memory" in err["message"]
         assert not out.exists()
 
     @given(st.sampled_from(NUMERIC_KEYS), st.data())
