@@ -397,7 +397,9 @@ def _verdict_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The anchor A[:, 0] must equal 1, a modulus below _TOL_ZERO is a zero
     hit, and the jump is the largest wrapped increment between adjacent grid
-    points (NaN on zero-hit rows).
+    points (NaN on zero-hit rows). A row holding a NaN has a NaN min
+    modulus, since np.min propagates it; _failures reads that, so no further
+    pass over A is made.
     """
     if np.any(np.abs(A[:, 0] - 1.0) > 1e-9):
         raise ValueError("anchor value must equal 1")
@@ -410,11 +412,15 @@ def _verdict_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.min(mods, axis=1), zero, jump
 
 
-def _failures(zero: np.ndarray, jump: np.ndarray) -> list[Optional[str]]:
-    """"zero-hit", "phase-jump" (well defined but under-resolved) or None per row."""
+def _failures(min_mod: np.ndarray, zero: np.ndarray,
+              jump: np.ndarray) -> list[Optional[str]]:
+    """"nan", "zero-hit", "phase-jump" (well defined but under-resolved) or
+    None per row; the first two are not well defined."""
+    nan = np.isnan(min_mod)
     under_resolved = jump >= math.pi - _UNWRAP_MARGIN
-    return ["zero-hit" if z else "phase-jump" if j else None
-            for z, j in zip(zero.tolist(), under_resolved.tolist())]
+    return ["nan" if x else "zero-hit" if z else "phase-jump" if j else None
+            for x, z, j in zip(nan.tolist(), zero.tolist(),
+                               under_resolved.tolist())]
 
 
 def _unwrap(z: np.ndarray) -> np.ndarray:
@@ -442,17 +448,18 @@ def _log_argument(FO: np.ndarray, c: np.ndarray, noise_scale: float,
 class PsiVerdicts:
     """Per-replicate well-definedness of psi~, one entry per row of A."""
 
-    min_arg_modulus: np.ndarray   # min_v |A(v)|
+    min_arg_modulus: np.ndarray   # min_v |A(v)|, NaN where A holds a NaN
     zero_hit: np.ndarray          # |A| < _TOL_ZERO somewhere
     max_phase_jump: np.ndarray    # max |angle(A[j+1] / A[j])|, NaN on zero-hit
 
     @property
     def well_defined(self) -> np.ndarray:
-        return ~self.zero_hit
+        return ~self.zero_hit & ~np.isnan(self.min_arg_modulus)
 
     @property
     def failures(self) -> list[Optional[str]]:
-        return _failures(self.zero_hit, self.max_phase_jump)
+        return _failures(self.min_arg_modulus, self.zero_hit,
+                         self.max_phase_jump)
 
 
 def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
@@ -491,7 +498,7 @@ class PsiEstimate:
     """Estimator path psi~ on the frequency grid with a well-definedness verdict."""
 
     grid: FrequencyGrid
-    values: np.ndarray           # complex psi~ per grid point (NaN on zero-hit)
+    values: np.ndarray           # complex psi~ per grid point (NaN unless well defined)
     arg_values: np.ndarray       # A(v), the argument of the logarithm
     well_defined: bool
     min_arg_modulus: float
@@ -506,12 +513,13 @@ def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     X is one spectral replicate on the grid, e.g. a row of
     simulate_spectral_noise; a noisy call (noise_scale != 0) needs it. At the
     anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus below
-    _TOL_ZERO (the polar-set event at machine scale) or a too-large phase
-    increment is reported in the verdict instead of aborting; the verdict is
-    psi_verdicts' rule applied to this one row. A path that does not hit
-    zero is unwrapped through the distinguished logarithm: phase increments
-    between adjacent grid points, wrapped into (-pi, pi], are summed from
-    the anchor on. On v < 0, psi~(-v) = conj psi~(v).
+    _TOL_ZERO (the polar-set event at machine scale), a NaN in A or a
+    too-large phase increment is reported in the verdict instead of
+    aborting; the verdict is psi_verdicts' rule applied to this one row. A
+    well-defined path (no zero hit, no NaN) is unwrapped through the
+    distinguished logarithm: phase increments between adjacent grid points,
+    wrapped into (-pi, pi], are summed from the anchor on. On v < 0,
+    psi~(-v) = conj psi~(v).
     """
     v = grid.points
     if noise_scale != 0.0 and spectral_values is None:
@@ -520,13 +528,14 @@ def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
         raise ValueError(f"spectral values must have shape ({v.size},)")
     A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
-    min_mod, zero, jump = _verdict_rows(A[None, :])
-    failure = _failures(zero, jump)[0]
-    if zero[0]:
-        values = np.full(v.shape, np.nan, complex)
-    else:
+    vd = PsiVerdicts(*_verdict_rows(A[None, :]))
+    well_defined = bool(vd.well_defined[0])
+    if well_defined:
         values = _unwrap(A) / model.T
+    else:
+        values = np.full(v.shape, np.nan, complex)
     return PsiEstimate(grid=grid, values=values, arg_values=A,
-                       well_defined=not zero[0], min_arg_modulus=float(min_mod[0]),
-                       max_phase_jump=float(jump[0]),
-                       failure=failure)
+                       well_defined=well_defined,
+                       min_arg_modulus=float(vd.min_arg_modulus[0]),
+                       max_phase_jump=float(vd.max_phase_jump[0]),
+                       failure=vd.failures[0])

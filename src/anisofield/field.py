@@ -240,19 +240,21 @@ def modulus_statistic(values: np.ndarray, grid: Grid, H: HurstVector,
     rho = rho_pairwise(grid.points, H)
     # pairs with rho == 0 count toward every eps
     n_samples = values.shape[0]
+    # largest squared norms: the root is taken once, after the max, with the
+    # same bits (see metric.pair_lags)
     best = np.zeros((len(eps_sorted), n_samples))
     found = [False] * len(eps_sorted)
-    for den, num, _ in pair_lags(values, rho,
-                                 lambda den: den <= eps_sorted[-1]):
+    for den, sq, _ in pair_lags(values, rho,
+                                lambda den: den <= eps_sorted[-1]):
         for col, e in enumerate(eps_sorted):
             mask = den <= e
             if mask.any():
                 found[col] = True
-                part = num if mask.all() else num[:, mask]
-                np.maximum(best[col], part.max(axis=1), out=best[col])
+                part = sq if mask.all() else sq[mask]
+                np.maximum(best[col], part.max(axis=0), out=best[col])
     M = np.full((n_samples, len(eps_sorted)), np.nan)
     for col, e in enumerate(eps_sorted):
         if found[col]:
-            M[:, col] = best[col] / (e * np.sqrt(np.log(1.0 / e)))
+            M[:, col] = np.sqrt(best[col]) / (e * np.sqrt(np.log(1.0 / e)))
     return ModulusReport(eps=tuple(eps_sorted), M=M,
                          missing=tuple(not f for f in found))

@@ -69,20 +69,28 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     """Walk the grid pairs i < j one superdiagonal of rho at a time.
 
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
-    same points. For each lag = j - i, yields (den, num, mask): den =
-    np.diagonal(rho, lag), num the (k, n - lag) norms ||v(j) - v(i)||, and
-    mask = keep(den), the pairs of the lag that the caller reduces over. A lag
-    where no pair is kept is skipped before its norms are computed. The norms
-    come from contiguous per-component slices, so no (k, pairs, d) gather is
-    ever built and no grid regularity is assumed: memory is one contiguous
-    copy of each component plus two (k, n - lag) temporaries. values of any
-    other shape raise ValueError.
+    same points. For each lag = j - i, yields (den, sq, mask): den =
+    np.diagonal(rho, lag), sq the (n - lag, k) squared norms
+    ||v(j) - v(i)||^2 (pair i in row i), and mask = keep(den), the pairs of
+    the lag that the caller reduces over. A lag where no pair is kept is
+    skipped before its norms are computed. Each component is held
+    point-major, as one contiguous (n, k) copy, so a lag's two slices are
+    contiguous row blocks: no (k, pairs, d) gather is ever built and no grid
+    regularity is assumed. Memory is that copy per component plus two
+    (n - lag, k) temporaries. values of any other shape raise ValueError.
+
+    Squares are yielded, not norms, so that a caller can reduce before the
+    root: sqrt is correctly rounded, hence non-decreasing, and so is
+    division by a positive constant c. So max_i sqrt(sq_i) / c equals
+    sqrt(max_i sq_i) / c bit for bit, and a NaN propagates through both
+    (np.max and np.maximum, not np.fmax). A ratio over rho may be reduced
+    first only on a lag whose pairs share one distance, den == den[0] > 0.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 3 or vals.shape[1] != rho.shape[0]:
         raise ValueError(f"values must have shape (k, {rho.shape[0]}, d) to "
                          f"match rho, got {vals.shape}")
-    comps = [np.ascontiguousarray(vals[:, :, c]) for c in range(vals.shape[2])]
+    comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
     for lag in range(1, vals.shape[1]):
         den = np.diagonal(rho, lag)
         mask = keep(den)
@@ -90,12 +98,12 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
             continue
         # the squares are summed in place, in component order: the same
         # additions as a plain sum, without a fresh array per operation
-        num = comps[0][:, lag:] - comps[0][:, :-lag]
-        np.square(num, out=num)
+        sq = comps[0][lag:] - comps[0][:-lag]
+        np.square(sq, out=sq)
         for v in comps[1:]:
-            diff = v[:, lag:] - v[:, :-lag]
-            num += np.square(diff, out=diff)
-        yield den, np.sqrt(num, out=num), mask
+            diff = v[lag:] - v[:-lag]
+            sq += np.square(diff, out=diff)
+        yield den, sq, mask
 
 
 def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -103,12 +111,17 @@ def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
     same points; the result has shape (k,) and is 0 where no pair has
-    rho > 0. The pairs come from pair_lags.
+    rho > 0. The pairs come from pair_lags. A lag whose pairs share one
+    distance takes its max before the root and the division, with the same
+    bits (see pair_lags); any other lag divides pair by pair.
     """
     best = np.zeros(np.shape(values)[0])
-    for den, num, mask in pair_lags(values, rho, lambda den: den > 0):
-        ratio = num / den if mask.all() else num[:, mask] / den[mask]
-        np.maximum(best, ratio.max(axis=1), out=best)
+    for den, sq, mask in pair_lags(values, rho, lambda den: den > 0):
+        if den[0] > 0 and (den == den[0]).all():
+            lag_max = np.sqrt(sq.max(axis=0)) / den[0]
+        else:
+            lag_max = (np.sqrt(sq[mask]) / den[mask, None]).max(axis=0)
+        np.maximum(best, lag_max, out=best)
     return best
 
 

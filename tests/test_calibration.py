@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
 from anisofield import calibration
 from anisofield import field as fieldmod
 from anisofield.errors import NumericalCheckFailed
+from anisofield.experiments import ExperimentConfig, run_experiment
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
 POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
@@ -636,6 +639,15 @@ class TestPsiEstimator:
         assert not est.well_defined and est.failure == "zero-hit"
         assert np.all(np.isnan(est.values.real))
 
+    def test_nan_value_not_well_defined(self):
+        g = FrequencyGrid(2.0, 0.5)
+        spec = np.zeros(g.points.size, dtype=complex)
+        spec[2] = np.nan
+        est = psi_estimator(OptionModel(), g, 0.1, spec)
+        assert not est.well_defined and est.failure == "nan"
+        assert math.isnan(est.min_arg_modulus)
+        assert np.all(np.isnan(est.values))
+
     def test_noisy_run_requires_noise_model(self):
         g = FrequencyGrid(2.0, 0.5)
         with pytest.raises(ValueError, match="spectral values"):
@@ -688,6 +700,39 @@ class TestPsiVerdicts:
         assert vd.zero_hit.tolist() == [False, True, False]
         assert vd.failures[1] == "zero-hit" and np.isnan(vd.max_phase_jump[1])
         self.assert_rows_match(vd, OptionModel(), g, 1.0, spec)
+
+    def test_nan_row(self):
+        # not well defined and named, in every row block, with neighbours kept
+        g = FrequencyGrid(2.0, 0.5)
+        spec = np.zeros((300, g.points.size), dtype=complex)
+        spec[[1, 200], 2] = np.nan
+        vd = psi_verdicts(OptionModel(), g, 0.1, spec)
+        bad = np.isin(np.arange(300), [1, 200])
+        assert np.array_equal(vd.well_defined, ~bad)
+        assert [i for i, f in enumerate(vd.failures) if f == "nan"] == [1, 200]
+        assert set(vd.failures) == {"nan", None}
+        assert np.array_equal(np.isnan(vd.min_arg_modulus), bad)
+
+    def test_nan_row_not_counted(self, tmp_path, monkeypatch):
+        # through calib-sim: the row is written with its failure and left
+        # out of well_defined_counts
+        real = calibration.simulate_spectral_noise
+
+        def with_nan(*args, **kwargs):
+            X = real(*args, **kwargs)
+            X[1, 3] = np.nan
+            return X
+        monkeypatch.setattr(calibration, "simulate_spectral_noise", with_nan)
+        cfg = ExperimentConfig.from_dict("calib-sim", {
+            "n_replicates": 4, "V": 3.0, "step": 0.2,
+            "noise_scales": [1e-3], "out_dir": str(tmp_path / "run")})
+        run_experiment(cfg)
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["well_defined_counts"] == {"0.001": 3}
+        with open(tmp_path / "run" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["well_defined"], r["failure"]) for r in rows] == [
+            ("True", ""), ("False", "nan"), ("True", ""), ("True", "")]
 
     @staticmethod
     def mirrored_verdicts(model, grid, scale, spec):

@@ -12,6 +12,7 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                entropy_integral_closed_form, grid_cover,
                                hausdorff_premeasure, max_pair_ratio,
                                rho_distance, rho_pairwise)
+from anisofield.field import Grid, modulus_statistic
 
 H1 = HurstVector(H=(1.0,))
 H05 = HurstVector(H=(0.5,))
@@ -103,6 +104,96 @@ class TestMaxPairRatio:
         assert np.array_equal(max_pair_ratio(np.ones((2, 3, 2)), rho), [0.0, 0.0])
         single = rho_pairwise(np.zeros((1, 1)), H05)
         assert np.array_equal(max_pair_ratio(np.ones((2, 1, 2)), single), [0.0, 0.0])
+
+
+def _lattice():
+    return (np.arange(129) / 128.0)[:, None], HurstVector(H=(0.75,))
+
+
+def _linspace():
+    return np.linspace(0.0, 1.0, 37)[:, None], HurstVector(H=(0.75,))
+
+
+def _irregular_2d():
+    pts = np.random.default_rng(4).uniform(size=(15, 2))
+    pts = np.concatenate([pts, pts[[2, 7]]])   # duplicates: rho = 0 pairs
+    return pts, HurstVector(H=(0.5, 0.9))
+
+
+class TestPairReductionsBitExact:
+    """max_pair_ratio and modulus_statistic against a per-pair reference:
+    every pair's norm and ratio taken on its own, then the max, so the
+    reductions before the root must give the same bits."""
+
+    GRIDS = {"lattice": _lattice, "linspace": _linspace,
+             "irregular-2d": _irregular_2d}
+
+    @staticmethod
+    def pair_norms(vals, points, H):
+        """(rho, norm) of every pair i < j, norms of shape (k, pairs)."""
+        i, j = np.triu_indices(points.shape[0], 1)
+        diff = vals[:, j] - vals[:, i]
+        sq = diff[..., 0] * diff[..., 0]
+        for c in range(1, diff.shape[2]):
+            sq = sq + diff[..., c] * diff[..., c]
+        return rho_pairwise(points, H)[i, j], np.sqrt(sq)
+
+    def ratio_reference(self, vals, points, H):
+        rho, norm = self.pair_norms(vals, points, H)
+        best = np.zeros(vals.shape[0])
+        for p in np.flatnonzero(rho > 0):
+            best = np.maximum(best, norm[:, p] / rho[p])
+        return best
+
+    def modulus_reference(self, vals, points, H, eps):
+        rho, norm = self.pair_norms(vals, points, H)
+        M = np.full((vals.shape[0], len(eps)), np.nan)
+        for col, e in enumerate(eps):
+            if (rho <= e).any():
+                best = np.max(norm[:, rho <= e], axis=1)
+                M[:, col] = best / (e * np.sqrt(np.log(1.0 / e)))
+        return M
+
+    def test_lags_share_one_distance_only_on_the_lattice(self):
+        # the grids take both routes of max_pair_ratio
+        def shared(points, H):
+            rho = rho_pairwise(points, H)
+            return [bool((np.diagonal(rho, lag) == rho[0, lag]).all())
+                    for lag in range(1, points.shape[0])]
+        assert all(shared(*_lattice()))
+        assert sum(not s for s in shared(*_linspace())) == 28
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_max_pair_ratio(self, grid):
+        points, H = self.GRIDS[grid]()
+        vals = np.random.default_rng(11).standard_normal((5, points.shape[0], 3))
+        got = max_pair_ratio(vals, rho_pairwise(points, H))
+        assert np.array_equal(got, self.ratio_reference(vals, points, H))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_modulus_statistic(self, grid):
+        points, H = self.GRIDS[grid]()
+        vals = np.random.default_rng(12).standard_normal((5, points.shape[0], 2))
+        eps = [0.02, 0.1, 0.3, 0.9]
+        rep = modulus_statistic(vals, Grid(points=points), H, eps)
+        assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_nan_value_gives_nan(self, grid):
+        # a NaN is kept by both reductions (np.max, np.maximum, not fmax)
+        points, H = self.GRIDS[grid]()
+        vals = np.random.default_rng(13).standard_normal((3, points.shape[0], 2))
+        vals[1, 4, 1] = np.nan
+        got = max_pair_ratio(vals, rho_pairwise(points, H))
+        assert np.isnan(got).tolist() == [False, True, False]
+        assert np.array_equal(got, self.ratio_reference(vals, points, H),
+                              equal_nan=True)
+        eps = [0.9]
+        rep = modulus_statistic(vals, Grid(points=points), H, eps)
+        assert np.isnan(rep.M[:, 0]).tolist() == [False, True, False]
+        assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
+                              equal_nan=True)
 
 
 class TestBallBoundingBox:
