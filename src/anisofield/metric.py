@@ -71,13 +71,15 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
     same points. For each lag = j - i, yields (den, sq, mask): den =
     np.diagonal(rho, lag), sq the (n - lag, k) squared norms
-    ||v(j) - v(i)||^2 (pair i in row i), and mask = keep(den), the pairs of
-    the lag that the caller reduces over. A lag where no pair is kept is
-    skipped before its norms are computed. Each component is held
+    ||v(j) - v(i)||^2 (pair i in row i; a fresh array per lag, which the
+    caller may overwrite), and mask = keep(den), the pairs of the lag that
+    the caller reduces over. A lag where no pair is kept is skipped before
+    its norms are computed. Each component is held
     point-major, as one contiguous (n, k) copy, so a lag's two slices are
     contiguous row blocks: no (k, pairs, d) gather is ever built and no grid
-    regularity is assumed. Memory is that copy per component plus two
-    (n - lag, k) temporaries. values of any other shape raise ValueError.
+    regularity is assumed. Memory is that copy per component plus, per lag,
+    sq and (for d > 1) one component's difference, both (n - lag, k).
+    values of any other shape raise ValueError.
 
     Squares are yielded, not norms, so that a caller can reduce before the
     root: sqrt is correctly rounded, hence non-decreasing, and so is
@@ -120,7 +122,12 @@ def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
         if den[0] > 0 and (den == den[0]).all():
             lag_max = np.sqrt(sq.max(axis=0)) / den[0]
         else:
-            lag_max = (np.sqrt(sq[mask]) / den[mask, None]).max(axis=0)
+            # in place on sq when every pair is kept; one masked copy if not
+            if not mask.all():
+                sq, den = sq[mask], den[mask]
+            ratio = np.sqrt(sq, out=sq)
+            ratio /= den[:, None]
+            lag_max = ratio.max(axis=0)
         np.maximum(best, lag_max, out=best)
     return best
 

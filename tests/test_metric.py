@@ -162,6 +162,13 @@ class TestPairReductionsBitExact:
                     for lag in range(1, points.shape[0])]
         assert all(shared(*_lattice()))
         assert sum(not s for s in shared(*_linspace())) == 28
+        # the duplicates drop a rho == 0 pair from lags that keep others
+        points, H = _irregular_2d()
+        rho = rho_pairwise(points, H)
+        dropped = [lag for lag in range(1, points.shape[0])
+                   if (np.diagonal(rho, lag) == 0).any()]
+        assert dropped == [9, 13]
+        assert all((np.diagonal(rho, lag) > 0).any() for lag in dropped)
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_max_pair_ratio(self, grid):
