@@ -359,6 +359,7 @@ def _run_field_sim(cfg: ExperimentConfig):
 def _run_hitting_scan(cfg: ExperimentConfig):
     p: HittingScanParams = cfg.params
     model = _model(p.hurst, p.mixing)
+    fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = _drift(p.drift_kind, p.drift_L, model)
     if not p.radii:
@@ -377,6 +378,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
 def _run_polarity_scan(cfg: ExperimentConfig):
     p: PolarityScanParams = cfg.params
     model = _model(p.hurst, p.mixing)
+    fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = _drift(p.drift_kind, p.drift_L, model)
     report = hitmod.polarity_scan(model, I, drift, p.center, p.deltas,
@@ -389,6 +391,7 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     if not p.eps:
         raise ValueError("eps must be nonempty")
     model = _model(p.hurst, p.mixing)
+    fieldmod.verify_condition2(model)
     grid = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
     paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed)
     rep = fieldmod.modulus_statistic(paths, grid, model.H, list(p.eps))

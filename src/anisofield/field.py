@@ -13,11 +13,15 @@ Sampling is dense Cholesky on the full covariance, so grids are kept small
 (a few thousand points); exactness over scale. A GaussianSampler holds the
 factor of one covariance matrix and draws any number of replicates from it,
 one Philox stream per replicate; the field, a sampled drift and both parts
-of the calibration spectral process all draw through it.
+of the calibration spectral process all draw through it. Philox is
+counter-based, so a stream is only its key: standard_normals derives the
+keys of all seeds in one vectorised port of numpy's SeedSequence and draws
+every row from one generator, with the bits of Generator(Philox(seed)).
 """
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +32,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ModelRejected
 from .metric import HurstVector, pair_lags, rho_pairwise
-from .seeds import derive_seed
+from .seeds import MASK64, derive_seed
 
 JITTER_REL = 1e-10
 JITTER_REL_MAX = 1e-6
@@ -162,11 +166,92 @@ def verify_condition2(model: FieldModel) -> float:
     return lam
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+
+
+def _hash_constants(init: int, mult: int,
+                    count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of hashmix's first count calls: the hash constant
+    is multiplied by mult between its xor and its product, whatever the data."""
+    out = []
+    c = init
+    for _ in range(count):
+        nxt = (c * mult) & 0xFFFFFFFF
+        out.append((np.uint32(c), np.uint32(nxt)))
+        c = nxt
+    return out
+
+
+# mix_entropy calls hashmix once per pool word, then once per ordered pair of
+# distinct words; generate_state(2, np.uint64) hashes four words
+_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 4)
+
+
+def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), 2) uint64 Philox keys, row i equal to
+    SeedSequence(seeds[i]).generate_state(2, np.uint64).
+
+    seeds holds integers in [0, 2^64). All rows are hashed at once in uint32
+    arithmetic, which wraps like numpy's C code. A seed below 2^64 is at most
+    two little-endian 32-bit words, and SeedSequence fills a 4-word pool
+    past its entropy with the hash of 0, so every seed is mixed as the
+    words (low, high, 0, 0).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = [(seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32),
+             (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    consts = iter(_ENTROPY_HASH)
+    pool = [_hashmix(w, *next(consts)) for w in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    state = [_hashmix(w, *c).astype(np.uint64) for w, c in zip(pool, _STATE_HASH)]
+    keys = np.empty(seeds.shape + (2,), dtype=np.uint64)
+    keys[..., 0] = state[0] | (state[1] << np.uint64(32))
+    keys[..., 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
 def standard_normals(dim: int, seeds: Sequence[int]) -> np.ndarray:
-    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i])."""
+    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i]).
+
+    A seed that is not an integer raises TypeError, and one outside
+    [0, 2^64) raises ValueError, before anything is drawn. The rows have
+    the bits of Generator(Philox(seeds[i])).standard_normal(dim), drawn from
+    one generator whose state is reset to a fresh stream of the seed's key
+    before each row: counter 0 and an empty buffer.
+    """
+    seeds = [operator.index(s) for s in seeds]
+    bad = [s for s in seeds if not 0 <= s <= MASK64]
+    if bad:
+        raise ValueError(f"seed {bad[0]} outside [0, 2**64)")
     z = np.empty((len(seeds), dim))
-    for i, s in enumerate(seeds):
-        z[i] = Generator(Philox(s)).standard_normal(dim)
+    bit_gen = Philox(0)
+    gen = Generator(bit_gen)
+    fresh = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i, key in enumerate(_philox_keys(seeds)):
+        fresh["key"] = key.tolist()
+        bit_gen.state = state
+        gen.standard_normal(dim, out=z[i])
     return z
 
 

@@ -71,15 +71,18 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
     same points. For each lag = j - i, yields (den, sq, mask): den =
     np.diagonal(rho, lag), sq the (n - lag, k) squared norms
-    ||v(j) - v(i)||^2 (pair i in row i; a fresh array per lag, which the
-    caller may overwrite), and mask = keep(den), the pairs of the lag that
-    the caller reduces over. A lag where no pair is kept is skipped before
-    its norms are computed. Each component is held
+    ||v(j) - v(i)||^2 (pair i in row i), and mask = keep(den), the pairs of
+    the lag that the caller reduces over. sq is a view of the leading
+    n - lag rows of one (n, k) buffer that every lag reuses: the caller may
+    overwrite it, but it holds the next lag's squares once the walk moves
+    on, so a caller that keeps it must copy it. A lag where no pair is kept
+    is skipped before its norms are computed. Each component is held
     point-major, as one contiguous (n, k) copy, so a lag's two slices are
     contiguous row blocks: no (k, pairs, d) gather is ever built and no grid
-    regularity is assumed. Memory is that copy per component plus, per lag,
-    sq and (for d > 1) one component's difference, both (n - lag, k).
-    values of any other shape raise ValueError.
+    regularity is assumed. Memory is that copy per component plus two (n, k)
+    buffers, the squares and (for d > 1) one component's difference,
+    allocated once for the whole walk. values of any other shape raise
+    ValueError.
 
     Squares are yielded, not norms, so that a caller can reduce before the
     root: sqrt is correctly rounded, hence non-decreasing, and so is
@@ -93,17 +96,21 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
         raise ValueError(f"values must have shape (k, {rho.shape[0]}, d) to "
                          f"match rho, got {vals.shape}")
     comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
-    for lag in range(1, vals.shape[1]):
+    n = vals.shape[1]
+    sq_buf = np.empty_like(comps[0])
+    diff_buf = np.empty_like(comps[0]) if len(comps) > 1 else None
+    for lag in range(1, n):
         den = np.diagonal(rho, lag)
         mask = keep(den)
         if not mask.any():
             continue
         # the squares are summed in place, in component order: the same
-        # additions as a plain sum, without a fresh array per operation
-        sq = comps[0][lag:] - comps[0][:-lag]
+        # additions as a plain sum, written into the leading rows of the
+        # two buffers instead of fresh arrays
+        sq = np.subtract(comps[0][lag:], comps[0][:-lag], out=sq_buf[:n - lag])
         np.square(sq, out=sq)
         for v in comps[1:]:
-            diff = v[lag:] - v[:-lag]
+            diff = np.subtract(v[lag:], v[:-lag], out=diff_buf[:n - lag])
             sq += np.square(diff, out=diff)
         yield den, sq, mask
 

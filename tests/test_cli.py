@@ -278,6 +278,22 @@ class TestMainExitCodes:
         assert err["error"] == "ValueError" and message in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,sizes", [
+        ("hitting-scan", ["n_mc=50"]),
+        ("polarity-scan", ["n_mc=50", "grid_step=0.0625"]),
+        ("modulus-scan", ["n_samples=2"])])
+    def test_singular_mixing_exits_2(self, tmp_path, capsys, kind, sizes):
+        # A A^T = [[2, 2], [2, 2]] has no eigenvalue floor; the scan refuses
+        # the model before drawing, where jitter would have let it factor
+        out = tmp_path / "run"
+        argv = [kind, "--out", str(out), "--set", "mixing=[[1,1],[1,1]]"]
+        for item in sizes:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ModelRejected" and "singular" in err["message"]
+        assert not out.exists()
+
     def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
         # about 10^7 frequencies: the covariance blocks would need hundreds of
         # TiB, which is refused before any transform is computed

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from anisofield.errors import ModelRejected
-from anisofield.field import (FieldModel, GaussianSampler, Grid,
+from anisofield.field import (FieldModel, GaussianSampler, Grid, _philox_keys,
                               build_covariance, cholesky_with_jitter,
                               modulus_statistic, sample_paths,
                               standard_normal_batch, standard_normals,
@@ -150,6 +151,54 @@ class TestGaussianSampler:
         assert s.jitter > 0.0
         assert GaussianSampler.build(build_covariance(
             model_2x2(), Grid.uniform_1d(0, 1, 4))).jitter == 0.0
+
+
+def seed_sequence_keys(seeds):
+    return np.array([np.random.SeedSequence(s).generate_state(2, np.uint64)
+                     for s in seeds], dtype=np.uint64).reshape(-1, 2)
+
+
+class TestKeyedDraws:
+    """standard_normals keys one Philox per row: the keys must be numpy's
+    SeedSequence keys and the rows the bits of a fresh generator per seed."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def test_keys_match_seed_sequence_on_edge_seeds(self):
+        got = _philox_keys(np.array(self.EDGE_SEEDS, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, seed_sequence_keys(self.EDGE_SEEDS))
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_keys_match_seed_sequence(self, seeds):
+        got = _philox_keys(np.array(seeds, dtype=np.uint64))
+        assert got.shape == (len(seeds), 2)
+        assert np.array_equal(got, seed_sequence_keys(seeds))
+
+    def test_rows_equal_one_generator_per_seed(self):
+        # 992 normals per row run through the ziggurat's rejection paths, and
+        # each row must start from a fresh stream, not where the last ended
+        seeds = self.EDGE_SEEDS + [derive_seed(21, i, "field")
+                                   for i in range(200)]
+        seeds += [7, 7, 0]
+        got = standard_normals(992, seeds)
+        assert got.shape == (len(seeds), 992)
+        for row, s in zip(got, seeds):
+            expect = np.random.Generator(np.random.Philox(s)).standard_normal(992)
+            assert row.tobytes() == expect.tobytes()
+
+    def test_no_seeds(self):
+        assert standard_normals(7, []).shape == (0, 7)
+        assert _philox_keys(np.array([], dtype=np.uint64)).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_refused(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            standard_normals(3, [5, bad, 6])
+        s = GaussianSampler.build(build_covariance(model_2x2(),
+                                                   Grid.uniform_1d(0, 1, 4)))
+        with pytest.raises(ValueError, match="outside"):
+            s.draw([bad])
 
 
 class TestModulusStatistic:

@@ -11,7 +11,7 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
                                hausdorff_premeasure, max_pair_ratio,
-                               rho_distance, rho_pairwise)
+                               pair_lags, rho_distance, rho_pairwise)
 from anisofield.field import Grid, modulus_statistic
 
 H1 = HurstVector(H=(1.0,))
@@ -169,6 +169,25 @@ class TestPairReductionsBitExact:
                    if (np.diagonal(rho, lag) == 0).any()]
         assert dropped == [9, 13]
         assert all((np.diagonal(rho, lag) > 0).any() for lag in dropped)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_lags_squares_survive_buffer_reuse(self, d):
+        # every lag writes into the same two buffers: copies taken during the
+        # walk must still hold each lag's own squares afterwards
+        points, H = _linspace()
+        n = points.shape[0]
+        v = np.random.default_rng(14).standard_normal((4, n, d))
+        rho = rho_pairwise(points, H)
+        # lags with n - lag divisible by 3 are skipped
+        walked = [(n - den.size, den.copy(), sq.copy(), mask)
+                  for den, sq, mask in pair_lags(
+                      v, rho, lambda den: np.full(den.size, den.size % 3 != 0))]
+        lags = [lag for lag, *_ in walked]
+        assert lags == [lag for lag in range(1, n) if (n - lag) % 3 != 0]
+        for lag, den, sq, mask in walked:
+            assert np.array_equal(den, np.diagonal(rho, lag)) and mask.all()
+            expect = ((v[:, lag:] - v[:, :-lag]) ** 2).sum(axis=2).T
+            assert sq.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_max_pair_ratio(self, grid):
