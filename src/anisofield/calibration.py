@@ -13,9 +13,9 @@ through the distinguished (continuous, anchored at 0) logarithm. A real
 driving noise makes every quantity conjugate-symmetric in v, so the
 frequency grid holds only v >= 0.
 
-Both supported noise families are symmetric in x, so every sine transform
-of eps^2 vanishes and all covariances reduce to the cosine transform
-C(w) = int cos(wx) eps(x)^2 dx.
+The noise level is the power law eps(x) = (1+|x|)^(-a). It is symmetric in
+x, so every sine transform of eps^2 vanishes and all covariances reduce to
+the cosine transform C(w) = int cos(wx) eps(x)^2 dx.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import NumericalCheckFailed
 from .field import GaussianSampler
 
-_GL_NODES = 400  # Gauss-Legendre nodes on (0, support) for the bump family
 _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
 _W_ROUND = 10  # decimals for deduplicating transform arguments
@@ -43,45 +42,28 @@ _N_PHI = 200  # phases of that search over [0, pi); even, so 0 and pi/2 are on i
 
 @dataclass(frozen=True)
 class NoiseLevel:
-    """Noise level function eps(x) with a claimed tail exponent p.
-
-    families:
-      * "power-law": eps(x) = (1+|x|)^(-a); the tail condition
-        int (1+|x|)^p eps^2 < infinity is exactly 2a - p > 1.
-      * "bump": eps(x) = amplitude * exp(-1/(1-(x/support)^2)) on
-        (-support, support); compactly supported, every moment finite.
+    """Power-law noise level eps(x) = (1+|x|)^(-a) with a claimed tail
+    exponent p; the tail condition int (1+|x|)^p eps^2 < infinity is exactly
+    2a - p > 1.
     """
 
-    family: str
-    a: float = float("nan")
-    support: float = float("nan")
-    amplitude: float = 1.0
+    a: float
     p: float = 1.5
 
     def __post_init__(self):
-        if self.family not in ("power-law", "bump"):
-            raise ValueError(f"unknown noise family {self.family!r}")
-        if self.family == "power-law" and not (self.a > 0.5):
+        if not (self.a > 0.5):
             raise ValueError("power-law exponent a must exceed 1/2 for eps in L^2")
-        if self.family == "bump" and not (self.support > 0):
-            raise ValueError("bump support must be positive")
 
     def eps(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.family == "power-law":
-            return (1.0 + np.abs(x)) ** (-self.a)
-        inside = np.abs(x) < self.support
-        out = np.zeros_like(x)
-        u = np.clip((x[inside] / self.support) ** 2, 0.0, 1.0 - 1e-300)
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - u))
-        return out
+        return (1.0 + np.abs(x)) ** (-self.a)
 
     def certify_tail(self, p: Optional[float] = None) -> float:
         """Symbolic convergence check for int (1+|x|)^p eps^2; returns p."""
         p = self.p if p is None else float(p)
         if p <= 1:
             raise ValueError("tail exponent p must exceed 1")
-        if self.family == "power-law" and not (2.0 * self.a - p > 1.0):
+        if not (2.0 * self.a - p > 1.0):
             raise ValueError(
                 f"tail integral diverges: need 2a - p > 1, got "
                 f"2*{self.a:g} - {p:g} = {2 * self.a - p:g} <= 1")
@@ -89,11 +71,9 @@ class NoiseLevel:
 
 
 def tail_integral(noise: NoiseLevel, p: float) -> float:
-    """int (1+|x|)^p eps(x)^2 dx; closed form 2 / (2a - p - 1) for the power law."""
+    """int (1+|x|)^p eps(x)^2 dx, in closed form 2 / (2a - p - 1)."""
     noise.certify_tail(p)
-    if noise.family == "power-law":
-        return 2.0 / (2.0 * noise.a - p - 1.0)
-    return _bump_integral(noise, lambda x: (1.0 + x) ** p)
+    return 2.0 / (2.0 * noise.a - p - 1.0)
 
 
 def total_mass(noise: NoiseLevel) -> float:
@@ -104,35 +84,14 @@ def total_mass(noise: NoiseLevel) -> float:
 def moment_integral(noise: NoiseLevel, q: float) -> float:
     """int |x|^q eps(x)^2 dx.
 
-    Power-law family in closed Beta form: 2 Gamma(q+1) Gamma(2a-q-1) / Gamma(2a).
+    In closed Beta form: 2 Gamma(q+1) Gamma(2a-q-1) / Gamma(2a).
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if noise.family == "power-law":
-        if not (2.0 * noise.a - q - 1.0 > 0):
-            raise ValueError("moment diverges: need 2a - q > 1")
-        return (2.0 * math.gamma(q + 1.0) * math.gamma(2.0 * noise.a - q - 1.0)
-                / math.gamma(2.0 * noise.a))
-    return _bump_integral(noise, lambda x: x ** q)
-
-
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _GL_NODES-point Gauss-Legendre rule on (0, 1).
-
-    Built on first use (about 20 ms), so that importing the module stays cheap.
-    """
-    from numpy.polynomial.legendre import leggauss
-    t, w = leggauss(_GL_NODES)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
-def _bump_integral(noise: NoiseLevel, f) -> float:
-    """2 int_0^support f(x) eps(x)^2 dx by Gauss-Legendre (eps^2 is C-infinity
-    and flat at the support's edge)."""
-    s, w = _gauss_legendre()
-    x = noise.support * s
-    return 2.0 * noise.support * float(np.dot(w, f(x) * noise.eps(x) ** 2))
+    if not (2.0 * noise.a - q - 1.0 > 0):
+        raise ValueError("moment diverges: need 2a - q > 1")
+    return (2.0 * math.gamma(q + 1.0) * math.gamma(2.0 * noise.a - q - 1.0)
+            / math.gamma(2.0 * noise.a))
 
 
 @functools.lru_cache(maxsize=16)
@@ -161,12 +120,10 @@ def _power_law_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=_COS_CACHE_SIZE)
 def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
-    if noise.family == "power-law":
-        if w == 0.0:
-            return 2.0 / (2.0 * noise.a - 1.0)
-        u, g = _power_law_rule(noise.a)
-        return float(np.dot(g, np.exp(-w * u)))
-    return _bump_integral(noise, lambda x: np.cos(w * x))
+    if w == 0.0:
+        return 2.0 / (2.0 * noise.a - 1.0)
+    u, g = _power_law_rule(noise.a)
+    return float(np.dot(g, np.exp(-w * u)))
 
 
 def _w_key(ws):
@@ -371,23 +328,18 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
 
 @dataclass(frozen=True)
 class OptionModel:
-    """Integrable payoff-transform function O with maturity scale T.
+    """Payoff-transform function O(x) = e^(-|x|), whose Fourier transform is
+    FO(v) = 2 / (1 + v^2), with maturity scale T."""
 
-    The test family "exp" is O(x) = e^(-|x|) with FO(v) = 2 / (1 + v^2).
-    """
-
-    kind: str = "exp"
     T: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "exp":
-            raise ValueError(f"unsupported option model kind {self.kind!r}")
         if self.T <= 0:
             raise ValueError("maturity scale T must be positive")
 
 
 def fourier_O(model: OptionModel, v) -> np.ndarray:
-    """Fourier transform of O at frequency v (closed form for the test family)."""
+    """Fourier transform of O at frequency v, in closed form."""
     v = np.asarray(v, dtype=float)
     return 2.0 / (1.0 + v * v)
 

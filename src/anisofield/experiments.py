@@ -79,9 +79,7 @@ class MetricCheckParams:
     entropy_x: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0)
     cover_radii: tuple[float, ...] = (0.5, 0.25, 0.125)
     test_grid_points: int = 10_000
-    chaining_r: float = 1.0
     chaining_beta: float = 28.0
-    chaining_n_max: int = 8
     series_d: int = 2
     series_c: float = 1.0
     series_L: float = 0.0
@@ -261,19 +259,6 @@ def _model(hurst, mixing) -> fieldmod.FieldModel:
                                mixing=tuple(mixing))
 
 
-def _drift(kind: str, L: float, model: fieldmod.FieldModel) -> hitmod.LipschitzDrift:
-    if kind == "zero":
-        return hitmod.LipschitzDrift(kind="zero")
-    if kind == "affine":
-        direction = tuple([1.0] + [0.0] * (model.d - 1))
-        return hitmod.LipschitzDrift(kind="affine", L=L,
-                                     anchor=(0.0,) * model.H.N,
-                                     direction=direction)
-    if kind == "field":
-        return hitmod.LipschitzDrift(kind="field", L=L, drift_model=model)
-    raise ValueError(f"unknown drift kind {kind!r}")
-
-
 def _scan_output(report: hitmod.ScalingReport, **extra):
     """(header, rows, report_doc) of a hitting or polarity scan; extra keys
     are added to the report."""
@@ -316,8 +301,9 @@ def _run_metric_check(cfg: ExperimentConfig):
         valid = gc.is_valid_on(test_pts)
         bound = gc.c8 * r ** (-H.Q)
         rows.append(["cover", r, gc.count, bound, valid and gc.count <= bound])
-    sched = metmod.chaining_schedule(p.chaining_r, p.chaining_beta, p.chaining_n_max)
-    rows.append(["chaining_c2", p.chaining_beta, sched.c2, "", True])
+    # c2 depends on beta alone; r and n_max only set the schedule's radii
+    c2 = metmod.chaining_schedule(1.0, p.chaining_beta, 1).c2
+    rows.append(["chaining_c2", p.chaining_beta, c2, "", True])
     partial, conv = metmod.chaining_series_bound(
         p.chaining_beta, p.series_L, p.series_c, p.series_d, H.Q, p.series_k_max)
     rows.append(["series", p.chaining_beta, partial, "", conv])
@@ -361,7 +347,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
-    drift = _drift(p.drift_kind, p.drift_L, model)
+    drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     if not p.radii:
         raise ValueError("radii must be nonempty")
     if p.ball_points_per_axis < 1:
@@ -380,7 +366,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
-    drift = _drift(p.drift_kind, p.drift_L, model)
+    drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     report = hitmod.polarity_scan(model, I, drift, p.center, p.deltas,
                                   p.n_mc, cfg.seed, p.grid_step)
     return _scan_output(report, target_exponent=model.d - model.H.Q)
@@ -426,7 +412,7 @@ def _run_chaining_check(cfg: ExperimentConfig):
 def _run_calib_noiseless(cfg: ExperimentConfig):
     p: CalibNoiselessParams = cfg.params
     grid = calib.FrequencyGrid(p.V, p.step)
-    model = calib.OptionModel(kind="exp", T=p.T)
+    model = calib.OptionModel(T=p.T)
     est = calib.psi_estimator(model, grid, 0.0)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
             zip(grid.points, est.values, est.arg_values)]
@@ -460,11 +446,11 @@ def _run_calib_sim(cfg: ExperimentConfig):
         raise ValueError("noise_scales must be nonempty")
     if p.n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
-    noise = calib.NoiseLevel(family="power-law", a=p.noise_a, p=p.noise_p)
+    noise = calib.NoiseLevel(a=p.noise_a, p=p.noise_p)
     noise.certify_tail()
     _check_spectral_blocks_fit(p.V, p.step)
     grid = calib.FrequencyGrid(p.V, p.step)
-    model = calib.OptionModel(kind="exp", T=p.T)
+    model = calib.OptionModel(T=p.T)
     samples = calib.simulate_spectral_noise(noise, grid, p.n_replicates,
                                             cfg.seed)
     verdicts = {}

@@ -6,12 +6,16 @@ the probability that the shifted field range meets a small Euclidean ball
 (expected to decay like delta^(d-Q) when Q < d). Only upper bounds are
 proved in the theory, so the fitted exponents are compared against the
 predicted exponent minus a desk-scale tolerance.
+
+A drift is zero, affine in rho(0, s), or an independent copy of the scanned
+field; each scan builds one factor, and the field and a field drift both
+draw through it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,60 +50,43 @@ class LipschitzDrift:
 
     kinds:
       * "zero"   -- f = 0;
-      * "affine" -- f(s) = L * rho(anchor, s) * direction (unit vector in R^d);
-      * "field"  -- an independently sampled Gaussian field path, rescaled on
+      * "affine" -- f(s) = L * rho(0, s) * e_1;
+      * "field"  -- an independent copy of the scanned field, rescaled on
         the evaluation grid so its empirical Lipschitz ratio equals L exactly.
     """
 
     kind: str
     L: float = 0.0
-    anchor: tuple[float, ...] = ()
-    direction: tuple[float, ...] = ()
-    drift_model: Optional[FieldModel] = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "affine", "field"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.L < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
-        if self.kind == "affine" and (not self.anchor or not self.direction):
-            raise ValueError("affine drift needs anchor and direction")
-        if self.kind == "field" and self.drift_model is None:
-            raise ValueError("field drift needs a drift model")
 
-    def evaluate_many(self, points: np.ndarray, H: HurstVector, d: int,
-                      seeds: Sequence[int]) -> np.ndarray:
-        """Drift values on the given points for each seed, shape (len(seeds), n, d).
+    def evaluate_many(self, sampler: GaussianSampler, points: np.ndarray,
+                      H: HurstVector, seeds: Sequence[int]) -> np.ndarray:
+        """Drift values on the points for each seed, shape (len(seeds), n, d).
 
-        For the "field" kind seeds[i] selects replicate i's sample path, drawn
-        from Philox(derive_seed(seeds[i], 0, "drift")); callers must use
-        seeds separate from the field's own draws. Each replicate is rescaled
-        so its empirical Lipschitz ratio on the points equals L (a path with
-        ratio 0, e.g. on fewer than two points, becomes the zero drift).
+        sampler is the scanned field's factor on the points, so d is its
+        dimension over n. For the "field" kind seeds[i] selects replicate i's
+        path, drawn through sampler from Philox(derive_seed(seeds[i], 0,
+        "drift")); callers must use seeds separate from the field's own
+        draws. Each replicate is rescaled so its empirical Lipschitz ratio on
+        the points equals L (a path with ratio 0, e.g. on fewer than two
+        points, becomes the zero drift).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, k = pts.shape[0], len(seeds)
+        d = sampler.L.shape[0] // n
         if self.kind == "zero":
             return np.zeros((k, n, d))
         if self.kind == "affine":
-            e = np.asarray(self.direction, dtype=float)
-            if e.size != d:
-                raise ValueError("direction dimension mismatch")
-            e = e / np.linalg.norm(e)
-            vals = self.L * rho_to_point(pts, self.anchor, H)
-            return np.repeat((vals[:, None] * e[None, :])[None], k, axis=0)
-        if self.drift_model.d != d:
-            raise ValueError("drift model dimension mismatch")
-        sampler = GaussianSampler.build(
-            build_covariance(self.drift_model, Grid(points=pts)))
-        return self._rescaled_draws(sampler, pts, H, seeds)
-
-    def _rescaled_draws(self, sampler: GaussianSampler, pts: np.ndarray,
-                        H: HurstVector, seeds: Sequence[int]) -> np.ndarray:
-        """Field-kind values from a factor of drift_model's covariance on pts,
-        each replicate rescaled to the claimed constant L on pts."""
+            vals = np.zeros((n, d))
+            vals[:, 0] = self.L * rho_to_point(pts, (0.0,) * H.N, H)
+            return np.repeat(vals[None], k, axis=0)
         raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds]).reshape(
-            len(seeds), pts.shape[0], self.drift_model.d)
+            k, n, d)
         ratio = max_pair_ratio(raw, rho_pairwise(pts, H))
         zero = ratio == 0.0
         raw *= (self.L / np.where(zero, 1.0, ratio))[:, None, None]
@@ -163,7 +150,7 @@ def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
                grid_step: float) -> np.ndarray:
     """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I."""
     pts = _stepped_grid(*ball_bounding_box(t, r, H), grid_step)
-    mask = (rho_to_point(pts, t, H) <= r) & I.contains(pts, atol=1e-12)
+    mask = (rho_to_point(pts, t, H) <= r) & I.contains(pts)
     pts = pts[mask]
     if pts.shape[0] == 0:
         raise Refusal("the rho-ball does not intersect the index set")
@@ -175,17 +162,14 @@ def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
     """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
 
     X is drawn from stream "field" and replicate i's drift is seeded by
-    derive_seed(seed, i, "drift"); a field drift reuses the field's factor
-    when it is an independent copy of the same model. sign is the direction
-    of the drift's translation in the event: -1 for a hit on the graph of f,
-    +1 for the shifted field X + f. The shape is (n_mc,).
+    derive_seed(seed, i, "drift"); one factor serves both, so a field drift
+    is an independent copy of X. sign is the direction of the drift's
+    translation in the event: -1 for a hit on the graph of f, +1 for the
+    shifted field X + f. The shape is (n_mc,).
     """
     sampler = GaussianSampler.build(build_covariance(model, Grid(points=pts)))
     seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
-    if f.kind == "field" and f.drift_model == model:
-        fv = f._rescaled_draws(sampler, pts, model.H, seeds)
-    else:
-        fv = f.evaluate_many(pts, model.H, model.d, seeds)
+    fv = f.evaluate_many(sampler, pts, model.H, seeds)
     fv *= sign
     fv += sampler.sample(n_mc, seed, "field").reshape(fv.shape)
     fv -= center

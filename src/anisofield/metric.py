@@ -15,6 +15,7 @@ import numpy as np
 
 _C2_TERM_FLOOR = 1e-16
 _LOG_OVERFLOW = 700.0
+_CONTAINS_ATOL = 1e-12  # IndexSet.contains widens every box by this much
 
 
 @dataclass(frozen=True)
@@ -208,13 +209,17 @@ class IndexSet:
     def dim(self) -> int:
         return len(self.boxes[0][0])
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Boolean mask: which rows of points lie in the union of boxes."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask: which rows of points lie in the union of boxes, each
+        widened by _CONTAINS_ATOL. Points must have dim coordinates."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points have {pts.shape[1]} coordinates but the "
+                             f"index set has dimension {self.dim}")
         mask = np.zeros(pts.shape[0], dtype=bool)
         for lo, hi in self.boxes:
-            lo = np.asarray(lo) - atol
-            hi = np.asarray(hi) + atol
+            lo = np.asarray(lo) - _CONTAINS_ATOL
+            hi = np.asarray(hi) + _CONTAINS_ATOL
             mask |= np.all((pts >= lo) & (pts <= hi), axis=1)
         return mask
 

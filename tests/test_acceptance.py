@@ -118,7 +118,7 @@ def test_06_polarity_scaling_both_drifts():
         I = IndexSet.box([0.0], [1.0])
         deltas = [0.2, 0.1, 0.05, 0.025]
         for drift in (LipschitzDrift(kind="zero"),
-                      LipschitzDrift(kind="field", L=0.5, drift_model=m)):
+                      LipschitzDrift(kind="field", L=0.5)):
             rep = polarity_scan(m, I, drift, [0.0, 0.0], deltas,
                                 10_000, 13, 1.0 / 128.0)
             assert rep.fitted_slope >= 0.36
@@ -142,7 +142,7 @@ def test_07_modulus_of_continuity_stability():
 
 def test_08_calibration_closed_forms():
     def body():
-        noise = NoiseLevel(family="power-law", a=1.5, p=1.5)
+        noise = NoiseLevel(a=1.5, p=1.5)
         assert abs(tail_integral(noise, 1.5) - 4.0) <= 1e-8
         assert abs(total_mass(noise) - 1.0) <= 1e-8
         lams = [lambda_min_on_IV(noise, V) for V in (2.0, 5.0, 10.0)]
@@ -158,7 +158,7 @@ def test_08_calibration_closed_forms():
 def test_09_psi_noiseless_oracle():
     def body():
         grid = FrequencyGrid(10.0, 0.01)
-        est = psi_estimator(OptionModel(kind="exp", T=1.0), grid, 0.0)
+        est = psi_estimator(OptionModel(T=1.0), grid, 0.0)
         assert est.well_defined
         oracle = 2j * np.arctan(grid.points)
         assert float(np.max(np.abs(est.values - oracle))) <= 1e-10
@@ -169,9 +169,9 @@ def test_09_psi_noiseless_oracle():
 
 def test_10_psi_noisy_well_definedness():
     def body():
-        noise = NoiseLevel(family="power-law", a=1.5, p=1.5)
+        noise = NoiseLevel(a=1.5, p=1.5)
         grid = FrequencyGrid(10.0, 0.05)
-        model = OptionModel(kind="exp", T=1.0)
+        model = OptionModel(T=1.0)
         n_rep = 200
         samples = simulate_spectral_noise(noise, grid, n_rep, 123)
         scales = (1e-3, 1e-2, 1e-1)

@@ -22,8 +22,7 @@ from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import ExperimentConfig, run_experiment
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
 
-POW = NoiseLevel(family="power-law", a=1.5, p=1.5)
-BUMP = NoiseLevel(family="bump", support=2.0, amplitude=1.0, p=1.5)
+POW = NoiseLevel(a=1.5, p=1.5)
 
 
 def fourier_O_numeric(model: OptionModel, v: float) -> float:
@@ -38,53 +37,37 @@ def fourier_O_numeric(model: OptionModel, v: float) -> float:
 
 
 def quadpack_cos_transform(noise: NoiseLevel, w: float) -> float:
-    """C(w) by QUADPACK: QAWF on (0, inf) for the power law, QAWO on
-    (0, support) for the bump (the transforms' former implementation)."""
-    if noise.family == "power-law":
-        if w == 0.0:
-            return 2.0 / (2.0 * noise.a - 1.0)
-        val, _ = integrate.quad(lambda x: (1.0 + x) ** (-2.0 * noise.a),
-                                0.0, np.inf, weight="cos", wvar=w,
-                                epsabs=1e-10, limit=400)
-        return 2.0 * val
-    eps2 = lambda x: float(noise.eps(np.array(x)) ** 2)
+    """C(w) by QUADPACK's QAWF on (0, inf) (the transform's former
+    implementation)."""
     if w == 0.0:
-        val, _ = integrate.quad(eps2, 0.0, noise.support, epsabs=1e-10,
-                                limit=200)
-    else:
-        val, _ = integrate.quad(eps2, 0.0, noise.support, weight="cos",
-                                wvar=w, epsabs=1e-10, limit=400)
+        return 2.0 / (2.0 * noise.a - 1.0)
+    val, _ = integrate.quad(lambda x: (1.0 + x) ** (-2.0 * noise.a),
+                            0.0, np.inf, weight="cos", wvar=w,
+                            epsabs=1e-10, limit=400)
     return 2.0 * val
 
 
 class TestNoiseLevel:
     def test_family_validation(self):
         with pytest.raises(ValueError):
-            NoiseLevel(family="gauss")
+            NoiseLevel(a=0.5)
         with pytest.raises(ValueError):
-            NoiseLevel(family="power-law", a=0.5)
-        with pytest.raises(ValueError):
-            NoiseLevel(family="bump", support=0.0)
+            NoiseLevel(a=float("nan"))
 
     def test_eps_values(self):
         assert POW.eps(np.array(0.0)) == 1.0
         assert POW.eps(np.array(1.0)) == pytest.approx(2.0 ** -1.5)
-        assert BUMP.eps(np.array(2.0)) == 0.0
-        assert BUMP.eps(np.array(0.0)) == pytest.approx(math.exp(-1.0))
 
     def test_eps_even(self):
         xs = np.linspace(-3, 3, 31)
-        for noise in (POW, BUMP):
-            assert np.allclose(noise.eps(xs), noise.eps(-xs))
+        assert np.allclose(POW.eps(xs), POW.eps(-xs))
 
     def test_certify_tail(self):
         assert POW.certify_tail() == 1.5
         with pytest.raises(ValueError, match="diverges"):
-            NoiseLevel(family="power-law", a=1.0).certify_tail(1.5)
+            NoiseLevel(a=1.0).certify_tail(1.5)
         with pytest.raises(ValueError):
             POW.certify_tail(0.5)
-        # compact support: any p > 1 is fine
-        BUMP.certify_tail(100.0)
 
 
 class TestIntegrals:
@@ -94,13 +77,10 @@ class TestIntegrals:
 
     def test_tail_integral_divergent_rejected(self):
         with pytest.raises(ValueError):
-            tail_integral(NoiseLevel(family="power-law", a=1.0), 1.5)
+            tail_integral(NoiseLevel(a=1.0), 1.5)
 
     def test_total_mass_closed_form(self):
         assert total_mass(POW) == pytest.approx(1.0, abs=1e-10)
-        oracle, _ = integrate.quad(lambda x: float(BUMP.eps(np.array(x)) ** 2),
-                                   0.0, 2.0, epsabs=1e-12)
-        assert total_mass(BUMP) == pytest.approx(2.0 * oracle, abs=1e-10)
 
     def test_moment_closed_form(self):
         # 2 Gamma(q+1) Gamma(2a-q-1) / Gamma(2a) at a=1.5, q=1.5 is 3 pi / 4
@@ -144,9 +124,9 @@ class TestCosTransform:
 
     def test_many_matches_scalar(self):
         ws = np.array([[0.0, 0.7], [-0.7, 3.0]])
-        vals = cos_transform_many(BUMP, ws)
+        vals = cos_transform_many(POW, ws)
         assert vals.shape == (2, 2)
-        assert vals[0, 1] == cos_transform(BUMP, 0.7)
+        assert vals[0, 1] == cos_transform(POW, 0.7)
         assert vals[1, 0] == vals[0, 1]
 
     def test_scalar_and_vector_routes_share_the_key(self):
@@ -216,8 +196,7 @@ class TestPairTransforms:
         (POW, FrequencyGrid(10.0, 0.013)),
         (POW, FrequencyGrid(4.0, 1.0 / 3.0)),
         (POW, FrequencyGrid(10.0, 1.0 / 3.0)),
-        (BUMP, FrequencyGrid(5.0, 0.05)),
-    ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10", "bump"])
+    ], ids=["fine", "step-0.013", "step-1/3-V4", "step-1/3-V10"])
     def test_matches_cos_transform_many(self, noise, grid):
         q1 = grid.points
         cov1, cov2 = calibration._spectral_covariances(noise, grid.positive)
@@ -258,7 +237,7 @@ class TestQuadpackOracle:
 
     @pytest.mark.parametrize("a", [0.6, 0.75, 1.0, 1.5, 3.0])
     def test_power_law_transform(self, a):
-        noise = NoiseLevel(family="power-law", a=a, p=1.05)
+        noise = NoiseLevel(a=a, p=1.05)
         # on arguments already rounded to the cache's _W_ROUND decimals, so
         # that both sides see the same w (C has an infinite slope at 0 for a <= 1)
         ws = np.round(np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 81),
@@ -268,48 +247,25 @@ class TestQuadpackOracle:
         want = np.array([quadpack_cos_transform(noise, w) for w in ws])
         assert np.max(np.abs(got - want)) <= 1e-10
 
-    @pytest.mark.parametrize("support,amplitude", [(0.5, 1.0), (2.0, 1.0),
-                                                   (10.0, 0.3)])
-    def test_bump_transform(self, support, amplitude):
-        noise = NoiseLevel(family="bump", support=support, amplitude=amplitude)
-        ws = np.round(np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 41)]),
-                      calibration._W_ROUND)
-        got = cos_transform_many(noise, ws)
-        want = np.array([quadpack_cos_transform(noise, w) for w in ws])
-        assert np.max(np.abs(got - want)) <= 1e-10
-
     def test_tail_integral(self):
         # the former route: QUADPACK on (0, 50) plus the analytic tail
         for a, p in [(1.5, 1.5), (1.2, 1.3), (3.0, 2.0)]:
-            noise = NoiseLevel(family="power-law", a=a, p=p)
+            noise = NoiseLevel(a=a, p=p)
             expo = p - 2.0 * a
             body, _ = integrate.quad(lambda x: (1.0 + x) ** expo, 0.0, 50.0,
                                      epsabs=1e-12, limit=200)
             old = 2.0 * (body - 51.0 ** (expo + 1.0) / (expo + 1.0))
             assert tail_integral(noise, p) == pytest.approx(old, abs=1e-8)
-        for p in (1.5, 4.0):
-            body, _ = integrate.quad(
-                lambda x: (1.0 + x) ** p * float(BUMP.eps(np.array(x)) ** 2),
-                0.0, BUMP.support, epsabs=1e-12, limit=200)
-            assert tail_integral(BUMP, p) == pytest.approx(2.0 * body, abs=1e-8)
 
     def test_moment_integral(self):
         from scipy.special import gamma
         for a, q in [(1.5, 1.5), (1.5, 0.0), (3.0, 2.0), (0.9, 0.5)]:
-            noise = NoiseLevel(family="power-law", a=a)
+            noise = NoiseLevel(a=a)
             old = 2.0 * gamma(q + 1.0) * gamma(2.0 * a - q - 1.0) / gamma(2.0 * a)
             assert moment_integral(noise, q) == pytest.approx(old, rel=1e-9)
-        for q in (0.0, 1.2, 2.0):
-            body, _ = integrate.quad(
-                lambda x: x ** q * float(BUMP.eps(np.array(x)) ** 2),
-                0.0, BUMP.support, epsabs=1e-12, limit=200)
-            assert moment_integral(BUMP, q) == pytest.approx(2.0 * body,
-                                                             rel=1e-9)
 
     @pytest.mark.parametrize("noise,V", [(POW, 2.0), (POW, 10.0),
-                                         (NoiseLevel(family="power-law", a=0.75),
-                                          5.0),
-                                         (BUMP, 3.0)])
+                                         (NoiseLevel(a=0.75), 5.0)])
     def test_lambda_min(self, noise, V):
         # the former route: the eigenvalue floor on the same v grid from
         # QUADPACK transforms, refined by scipy's bounded minimize_scalar
@@ -408,11 +364,6 @@ class TestHolderBound:
                  for v in np.linspace(-10, 10, 15)]
         worst, ok = holder_bound_check(POW, 1.5, pairs)
         assert ok and worst <= 1e-8
-
-    def test_bump_pairs_ok(self):
-        pairs = [(0.0, 0.3), (1.0, -1.0), (5.0, 5.5)]
-        _, ok = holder_bound_check(BUMP, 2.0, pairs)
-        assert ok
 
     def test_pointwise_inequality_by_quadrature(self):
         # the bound rests on 1 - cos(t) <= 2^(1-q) |t|^q for q in (0, 2]
@@ -526,8 +477,6 @@ class TestFourierO:
                                                     abs=1e-8)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            OptionModel(kind="put")
         with pytest.raises(ValueError):
             OptionModel(T=0.0)
 

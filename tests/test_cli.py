@@ -279,6 +279,38 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,sizes", [
+        ("hitting-scan", ["n_mc=20"]),
+        ("polarity-scan", ["n_mc=20", "grid_step=0.0625"])])
+    def test_box_of_another_dimension_exits_2(self, tmp_path, capsys, kind,
+                                              sizes):
+        # a 2-D box against the default 1-D Hurst vector
+        out = tmp_path / "run"
+        argv = [kind, "--out", str(out), "--set", "box_lo=[0,0]",
+                "--set", "box_hi=[1,1]"]
+        for item in sizes:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "dimension" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drift", ["zero", "affine", "field"])
+    @pytest.mark.parametrize("kind,sizes", [
+        ("hitting-scan", ["n_mc=20"]),
+        ("polarity-scan", ["n_mc=20", "grid_step=0.0625"])])
+    def test_negative_drift_L_exits_2(self, tmp_path, capsys, kind, sizes,
+                                      drift):
+        out = tmp_path / "run"
+        argv = [kind, "--out", str(out), "--set", f"drift_kind={drift}",
+                "--set", "drift_L=-1"]
+        for item in sizes:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "nonnegative" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,sizes", [
         ("hitting-scan", ["n_mc=50"]),
         ("polarity-scan", ["n_mc=50", "grid_step=0.0625"]),
         ("modulus-scan", ["n_samples=2"])])
@@ -425,6 +457,18 @@ class TestMainExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+
+    @pytest.mark.parametrize("item", ["chaining_r=0.3", "chaining_n_max=3"])
+    def test_removed_chaining_keys_exit_2(self, tmp_path, capsys, item):
+        # metric-check's c2 depends on chaining_beta alone
+        out = tmp_path / "run"
+        assert main(["metric-check", "--out", str(out), "--set", item]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "unknown config keys" in err["message"]
+        assert item.split("=")[0] in err["message"]
+        assert not out.exists()
 
 
 class TestReproducibility:

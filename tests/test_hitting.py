@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 from anisofield import field as fieldmod
 from anisofield import hitting
 from anisofield.errors import Refusal
-from anisofield.field import FieldModel, Grid
+from anisofield.field import FieldModel, GaussianSampler, Grid, build_covariance
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
                                 polarity_scan, scaling_exponent,
                                 wilson_interval)
-from anisofield.metric import HurstVector, IndexSet
+from anisofield.metric import HurstVector, IndexSet, rho_to_point
 from anisofield.seeds import derive_seed
 
 H075 = HurstVector(H=(0.75,))
@@ -21,6 +21,15 @@ UNIT = IndexSet.box([0.0], [1.0])
 
 def model(H=(0.75,)):
     return FieldModel(H=HurstVector(H=H), mixing=((1.0, 0.0), (1.0, 1.0)))
+
+
+def sampler(points):
+    """The d = 2 field's factor on the given points, as a scan builds it."""
+    return GaussianSampler.build(build_covariance(model(), Grid(points=points)))
+
+
+def drift_values(f, points, seeds):
+    return f.evaluate_many(sampler(points), points, H075, seeds)
 
 
 @pytest.fixture
@@ -97,15 +106,14 @@ class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
         g = Grid.uniform_1d(0, 1, 20)
-        ratio, ok = check_lipschitz(f.evaluate_many(g.points, H075, 2, [0])[0],
+        ratio, ok = check_lipschitz(drift_values(f, g.points, [0])[0],
                                     f.L, g, H075)
         assert ratio == 0.0 and ok
 
     def test_affine_saturates_but_respects_bound(self):
-        f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
-                           direction=(1.0, 0.0))
+        f = LipschitzDrift(kind="affine", L=2.0)
         g = Grid.uniform_1d(0, 1, 30)
-        ratio, ok = check_lipschitz(f.evaluate_many(g.points, H075, 2, [0])[0],
+        ratio, ok = check_lipschitz(drift_values(f, g.points, [0])[0],
                                     f.L, g, H075)
         assert ok and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
@@ -113,9 +121,8 @@ class TestLipschitzDrift:
     def test_violating_function_flagged(self):
         # raw values with slope 2 checked against a claimed bound of 0.1
         g = Grid.uniform_1d(0, 1, 10)
-        f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
-                           direction=(1.0, 0.0))
-        vals = f.evaluate_many(g.points, H075, 2, [0])[0]
+        f = LipschitzDrift(kind="affine", L=2.0)
+        vals = drift_values(f, g.points, [0])[0]
         ratio, ok = check_lipschitz(vals, 0.1, g, H075)
         assert not ok and ratio > 0.1
         # the same values pass against the honest bound
@@ -124,17 +131,21 @@ class TestLipschitzDrift:
 
     def test_field_drift_rescaled_exactly_tight(self):
         g = Grid.uniform_1d(0, 1, 10)
-        fdrift = LipschitzDrift(kind="field", L=0.5, drift_model=model())
+        fdrift = LipschitzDrift(kind="field", L=0.5)
         ratio, ok = check_lipschitz(
-            fdrift.evaluate_many(g.points, H075, 2, [3])[0], fdrift.L, g, H075)
+            drift_values(fdrift, g.points, [3])[0], fdrift.L, g, H075)
         assert ok and ratio == pytest.approx(0.5, rel=1e-9)
 
     def test_drift_independent_of_field_stream(self):
-        fdrift = LipschitzDrift(kind="field", L=1.0, drift_model=model())
+        fdrift = LipschitzDrift(kind="field", L=1.0)
         g = Grid.uniform_1d(0, 1, 12)
-        a = fdrift.evaluate_many(g.points, H075, 2, [5])[0]
-        b = fdrift.evaluate_many(g.points, H075, 2, [5])[0]
+        a = drift_values(fdrift, g.points, [5])[0]
+        b = drift_values(fdrift, g.points, [5])[0]
         assert np.array_equal(a, b)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown drift kind"):
+            LipschitzDrift(kind="bump", L=1.0)
 
     def test_values_on_other_points_refused(self):
         # a 1-D array is not one point with ten components
@@ -147,68 +158,64 @@ class TestBatchedFieldDrift:
     SEEDS = [derive_seed(4, i, "drift") for i in range(6)]
     GRID = Grid.uniform_1d(0, 1, 33)
 
-    def drift(self, L=0.5, m=None):
-        return LipschitzDrift(kind="field", L=L, drift_model=m or model())
+    def drift(self, L=0.5):
+        return LipschitzDrift(kind="field", L=L)
 
     def test_rows_match_single_seed_evaluate(self):
         f = self.drift()
-        many = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        many = drift_values(f, self.GRID.points, self.SEEDS)
         assert many.shape == (6, 33, 2)
         for i, s in enumerate(self.SEEDS):
             # one GEMM for all rows versus one row at a time: ~1e-15 apart
             np.testing.assert_allclose(
-                many[i], f.evaluate_many(self.GRID.points, H075, 2, [s])[0],
+                many[i], drift_values(f, self.GRID.points, [s])[0],
                 rtol=1e-12)
 
     def test_every_row_rescaled_to_L(self):
-        many = self.drift().evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
+        many = drift_values(self.drift(), self.GRID.points, self.SEEDS)
         for row in many:
             ratio, ok = check_lipschitz(row, 0.5, self.GRID, H075)
             assert ok and ratio == pytest.approx(0.5, rel=1e-9)
 
     def test_shared_sampler_gives_same_values(self, factor_calls, monkeypatch):
-        # a field drift of the field's own model is drawn from the field's
-        # factor inside _distances; that drift must equal evaluate_many's
+        # the drift drawn inside _distances, through the field's one factor,
+        # equals evaluate_many on the same sampler
         f = self.drift()
-        added = []
-        real = LipschitzDrift._rescaled_draws
+        seen = []
+        real = LipschitzDrift.evaluate_many
 
-        def recording(drift, *args):
-            out = real(drift, *args)
-            added.append(out.copy())
+        def recording(drift, smp, *args):
+            out = real(drift, smp, *args)
+            seen.append((smp, out.copy()))
             return out
 
-        monkeypatch.setattr(LipschitzDrift, "_rescaled_draws", recording)
+        monkeypatch.setattr(LipschitzDrift, "evaluate_many", recording)
         hitting._distances(model(), self.GRID.points, f, 6, 4, 1.0, 0.0)
-        assert len(added) == 1 and len(factor_calls) == 1
-        own = f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
-        assert len(factor_calls) == 2
-        assert np.array_equal(own, added[0])
-
-    def test_drift_model_dimension_checked(self):
-        m3 = FieldModel(H=H075, mixing=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                        (1.0, 1.0, 1.0)))
-        f = self.drift(m=m3)
-        with pytest.raises(ValueError, match="drift model dimension mismatch"):
-            f.evaluate_many(self.GRID.points, H075, 2, self.SEEDS)
-        # a scan of a d = 2 field refuses the d = 3 drift the same way
-        with pytest.raises(ValueError, match="drift model dimension mismatch"):
-            polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 4, 0,
-                          1.0 / 16.0)
+        assert len(seen) == 1 and len(factor_calls) == 1
+        smp, inside = seen[0]
+        assert np.array_equal(smp.L, sampler(self.GRID.points).L)
+        own = real(f, smp, self.GRID.points, H075, self.SEEDS)
+        assert np.array_equal(own, inside)
 
     def test_single_point_gives_zero_drift(self):
-        vals = self.drift().evaluate_many(np.array([[0.5]]), H075, 2, self.SEEDS)
+        vals = drift_values(self.drift(), np.array([[0.5]]), self.SEEDS)
         assert vals.shape == (6, 1, 2) and np.all(vals == 0.0)
 
     def test_deterministic_kinds_repeat_per_seed(self):
-        f = LipschitzDrift(kind="affine", L=2.0, anchor=(0.0,),
-                           direction=(1.0, 0.0))
-        many = f.evaluate_many(self.GRID.points, H075, 2, [0, 1, 2])
-        one = f.evaluate_many(self.GRID.points, H075, 2, [0])[0]
+        f = LipschitzDrift(kind="affine", L=2.0)
+        many = drift_values(f, self.GRID.points, [0, 1, 2])
+        one = drift_values(f, self.GRID.points, [0])[0]
         assert all(np.array_equal(row, one) for row in many)
-        zero = LipschitzDrift(kind="zero").evaluate_many(
-            self.GRID.points, H075, 2, [0, 1])
+        zero = drift_values(LipschitzDrift(kind="zero"), self.GRID.points, [0, 1])
         assert zero.shape == (2, 33, 2) and not zero.any()
+
+    def test_affine_is_L_rho_along_e1(self):
+        # bit for bit the outer product of L rho(0, s) with the unit vector e_1
+        f = LipschitzDrift(kind="affine", L=0.7)
+        vals = drift_values(f, self.GRID.points, [0])[0]
+        rho = rho_to_point(self.GRID.points, (0.0,), H075)
+        e1 = np.array([1.0, 0.0])
+        assert np.array_equal(vals, (0.7 * rho)[:, None] * e1[None, :])
 
 
 class TestHittingProbability:
@@ -252,7 +259,7 @@ class TestHittingProbability:
     def test_field_drift_factors_once(self, factor_calls):
         m = model()
         hitting_probability(m, UNIT, [0.5], 0.1,
-                            LipschitzDrift(kind="field", L=0.5, drift_model=m),
+                            LipschitzDrift(kind="field", L=0.5),
                             50, 2, 2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
         assert len(factor_calls) == 1
 
@@ -311,16 +318,9 @@ class TestPolarityScan:
 
     def test_field_drift_factors_once(self, factor_calls):
         m = model()
-        polarity_scan(m, UNIT, LipschitzDrift(kind="field", L=0.5, drift_model=m),
+        polarity_scan(m, UNIT, LipschitzDrift(kind="field", L=0.5),
                       [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
         assert len(factor_calls) == 1
-
-    def test_other_drift_model_factored_once_more(self, factor_calls):
-        other = FieldModel(H=HurstVector(H=(0.75,)), mixing=((2.0, 0.0), (0.0, 1.0)))
-        polarity_scan(model(), UNIT,
-                      LipschitzDrift(kind="field", L=0.5, drift_model=other),
-                      [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
-        assert len(factor_calls) == 2
 
     def test_touching_boxes_share_points(self, factor_calls):
         # 0.5 lies in both halves; sampled twice it makes the covariance singular
@@ -333,7 +333,7 @@ class TestPolarityScan:
         # pinned from the one-replicate-at-a-time drift: batching moves no hit
         m = model()
         rep = polarity_scan(m, UNIT,
-                            LipschitzDrift(kind="field", L=0.5, drift_model=m),
+                            LipschitzDrift(kind="field", L=0.5),
                             [0.0, 0.0], [0.2, 0.1, 0.05, 0.025], 600, 7, 1 / 128)
         assert [e.p_hat for e in rep.estimates] == [
             0.245, 0.12, 0.07166666666666667, 0.03333333333333333]

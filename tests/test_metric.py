@@ -245,6 +245,21 @@ class TestBallBoundingBox:
         assert np.all((pts[inside] >= lo - 1e-12) & (pts[inside] <= hi + 1e-12))
 
 
+class TestIndexSetContains:
+    def test_boxes_widened_by_1e12(self):
+        I = IndexSet(boxes=(((0.0,), (0.5,)), ((1.0,), (2.0,))))
+        pts = np.array([[0.0], [0.5 + 5e-13], [0.5 + 1e-11], [0.75],
+                        [1.0 - 5e-13], [2.0], [-1e-11]])
+        assert I.contains(pts).tolist() == [True, True, False, False,
+                                            True, True, False]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_points_of_another_width_refused(self, width):
+        # (m, 1) points would broadcast against 2-D bounds
+        with pytest.raises(ValueError, match="dimension 2"):
+            IndexSet.unit_box(2).contains(np.full((4, width), 0.5))
+
+
 class TestGridCover:
     def test_unit_interval_halves(self):
         gc = grid_cover(IndexSet.unit_box(1), 0.5, H1)
