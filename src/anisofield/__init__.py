@@ -6,14 +6,14 @@ from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      ball_bounding_box, chaining_schedule,
                      chaining_series_bound, covering_number_upper,
                      entropy_integral_closed_form, grid_cover,
-                     hausdorff_premeasure, max_pair_ratio, rho_distance)
-from .field import (FieldModel, GaussianSampler, Grid, ModulusReport,
+                     hausdorff_premeasure, max_pair_ratio)
+from .field import (FieldModel, GaussianSampler, ModulusReport,
                     build_covariance, modulus_statistic, sample_paths,
                     verify_condition1, verify_condition2)
 from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
                       check_lipschitz, hitting_probability, polarity_scan,
                       scaling_exponent, wilson_interval)
-from .calibration import (FrequencyGrid, NoiseLevel, OptionModel, PsiEstimate,
+from .calibration import (FrequencyGrid, NoiseLevel, PsiEstimate,
                           fourier_O, holder_bound_check, holder_exponent,
                           ito_covariance, lambda_min_on_IV, psi_estimator,
                           simulate_spectral_noise, tail_integral, total_mass)

@@ -11,7 +11,8 @@ Hoelder bound, and run the estimator
 
 through the distinguished (continuous, anchored at 0) logarithm. A real
 driving noise makes every quantity conjugate-symmetric in v, so the
-frequency grid holds only v >= 0.
+frequency grid holds only v >= 0. The maturity scale T only divides the
+log path, so psi_estimator takes it and psi_verdicts does not.
 
 The noise level is the power law eps(x) = (1+|x|)^(-a). It is symmetric in
 x, so every sine transform of eps^2 vanishes and all covariances reduce to
@@ -326,20 +327,9 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
     return vals
 
 
-@dataclass(frozen=True)
-class OptionModel:
-    """Payoff-transform function O(x) = e^(-|x|), whose Fourier transform is
-    FO(v) = 2 / (1 + v^2), with maturity scale T."""
-
-    T: float = 1.0
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("maturity scale T must be positive")
-
-
-def fourier_O(model: OptionModel, v) -> np.ndarray:
-    """Fourier transform of O at frequency v, in closed form."""
+def fourier_O(v) -> np.ndarray:
+    """Fourier transform FO(v) = 2 / (1 + v^2) of the payoff-transform
+    function O(x) = e^(-|x|) at frequency v."""
     v = np.asarray(v, dtype=float)
     return 2.0 / (1.0 + v * v)
 
@@ -414,7 +404,7 @@ class PsiVerdicts:
                          self.max_phase_jump)
 
 
-def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
+def psi_verdicts(grid: FrequencyGrid, noise_scale: float,
                  spectral_values: np.ndarray) -> PsiVerdicts:
     """Verdicts of psi_estimator for a (k, n) block of spectral replicates.
 
@@ -430,7 +420,7 @@ def psi_verdicts(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
     v = grid.points
     if X.ndim != 2 or X.shape[1] != v.size:
         raise ValueError(f"spectral values must have shape (k, {v.size})")
-    FO = fourier_O(model, v)
+    FO = fourier_O(v)
     c = 1j * v * (1.0 + 1j * v)
     k = X.shape[0]
     min_mod = np.empty(k)
@@ -458,32 +448,35 @@ class PsiEstimate:
     failure: Optional[str] = None
 
 
-def psi_estimator(model: OptionModel, grid: FrequencyGrid, noise_scale: float,
-                  spectral_values: Optional[np.ndarray] = None) -> PsiEstimate:
+def psi_estimator(grid: FrequencyGrid, noise_scale: float,
+                  spectral_values: Optional[np.ndarray] = None,
+                  T: float = 1.0) -> PsiEstimate:
     """psi~(v) = (1/T) log(1 + iv(1+iv)(FO(v) + noise_scale X(v))).
 
-    X is one spectral replicate on the grid, e.g. a row of
-    simulate_spectral_noise; a noisy call (noise_scale != 0) needs it. At the
-    anchor v = 0 the argument is exactly 1 and psi~(0) = 0. A modulus below
-    _TOL_ZERO (the polar-set event at machine scale), a NaN in A or a
-    too-large phase increment is reported in the verdict instead of
-    aborting; the verdict is psi_verdicts' rule applied to this one row. A
-    well-defined path (no zero hit, no NaN) is unwrapped through the
+    T > 0 is the maturity scale. X is one spectral replicate on the grid,
+    e.g. a row of simulate_spectral_noise; a noisy call (noise_scale != 0)
+    needs it. At the anchor v = 0 the argument is exactly 1 and psi~(0) = 0.
+    A modulus below _TOL_ZERO (the polar-set event at machine scale), a NaN
+    in A or a too-large phase increment is reported in the verdict instead
+    of aborting; the verdict is psi_verdicts' rule applied to this one row.
+    A well-defined path (no zero hit, no NaN) is unwrapped through the
     distinguished logarithm: phase increments between adjacent grid points,
     wrapped into (-pi, pi], are summed from the anchor on. On v < 0,
     psi~(-v) = conj psi~(v).
     """
+    if not T > 0:
+        raise ValueError("maturity scale T must be positive")
     v = grid.points
     if noise_scale != 0.0 and spectral_values is None:
         raise ValueError("noisy run needs spectral values")
     if spectral_values is not None and np.shape(spectral_values) != v.shape:
         raise ValueError(f"spectral values must have shape ({v.size},)")
-    A = _log_argument(fourier_O(model, v), 1j * v * (1.0 + 1j * v),
+    A = _log_argument(fourier_O(v), 1j * v * (1.0 + 1j * v),
                       noise_scale, spectral_values)
     vd = PsiVerdicts(*_verdict_rows(A[None, :]))
     well_defined = bool(vd.well_defined[0])
     if well_defined:
-        values = _unwrap(A) / model.T
+        values = _unwrap(A) / T
     else:
         values = np.full(v.shape, np.nan, complex)
     return PsiEstimate(grid=grid, values=values, arg_values=A,

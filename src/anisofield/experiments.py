@@ -160,7 +160,6 @@ class CalibSimParams:
     noise_p: float = 1.5
     V: float = 5.0
     step: float = 0.1
-    T: float = 1.0
     noise_scales: tuple[float, ...] = (1e-3,)
     n_replicates: int = 20
 
@@ -311,32 +310,34 @@ def _run_metric_check(cfg: ExperimentConfig):
     return ["check", "param", "value", "bound", "ok"], rows, report
 
 
-def _grid_from_box(lo, hi, n_per_axis) -> fieldmod.Grid:
+def _grid_from_box(lo, hi, n_per_axis) -> np.ndarray:
     ((lo, hi),) = metmod.IndexSet.box(lo, hi).boxes
     if any(b <= a for a, b in zip(lo, hi)):
         raise ValueError(f"box needs box_hi > box_lo on every axis, got "
                          f"box_lo={list(lo)}, box_hi={list(hi)}")
-    return fieldmod.Grid(points=metmod.product_grid(
-        [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)]))
+    if n_per_axis < 1:
+        raise ValueError(f"a grid needs >= 1 point per axis, got {n_per_axis}")
+    return metmod.product_grid(
+        [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)])
 
 
 def _run_field_sim(cfg: ExperimentConfig):
     p: FieldSimParams = cfg.params
     model = _model(p.hurst, p.mixing)
-    grid = _grid_from_box(p.box_lo, p.box_hi, p.n_grid)
+    points = _grid_from_box(p.box_lo, p.box_hi, p.n_grid)
     lam = fieldmod.verify_condition2(model)
-    max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, grid)
-    paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed)
+    max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, points)
+    paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
     rows = []
     for rep in range(p.n_samples):
-        for q in range(grid.n):
-            rows.append([rep, q] + list(grid.points[q]) + list(paths[rep, q]))
-    header = (["replicate", "point"] + [f"s{j}" for j in range(grid.N)]
+        for q, s in enumerate(points):
+            rows.append([rep, q] + list(s) + list(paths[rep, q]))
+    header = (["replicate", "point"] + [f"s{j}" for j in range(points.shape[1])]
               + [f"x{a}" for a in range(model.d)])
     report = {
         "condition1": {"max_ratio": max_ratio, "c_analytic": c_analytic, "ok": ok1},
         "condition2": {"lambda_min": lam},
-        "grid_hash": grid.digest(),
+        "grid_hash": hashlib.sha256(points.tobytes()).hexdigest(),
         "n_samples": p.n_samples,
     }
     return header, rows, report
@@ -378,9 +379,9 @@ def _run_modulus_scan(cfg: ExperimentConfig):
         raise ValueError("eps must be nonempty")
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
-    grid = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
-    paths = fieldmod.sample_paths(model, grid, p.n_samples, cfg.seed)
-    rep = fieldmod.modulus_statistic(paths, grid, model.H, list(p.eps))
+    points = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
+    paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
+    rep = fieldmod.modulus_statistic(paths, points, model.H, list(p.eps))
     rows = []
     doc_eps = {}
     for col, e in enumerate(rep.eps):
@@ -393,7 +394,7 @@ def _run_modulus_scan(cfg: ExperimentConfig):
             rows.append([e, "ok", q95, float(col_vals.mean())])
             doc_eps[str(e)] = q95
     report = {"eps_p95": doc_eps, "n_samples": p.n_samples,
-              "grid_points": grid.n}
+              "grid_points": len(points)}
     return ["eps", "status", "p95", "mean"], rows, report
 
 
@@ -412,8 +413,7 @@ def _run_chaining_check(cfg: ExperimentConfig):
 def _run_calib_noiseless(cfg: ExperimentConfig):
     p: CalibNoiselessParams = cfg.params
     grid = calib.FrequencyGrid(p.V, p.step)
-    model = calib.OptionModel(T=p.T)
-    est = calib.psi_estimator(model, grid, 0.0)
+    est = calib.psi_estimator(grid, 0.0, T=p.T)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
             zip(grid.points, est.values, est.arg_values)]
     oracle = 2.0 * np.arctan(grid.points) / p.T
@@ -450,12 +450,11 @@ def _run_calib_sim(cfg: ExperimentConfig):
     noise.certify_tail()
     _check_spectral_blocks_fit(p.V, p.step)
     grid = calib.FrequencyGrid(p.V, p.step)
-    model = calib.OptionModel(T=p.T)
     samples = calib.simulate_spectral_noise(noise, grid, p.n_replicates,
                                             cfg.seed)
     verdicts = {}
     for scale in p.noise_scales:
-        vd = calib.psi_verdicts(model, grid, scale, samples)
+        vd = calib.psi_verdicts(grid, scale, samples)
         verdicts[scale] = list(zip(vd.well_defined.tolist(),
                                    vd.min_arg_modulus.tolist(), vd.failures))
     rows = []

@@ -9,8 +9,9 @@ assumptions with explicit constants:
   1 - exp(-a) <= a and sum of squares <= square of sums;
 * an eigenvalue floor lambda = lambda_min(A A^T) > 0 for nonsingular A A^T.
 
-Sampling is dense Cholesky on the full covariance, so grids are kept small
-(a few thousand points); exactness over scale. A GaussianSampler holds the
+A set of index points is an (n, N) array, one point per row. Sampling is
+dense Cholesky on the full covariance, so grids are kept small (a few
+thousand points); exactness over scale. A GaussianSampler holds the
 factor of one covariance matrix and draws any number of replicates from it,
 one Philox stream per replicate; the field, a sampled drift and both parts
 of the calibration spectral process all draw through it. Philox is
@@ -20,7 +21,6 @@ every row from one generator, with the bits of Generator(Philox(seed)).
 """
 from __future__ import annotations
 
-import hashlib
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,44 +79,15 @@ class FieldModel:
         return np.exp(-np.sum(diff ** exps, axis=2))
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Finite list of index points, rows of an (n, N) array."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("grid must be nonempty")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform_1d(cls, lo: float, hi: float, n: int) -> "Grid":
-        return cls(points=np.linspace(lo, hi, n)[:, None])
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.points.shape[1]
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.points).tobytes())
-        return h.hexdigest()
-
-
-def build_covariance(model: FieldModel, grid: Grid) -> np.ndarray:
-    """Dense covariance of the stacked vector (X(t_1), ..., X(t_n)).
+def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
+    """Dense covariance of the stacked vector (X(t_1), ..., X(t_n)) over the
+    rows t_p of an (n, N) array.
 
     Ordering is point-major: row p*d + a corresponds to component a at point p.
     """
-    if grid.N != model.H.N:
-        raise ValueError("grid dimension does not match model")
-    K = model.kernel_matrix(grid.points)
+    if np.shape(points)[-1] != model.H.N:
+        raise ValueError("points dimension does not match model")
+    K = model.kernel_matrix(points)
     return np.kron(K, model.gram)
 
 
@@ -142,12 +113,12 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
         f"covariance factorization failed after jitter up to {JITTER_REL_MAX:g} relative")
 
 
-def verify_condition1(model: FieldModel, grid: Grid) -> tuple[float, float, bool]:
-    """Max over grid pairs of canonical distance / rho, against the analytic constant."""
-    if grid.n < 2:
+def verify_condition1(model: FieldModel, points: np.ndarray) -> tuple[float, float, bool]:
+    """Max over point pairs of canonical distance / rho, against the analytic constant."""
+    if len(points) < 2:
         raise ValueError("need at least two grid points")
-    rho = rho_pairwise(grid.points, model.H)
-    K = model.kernel_matrix(grid.points)
+    rho = rho_pairwise(points, model.H)
+    K = model.kernel_matrix(points)
     tr = float(np.trace(model.gram))
     canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
     mask = rho > 0
@@ -288,14 +259,14 @@ class GaussianSampler:
                                      stream) @ self.L.T
 
 
-def sample_paths(model: FieldModel, grid: Grid, n_samples: int,
+def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
                  seed: int) -> np.ndarray:
-    """Exact Gaussian draws of the field on the grid, shape (n_samples, n, d)."""
+    """Exact Gaussian draws of the field on the n points, shape (n_samples, n, d)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sampler = GaussianSampler.build(build_covariance(model, grid))
+    sampler = GaussianSampler.build(build_covariance(model, points))
     return sampler.sample(n_samples, seed, "field").reshape(
-        n_samples, grid.n, model.d)
+        n_samples, -1, model.d)
 
 
 @dataclass(frozen=True)
@@ -310,11 +281,11 @@ class ModulusReport:
     missing: tuple[bool, ...]
 
 
-def modulus_statistic(values: np.ndarray, grid: Grid, H: HurstVector,
+def modulus_statistic(values: np.ndarray, points: np.ndarray, H: HurstVector,
                       eps_list: list[float]) -> ModulusReport:
-    """max over grid pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps)).
+    """max over point pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps)).
 
-    values holds the draws on the grid, shape (n_samples, grid.n, d).
+    values holds the draws on the n points, shape (n_samples, n, d).
     """
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
@@ -322,7 +293,7 @@ def modulus_statistic(values: np.ndarray, grid: Grid, H: HurstVector,
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
-    rho = rho_pairwise(grid.points, H)
+    rho = rho_pairwise(points, H)
     # pairs with rho == 0 count toward every eps
     n_samples = values.shape[0]
     # largest squared norms: the root is taken once, after the max, with the

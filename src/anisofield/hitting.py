@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Refusal
-from .field import FieldModel, GaussianSampler, Grid, build_covariance
+from .field import FieldModel, GaussianSampler, build_covariance
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
@@ -94,16 +94,16 @@ class LipschitzDrift:
         return raw
 
 
-def check_lipschitz(values: np.ndarray, L: float, grid: Grid,
+def check_lipschitz(values: np.ndarray, L: float, points: np.ndarray,
                     H: HurstVector) -> tuple[float, bool]:
     """Max pairwise ratio ||f(s)-f(t)|| / rho(s,t) of given values, against L.
 
-    values holds f on the grid points, shape (grid.n, d).
+    values holds f on the n points, shape (n, d).
     """
-    if grid.n < 2:
+    if len(points) < 2:
         raise ValueError("need at least two grid points")
     vals = np.asarray(values, dtype=float)[None]
-    max_ratio = float(max_pair_ratio(vals, rho_pairwise(grid.points, H))[0])
+    max_ratio = float(max_pair_ratio(vals, rho_pairwise(points, H))[0])
     return max_ratio, max_ratio <= L * (1.0 + 1e-9)
 
 
@@ -167,7 +167,7 @@ def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
     translation in the event: -1 for a hit on the graph of f, +1 for the
     shifted field X + f. The shape is (n_mc,).
     """
-    sampler = GaussianSampler.build(build_covariance(model, Grid(points=pts)))
+    sampler = GaussianSampler.build(build_covariance(model, pts))
     seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
     fv = f.evaluate_many(sampler, pts, model.H, seeds)
     fv *= sign

@@ -46,15 +46,6 @@ class HurstVector:
         return np.asarray(self.H, dtype=float)
 
 
-def rho_distance(s, t, H: HurstVector) -> float:
-    """Anisotropic distance between two points of R^N."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if s.shape != t.shape or s.size != H.N:
-        raise ValueError(f"dimension mismatch: {s.size}, {t.size}, N={H.N}")
-    return float(np.sum(np.abs(s - t) ** H.as_array()))
-
-
 def rho_pairwise(points: np.ndarray, H: HurstVector) -> np.ndarray:
     """Full matrix of rho distances between rows of an (n, N) array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -224,7 +215,9 @@ class IndexSet:
         return mask
 
     def test_grid(self, n_points: int = 10_000) -> np.ndarray:
-        """Deterministic mesh of about n_points points per box, for cover checks."""
+        """Deterministic mesh of about n_points (>= 1) points per box, for cover checks."""
+        if n_points < 1:
+            raise ValueError(f"a test grid needs n_points >= 1, got {n_points}")
         out = []
         for lo, hi in self.boxes:
             lo = np.asarray(lo)

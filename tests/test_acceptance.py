@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
+from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     holder_bound_check, lambda_min_on_IV,
                                     psi_estimator, simulate_spectral_noise,
                                     tail_integral, total_mass)
-from anisofield.field import (FieldModel, Grid, build_covariance,
+from anisofield.field import (FieldModel, build_covariance,
                               modulus_statistic, sample_paths,
                               verify_condition1, verify_condition2)
 from anisofield.hitting import (LipschitzDrift, hitting_probability,
@@ -82,7 +82,7 @@ def test_03_chaining_series_threshold():
 def test_04_field_simulation_exactness():
     def body():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
-        g = Grid.uniform_1d(0.0, 1.0, 10)
+        g = np.linspace(0.0, 1.0, 10)[:, None]
         n = 20_000
         paths = sample_paths(m, g, n, 7)
         flat = paths.reshape(n, -1)
@@ -131,7 +131,7 @@ def test_06_polarity_scaling_both_drifts():
 def test_07_modulus_of_continuity_stability():
     def body():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
-        g = Grid.uniform_1d(0.0, 0.2, 1281)
+        g = np.linspace(0.0, 0.2, 1281)[:, None]
         paths = sample_paths(m, g, 2000, 21)
         rep = modulus_statistic(paths, g, m.H, [0.025, 0.05, 0.1, 0.2])
         assert not any(rep.missing)
@@ -158,7 +158,7 @@ def test_08_calibration_closed_forms():
 def test_09_psi_noiseless_oracle():
     def body():
         grid = FrequencyGrid(10.0, 0.01)
-        est = psi_estimator(OptionModel(T=1.0), grid, 0.0)
+        est = psi_estimator(grid, 0.0, T=1.0)
         assert est.well_defined
         oracle = 2j * np.arctan(grid.points)
         assert float(np.max(np.abs(est.values - oracle))) <= 1e-10
@@ -171,15 +171,14 @@ def test_10_psi_noisy_well_definedness():
     def body():
         noise = NoiseLevel(a=1.5, p=1.5)
         grid = FrequencyGrid(10.0, 0.05)
-        model = OptionModel(T=1.0)
         n_rep = 200
         samples = simulate_spectral_noise(noise, grid, n_rep, 123)
         scales = (1e-3, 1e-2, 1e-1)
         ok = np.zeros((n_rep, len(scales)), dtype=bool)
         for i in range(n_rep):
             for j, scale in enumerate(scales):
-                est = psi_estimator(model, grid, scale,
-                                    spectral_values=samples[i])
+                est = psi_estimator(grid, scale, spectral_values=samples[i],
+                                    T=1.0)
                 ok[i, j] = est.well_defined
         assert np.all(ok[:, 0])          # smallest scale: every replicate
         # same randomness per replicate: losing well-definedness as the

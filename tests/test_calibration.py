@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from anisofield.calibration import (FrequencyGrid, NoiseLevel, OptionModel,
+from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     cos_transform, cos_transform_many,
                                     fourier_O,
                                     holder_bound_check,
@@ -25,7 +25,7 @@ from anisofield.field import cholesky_with_jitter, standard_normal_batch
 POW = NoiseLevel(a=1.5, p=1.5)
 
 
-def fourier_O_numeric(model: OptionModel, v: float) -> float:
+def fourier_O_numeric(v: float) -> float:
     """Quadrature cross-check of fourier_O; O is even so only the cosine part survives."""
     if v == 0.0:
         val, _ = integrate.quad(lambda x: math.exp(-x), 0.0, np.inf,
@@ -466,19 +466,19 @@ class TestSpectralSimulation:
 
 class TestFourierO:
     def test_closed_form_values(self):
-        m = OptionModel()
-        assert fourier_O(m, 0.0) == pytest.approx(2.0)
-        assert fourier_O(m, 1.0) == pytest.approx(1.0)
+        assert fourier_O(0.0) == pytest.approx(2.0)
+        assert fourier_O(1.0) == pytest.approx(1.0)
 
     def test_numeric_cross_check(self):
-        m = OptionModel()
         for v in (0.0, 0.5, 2.0, 7.0):
-            assert fourier_O(m, v) == pytest.approx(fourier_O_numeric(m, v),
-                                                    abs=1e-8)
+            assert fourier_O(v) == pytest.approx(fourier_O_numeric(v),
+                                                 abs=1e-8)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            OptionModel(T=0.0)
+        # the maturity scale T divides psi~, so it must be positive
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="maturity scale T"):
+                psi_estimator(FrequencyGrid(2.0, 0.5), 0.0, T=T)
 
 
 def psi_along(grid: FrequencyGrid, A: np.ndarray):
@@ -488,8 +488,8 @@ def psi_along(grid: FrequencyGrid, A: np.ndarray):
     assert A.shape == v.shape and A[0] == 1.0
     spec = np.zeros(v.size, dtype=complex)
     spec[1:] = ((A[1:] - 1.0) / (1j * v[1:] * (1.0 + 1j * v[1:]))
-                - fourier_O(OptionModel(), v[1:]))
-    return psi_estimator(OptionModel(), grid, 1.0, spectral_values=spec)
+                - fourier_O(v[1:]))
+    return psi_estimator(grid, 1.0, spectral_values=spec)
 
 
 def lattice_of(n: int) -> FrequencyGrid:
@@ -539,7 +539,7 @@ class TestDistinguishedLog:
         monkeypatch.setattr(calibration, "_log_argument",
                             lambda FO, c, scale, X: np.full(FO.shape, 2.0 + 0j))
         with pytest.raises(ValueError, match="anchor"):
-            psi_estimator(OptionModel(), lattice_of(1), 0.0)
+            psi_estimator(lattice_of(1), 0.0)
 
     @given(st.integers(0, 2 ** 31))
     def test_branch_continuity(self, seed):
@@ -555,7 +555,7 @@ class TestDistinguishedLog:
 class TestPsiEstimator:
     def test_noiseless_oracle(self):
         g = FrequencyGrid(10.0, 0.01)
-        est = psi_estimator(OptionModel(), g, 0.0)
+        est = psi_estimator(g, 0.0)
         assert est.well_defined and est.failure is None
         v = g.points
         assert np.max(np.abs(est.values - 2j * np.arctan(v))) < 1e-10
@@ -564,13 +564,13 @@ class TestPsiEstimator:
 
     def test_maturity_equivariance(self):
         g = FrequencyGrid(5.0, 0.05)
-        a = psi_estimator(OptionModel(T=1.0), g, 0.0)
-        b = psi_estimator(OptionModel(T=2.0), g, 0.0)
+        a = psi_estimator(g, 0.0, T=1.0)
+        b = psi_estimator(g, 0.0, T=2.0)
         assert np.allclose(b.values, a.values / 2.0)
 
     def test_small_noise_close_to_oracle(self):
         g = FrequencyGrid(5.0, 0.05)
-        est = psi_estimator(OptionModel(), g, 1e-4,
+        est = psi_estimator(g, 1e-4,
                             simulate_spectral_noise(POW, g, 1, 9)[0])
         assert est.well_defined
         assert np.max(np.abs(est.values - 2j * np.arctan(g.points))) < 1e-2
@@ -579,12 +579,12 @@ class TestPsiEstimator:
         g = FrequencyGrid(2.0, 0.5)
         # inject spectral values that drive the argument to zero at one point
         v = g.points
-        FO = fourier_O(OptionModel(), v)
+        FO = fourier_O(v)
         k = 1
         spec = np.zeros_like(v, dtype=complex)
         # choose X(v_k) so 1 + iv(1+iv)(FO + X) = 0 exactly
         spec[k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
-        est = psi_estimator(OptionModel(), g, 1.0, spectral_values=spec)
+        est = psi_estimator(g, 1.0, spectral_values=spec)
         assert not est.well_defined and est.failure == "zero-hit"
         assert np.all(np.isnan(est.values.real))
 
@@ -592,7 +592,7 @@ class TestPsiEstimator:
         g = FrequencyGrid(2.0, 0.5)
         spec = np.zeros(g.points.size, dtype=complex)
         spec[2] = np.nan
-        est = psi_estimator(OptionModel(), g, 0.1, spec)
+        est = psi_estimator(g, 0.1, spec)
         assert not est.well_defined and est.failure == "nan"
         assert math.isnan(est.min_arg_modulus)
         assert np.all(np.isnan(est.values))
@@ -600,28 +600,28 @@ class TestPsiEstimator:
     def test_noisy_run_requires_noise_model(self):
         g = FrequencyGrid(2.0, 0.5)
         with pytest.raises(ValueError, match="spectral values"):
-            psi_estimator(OptionModel(), g, 0.1)
+            psi_estimator(g, 0.1)
 
     def test_constant_spectral_value_refused(self):
         g = FrequencyGrid(2.0, 0.5)
         with pytest.raises(ValueError, match=rf"shape \({g.points.size},\)"):
-            psi_estimator(OptionModel(), g, 0.1, np.array([0.5 + 0j]))
+            psi_estimator(g, 0.1, np.array([0.5 + 0j]))
 
     def test_replicate_block_refused(self):
         g = FrequencyGrid(2.0, 0.5)
         spec = simulate_spectral_noise(POW, g, 3, 0)
         with pytest.raises(ValueError, match=rf"shape \({g.points.size},\)"):
-            psi_estimator(OptionModel(), g, 0.1, spec)
+            psi_estimator(g, 0.1, spec)
 
 
 class TestPsiVerdicts:
     SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
 
     @staticmethod
-    def assert_rows_match(verdicts, model, grid, scale, spec):
+    def assert_rows_match(verdicts, grid, scale, spec):
         failures = verdicts.failures
         for i in range(spec.shape[0]):
-            est = psi_estimator(model, grid, scale, spectral_values=spec[i])
+            est = psi_estimator(grid, scale, spectral_values=spec[i])
             assert verdicts.min_arg_modulus[i] == est.min_arg_modulus
             assert bool(verdicts.well_defined[i]) == est.well_defined
             assert failures[i] == est.failure
@@ -630,32 +630,31 @@ class TestPsiVerdicts:
         # 300 rows span three row blocks; large scales force phase jumps
         g = FrequencyGrid(10.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 300, 4)
-        model = OptionModel()
         seen = set()
         for scale in self.SCALES:
-            vd = psi_verdicts(model, g, scale, spec)
-            self.assert_rows_match(vd, model, g, scale, spec)
+            vd = psi_verdicts(g, scale, spec)
+            self.assert_rows_match(vd, g, scale, spec)
             seen.update(vd.failures)
         assert "phase-jump" in seen and None in seen
 
     def test_zero_hit_row(self):
         g = FrequencyGrid(2.0, 0.5)
         v = g.points
-        FO = fourier_O(OptionModel(), v)
+        FO = fourier_O(v)
         k = 1
         spec = np.zeros((3, v.size), dtype=complex)
         spec[1, k] = -1.0 / (1j * v[k] * (1.0 + 1j * v[k])) - FO[k]
-        vd = psi_verdicts(OptionModel(), g, 1.0, spec)
+        vd = psi_verdicts(g, 1.0, spec)
         assert vd.zero_hit.tolist() == [False, True, False]
         assert vd.failures[1] == "zero-hit" and np.isnan(vd.max_phase_jump[1])
-        self.assert_rows_match(vd, OptionModel(), g, 1.0, spec)
+        self.assert_rows_match(vd, g, 1.0, spec)
 
     def test_nan_row(self):
         # not well defined and named, in every row block, with neighbours kept
         g = FrequencyGrid(2.0, 0.5)
         spec = np.zeros((300, g.points.size), dtype=complex)
         spec[[1, 200], 2] = np.nan
-        vd = psi_verdicts(OptionModel(), g, 0.1, spec)
+        vd = psi_verdicts(g, 0.1, spec)
         bad = np.isin(np.arange(300), [1, 200])
         assert np.array_equal(vd.well_defined, ~bad)
         assert [i for i, f in enumerate(vd.failures) if f == "nan"] == [1, 200]
@@ -684,13 +683,13 @@ class TestPsiVerdicts:
             ("True", ""), ("False", "nan"), ("True", ""), ("True", "")]
 
     @staticmethod
-    def mirrored_verdicts(model, grid, scale, spec):
+    def mirrored_verdicts(grid, scale, spec):
         """Verdict fields on the full path over [-V, V]: X(-v) = conj X(v)
         mirrors the half block, and A is formed at every v of both halves."""
         pos = grid.positive
         v = np.concatenate([-pos[::-1], grid.points])
         X = np.concatenate([np.conj(spec[:, :0:-1]), spec], axis=1)
-        A = 1.0 + 1j * v * (1.0 + 1j * v) * (fourier_O(model, v) + scale * X)
+        A = 1.0 + 1j * v * (1.0 + 1j * v) * (fourier_O(v) + scale * X)
         mods = np.abs(A)
         zero = np.any(mods < calibration._TOL_ZERO, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -711,14 +710,13 @@ class TestPsiVerdicts:
                 + 1j * rng.normal(size=(200, g.points.size)))
         spec[:, 0] = spec[:, 0].real
         spec *= np.geomspace(1e-4, 1.0, 200)[:, None]
-        model = OptionModel()
         scale = 1.0
         if zero_row:
             v, k = g.points, 7
             spec[3, k] = (-1.0 / (1j * v[k] * (1.0 + 1j * v[k]))
-                          - fourier_O(model, v[k]))
-        vd = psi_verdicts(model, g, scale, spec)
-        min_mod, zero, labels = self.mirrored_verdicts(model, g, scale, spec)
+                          - fourier_O(v[k]))
+        vd = psi_verdicts(g, scale, spec)
+        min_mod, zero, labels = self.mirrored_verdicts(g, scale, spec)
         assert np.array_equal(vd.min_arg_modulus, min_mod)
         assert np.array_equal(vd.zero_hit, zero)
         assert vd.failures == labels
@@ -728,14 +726,14 @@ class TestPsiVerdicts:
     def test_noiseless_rows_ignore_spectral_values(self):
         g = FrequencyGrid(5.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 4, 1)
-        vd = psi_verdicts(OptionModel(), g, 0.0, spec)
-        est = psi_estimator(OptionModel(), g, 0.0)
+        vd = psi_verdicts(g, 0.0, spec)
+        est = psi_estimator(g, 0.0)
         assert np.all(vd.min_arg_modulus == est.min_arg_modulus)
         assert vd.failures == [None] * 4
 
     def test_empty_block_and_shape_check(self):
         g = FrequencyGrid(2.0, 0.5)
-        vd = psi_verdicts(OptionModel(), g, 1.0, np.empty((0, g.points.size)))
+        vd = psi_verdicts(g, 1.0, np.empty((0, g.points.size)))
         assert vd.min_arg_modulus.shape == (0,) and vd.failures == []
         with pytest.raises(ValueError, match="shape"):
-            psi_verdicts(OptionModel(), g, 1.0, np.zeros(g.points.size))
+            psi_verdicts(g, 1.0, np.zeros(g.points.size))

@@ -470,6 +470,38 @@ class TestMainExitCodes:
         assert item.split("=")[0] in err["message"]
         assert not out.exists()
 
+    def test_removed_calib_sim_T_exits_2(self, tmp_path, capsys):
+        # calib-sim writes only well-definedness verdicts, which T never moves
+        out = tmp_path / "run"
+        assert main(["calib-sim", "--out", str(out), "--set", "T=2.0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "unknown config keys" in err["message"]
+        assert "'T'" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [-5, 0])
+    def test_nonpositive_test_grid_points_exits_2(self, tmp_path, capsys,
+                                                  value):
+        # n ** (1/N) of a negative count is complex; zero points cover nothing
+        out = tmp_path / "run"
+        rc = main(["metric-check", "--out", str(out),
+                   "--set", f"test_grid_points={value}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "n_points >= 1" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,item", [("field-sim", "n_grid=0"),
+                                           ("modulus-scan", "n_points=0")])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, kind, item):
+        out = tmp_path / "run"
+        assert main([kind, "--out", str(out), "--set", item]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert not out.exists()
+
 
 class TestReproducibility:
     @staticmethod

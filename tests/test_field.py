@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from anisofield.errors import ModelRejected
-from anisofield.field import (FieldModel, GaussianSampler, Grid, _philox_keys,
+from anisofield.field import (FieldModel, GaussianSampler, _philox_keys,
                               build_covariance, cholesky_with_jitter,
                               modulus_statistic, sample_paths,
                               standard_normal_batch, standard_normals,
@@ -22,21 +22,21 @@ def model_2x2(H=(0.5,)):
 class TestBuildCovariance:
     def test_single_point_identity_mixing(self):
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0, 0.0), (0.0, 1.0)))
-        cov = build_covariance(m, Grid(points=np.array([[0.3]])))
+        cov = build_covariance(m, np.array([[0.3]]))
         assert np.allclose(cov, np.eye(2))
 
     def test_duplicated_point_still_factorizes(self):
         m = model_2x2()
-        cov = build_covariance(m, Grid(points=np.array([[0.1], [0.1]])))
+        cov = build_covariance(m, np.array([[0.1], [0.1]]))
         assert np.allclose(cov[:2, :2], cov[2:, 2:])
         L, jitter = cholesky_with_jitter(cov)
         assert np.allclose(L @ L.T, cov, atol=1e-8)
 
     def test_exponential_toeplitz_entries(self):
         m = model_2x2(H=(0.5,))
-        g = Grid.uniform_1d(0.0, 1.0, 5)
-        K = m.kernel_matrix(g.points)
-        expect = np.exp(-np.abs(g.points[:, 0][:, None] - g.points[:, 0][None, :]))
+        g = np.linspace(0.0, 1.0, 5)[:, None]
+        K = m.kernel_matrix(g)
+        expect = np.exp(-np.abs(g[:, 0][:, None] - g[:, 0][None, :]))
         assert np.allclose(K, expect)
         cov = build_covariance(m, g)
         assert np.allclose(cov, cov.T)
@@ -45,7 +45,7 @@ class TestBuildCovariance:
 class TestConditions:
     def test_condition1_identity_mixing(self):
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0, 0.0), (0.0, 1.0)))
-        g = Grid.uniform_1d(0.0, 1.0, 40)
+        g = np.linspace(0.0, 1.0, 40)[:, None]
         max_ratio, c_analytic, ok = verify_condition1(m, g)
         assert c_analytic == pytest.approx(2.0)
         assert ok and max_ratio <= 2.0
@@ -54,7 +54,7 @@ class TestConditions:
         m1 = model_2x2()
         m3 = FieldModel(H=m1.H, mixing=tuple(tuple(3.0 * x for x in row)
                                              for row in m1.mixing))
-        g = Grid.uniform_1d(0.0, 1.0, 15)
+        g = np.linspace(0.0, 1.0, 15)[:, None]
         r1, c1, _ = verify_condition1(m1, g)
         r3, c3, _ = verify_condition1(m3, g)
         assert r3 == pytest.approx(3.0 * r1)
@@ -76,18 +76,18 @@ class TestConditions:
 class TestSamplePaths:
     def test_empty(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            sample_paths(model_2x2(), Grid.uniform_1d(0, 1, 4), 0, 0)
+            sample_paths(model_2x2(), np.linspace(0, 1, 4)[:, None], 0, 0)
 
     def test_deterministic_and_worker_invariant(self):
         m = model_2x2()
-        g = Grid.uniform_1d(0.0, 1.0, 8)
+        g = np.linspace(0.0, 1.0, 8)[:, None]
         a = sample_paths(m, g, 300, 99)
         b = sample_paths(m, g, 300, 99)
         assert a.tobytes() == b.tobytes()
 
     def test_mean_and_covariance_exact(self):
         m = model_2x2()
-        g = Grid.uniform_1d(0.0, 1.0, 10)
+        g = np.linspace(0.0, 1.0, 10)[:, None]
         n = 20_000
         paths = sample_paths(m, g, n, 7)
         flat = paths.reshape(n, -1)
@@ -100,7 +100,7 @@ class TestSamplePaths:
 
     def test_two_point_correlation(self):
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,),))
-        g = Grid(points=np.array([[0.0], [0.4]]))
+        g = np.array([[0.0], [0.4]])
         n = 20_000
         vals = sample_paths(m, g, n, 3)[:, :, 0]
         expect = math.exp(-0.4)
@@ -110,7 +110,7 @@ class TestSamplePaths:
 
     def test_gaussianity_ks(self):
         m = model_2x2()
-        g = Grid.uniform_1d(0.0, 1.0, 5)
+        g = np.linspace(0.0, 1.0, 5)[:, None]
         vals = sample_paths(m, g, 20_000, 17)
         sd = math.sqrt(build_covariance(m, g)[0, 0])
         _, pval = stats.kstest(vals[:, 0, 0] / sd, "norm")
@@ -119,14 +119,14 @@ class TestSamplePaths:
 
 class TestGaussianSampler:
     def test_sample_matches_sample_paths(self):
-        m, g = model_2x2(), Grid.uniform_1d(0.0, 1.0, 8)
+        m, g = model_2x2(), np.linspace(0.0, 1.0, 8)[:, None]
         vals = GaussianSampler.build(build_covariance(m, g)).sample(40, 9, "field")
         assert vals.shape == (40, 16)
         assert vals.tobytes() == sample_paths(m, g, 40, 9).tobytes()
 
     def test_draw_from_stream_seeds_equals_sample(self):
         s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   Grid.uniform_1d(0.0, 1.0, 8)))
+                                                   np.linspace(0.0, 1.0, 8)[:, None]))
         seeds = [derive_seed(9, i, "drift") for i in range(40)]
         assert s.draw(seeds).tobytes() == s.sample(40, 9, "drift").tobytes()
 
@@ -141,16 +141,16 @@ class TestGaussianSampler:
 
     def test_draw_deterministic_and_worker_invariant(self):
         s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   Grid.uniform_1d(0.0, 1.0, 6)))
+                                                   np.linspace(0.0, 1.0, 6)[:, None]))
         seeds = [derive_seed(1, i, "field") for i in range(100)]
         assert s.draw(seeds).tobytes() == s.draw(seeds).tobytes()
 
     def test_jitter_reported(self):
         s = GaussianSampler.build(build_covariance(
-            model_2x2(), Grid(points=np.array([[0.1], [0.1]]))))
+            model_2x2(), np.array([[0.1], [0.1]])))
         assert s.jitter > 0.0
         assert GaussianSampler.build(build_covariance(
-            model_2x2(), Grid.uniform_1d(0, 1, 4))).jitter == 0.0
+            model_2x2(), np.linspace(0, 1, 4)[:, None])).jitter == 0.0
 
 
 def seed_sequence_keys(seeds):
@@ -196,7 +196,7 @@ class TestKeyedDraws:
         with pytest.raises(ValueError, match="outside"):
             standard_normals(3, [5, bad, 6])
         s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   Grid.uniform_1d(0, 1, 4)))
+                                                   np.linspace(0, 1, 4)[:, None]))
         with pytest.raises(ValueError, match="outside"):
             s.draw([bad])
 
@@ -204,7 +204,7 @@ class TestKeyedDraws:
 class TestModulusStatistic:
     def setup_method(self):
         self.m = model_2x2(H=(0.5,))
-        self.grid = Grid.uniform_1d(0.0, 0.2, 201)  # rho spacing 0.0316
+        self.grid = np.linspace(0.0, 0.2, 201)[:, None]  # rho spacing 0.0316
         self.paths = sample_paths(self.m, self.grid, 50, 5)
 
     def test_empty_eps_rejected(self):
@@ -232,8 +232,8 @@ class TestModulusStatistic:
 
     def test_values_on_other_grid_refused(self):
         # every pair of both grids lies within eps, so no pair mask is partial
-        small = Grid.uniform_1d(0.0, 0.2, 10)
-        big = Grid.uniform_1d(0.0, 0.2, 20)
+        small = np.linspace(0.0, 0.2, 10)[:, None]
+        big = np.linspace(0.0, 0.2, 20)[:, None]
         for drawn_on, grid in ((big, small), (small, big)):
             values = sample_paths(self.m, drawn_on, 5, 1)
             with pytest.raises(ValueError, match="shape"):
@@ -261,10 +261,9 @@ class TestModulusMatchesAllPairs:
         return M, tuple(np.isnan(M[0]))
 
     def check(self, model, points, eps, n_samples=6, seed=3):
-        grid = Grid(points=points)
-        paths = sample_paths(model, grid, n_samples, seed)
-        rep = modulus_statistic(paths, grid, model.H, eps)
-        M, missing = self.all_pairs(paths, grid.points, model.H, eps)
+        paths = sample_paths(model, points, n_samples, seed)
+        rep = modulus_statistic(paths, points, model.H, eps)
+        M, missing = self.all_pairs(paths, points, model.H, eps)
         assert np.array_equal(rep.M, M, equal_nan=True)
         assert rep.missing == missing
         return rep

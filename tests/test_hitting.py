@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from anisofield import field as fieldmod
 from anisofield import hitting
 from anisofield.errors import Refusal
-from anisofield.field import FieldModel, GaussianSampler, Grid, build_covariance
+from anisofield.field import FieldModel, GaussianSampler, build_covariance
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
                                 polarity_scan, scaling_exponent,
@@ -25,7 +25,7 @@ def model(H=(0.75,)):
 
 def sampler(points):
     """The d = 2 field's factor on the given points, as a scan builds it."""
-    return GaussianSampler.build(build_covariance(model(), Grid(points=points)))
+    return GaussianSampler.build(build_covariance(model(), points))
 
 
 def drift_values(f, points, seeds):
@@ -105,24 +105,24 @@ class TestWilsonInterval:
 class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
-        g = Grid.uniform_1d(0, 1, 20)
-        ratio, ok = check_lipschitz(drift_values(f, g.points, [0])[0],
+        g = np.linspace(0, 1, 20)[:, None]
+        ratio, ok = check_lipschitz(drift_values(f, g, [0])[0],
                                     f.L, g, H075)
         assert ratio == 0.0 and ok
 
     def test_affine_saturates_but_respects_bound(self):
         f = LipschitzDrift(kind="affine", L=2.0)
-        g = Grid.uniform_1d(0, 1, 30)
-        ratio, ok = check_lipschitz(drift_values(f, g.points, [0])[0],
+        g = np.linspace(0, 1, 30)[:, None]
+        ratio, ok = check_lipschitz(drift_values(f, g, [0])[0],
                                     f.L, g, H075)
         assert ok and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
 
     def test_violating_function_flagged(self):
         # raw values with slope 2 checked against a claimed bound of 0.1
-        g = Grid.uniform_1d(0, 1, 10)
+        g = np.linspace(0, 1, 10)[:, None]
         f = LipschitzDrift(kind="affine", L=2.0)
-        vals = drift_values(f, g.points, [0])[0]
+        vals = drift_values(f, g, [0])[0]
         ratio, ok = check_lipschitz(vals, 0.1, g, H075)
         assert not ok and ratio > 0.1
         # the same values pass against the honest bound
@@ -130,17 +130,17 @@ class TestLipschitzDrift:
         assert ok2
 
     def test_field_drift_rescaled_exactly_tight(self):
-        g = Grid.uniform_1d(0, 1, 10)
+        g = np.linspace(0, 1, 10)[:, None]
         fdrift = LipschitzDrift(kind="field", L=0.5)
         ratio, ok = check_lipschitz(
-            drift_values(fdrift, g.points, [3])[0], fdrift.L, g, H075)
+            drift_values(fdrift, g, [3])[0], fdrift.L, g, H075)
         assert ok and ratio == pytest.approx(0.5, rel=1e-9)
 
     def test_drift_independent_of_field_stream(self):
         fdrift = LipschitzDrift(kind="field", L=1.0)
-        g = Grid.uniform_1d(0, 1, 12)
-        a = drift_values(fdrift, g.points, [5])[0]
-        b = drift_values(fdrift, g.points, [5])[0]
+        g = np.linspace(0, 1, 12)[:, None]
+        a = drift_values(fdrift, g, [5])[0]
+        b = drift_values(fdrift, g, [5])[0]
         assert np.array_equal(a, b)
 
     def test_unknown_kind_refused(self):
@@ -149,30 +149,30 @@ class TestLipschitzDrift:
 
     def test_values_on_other_points_refused(self):
         # a 1-D array is not one point with ten components
-        g = Grid.uniform_1d(0, 1, 10)
+        g = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(ValueError, match="shape"):
             check_lipschitz(100 * np.linspace(0, 1, 10), 0.1, g, H075)
 
 
 class TestBatchedFieldDrift:
     SEEDS = [derive_seed(4, i, "drift") for i in range(6)]
-    GRID = Grid.uniform_1d(0, 1, 33)
+    GRID = np.linspace(0, 1, 33)[:, None]
 
     def drift(self, L=0.5):
         return LipschitzDrift(kind="field", L=L)
 
     def test_rows_match_single_seed_evaluate(self):
         f = self.drift()
-        many = drift_values(f, self.GRID.points, self.SEEDS)
+        many = drift_values(f, self.GRID, self.SEEDS)
         assert many.shape == (6, 33, 2)
         for i, s in enumerate(self.SEEDS):
             # one GEMM for all rows versus one row at a time: ~1e-15 apart
             np.testing.assert_allclose(
-                many[i], drift_values(f, self.GRID.points, [s])[0],
+                many[i], drift_values(f, self.GRID, [s])[0],
                 rtol=1e-12)
 
     def test_every_row_rescaled_to_L(self):
-        many = drift_values(self.drift(), self.GRID.points, self.SEEDS)
+        many = drift_values(self.drift(), self.GRID, self.SEEDS)
         for row in many:
             ratio, ok = check_lipschitz(row, 0.5, self.GRID, H075)
             assert ok and ratio == pytest.approx(0.5, rel=1e-9)
@@ -190,11 +190,11 @@ class TestBatchedFieldDrift:
             return out
 
         monkeypatch.setattr(LipschitzDrift, "evaluate_many", recording)
-        hitting._distances(model(), self.GRID.points, f, 6, 4, 1.0, 0.0)
+        hitting._distances(model(), self.GRID, f, 6, 4, 1.0, 0.0)
         assert len(seen) == 1 and len(factor_calls) == 1
         smp, inside = seen[0]
-        assert np.array_equal(smp.L, sampler(self.GRID.points).L)
-        own = real(f, smp, self.GRID.points, H075, self.SEEDS)
+        assert np.array_equal(smp.L, sampler(self.GRID).L)
+        own = real(f, smp, self.GRID, H075, self.SEEDS)
         assert np.array_equal(own, inside)
 
     def test_single_point_gives_zero_drift(self):
@@ -203,17 +203,17 @@ class TestBatchedFieldDrift:
 
     def test_deterministic_kinds_repeat_per_seed(self):
         f = LipschitzDrift(kind="affine", L=2.0)
-        many = drift_values(f, self.GRID.points, [0, 1, 2])
-        one = drift_values(f, self.GRID.points, [0])[0]
+        many = drift_values(f, self.GRID, [0, 1, 2])
+        one = drift_values(f, self.GRID, [0])[0]
         assert all(np.array_equal(row, one) for row in many)
-        zero = drift_values(LipschitzDrift(kind="zero"), self.GRID.points, [0, 1])
+        zero = drift_values(LipschitzDrift(kind="zero"), self.GRID, [0, 1])
         assert zero.shape == (2, 33, 2) and not zero.any()
 
     def test_affine_is_L_rho_along_e1(self):
         # bit for bit the outer product of L rho(0, s) with the unit vector e_1
         f = LipschitzDrift(kind="affine", L=0.7)
-        vals = drift_values(f, self.GRID.points, [0])[0]
-        rho = rho_to_point(self.GRID.points, (0.0,), H075)
+        vals = drift_values(f, self.GRID, [0])[0]
+        rho = rho_to_point(self.GRID, (0.0,), H075)
         e1 = np.array([1.0, 0.0])
         assert np.array_equal(vals, (0.7 * rho)[:, None] * e1[None, :])
 

@@ -11,8 +11,8 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
                                hausdorff_premeasure, max_pair_ratio,
-                               pair_lags, rho_distance, rho_pairwise)
-from anisofield.field import Grid, modulus_statistic
+                               pair_lags, rho_pairwise)
+from anisofield.field import modulus_statistic
 
 H1 = HurstVector(H=(1.0,))
 H05 = HurstVector(H=(0.5,))
@@ -45,28 +45,36 @@ class TestHurstVector:
 
 
 class TestRhoDistance:
+    """rho between two points, read off rho_pairwise over the stacked pair."""
+
+    @staticmethod
+    def rho(s, t, H):
+        return rho_pairwise(np.array([s, t], dtype=float), H)[0, 1]
+
     def test_identity(self):
-        assert rho_distance([0.3, -1.0], [0.3, -1.0], HurstVector(H=(0.5, 1.0))) == 0.0
+        assert self.rho([0.3, -1.0], [0.3, -1.0], HurstVector(H=(0.5, 1.0))) == 0.0
 
     def test_values(self):
-        assert rho_distance([0.0], [0.25], H05) == pytest.approx(0.5)
-        got = rho_distance([0.0, 0.0], [0.1, 0.04], HurstVector(H=(1.0, 0.5)))
+        assert self.rho([0.0], [0.25], H05) == pytest.approx(0.5)
+        got = self.rho([0.0, 0.0], [0.1, 0.04], HurstVector(H=(1.0, 0.5)))
         assert got == pytest.approx(0.3)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            rho_distance([0.0], [0.0, 0.0], H1)
+        # points with two coordinates against a one-axis Hurst vector
+        with pytest.raises(ValueError, match="dimension"):
+            rho_pairwise(np.zeros((2, 2)), H1)
 
     @given(hursts(3), st.data())
     def test_metric_axioms(self, H, data):
         coords = st.floats(-5, 5)
         pt = st.lists(coords, min_size=H.N, max_size=H.N)
-        s, t, u = data.draw(pt), data.draw(pt), data.draw(pt)
-        dst = rho_distance(s, t, H)
-        assert dst == rho_distance(t, s, H)
-        assert dst >= 0.0
+        pts = np.array([data.draw(pt), data.draw(pt), data.draw(pt)])
+        rho = rho_pairwise(pts, H)
+        dst = rho[0, 1]
+        assert dst == rho[1, 0]
+        assert dst >= 0.0 and np.all(np.diag(rho) == 0.0)
         # each |.|^H with H <= 1 is subadditive, so rho satisfies the triangle
-        assert dst <= rho_distance(s, u, H) + rho_distance(u, t, H) + 1e-9
+        assert dst <= rho[0, 2] + rho[2, 1] + 1e-9
 
 
 class TestMaxPairRatio:
@@ -201,7 +209,7 @@ class TestPairReductionsBitExact:
         points, H = self.GRIDS[grid]()
         vals = np.random.default_rng(12).standard_normal((5, points.shape[0], 2))
         eps = [0.02, 0.1, 0.3, 0.9]
-        rep = modulus_statistic(vals, Grid(points=points), H, eps)
+        rep = modulus_statistic(vals, points, H, eps)
         assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
                               equal_nan=True)
 
@@ -216,7 +224,7 @@ class TestPairReductionsBitExact:
         assert np.array_equal(got, self.ratio_reference(vals, points, H),
                               equal_nan=True)
         eps = [0.9]
-        rep = modulus_statistic(vals, Grid(points=points), H, eps)
+        rep = modulus_statistic(vals, points, H, eps)
         assert np.isnan(rep.M[:, 0]).tolist() == [False, True, False]
         assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
                               equal_nan=True)
