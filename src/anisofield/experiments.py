@@ -19,12 +19,13 @@ from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import _blas
 from . import calibration as calib
 from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.2.2"
+TOOL_VERSION = "0.3.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -181,8 +182,9 @@ class ExperimentConfig:
     """One run's kind, params, master seed and output directory.
 
     ``workers`` is a no-op: normal draws are serial, because a thread split
-    of them was slower on every measured workload. It is still
-    range-checked and echoed so existing configs keep working.
+    of them was slower on every measured workload, and every run holds BLAS
+    at one thread. It is still range-checked and echoed so existing configs
+    keep working.
     """
 
     kind: str
@@ -224,6 +226,7 @@ class RunManifest:
     finished: str
     seed_scheme: str
     outputs: dict
+    blas: dict
 
 
 def _sha256(path: str) -> str:
@@ -492,7 +495,10 @@ def default_out_dir(kind: str) -> str:
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     out_dir = config.out_dir or default_out_dir(config.kind)
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    header, rows, report = RUNNERS[config.kind](config)
+    # one BLAS thread: the factors and products then have the same bits
+    # whatever the library's thread count, and no idle BLAS thread spins
+    with _blas.one_blas_thread() as blas:
+        header, rows, report = RUNNERS[config.kind](config)
     # only now, so that a config the runner refuses leaves no directory behind
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
@@ -509,6 +515,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         seed_scheme="blake2b(master, replicate, stream) -> per-replicate Philox",
         outputs={"results.csv": _sha256(results_path),
                  "report.json": _sha256(report_path)},
+        blas=blas,
     )
     _write_json(os.path.join(out_dir, "manifest.json"), dataclasses.asdict(manifest))
     return manifest

@@ -46,9 +46,12 @@ BAD_ELEMENTS = ["0.1", True, [0.1]]
 # metric-check and calib-sim results.csv digests were re-pinned when their
 # quadratures moved from QUADPACK to numpy (tool version 0.2.0)
 GOLDEN = [
+    # re-pinned when every run began to hold BLAS at one thread (tool
+    # version 0.3.0): the 202 x 202 factor and its product now have the
+    # one-thread bits
     ("modulus-scan", {"n_samples": 40, "n_points": 101, "eps": [0.05, 0.1]},
-     "cda96b036febf83daea31cff52e3ae61dda7e41e81f75682c7e0b4476db58283",
-     "70b2ff8d91b32d66b9d7de4e2e9f5570c886642ba84987f161f572ab46db47df"),
+     "cf0e75c046da6fbe174d8abf18f518d379f01bceb22e37557c71f4641bf51d53",
+     "2658e060690c9134e2360f7fed9c2dceed5316e283fa5fc63eee85154398f2e2"),
     ("field-sim", {"n_samples": 40, "n_grid": 6},
      "6d9a30fb1fcec78fcd5a5266002b71d7081b34666edd57b501f65406b63130e7",
      "c023cea511a7be936be810e57265c619a0fa7c8d972e1b76d1f5fd24154bb7b8"),
@@ -85,11 +88,12 @@ GOLDEN = [
 ]
 
 # the calib-sim-fine benchmark config at seed 101: a 992-point grid, so the
-# spectral covariances reach lags the small calib-sim entry above never has
+# spectral covariances reach lags the small calib-sim entry above never has;
+# results.csv re-pinned for the one-thread BLAS bits (tool version 0.3.0)
 GOLDEN_CALIB_FINE = (
     {"V": 10.0, "step": 0.01, "noise_scales": [1e-3, 1e-2, 1e-1],
      "n_replicates": 1000}, 101,
-    "b7bb366c907223c97356763fd3e3c05616973f947bfd658f9591db2dd57e3bab",
+    "8e592ffa5cf09b5bfa23d4c97f8a35d0e7ac3a278930762e4afcaa160c2163b4",
     "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
 
 # the polarity-field-drift benchmark config at seed 101: a 129-point grid whose
@@ -185,31 +189,52 @@ class TestStartup:
     def test_runtime_needs_no_scipy(self, tmp_path):
         # with sys.modules["scipy"] = None every scipy import raises, so each
         # kind must run on numpy alone and still give its pinned digests
-        import anisofield
-        src = os.path.dirname(os.path.dirname(anisofield.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import json, os, sys\n"
-                "sys.modules['scipy'] = None\n"
-                "import anisofield\n"
-                "from anisofield import experiments, cli\n"
-                "assert anisofield.__file__.startswith(sys.argv[1])\n"
-                "for i, (kind, over, results, report) in enumerate(\n"
-                "        json.loads(sys.argv[3])):\n"
-                "    cfg = experiments.ExperimentConfig.from_dict(kind, dict(\n"
-                "        over, seed=17, out_dir=os.path.join(sys.argv[2], str(i))))\n"
-                "    man = experiments.run_experiment(cfg)\n"
-                "    assert man.outputs == {'results.csv': results,\n"
-                "                           'report.json': report}, kind\n"
-                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-                "          and sys.modules[m] is not None]\n"
-                "assert not loaded, loaded\n")
         assert {g[0] for g in GOLDEN} == set(PARAM_CLASSES)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, src, str(tmp_path), json.dumps(GOLDEN)],
-            env=env, capture_output=True, text=True)
+        proc = run_golden_in_child(tmp_path, GOLDEN_CASES, {},
+                                   "sys.modules['scipy'] = None\n")
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_digests_do_not_depend_on_blas_threads(self, tmp_path, threads):
+        # the library starts with this many threads; every run pins it to
+        # one, so the factors and products keep the pinned bits
+        proc = run_golden_in_child(
+            tmp_path, GOLDEN_CASES + [("calib-sim", *GOLDEN_CALIB_FINE)],
+            {"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+
+
+# every GOLDEN entry as (kind, overrides, seed, results, report)
+GOLDEN_CASES = [(kind, over, 17, results, report)
+                for kind, over, results, report in GOLDEN]
+
+
+def run_golden_in_child(tmp_path, cases, env_extra, prelude=""):
+    """Run each (kind, overrides, seed, results, report) case in one fresh
+    interpreter, after prelude, and check its digests and that no scipy
+    module was loaded; returns the finished process."""
+    import anisofield
+    src = os.path.dirname(os.path.dirname(anisofield.__file__))
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, os, sys\n" + prelude +
+            "import anisofield\n"
+            "from anisofield import experiments, cli\n"
+            "assert anisofield.__file__.startswith(sys.argv[1])\n"
+            "for i, (kind, over, seed, results, report) in enumerate(\n"
+            "        json.loads(sys.argv[3])):\n"
+            "    cfg = experiments.ExperimentConfig.from_dict(kind, dict(\n"
+            "        over, seed=seed, out_dir=os.path.join(sys.argv[2], str(i))))\n"
+            "    man = experiments.run_experiment(cfg)\n"
+            "    assert man.outputs == {'results.csv': results,\n"
+            "                           'report.json': report}, kind\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "          and sys.modules[m] is not None]\n"
+            "assert not loaded, loaded\n")
+    return subprocess.run(
+        [sys.executable, "-c", code, src, str(tmp_path), json.dumps(cases)],
+        env=env, capture_output=True, text=True)
 
 
 class TestMainExitCodes:
@@ -555,6 +580,11 @@ class TestReproducibility:
                  tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert doc["kind"] == "calib-sim"
+        # the BLAS state sits outside the digested files
+        assert set(doc["blas"]) == {"library", "threads", "pinned"}
+        if doc["blas"]["pinned"]:
+            assert doc["blas"]["library"] and doc["blas"]["threads"] >= 1
         assert doc["version"]
         assert doc["config"]["seed"] == 5
         assert len(doc["outputs"]["results.csv"]) == 64
+
