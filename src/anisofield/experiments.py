@@ -25,7 +25,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -512,7 +512,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         version=TOOL_VERSION,
         started=started,
         finished=finished,
-        seed_scheme="blake2b(master, replicate, stream) -> per-replicate Philox",
+        seed_scheme=("blake2b(master, replicate, stream) -> per-replicate "
+                     "Philox; a field drift's trigonometric coefficients from "
+                     "stream 'drift'"),
         outputs={"results.csv": _sha256(results_path),
                  "report.json": _sha256(report_path)},
         blas=blas,

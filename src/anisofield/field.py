@@ -13,8 +13,8 @@ A set of index points is an (n, N) array, one point per row. Sampling is
 dense Cholesky on the full covariance, so grids are kept small (a few
 thousand points); exactness over scale. A GaussianSampler holds the
 factor of one covariance matrix and draws any number of replicates from it,
-one Philox stream per replicate; the field, a sampled drift and both parts
-of the calibration spectral process all draw through it. Philox is
+one Philox stream per replicate; the field and both parts of the
+calibration spectral process draw through it. Philox is
 counter-based, so a stream is only its key: standard_normals derives the
 keys of all seeds in one vectorised port of numpy's SeedSequence and draws
 every row from one generator, with the bits of Generator(Philox(seed)).

@@ -7,9 +7,11 @@ the probability that the shifted field range meets a small Euclidean ball
 proved in the theory, so the fitted exponents are compared against the
 predicted exponent minus a desk-scale tolerance.
 
-A drift is zero, affine in rho(0, s), or an independent copy of the scanned
-field; each scan builds one factor, and the field and a field drift both
-draw through it.
+A drift is zero, affine in rho(0, s), or a random trigonometric polynomial
+drawn independently of the field and scaled by a closed-form bound, so that
+||f(s) - f(t)|| <= L rho(s, t) holds on the whole bounding box of the index
+set, not only on the scan's grid. Each scan builds one factor, for the field
+alone; a field drift costs one small matrix product per replicate.
 """
 from __future__ import annotations
 
@@ -20,13 +22,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Refusal
-from .field import FieldModel, GaussianSampler, build_covariance
+from .field import (FieldModel, GaussianSampler, build_covariance,
+                    standard_normals)
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
 
 # the two-sided 95% normal quantile, ndtri(0.975) to the last bit
 _Z95 = 1.959963984540054
+# frequencies per axis of a field drift: pi m / D_j for m = 1.._DRIFT_FREQS
+_DRIFT_FREQS = 8
+# relative slack on a lattice count and on a ball's boundary, so that a
+# quotient or a distance that lands a few ulps off an integer or off r
+# neither drops nor adds a point
+_GRID_RTOL = 1e-12
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -51,8 +60,8 @@ class LipschitzDrift:
     kinds:
       * "zero"   -- f = 0;
       * "affine" -- f(s) = L * rho(0, s) * e_1;
-      * "field"  -- an independent copy of the scanned field, rescaled on
-        the evaluation grid so its empirical Lipschitz ratio equals L exactly.
+      * "field"  -- a random trigonometric polynomial per component, scaled
+        so that the bound holds on the bounding box of the index set.
     """
 
     kind: str
@@ -64,34 +73,55 @@ class LipschitzDrift:
         if self.L < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
-    def evaluate_many(self, sampler: GaussianSampler, points: np.ndarray,
-                      H: HurstVector, seeds: Sequence[int]) -> np.ndarray:
+    def evaluate_many(self, index_set: IndexSet, points: np.ndarray,
+                      H: HurstVector, d: int,
+                      seeds: Sequence[int]) -> np.ndarray:
         """Drift values on the points for each seed, shape (len(seeds), n, d).
 
-        sampler is the scanned field's factor on the points, so d is its
-        dimension over n. For the "field" kind seeds[i] selects replicate i's
-        path, drawn through sampler from Philox(derive_seed(seeds[i], 0,
-        "drift")); callers must use seeds separate from the field's own
-        draws. Each replicate is rescaled so its empirical Lipschitz ratio on
-        the points equals L (a path with ratio 0, e.g. on fewer than two
-        points, becomes the zero drift).
+        For the "field" kind, let [lo_j, lo_j + D_j] be the bounding box of
+        index_set, and w_jm = pi m / D_j for m = 1..M, M = _DRIFT_FREQS.
+        Replicate i is
+
+            g(s) = sum_j sum_m a_jm cos(w_jm (s_j - lo_j))
+                              + b_jm sin(w_jm (s_j - lo_j))
+
+        with independent coefficient vectors a_jm, b_jm in R^d whose entries
+        are N(0, 1/m^4), drawn from Philox(seeds[i]); callers pass
+        derive_seed(master, i, "drift"), a stream apart from the field's.
+        Along axis j, g is Lipschitz with constant Lambda_j = sum_m w_jm
+        sqrt(|a_jm|^2 + |b_jm|^2), and |s_j - t_j| <= D_j^(1-H_j)
+        |s_j - t_j|^H_j on the box, so ||g(s) - g(t)|| <= B rho(s, t) with
+        B = max_j Lambda_j D_j^(1-H_j). The drift is f = (L / B) g. It
+        depends on the index set, never on the points: two grids give equal
+        values at the points they share, up to the rounding of the product.
+        A box of zero width on some axis raises ValueError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, k = pts.shape[0], len(seeds)
-        d = sampler.L.shape[0] // n
         if self.kind == "zero":
             return np.zeros((k, n, d))
         if self.kind == "affine":
             vals = np.zeros((n, d))
             vals[:, 0] = self.L * rho_to_point(pts, (0.0,) * H.N, H)
             return np.repeat(vals[None], k, axis=0)
-        raw = sampler.draw([derive_seed(s, 0, "drift") for s in seeds]).reshape(
-            k, n, d)
-        ratio = max_pair_ratio(raw, rho_pairwise(pts, H))
-        zero = ratio == 0.0
-        raw *= (self.L / np.where(zero, 1.0, ratio))[:, None, None]
-        raw[zero] = 0.0
-        return raw
+        lo = np.min([box[0] for box in index_set.boxes], axis=0)
+        side = np.max([box[1] for box in index_set.boxes], axis=0) - lo
+        if not (side > 0).all():
+            raise ValueError("a field drift needs an index set of positive "
+                             f"width on every axis, got widths {side.tolist()}")
+        m = np.arange(1, _DRIFT_FREQS + 1)
+        omega = np.pi * m / side[:, None]                      # (N, M)
+        phase = (pts - lo)[:, :, None] * omega                 # (n, N, M)
+        basis = np.stack([np.cos(phase), np.sin(phase)], axis=2).reshape(n, -1)
+        coef = standard_normals(basis.shape[1] * d, seeds).reshape(
+            k, H.N, 2, _DRIFT_FREQS, d)
+        coef /= (m * m)[:, None]
+        lam = (omega * np.sqrt(np.square(coef).sum(axis=(2, 4)))).sum(axis=2)
+        bound = (lam * side ** (1.0 - H.as_array())).max(axis=1)
+        # one (n, 2 M N) x (2 M N, d) product per replicate, whatever k is
+        vals = np.matmul(basis, coef.reshape(k, -1, d))
+        vals *= (self.L / bound)[:, None, None]
+        return vals
 
 
 def check_lipschitz(values: np.ndarray, L: float, points: np.ndarray,
@@ -131,13 +161,18 @@ class ScalingReport:
 
 def _stepped_grid(lo: Sequence[float], hi: Sequence[float],
                   grid_step: float) -> np.ndarray:
-    """Product grid of the axes lo_j + arange(n_j) * grid_step inside [lo, hi]."""
+    """Product grid of the axes lo_j + arange(n_j) * grid_step inside [lo, hi].
+
+    n_j - 1 is the floor of (hi_j - lo_j) / grid_step, taken with a relative
+    slack of _GRID_RTOL, so an upper edge that the division lands just
+    below is kept.
+    """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(
             f"grid_step must be finite and positive, got {grid_step!r}")
     axes = []
     for j, (a, b) in enumerate(zip(lo, hi)):
-        n_pts = int(np.floor((b - a) / grid_step)) + 1
+        n_pts = int(np.floor((b - a) / grid_step * (1.0 + _GRID_RTOL))) + 1
         if n_pts < 8:
             raise Refusal(
                 f"grid_step {grid_step:g} gives {n_pts} points on axis {j}; "
@@ -148,34 +183,41 @@ def _stepped_grid(lo: Sequence[float], hi: Sequence[float],
 
 def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
                grid_step: float) -> np.ndarray:
-    """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I."""
+    """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I;
+    a point at distance r up to _GRID_RTOL relative is on the ball."""
     pts = _stepped_grid(*ball_bounding_box(t, r, H), grid_step)
-    mask = (rho_to_point(pts, t, H) <= r) & I.contains(pts)
+    mask = (rho_to_point(pts, t, H) <= r * (1.0 + _GRID_RTOL)) & I.contains(pts)
     pts = pts[mask]
     if pts.shape[0] == 0:
         raise Refusal("the rho-ball does not intersect the index set")
     return pts
 
 
-def _distances(model: FieldModel, pts: np.ndarray, f: LipschitzDrift,
-               n_mc: int, seed: int, sign: float, center) -> np.ndarray:
+def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
+               f: LipschitzDrift, n_mc: int, seed: int, sign: float,
+               center) -> np.ndarray:
     """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
 
-    X is drawn from stream "field" and replicate i's drift is seeded by
-    derive_seed(seed, i, "drift"); one factor serves both, so a field drift
-    is an independent copy of X. sign is the direction of the drift's
-    translation in the event: -1 for a hit on the graph of f, +1 for the
-    shifted field X + f. The shape is (n_mc,).
+    X is drawn from stream "field" and replicate i's drift from
+    Philox(derive_seed(seed, i, "drift")), so a field drift is independent
+    of X. sign is the direction of the drift's translation in the event: -1
+    for a hit on the graph of f, +1 for the shifted field X + f. The shape
+    is (n_mc,).
     """
-    sampler = GaussianSampler.build(build_covariance(model, pts))
-    seeds = [derive_seed(seed, i, "drift") for i in range(n_mc)]
-    fv = f.evaluate_many(sampler, pts, model.H, seeds)
-    fv *= sign
-    fv += sampler.sample(n_mc, seed, "field").reshape(fv.shape)
+    fv = GaussianSampler.build(build_covariance(model, pts)).sample(
+        n_mc, seed, "field").reshape(n_mc, -1, model.d)
+    # the field is drawn before the drift is evaluated, so that its normals
+    # are freed before the drift's values are allocated; the sum has the
+    # bits of the drift plus the field, since IEEE addition commutes and
+    # sign is +1 or -1
+    drift = f.evaluate_many(index_set, pts, model.H, model.d,
+                            [derive_seed(seed, i, "drift") for i in range(n_mc)])
+    drift *= sign
+    fv += drift
     fv -= center
     # the min before the root: sqrt is non-decreasing, so the bits are those
     # of the min over np.linalg.norm(fv, axis=2)
-    return np.sqrt(np.add.reduce(fv * fv, axis=2).min(axis=1))
+    return np.sqrt(np.add.reduce(np.square(fv, out=fv), axis=2).min(axis=1))
 
 
 def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:
@@ -200,7 +242,8 @@ def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
         raise ValueError("r must be positive")
     t = np.asarray(t, dtype=float).reshape(-1)
     pts = _ball_grid(t, r, index_set, model.H, grid_step)
-    return _estimate(_distances(model, pts, f, n_mc, seed, -1.0, 0.0), r)
+    return _estimate(
+        _distances(model, index_set, pts, f, n_mc, seed, -1.0, 0.0), r)
 
 
 def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
@@ -256,5 +299,5 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
     # boxes that touch share points; each is sampled once, in first-seen order
     _, first = np.unique(pts, axis=0, return_index=True)
     pts = pts[np.sort(first)]
-    dmin = _distances(model, pts, drift, n_mc, seed, 1.0, center)
+    dmin = _distances(model, index_set, pts, drift, n_mc, seed, 1.0, center)
     return scaling_exponent([_estimate(dmin, delta) for delta in deltas])

@@ -80,8 +80,7 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     root: sqrt is correctly rounded, hence non-decreasing, and so is
     division by a positive constant c. So max_i sqrt(sq_i) / c equals
     sqrt(max_i sq_i) / c bit for bit, and a NaN propagates through both
-    (np.max and np.maximum, not np.fmax). A ratio over rho may be reduced
-    first only on a lag whose pairs share one distance, den == den[0] > 0.
+    (np.max and np.maximum, not np.fmax).
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 3 or vals.shape[1] != rho.shape[0]:
@@ -112,22 +111,17 @@ def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     values has shape (k, n, d) and rho is the (n, n) distance matrix of the
     same points; the result has shape (k,) and is 0 where no pair has
-    rho > 0. The pairs come from pair_lags. A lag whose pairs share one
-    distance takes its max before the root and the division, with the same
-    bits (see pair_lags); any other lag divides pair by pair.
+    rho > 0. The pairs come from pair_lags, and each pair divides by its own
+    rho: in place on the lag's squares when the lag keeps every pair, on
+    one masked copy when it drops a pair with rho == 0.
     """
     best = np.zeros(np.shape(values)[0])
     for den, sq, mask in pair_lags(values, rho, lambda den: den > 0):
-        if den[0] > 0 and (den == den[0]).all():
-            lag_max = np.sqrt(sq.max(axis=0)) / den[0]
-        else:
-            # in place on sq when every pair is kept; one masked copy if not
-            if not mask.all():
-                sq, den = sq[mask], den[mask]
-            ratio = np.sqrt(sq, out=sq)
-            ratio /= den[:, None]
-            lag_max = ratio.max(axis=0)
-        np.maximum(best, lag_max, out=best)
+        if not mask.all():
+            sq, den = sq[mask], den[mask]
+        ratio = np.sqrt(sq, out=sq)
+        ratio /= den[:, None]
+        np.maximum(best, ratio.max(axis=0), out=best)
     return best
 
 

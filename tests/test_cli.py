@@ -61,15 +61,22 @@ GOLDEN = [
     ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1]},
      "c7dc75ba645c0e21f18b37f502d00cd98c74ae06d34e55a073bf5ccb0b7a7d2d",
      "7bf22ee70b1f9b77101560dca5946249725e508096131680e60f5a568d8097ac"),
-    # a nonzero drift, so that the sign of its translation is pinned
+    # a nonzero drift, so that the sign of its translation is pinned; the
+    # affine entry was re-pinned when the ball grids kept their boundary
+    # points, and the field entries when the field drift became a random
+    # trigonometric polynomial (both tool version 0.4.0)
     ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1], "drift_kind": "affine",
                       "drift_L": 0.5},
-     "85fd22e7cfda1cb88788ab6edbaee3bdd8a0b05db54239d9139095bf8a39bfde",
-     "1c37b51fbbf2b3b93eacf3df3682e261b0e3391b11d37a7e1058f4541d1a11de"),
+     "abeb7c9a7cd34236e5f822509d9143c384fe3d7c3b141722cb7679c9f213bfd2",
+     "26a53b95204642acefa99fa400dca7739990902b9372604b119f368d75306af5"),
+    ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1], "drift_kind": "field",
+                      "drift_L": 0.5},
+     "c80eac279c355e66be8af0b5b8f8f2c4835f83707a7fe0fe580101d1a4d86c0c",
+     "8360c09264b21b14161c8dbbcc252f2474c5ab9ed87b3b1b17b9c5f69556bacd"),
     ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1], "drift_kind": "field",
                        "drift_L": 0.5},
-     "85f0dd9e1d22921fdda198502b63bca4f2016358c5d091c82ea6cb1108fa02d9",
-     "72653c19668161b8337357d6e55f6cd23c652f3d7ab67b89faf7dd407bef9be7"),
+     "56c6885e4bc2a7a4f5c08ec0efa562b56c2f42c1a7988814422cbc2e1c9ea589",
+     "da9ad0669e656f049e1375ac1d877f57efe0d3e8e6bc66e8120c8aa730e7ddb4"),
     ("metric-check", {},
      "3553dd1ce55b7a3134e218ebef6c1e57f019e7d9370173be1ce9c76ae7288bbd",
      "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
@@ -96,13 +103,14 @@ GOLDEN_CALIB_FINE = (
     "8e592ffa5cf09b5bfa23d4c97f8a35d0e7ac3a278930762e4afcaa160c2163b4",
     "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
 
-# the polarity-field-drift benchmark config at seed 101: a 129-point grid whose
-# field drift is drawn from the field's factor and rescaled by the pair walk
+# the polarity-field-drift benchmark config at seed 101: a 129-point grid with
+# a field drift; re-pinned when that drift became a random trigonometric
+# polynomial with a closed-form continuum bound (tool version 0.4.0)
 GOLDEN_POLARITY_FIELD_DRIFT = (
     {"hurst": [0.75], "grid_step": 1.0 / 128.0, "drift_kind": "field",
      "drift_L": 0.5, "deltas": [0.2, 0.1, 0.05, 0.025], "n_mc": 600}, 101,
-    "61e468e8b6b6bd07377567de95da5d96d00b01863ed699f74fd85c89f78be03f",
-    "e0d1ebd347ca0dbee87a483e12205785a35ac88efb813f1faec336209a29965d")
+    "034822690f70cace6227d694e7d2b0047d5d202acfc21f6e18f46669004bfdb4",
+    "9512d7d3e4842edfd281a8639e6282455db193bcc296e5a0c42b19966caab745")
 
 
 def _with_first_leaf(value, element):
@@ -286,6 +294,25 @@ class TestMainExitCodes:
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{key} must be")
         assert not out.exists()
+
+    def test_field_drift_on_a_flat_box_exits_2(self, tmp_path, capsys):
+        # the drift's frequencies pi m / D_j need every width D_j > 0
+        out = tmp_path / "run"
+        rc = main(["hitting-scan", "--out", str(out), "--set", "n_mc=10",
+                   "--set", "hurst=[0.75,0.75]", "--set", "box_lo=[0,0.5]",
+                   "--set", "box_hi=[1,0.5]", "--set", "t=[0.5,0.5]",
+                   "--set", "drift_kind=field", "--set", "drift_L=0.5"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "positive width" in err["message"]
+        assert not out.exists()
+
+    def test_box_upper_edge_counts_toward_the_grid(self, tmp_path):
+        # 0, 0.1, ..., 0.7 is 8 points although 0.7 / 0.1 is just below 7
+        rc = main(["polarity-scan", "--out", str(tmp_path / "run"),
+                   "--set", "box_hi=[0.7]", "--set", "grid_step=0.1",
+                   "--set", "n_mc=20"])
+        assert rc == 0
 
     @pytest.mark.parametrize("kind", ["field-sim", "modulus-scan"])
     @pytest.mark.parametrize("lo,hi,message", [

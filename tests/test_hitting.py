@@ -6,13 +6,15 @@ from hypothesis import given, strategies as st
 
 from anisofield import field as fieldmod
 from anisofield import hitting
+from anisofield import metric as metricmod
 from anisofield.errors import Refusal
-from anisofield.field import FieldModel, GaussianSampler, build_covariance
+from anisofield.field import FieldModel
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 check_lipschitz, hitting_probability,
                                 polarity_scan, scaling_exponent,
                                 wilson_interval)
-from anisofield.metric import HurstVector, IndexSet, rho_to_point
+from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
+                               rho_pairwise, rho_to_point)
 from anisofield.seeds import derive_seed
 
 H075 = HurstVector(H=(0.75,))
@@ -23,13 +25,9 @@ def model(H=(0.75,)):
     return FieldModel(H=HurstVector(H=H), mixing=((1.0, 0.0), (1.0, 1.0)))
 
 
-def sampler(points):
-    """The d = 2 field's factor on the given points, as a scan builds it."""
-    return GaussianSampler.build(build_covariance(model(), points))
-
-
-def drift_values(f, points, seeds):
-    return f.evaluate_many(sampler(points), points, H075, seeds)
+def drift_values(f, points, seeds, index_set=UNIT, H=H075):
+    """The drift for the d = 2 field, as a scan on index_set evaluates it."""
+    return f.evaluate_many(index_set, points, H, 2, seeds)
 
 
 @pytest.fixture
@@ -129,19 +127,23 @@ class TestLipschitzDrift:
         _, ok2 = check_lipschitz(vals, 2.0, g, H075)
         assert ok2
 
-    def test_field_drift_rescaled_exactly_tight(self):
-        g = np.linspace(0, 1, 10)[:, None]
-        fdrift = LipschitzDrift(kind="field", L=0.5)
-        ratio, ok = check_lipschitz(
-            drift_values(fdrift, g, [3])[0], fdrift.L, g, H075)
-        assert ok and ratio == pytest.approx(0.5, rel=1e-9)
-
     def test_drift_independent_of_field_stream(self):
+        # the coefficients come from the seed the caller passes, the drift
+        # stream's, and repeat bit for bit
         fdrift = LipschitzDrift(kind="field", L=1.0)
         g = np.linspace(0, 1, 12)[:, None]
-        a = drift_values(fdrift, g, [5])[0]
-        b = drift_values(fdrift, g, [5])[0]
+        a = drift_values(fdrift, g, [derive_seed(5, 0, "drift")])[0]
+        b = drift_values(fdrift, g, [derive_seed(5, 0, "drift")])[0]
         assert np.array_equal(a, b)
+        c = drift_values(fdrift, g, [derive_seed(5, 0, "field")])[0]
+        assert not np.allclose(a, c)
+
+    def test_field_drift_needs_positive_widths(self):
+        line = IndexSet.box([0.0, 0.5], [1.0, 0.5])
+        pts = np.array([[0.0, 0.5], [1.0, 0.5]])
+        with pytest.raises(ValueError, match="positive width"):
+            drift_values(LipschitzDrift(kind="field", L=1.0), pts, [1],
+                         index_set=line, H=HurstVector(H=(0.75, 0.75)))
 
     def test_unknown_kind_refused(self):
         with pytest.raises(ValueError, match="unknown drift kind"):
@@ -162,44 +164,78 @@ class TestBatchedFieldDrift:
         return LipschitzDrift(kind="field", L=L)
 
     def test_rows_match_single_seed_evaluate(self):
+        # one product per replicate: a row's bits do not depend on the others
         f = self.drift()
         many = drift_values(f, self.GRID, self.SEEDS)
         assert many.shape == (6, 33, 2)
         for i, s in enumerate(self.SEEDS):
-            # one GEMM for all rows versus one row at a time: ~1e-15 apart
-            np.testing.assert_allclose(
-                many[i], drift_values(f, self.GRID, [s])[0],
-                rtol=1e-12)
+            assert many[i].tobytes() == drift_values(
+                f, self.GRID, [s])[0].tobytes()
 
-    def test_every_row_rescaled_to_L(self):
-        many = drift_values(self.drift(), self.GRID, self.SEEDS)
-        for row in many:
-            ratio, ok = check_lipschitz(row, 0.5, self.GRID, H075)
-            assert ok and ratio == pytest.approx(0.5, rel=1e-9)
-
-    def test_shared_sampler_gives_same_values(self, factor_calls, monkeypatch):
-        # the drift drawn inside _distances, through the field's one factor,
-        # equals evaluate_many on the same sampler
-        f = self.drift()
+    def test_replicate_does_not_depend_on_n_mc(self, monkeypatch):
+        # the scan derives replicate i's seed from (seed, i) alone
         seen = []
         real = LipschitzDrift.evaluate_many
 
-        def recording(drift, smp, *args):
-            out = real(drift, smp, *args)
-            seen.append((smp, out.copy()))
+        def recording(drift, *args):
+            out = real(drift, *args)
+            seen.append(out.copy())
             return out
 
         monkeypatch.setattr(LipschitzDrift, "evaluate_many", recording)
-        hitting._distances(model(), self.GRID, f, 6, 4, 1.0, 0.0)
-        assert len(seen) == 1 and len(factor_calls) == 1
-        smp, inside = seen[0]
-        assert np.array_equal(smp.L, sampler(self.GRID).L)
-        own = real(f, smp, self.GRID, H075, self.SEEDS)
-        assert np.array_equal(own, inside)
+        for n_mc in (40, 7):
+            polarity_scan(model(), UNIT, self.drift(), [0.0, 0.0],
+                          [0.2, 0.1], n_mc, 4, 1 / 16)
+        assert [v.shape[0] for v in seen] == [40, 7]
+        assert seen[0][:7].tobytes() == seen[1].tobytes()
 
-    def test_single_point_gives_zero_drift(self):
-        vals = drift_values(self.drift(), np.array([[0.5]]), self.SEEDS)
-        assert vals.shape == (6, 1, 2) and np.all(vals == 0.0)
+    def test_continuum_bound_on_a_ladder(self):
+        # 200 replicates are <= L on every grid from step 2^-4 to 2^-11, 16
+        # times finer than the benchmark's 2^-7: the bound is the
+        # continuum's, not a grid's
+        f = self.drift()
+        seeds = [derive_seed(21, i, "drift") for i in range(200)]
+        for e in range(4, 12):
+            g = (np.arange(2 ** e + 1) / 2.0 ** e)[:, None]
+            ratio = max_pair_ratio(drift_values(f, g, seeds),
+                                   rho_pairwise(g, H075))
+            assert ratio.max() <= 0.5 * (1.0 + 1e-9), e
+            # not a vanishing drift either: about a third of L at the median
+            assert np.median(ratio) > 0.1
+        # on a 2-D box whose sides differ, at two steps
+        H2 = HurstVector(H=(0.5, 0.9))
+        box = IndexSet.box([0.0, -1.0], [1.0, 1.0])
+        for step in (1 / 8, 1 / 16):
+            pts = hitting._stepped_grid(*box.boxes[0], step)
+            ratio = max_pair_ratio(drift_values(f, pts, seeds, box, H2),
+                                   rho_pairwise(pts, H2))
+            assert ratio.max() <= 0.5 * (1.0 + 1e-9), step
+        # check_lipschitz agrees with the batched ratio on one replicate
+        vals = drift_values(f, pts, seeds[:1], box, H2)[0]
+        assert check_lipschitz(vals, 0.5, pts, H2) == (ratio[0], True)
+
+    def test_nested_grids_agree_at_shared_points(self):
+        f = self.drift()
+        seeds = [derive_seed(22, i, "drift") for i in range(50)]
+        fine = (np.arange(2049) / 2048.0)[:, None]
+        top = drift_values(f, fine, seeds)
+        for e in (4, 7, 10):
+            g = fine[::2 ** (11 - e)]
+            np.testing.assert_allclose(drift_values(f, g, seeds),
+                                       top[:, ::2 ** (11 - e)],
+                                       rtol=0.0, atol=1e-14)
+
+    def test_scans_never_walk_pairs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair walk")
+
+        monkeypatch.setattr(metricmod, "pair_lags", refuse)
+        f = self.drift()
+        polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 30, 2, 1 / 64)
+        hitting_probability(model(), UNIT, [0.5], 0.1, f, 30, 2,
+                            2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
+        with pytest.raises(AssertionError, match="pair walk"):
+            check_lipschitz(np.zeros((3, 2)), 1.0, self.GRID[:3], H075)
 
     def test_deterministic_kinds_repeat_per_seed(self):
         f = LipschitzDrift(kind="affine", L=2.0)
@@ -256,6 +292,15 @@ class TestHittingProbability:
         assert ests[0].ci_low > ests[1].ci_high
         assert ests[1].ci_low > ests[2].ci_high
 
+    @pytest.mark.parametrize("r", [0.2, 0.1, 0.05, 0.025])
+    def test_ball_grid_keeps_both_boundary_points(self, r):
+        # the hitting-scan default: 16 steps across the ball's box, whose
+        # quotient lands a few ulps off 16, and two ends at rho = r up to
+        # rounding; all 17 lattice points lie in the closed ball
+        step = 2.0 * r ** (4.0 / 3.0) / 16.0
+        pts = hitting._ball_grid(np.array([0.5]), r, UNIT, H075, step)
+        assert pts.shape == (17, 1)
+
     def test_field_drift_factors_once(self, factor_calls):
         m = model()
         hitting_probability(m, UNIT, [0.5], 0.1,
@@ -290,6 +335,19 @@ class TestScalingExponent:
         rep = scaling_exponent(ests)
         assert rep.status == "too-few-nonzero-estimates"
         assert np.isnan(rep.fitted_slope)
+
+
+class TestSteppedGrid:
+    def test_upper_edge_kept(self):
+        # (0.7 - 0) / 0.1 is 6.999999999999999 in floating point
+        pts = hitting._stepped_grid([0.0], [0.7], 0.1)
+        assert pts.shape == (8, 1)
+        assert pts[-1, 0] == pytest.approx(0.7, rel=1e-15)
+
+    def test_binary_steps_unchanged(self):
+        for step in (1 / 64, 1 / 128):
+            pts = hitting._stepped_grid([0.0], [1.0], step)
+            assert np.array_equal(pts[:, 0], np.arange(round(1 / step) + 1) * step)
 
 
 class TestPolarityScan:
@@ -330,14 +388,16 @@ class TestPolarityScan:
         assert factor_calls == [((34, 34), 0.0)]
 
     def test_field_drift_golden(self):
-        # pinned from the one-replicate-at-a-time drift: batching moves no hit
+        # re-pinned when the field drift became a random trigonometric
+        # polynomial with a closed-form continuum bound (tool version 0.4.0)
         m = model()
         rep = polarity_scan(m, UNIT,
                             LipschitzDrift(kind="field", L=0.5),
                             [0.0, 0.0], [0.2, 0.1, 0.05, 0.025], 600, 7, 1 / 128)
         assert [e.p_hat for e in rep.estimates] == [
-            0.245, 0.12, 0.07166666666666667, 0.03333333333333333]
-        assert rep.fitted_slope == 0.9376892996587222
+            0.21666666666666667, 0.125, 0.06166666666666667,
+            0.03166666666666667]
+        assert rep.fitted_slope == 0.9342686223621539
 
     def test_deltas_must_decrease(self):
         with pytest.raises(ValueError):

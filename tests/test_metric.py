@@ -163,7 +163,8 @@ class TestPairReductionsBitExact:
         return M
 
     def test_lags_share_one_distance_only_on_the_lattice(self):
-        # the grids take both routes of max_pair_ratio
+        # the grids cover lags of one distance, lags of mixed distances and
+        # lags that drop a rho == 0 pair
         def shared(points, H):
             rho = rho_pairwise(points, H)
             return [bool((np.diagonal(rho, lag) == rho[0, lag]).all())
