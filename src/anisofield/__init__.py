@@ -7,9 +7,9 @@ from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      chaining_series_bound, covering_number_upper,
                      entropy_integral_closed_form, grid_cover,
                      hausdorff_premeasure, max_pair_ratio)
-from .field import (FieldModel, GaussianSampler, ModulusReport,
-                    build_covariance, modulus_statistic, sample_paths,
-                    verify_condition1, verify_condition2)
+from .field import (FieldModel, ModulusReport, build_covariance,
+                    modulus_statistic, sample_paths, verify_condition1,
+                    verify_condition2)
 from .hitting import (HittingEstimate, LipschitzDrift, ScalingReport,
                       check_lipschitz, hitting_probability, polarity_scan,
                       scaling_exponent, wilson_interval)
@@ -19,4 +19,4 @@ from .calibration import (FrequencyGrid, NoiseLevel, PsiEstimate,
                           simulate_spectral_noise, tail_integral, total_mass)
 from .seeds import derive_seed
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalCheckFailed
-from .field import GaussianSampler
+from . import field as fieldmod
 
 _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
@@ -310,20 +310,23 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
 
     A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
     grid leaves out). X1 and X2 decouple (even noise), each with a
-    cosine-transform covariance and its own GaussianSampler (streams
-    "spec-cos" and "spec-sin").
+    cosine-transform covariance, drawn as the normals of its own stream
+    ("spec-cos", "spec-sin") times the transposed Cholesky factor. X1's
+    covariance and factor are freed before X2's covariance is factored.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     cov1, cov2 = _spectral_covariances(noise, grid.positive)
 
-    cos_part = GaussianSampler.build(cov1)
+    L = fieldmod.cholesky_with_jitter(cov1)[0]
     del cov1
-    vals = cos_part.sample(n_samples, seed, "spec-cos").astype(complex)
-    del cos_part
-    sin_part = GaussianSampler.build(cov2)
+    vals = (fieldmod.standard_normal_batch(L.shape[0], n_samples, seed,
+                                           "spec-cos") @ L.T).astype(complex)
+    del L
+    L = fieldmod.cholesky_with_jitter(cov2)[0]
     del cov2
-    vals.imag[:, 1:] = sin_part.sample(n_samples, seed, "spec-sin")
+    vals.imag[:, 1:] = fieldmod.standard_normal_batch(
+        L.shape[0], n_samples, seed, "spec-sin") @ L.T
     return vals
 
 

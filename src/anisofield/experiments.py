@@ -25,7 +25,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.5.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 

@@ -9,12 +9,13 @@ assumptions with explicit constants:
   1 - exp(-a) <= a and sum of squares <= square of sums;
 * an eigenvalue floor lambda = lambda_min(A A^T) > 0 for nonsingular A A^T.
 
-A set of index points is an (n, N) array, one point per row. Sampling is
-dense Cholesky on the full covariance, so grids are kept small (a few
-thousand points); exactness over scale. A GaussianSampler holds the
-factor of one covariance matrix and draws any number of replicates from it,
-one Philox stream per replicate; the field and both parts of the
-calibration spectral process draw through it. Philox is
+A set of index points is an (n, N) array, one point per row. The covariance
+of the field's values on n points is the Kronecker product K (x) G of the
+n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
+with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
+2015). sample_paths factors K once, by dense Cholesky, and draws any number
+of replicates from it, one Philox stream per replicate; grids are kept small
+(a few thousand points), exactness over scale. Philox is
 counter-based, so a stream is only its key: standard_normals derives the
 keys of all seeds in one vectorised port of numpy's SeedSequence and draws
 every row from one generator, with the bits of Generator(Philox(seed)).
@@ -74,6 +75,8 @@ class FieldModel:
     def kernel_matrix(self, points: np.ndarray) -> np.ndarray:
         """Scalar kernel exp(-sum_j |ds_j|^(2 H_j)) on all point pairs."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.H.N:
+            raise ValueError("points dimension does not match model")
         exps = 2.0 * self.H.as_array()
         diff = np.abs(pts[:, None, :] - pts[None, :, :])
         return np.exp(-np.sum(diff ** exps, axis=2))
@@ -81,14 +84,11 @@ class FieldModel:
 
 def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
     """Dense covariance of the stacked vector (X(t_1), ..., X(t_n)) over the
-    rows t_p of an (n, N) array.
+    rows t_p of an (n, N) array: the reference law that sample_paths draws.
 
     Ordering is point-major: row p*d + a corresponds to component a at point p.
     """
-    if np.shape(points)[-1] != model.H.N:
-        raise ValueError("points dimension does not match model")
-    K = model.kernel_matrix(points)
-    return np.kron(K, model.gram)
+    return np.kron(model.kernel_matrix(points), model.gram)
 
 
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -233,40 +233,29 @@ def standard_normal_batch(dim: int, n: int, master_seed: int,
                                   for i in range(n)])
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianSampler:
-    """Factor once, draw many: the Cholesky factor of one covariance matrix.
-
-    Draws are rows of shape (k, dim), dim = L.shape[0]. ``jitter`` is the
-    absolute diagonal jitter the factorization needed (0.0 when none).
-    """
-
-    L: np.ndarray
-    jitter: float
-
-    @classmethod
-    def build(cls, cov: np.ndarray) -> "GaussianSampler":
-        L, jitter = cholesky_with_jitter(cov)
-        return cls(L=L, jitter=jitter)
-
-    def draw(self, seeds: Sequence[int]) -> np.ndarray:
-        """One replicate per seed, replicate i drawn from Philox(seeds[i])."""
-        return standard_normals(self.L.shape[0], seeds) @ self.L.T
-
-    def sample(self, n: int, master_seed: int, stream: str) -> np.ndarray:
-        """n replicates, replicate i seeded by derive_seed(master_seed, i, stream)."""
-        return standard_normal_batch(self.L.shape[0], n, master_seed,
-                                     stream) @ self.L.T
-
-
 def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
                  seed: int) -> np.ndarray:
-    """Exact Gaussian draws of the field on the n points, shape (n_samples, n, d)."""
+    """Exact Gaussian draws of the field on the n points, shape (n_samples, n, d).
+
+    Replicate i is L_K Z_i L_G^T, with L_K the factor of the n x n kernel
+    matrix, L_G that of G = A A^T and Z_i the point-major normals of
+    derive_seed(seed, i, "field") as an (n, d) block. A G that does not
+    factor raises np.linalg.LinAlgError, a ValueError. The result is a
+    transposed view of an (n_samples, d, n) array.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sampler = GaussianSampler.build(build_covariance(model, points))
-    return sampler.sample(n_samples, seed, "field").reshape(
-        n_samples, -1, model.d)
+    L_G = np.linalg.cholesky(model.gram)
+    L_K = cholesky_with_jitter(model.kernel_matrix(points))[0]
+    n, d = L_K.shape[0], model.d
+    z = standard_normal_batch(n * d, n_samples, seed, "field")
+    # component-major rows, so that one GEMM over the point axis serves every
+    # replicate; n_samples batched L_K @ Z_i products are several times slower
+    y = np.ascontiguousarray(
+        z.reshape(n_samples, n, d).transpose(0, 2, 1)).reshape(-1, n)
+    del z
+    y = y @ L_K.T
+    return np.matmul(L_G, y.reshape(n_samples, d, n)).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

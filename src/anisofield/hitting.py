@@ -10,8 +10,9 @@ predicted exponent minus a desk-scale tolerance.
 A drift is zero, affine in rho(0, s), or a random trigonometric polynomial
 drawn independently of the field and scaled by a closed-form bound, so that
 ||f(s) - f(t)|| <= L rho(s, t) holds on the whole bounding box of the index
-set, not only on the scan's grid. Each scan builds one factor, for the field
-alone; a field drift costs one small matrix product per replicate.
+set, not only on the scan's grid. Each scan draws the field through
+field.sample_paths, which factors the scan's n x n kernel matrix once; a
+field drift costs one small matrix product per replicate.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Refusal
-from .field import (FieldModel, GaussianSampler, build_covariance,
-                    standard_normals)
+from .field import FieldModel, sample_paths, standard_normals
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
 from .seeds import derive_seed
@@ -204,8 +204,7 @@ def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
     for a hit on the graph of f, +1 for the shifted field X + f. The shape
     is (n_mc,).
     """
-    fv = GaussianSampler.build(build_covariance(model, pts)).sample(
-        n_mc, seed, "field").reshape(n_mc, -1, model.d)
+    fv = sample_paths(model, pts, n_mc, seed)
     # the field is drawn before the drift is evaluated, so that its normals
     # are freed before the drift's values are allocated; the sum has the
     # bits of the drift plus the field, since IEEE addition commutes and

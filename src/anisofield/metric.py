@@ -135,6 +135,8 @@ def product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
 def rho_to_point(points: np.ndarray, t, H: HurstVector) -> np.ndarray:
     """rho distances from each row of points to a single point t."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != H.N:
+        raise ValueError("points dimension does not match Hurst vector")
     t = np.asarray(t, dtype=float).reshape(-1)
     return np.sum(np.abs(pts - t) ** H.as_array(), axis=1)
 

@@ -444,7 +444,7 @@ class TestSpectralSimulation:
         assert np.all(s[:, 0].imag == 0.0)
 
     def test_factors_through_the_field_seam(self, monkeypatch):
-        # both spectral components are factored by field.GaussianSampler
+        # both spectral components are factored by field.cholesky_with_jitter
         calls = []
         real = fieldmod.cholesky_with_jitter
 

@@ -46,14 +46,14 @@ BAD_ELEMENTS = ["0.1", True, [0.1]]
 # metric-check and calib-sim results.csv digests were re-pinned when their
 # quadratures moved from QUADPACK to numpy (tool version 0.2.0)
 GOLDEN = [
-    # re-pinned when every run began to hold BLAS at one thread (tool
-    # version 0.3.0): the 202 x 202 factor and its product now have the
-    # one-thread bits
+    # both re-pinned when the field draw became L_K Z L_G^T from the n x n
+    # kernel factor instead of the factor of the nd x nd covariance (tool
+    # version 0.5.0): the draws agree with the old ones up to rounding
     ("modulus-scan", {"n_samples": 40, "n_points": 101, "eps": [0.05, 0.1]},
-     "cf0e75c046da6fbe174d8abf18f518d379f01bceb22e37557c71f4641bf51d53",
-     "2658e060690c9134e2360f7fed9c2dceed5316e283fa5fc63eee85154398f2e2"),
+     "fd40b0567936169e796cdf64e062a4f6f3b443f46ba7e0f250900c3f89283f50",
+     "47dcd931584828834c98b8c03c6818e3bb597cb74a4d740e4e4c3d9ab7511f6c"),
     ("field-sim", {"n_samples": 40, "n_grid": 6},
-     "6d9a30fb1fcec78fcd5a5266002b71d7081b34666edd57b501f65406b63130e7",
+     "0f1cb16be3b388e327b3f25071154aa8991931da8ca6fc84536cf31b01684e73",
      "c023cea511a7be936be810e57265c619a0fa7c8d972e1b76d1f5fd24154bb7b8"),
     ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1]},
      "e73f93ac027f8f41383c50395b13426980879fbcbfaf091541da0d44a4052ec6",

@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from anisofield.errors import ModelRejected
-from anisofield.field import (FieldModel, GaussianSampler, _philox_keys,
-                              build_covariance, cholesky_with_jitter,
-                              modulus_statistic, sample_paths,
-                              standard_normal_batch, standard_normals,
-                              verify_condition1, verify_condition2)
-from anisofield.metric import HurstVector, rho_pairwise
+from anisofield import hitting
+from anisofield.field import (FieldModel, _philox_keys, build_covariance,
+                              cholesky_with_jitter, modulus_statistic,
+                              sample_paths, standard_normal_batch,
+                              standard_normals, verify_condition1,
+                              verify_condition2)
+from anisofield.metric import (HurstVector, IndexSet, product_grid,
+                               rho_pairwise, rho_to_point)
 from anisofield.seeds import derive_seed
 
 
@@ -40,6 +42,21 @@ class TestBuildCovariance:
         assert np.allclose(K, expect)
         cov = build_covariance(m, g)
         assert np.allclose(cov, cov.T)
+
+    def test_jitter_reported(self):
+        assert cholesky_with_jitter(build_covariance(
+            model_2x2(), np.array([[0.1], [0.1]])))[1] > 0.0
+        assert cholesky_with_jitter(build_covariance(
+            model_2x2(), np.linspace(0, 1, 4)[:, None]))[1] == 0.0
+
+    def test_point_set_of_another_dimension_refused(self):
+        # without the check, (4, 1) points broadcast against two exponents
+        H = HurstVector(H=(0.7, 0.9))
+        pts = np.linspace(0.0, 1.0, 4)[:, None]
+        with pytest.raises(ValueError, match="dimension"):
+            FieldModel(H=H, mixing=((1.0,),)).kernel_matrix(pts)
+        with pytest.raises(ValueError, match="dimension"):
+            rho_to_point(pts, (0.0, 0.0), H)
 
 
 class TestConditions:
@@ -85,9 +102,8 @@ class TestSamplePaths:
         b = sample_paths(m, g, 300, 99)
         assert a.tobytes() == b.tobytes()
 
-    def test_mean_and_covariance_exact(self):
-        m = model_2x2()
-        g = np.linspace(0.0, 1.0, 10)[:, None]
+    @staticmethod
+    def check_mean_and_covariance(m, g):
         n = 20_000
         paths = sample_paths(m, g, n, 7)
         flat = paths.reshape(n, -1)
@@ -97,6 +113,14 @@ class TestSamplePaths:
         emp = flat.T @ flat / n
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana ** 2) / n)
         assert np.all(np.abs(emp - ana) <= 5.0 * se)
+
+    def test_mean_and_covariance_exact(self):
+        self.check_mean_and_covariance(model_2x2(),
+                                       np.linspace(0.0, 1.0, 10)[:, None])
+
+    def test_mean_and_covariance_exact_2d_product_grid(self):
+        g = product_grid([np.linspace(0.0, 1.0, 3), np.linspace(0.0, 0.5, 3)])
+        self.check_mean_and_covariance(model_2x2(H=(0.6, 0.8)), g)
 
     def test_two_point_correlation(self):
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,),))
@@ -117,40 +141,59 @@ class TestSamplePaths:
         assert pval > 1e-3
 
 
-class TestGaussianSampler:
-    def test_sample_matches_sample_paths(self):
-        m, g = model_2x2(), np.linspace(0.0, 1.0, 8)[:, None]
-        vals = GaussianSampler.build(build_covariance(m, g)).sample(40, 9, "field")
-        assert vals.shape == (40, 16)
-        assert vals.tobytes() == sample_paths(m, g, 40, 9).tobytes()
+def dense_reference(m, pts, n_samples, seed):
+    """The draw through the factor of the full n d x n d covariance."""
+    cov = build_covariance(m, pts)
+    L, jitter = cholesky_with_jitter(cov)
+    assert jitter == 0.0
+    z = standard_normal_batch(cov.shape[0], n_samples, seed, "field")
+    return (z @ L.T).reshape(n_samples, -1, m.d)
 
-    def test_draw_from_stream_seeds_equals_sample(self):
-        s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   np.linspace(0.0, 1.0, 8)[:, None]))
-        seeds = [derive_seed(9, i, "drift") for i in range(40)]
-        assert s.draw(seeds).tobytes() == s.sample(40, 9, "drift").tobytes()
 
-    def test_standard_normal_batch_is_the_stream_case(self):
-        seeds = [derive_seed(3, i, "x") for i in range(70)]
-        assert np.array_equal(standard_normals(5, seeds),
-                              standard_normal_batch(5, 70, 3, "x"))
-        # row i is the first draw of its own Philox stream
-        assert np.all(standard_normals(5, seeds) == np.stack([
-            np.random.Generator(np.random.Philox(s)).standard_normal(5)
-            for s in seeds]))
+class TestKroneckerDraw:
+    """sample_paths factors the n x n kernel and G = A A^T apart; its draws
+    equal those of the dense factor of K (x) G up to rounding."""
 
-    def test_draw_deterministic_and_worker_invariant(self):
-        s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   np.linspace(0.0, 1.0, 6)[:, None]))
-        seeds = [derive_seed(1, i, "field") for i in range(100)]
-        assert s.draw(seeds).tobytes() == s.draw(seeds).tobytes()
+    # the largest relative difference seen was 2.2e-11, at n = 1025
+    RTOL = 1e-9
 
-    def test_jitter_reported(self):
-        s = GaussianSampler.build(build_covariance(
-            model_2x2(), np.array([[0.1], [0.1]])))
-        assert s.jitter > 0.0
-        assert GaussianSampler.build(build_covariance(
-            model_2x2(), np.linspace(0, 1, 4)[:, None])).jitter == 0.0
+    def check(self, m, pts, n_samples=30, seed=4):
+        got = sample_paths(m, pts, n_samples, seed)
+        ref = dense_reference(m, pts, n_samples, seed)
+        assert got.shape == ref.shape == (n_samples, len(pts), m.d)
+        assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
+
+    def test_1d_lattice(self):
+        self.check(model_2x2(H=(0.75,)), np.linspace(0.0, 1.0, 129)[:, None])
+
+    def test_2d_ball_grid(self):
+        H = HurstVector(H=(0.8, 0.9))
+        pts = hitting._ball_grid(np.array([0.5, 0.5]), 0.3,
+                                 IndexSet.box((0.0, 0.0), (1.0, 1.0)), H,
+                                 1 / 32)
+        self.check(FieldModel(H=H, mixing=((1.0, 0.0), (1.0, 1.0))), pts)
+
+    def test_touching_boxes_union(self):
+        halves = IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
+        pts = np.concatenate([hitting._stepped_grid(lo, hi, 1 / 16)
+                              for lo, hi in halves.boxes])
+        _, first = np.unique(pts, axis=0, return_index=True)
+        self.check(model_2x2(H=(0.75,)), pts[np.sort(first)])
+
+    def test_more_fields_than_components(self):
+        m = FieldModel(H=HurstVector(H=(0.6,)),
+                       mixing=((1.0, 0.5, -0.3), (0.2, 1.0, 0.7)))
+        self.check(m, np.linspace(0.0, 1.0, 40)[:, None])
+
+    def test_scalar_field(self):
+        m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.7,),))
+        self.check(m, np.linspace(0.0, 1.0, 40)[:, None])
+
+    def test_gram_that_does_not_factor_refused(self):
+        # three components from one field: G = A A^T has rank 1
+        m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,), (2.0,), (3.0,)))
+        with pytest.raises(ValueError):
+            sample_paths(m, np.linspace(0.0, 1.0, 5)[:, None], 3, 0)
 
 
 def seed_sequence_keys(seeds):
@@ -187,6 +230,15 @@ class TestKeyedDraws:
             expect = np.random.Generator(np.random.Philox(s)).standard_normal(992)
             assert row.tobytes() == expect.tobytes()
 
+    def test_standard_normal_batch_is_the_stream_case(self):
+        seeds = [derive_seed(3, i, "x") for i in range(70)]
+        assert np.array_equal(standard_normals(5, seeds),
+                              standard_normal_batch(5, 70, 3, "x"))
+        # row i is the first draw of its own Philox stream
+        assert np.all(standard_normals(5, seeds) == np.stack([
+            np.random.Generator(np.random.Philox(s)).standard_normal(5)
+            for s in seeds]))
+
     def test_no_seeds(self):
         assert standard_normals(7, []).shape == (0, 7)
         assert _philox_keys(np.array([], dtype=np.uint64)).shape == (0, 2)
@@ -195,10 +247,6 @@ class TestKeyedDraws:
     def test_seed_outside_64_bits_refused(self, bad):
         with pytest.raises(ValueError, match="outside"):
             standard_normals(3, [5, bad, 6])
-        s = GaussianSampler.build(build_covariance(model_2x2(),
-                                                   np.linspace(0, 1, 4)[:, None]))
-        with pytest.raises(ValueError, match="outside"):
-            s.draw([bad])
 
 
 class TestModulusStatistic:

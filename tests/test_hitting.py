@@ -385,7 +385,7 @@ class TestPolarityScan:
         halves = IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
         polarity_scan(model(), halves, LipschitzDrift(kind="zero"),
                       [0.0, 0.0], [0.2, 0.1], 20, 0, 1 / 16)
-        assert factor_calls == [((34, 34), 0.0)]
+        assert factor_calls == [((17, 17), 0.0)]
 
     def test_field_drift_golden(self):
         # re-pinned when the field drift became a random trigonometric
