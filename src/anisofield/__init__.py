@@ -19,4 +19,4 @@ from .calibration import (FrequencyGrid, NoiseLevel, PsiEstimate,
                           simulate_spectral_noise, tail_integral, total_mass)
 from .seeds import derive_seed
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -2,7 +2,8 @@
 
 One subcommand per experiment kind. Parameters come from defaults, an
 optional JSON config file, and --set key=value overrides, in that order.
-Errors are emitted as machine-readable JSON on stderr with a nonzero exit.
+Errors, usage errors included, are emitted as machine-readable JSON on
+stderr with exit code 2.
 """
 from __future__ import annotations
 
@@ -13,6 +14,21 @@ import sys
 from .errors import ModelRejected, NumericalCheckFailed, Refusal
 from .experiments import (PARAM_CLASSES, ExperimentConfig, default_out_dir,
                           run_experiment)
+
+
+def _print_error(name: str, message: str) -> None:
+    json.dump({"error": name, "message": message}, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (an unknown kind, a malformed
+    --set, a --seed that is not an integer, ...) are the JSON error, exit 2;
+    its subparsers are of the same class. -h still prints the help."""
+
+    def error(self, message):
+        _print_error("UsageError", message)
+        self.exit(2)
 
 
 def _parse_set(item: str) -> tuple[str, object]:
@@ -27,7 +43,7 @@ def _parse_set(item: str) -> tuple[str, object]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="anisofield",
         description="Anisotropic Gaussian field simulation and verification scans")
     sub = parser.add_subparsers(dest="kind", required=True)
@@ -71,8 +87,7 @@ def main(argv=None) -> int:
             OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; report the public name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        json.dump({"error": name, "message": str(exc)}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
+        _print_error(name, str(exc))
         return 2
     print(json.dumps({"kind": manifest.kind, "outputs": manifest.outputs},
                      sort_keys=True))

@@ -25,7 +25,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -80,11 +80,6 @@ class MetricCheckParams:
     entropy_x: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0)
     cover_radii: tuple[float, ...] = (0.5, 0.25, 0.125)
     test_grid_points: int = 10_000
-    chaining_beta: float = 28.0
-    series_d: int = 2
-    series_c: float = 1.0
-    series_L: float = 0.0
-    series_k_max: int = 20
 
 
 @dataclass(frozen=True)
@@ -137,18 +132,6 @@ class ModulusScanParams:
 
 
 @dataclass(frozen=True)
-class ChainingCheckParams:
-    r: float = 1.0
-    beta: float = 28.0
-    n_max: int = 8
-    series_d: int = 2
-    series_c: float = 1.0
-    series_L: float = 0.0
-    series_Q: float = 4.0 / 3.0
-    series_k_max: int = 20
-
-
-@dataclass(frozen=True)
 class CalibNoiselessParams:
     V: float = 10.0
     step: float = 0.01
@@ -171,7 +154,6 @@ PARAM_CLASSES: dict[str, type] = {
     "hitting-scan": HittingScanParams,
     "polarity-scan": PolarityScanParams,
     "modulus-scan": ModulusScanParams,
-    "chaining-check": ChainingCheckParams,
     "calib-noiseless": CalibNoiselessParams,
     "calib-sim": CalibSimParams,
 }
@@ -271,6 +253,19 @@ def _scan_output(report: hitmod.ScalingReport, **extra):
     return ["r", "p_hat", "ci_low", "ci_high", "n_mc"], rows, doc
 
 
+def _nonempty(key: str, values: tuple) -> None:
+    if not values:
+        raise ValueError(f"{key} must be nonempty")
+
+
+def _distinct(key: str, values: tuple) -> None:
+    """Refuse an empty list, or one that repeats a value: a scan would
+    write the repeated value's rows, and count its replicates, twice."""
+    _nonempty(key, values)
+    if len(set(values)) != len(values):
+        raise ValueError(f"{key} must be distinct, got {list(values)}")
+
+
 # ---------------------------------------------------------------------------
 # runners: each returns (header, rows, report_doc)
 
@@ -290,6 +285,8 @@ def _entropy_quadrature(x: float) -> float:
 
 def _run_metric_check(cfg: ExperimentConfig):
     p: MetricCheckParams = cfg.params
+    _nonempty("entropy_x", p.entropy_x)
+    _nonempty("cover_radii", p.cover_radii)
     H = metmod.HurstVector(H=tuple(p.hurst))
     I = metmod.IndexSet.unit_box(H.N)
     test_pts = I.test_grid(p.test_grid_points)
@@ -303,13 +300,7 @@ def _run_metric_check(cfg: ExperimentConfig):
         valid = gc.is_valid_on(test_pts)
         bound = gc.c8 * r ** (-H.Q)
         rows.append(["cover", r, gc.count, bound, valid and gc.count <= bound])
-    # c2 depends on beta alone; r and n_max only set the schedule's radii
-    c2 = metmod.chaining_schedule(1.0, p.chaining_beta, 1).c2
-    rows.append(["chaining_c2", p.chaining_beta, c2, "", True])
-    partial, conv = metmod.chaining_series_bound(
-        p.chaining_beta, p.series_L, p.series_c, p.series_d, H.Q, p.series_k_max)
-    rows.append(["series", p.chaining_beta, partial, "", conv])
-    report = {"Q": H.Q, "all_ok": all(bool(r[-1]) for r in rows if r[0] != "series")}
+    report = {"Q": H.Q, "all_ok": all(bool(r[-1]) for r in rows)}
     return ["check", "param", "value", "bound", "ok"], rows, report
 
 
@@ -352,8 +343,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
-    if not p.radii:
-        raise ValueError("radii must be nonempty")
+    _distinct("radii", p.radii)
     if p.ball_points_per_axis < 1:
         raise ValueError("ball_points_per_axis must be >= 1")
     ests = []
@@ -378,8 +368,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
 
 def _run_modulus_scan(cfg: ExperimentConfig):
     p: ModulusScanParams = cfg.params
-    if not p.eps:
-        raise ValueError("eps must be nonempty")
+    _distinct("eps", p.eps)
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
     points = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
@@ -399,18 +388,6 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     report = {"eps_p95": doc_eps, "n_samples": p.n_samples,
               "grid_points": len(points)}
     return ["eps", "status", "p95", "mean"], rows, report
-
-
-def _run_chaining_check(cfg: ExperimentConfig):
-    p: ChainingCheckParams = cfg.params
-    sched = metmod.chaining_schedule(p.r, p.beta, p.n_max)
-    rows = [[n + 1, e, rn] for n, (e, rn) in
-            enumerate(zip(sched.epsilons, sched.radii))]
-    partial, conv = metmod.chaining_series_bound(
-        p.beta, p.series_L, p.series_c, p.series_d, p.series_Q, p.series_k_max)
-    report = {"c2": sched.c2, "series_partial_sum": partial,
-              "series_converges": conv}
-    return ["n", "eps_n", "r_n"], rows, report
 
 
 def _run_calib_noiseless(cfg: ExperimentConfig):
@@ -445,8 +422,7 @@ def _check_spectral_blocks_fit(V: float, step: float) -> None:
 
 def _run_calib_sim(cfg: ExperimentConfig):
     p: CalibSimParams = cfg.params
-    if not p.noise_scales:
-        raise ValueError("noise_scales must be nonempty")
+    _distinct("noise_scales", p.noise_scales)
     if p.n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     noise = calib.NoiseLevel(a=p.noise_a, p=p.noise_p)
@@ -481,7 +457,6 @@ RUNNERS: dict[str, Callable] = {
     "hitting-scan": _run_hitting_scan,
     "polarity-scan": _run_polarity_scan,
     "modulus-scan": _run_modulus_scan,
-    "chaining-check": _run_chaining_check,
     "calib-noiseless": _run_calib_noiseless,
     "calib-sim": _run_calib_sim,
 }

@@ -197,7 +197,6 @@ def test_11_experiment_determinism(tmp_path):
             "polarity-scan": {"n_mc": 200, "deltas": [0.2, 0.1]},
             "modulus-scan": {"n_samples": 40, "n_points": 101,
                              "eps": [0.05, 0.1]},
-            "chaining-check": {},
             "calib-noiseless": {"V": 5.0, "step": 0.05},
             "calib-sim": {"n_replicates": 10, "V": 3.0, "step": 0.2},
         }

@@ -35,7 +35,7 @@ class TestOneBlasThread:
         with _blas.one_blas_thread() as state:
             pass
         assert state == {"library": None, "threads": None, "pinned": False}
-        cfg = ExperimentConfig.from_dict("chaining-check",
+        cfg = ExperimentConfig.from_dict("metric-check",
                                          {"out_dir": str(tmp_path / "run")})
         assert run_experiment(cfg).blas == state
 

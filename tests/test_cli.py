@@ -77,15 +77,14 @@ GOLDEN = [
                        "drift_L": 0.5},
      "56c6885e4bc2a7a4f5c08ec0efa562b56c2f42c1a7988814422cbc2e1c9ea589",
      "da9ad0669e656f049e1375ac1d877f57efe0d3e8e6bc66e8120c8aa730e7ddb4"),
+    # results.csv re-pinned when the chaining_c2 and series rows went (tool
+    # version 0.6.0); the entropy and cover rows, and report.json, are unchanged
     ("metric-check", {},
-     "3553dd1ce55b7a3134e218ebef6c1e57f019e7d9370173be1ce9c76ae7288bbd",
+     "14cd26a63ce13359e67a752333a9d4144e87aa3d35d08c0123686269a5bfe7f7",
      "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
     ("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
      "d53a50b1685863e23f7d58cdf92cda4d85bb11f52da40740f59292da73ca6629",
      "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20"),
-    ("chaining-check", {},
-     "be3e16b7b3ba7923181393abc1558b1f3b3a6f920c9ff7dfbb39e4bc1e9f0349",
-     "9ec627ae33f106907a4c21ab17e29f895eac98445f3c110823178686d4546e8b"),
     # re-pinned when the grid dropped its mirrored v < 0 half (tool version
     # 0.2.2): the v >= 0 rows are unchanged, and the report's error is now
     # taken over them alone
@@ -126,8 +125,10 @@ class TestConfigParsing:
             params_from_dict(MetricCheckParams, {"hurst": [0.5], "bogus": 1})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown experiment kind"):
-            ExperimentConfig.from_dict("frobnicate", {})
+        # chaining-check was a kind until 0.6.0
+        for kind in ("frobnicate", "chaining-check"):
+            with pytest.raises(ValueError, match="unknown experiment kind"):
+                ExperimentConfig.from_dict(kind, {})
 
     def test_echo_round_trips(self):
         cfg = ExperimentConfig.from_dict(
@@ -171,6 +172,21 @@ class TestConfigParsing:
             "calib-sim", {"V": 3, "noise_scales": [1e-3, 1], "seed": 2})
         assert cfg.params.V == 3 and type(cfg.params.V) is int
         assert cfg.echo()["noise_scales"] == [1e-3, 1]
+
+    @pytest.mark.parametrize("kind,over,module,draw", [
+        ("calib-sim", {"noise_scales": [1e-3, 1e-2, 1e-3], "n_replicates": 5},
+         calibration, "simulate_spectral_noise"),
+        ("modulus-scan", {"eps": [0.1, 0.1], "n_samples": 2},
+         fieldmod, "sample_paths")], ids=["calib-sim", "modulus-scan"])
+    def test_repeated_scan_value_refused_before_drawing(
+            self, tmp_path, monkeypatch, kind, over, module, draw):
+        calls = []
+        monkeypatch.setattr(module, draw, lambda *a, **k: calls.append(a))
+        out = tmp_path / "run"
+        cfg = ExperimentConfig.from_dict(kind, dict(over, out_dir=str(out)))
+        with pytest.raises(ValueError, match="must be distinct"):
+            run_experiment(cfg)
+        assert calls == [] and not out.exists()
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
@@ -247,10 +263,10 @@ def run_golden_in_child(tmp_path, cases, env_extra, prelude=""):
 
 class TestMainExitCodes:
     def test_success_prints_digests(self, tmp_path, capsys):
-        rc = main(["chaining-check", "--out", str(tmp_path / "run")])
+        rc = main(["metric-check", "--out", str(tmp_path / "run")])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["kind"] == "chaining-check"
+        assert doc["kind"] == "metric-check"
         assert set(doc["outputs"]) == {"results.csv", "report.json"}
         assert (tmp_path / "run" / "manifest.json").exists()
 
@@ -267,7 +283,9 @@ class TestMainExitCodes:
         ("polarity-scan", "deltas", "n_mc=10"),
         ("hitting-scan", "radii", "n_mc=10"),
         ("modulus-scan", "eps", "n_samples=2"),
-        ("calib-sim", "noise_scales", "n_replicates=2")])
+        ("calib-sim", "noise_scales", "n_replicates=2"),
+        ("metric-check", "entropy_x", "test_grid_points=100"),
+        ("metric-check", "cover_radii", "test_grid_points=100")])
     def test_empty_scan_exits_2(self, tmp_path, capsys, kind, key, size):
         out = tmp_path / "run"
         rc = main([kind, "--out", str(out), "--set", f"{key}=[]", "--set", size])
@@ -278,6 +296,47 @@ class TestMainExitCodes:
         # refused by the runner, after from_dict accepted the config: no
         # output directory is left behind
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,item,size", [
+        ("calib-sim", "noise_scales=[0.001,0.001]", "n_replicates=5"),
+        ("modulus-scan", "eps=[0.1,0.05,0.1]", "n_samples=2"),
+        ("hitting-scan", "radii=[0.2,0.2]", "n_mc=10")])
+    def test_repeated_scan_value_exits_2(self, tmp_path, capsys, kind, item,
+                                         size):
+        # a repeated noise scale counted its replicates twice, and a
+        # repeated eps wrote its row twice
+        out = tmp_path / "run"
+        assert main([kind, "--out", str(out), "--set", item,
+                     "--set", size]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"{item.split('=')[0]} must be distinct" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["nope"], ["chaining-check"], ["metric-check", "--set", "foo"],
+        ["metric-check", "--seed", "abc"]],
+        ids=["unknown-kind", "removed-kind", "set-without-value", "seed-abc"])
+    def test_usage_error_exits_2_with_json_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "UsageError"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["metric-check", "-h"]])
+    def test_help_is_argparse_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: anisofield")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("kind,key,value", [
         ("calib-sim", "n_replicates", 0),
@@ -484,7 +543,7 @@ class TestMainExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(doc)
         out = tmp_path / "run"
-        rc = main(["chaining-check", "--config", str(path), "--out", str(out)])
+        rc = main(["metric-check", "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
@@ -511,9 +570,12 @@ class TestMainExitCodes:
         assert err["error"] == "ValueError"
 
 
-    @pytest.mark.parametrize("item", ["chaining_r=0.3", "chaining_n_max=3"])
+    @pytest.mark.parametrize("item", [
+        "chaining_r=0.3", "chaining_n_max=3", "chaining_beta=30.0",
+        "series_d=3", "series_c=2.0", "series_L=0.5", "series_k_max=10"])
     def test_removed_chaining_keys_exit_2(self, tmp_path, capsys, item):
-        # metric-check's c2 depends on chaining_beta alone
+        # metric-check evaluates no chaining constant: without a model's
+        # condition-1 constant and drift, its free settings meant nothing
         out = tmp_path / "run"
         assert main(["metric-check", "--out", str(out), "--set", item]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -591,6 +653,14 @@ class TestReproducibility:
         # pinned digests: a change of any output bit must be declared
         man = self.run(kind, over, tmp_path / "g", seed=17)
         assert man.outputs == {"results.csv": results, "report.json": report}
+
+    def test_metric_check_all_ok_covers_every_row(self, tmp_path):
+        self.run("metric-check", {}, tmp_path / "m")
+        lines = (tmp_path / "m" / "results.csv").read_text().splitlines()
+        oks = [line.split(",")[-1] for line in lines[1:]]
+        assert oks and set(oks) <= {"True", "False"}
+        report = json.loads((tmp_path / "m" / "report.json").read_text())
+        assert report["all_ok"] == all(ok == "True" for ok in oks)
 
     def test_golden_digests_calib_sim_fine(self, tmp_path):
         over, seed, results, report = GOLDEN_CALIB_FINE
