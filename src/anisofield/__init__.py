@@ -1,5 +1,6 @@
 """Simulation and verification toolkit for anisotropic Gaussian random fields."""
 
+from . import _blas  # noqa: F401  (first: loads numpy's OpenBLAS at one thread)
 from .errors import ModelRejected, NumericalCheckFailed, Refusal
 from .metric import (ChainingSchedule, EuclideanBall, GridCover,
                      HurstVector, IndexSet,

@@ -1,22 +1,44 @@
-"""The loaded OpenBLAS held at one thread for a run.
+"""The BLAS thread policy: OpenBLAS loaded with one thread, and held at
+one thread for a run.
 
 A BLAS call on more than one thread changes the bits of a Cholesky factor
-and of z @ L.T with the thread count, and on a small host its second
-thread spin-waits for about 0.1 s after every call, burning CPU time
-that does no work. So every run holds OpenBLAS at one thread
-(one_blas_thread).
+and of z @ L.T with the thread count, and on a small host OpenBLAS's idle
+workers spin-wait for about 0.1 s after the library loads and after every
+call, burning CPU time that does no work. Two rules keep both away:
+
+- at load: anisofield/__init__.py imports this module first. When numpy
+  is not loaded yet and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+  OMP_NUM_THREADS is set, numpy is imported here with
+  OPENBLAS_NUM_THREADS=1, so OpenBLAS starts no worker and no start-up
+  spin, and the variable is removed again, so a child process inherits
+  nothing. A count the user sets is kept.
+- per run: one_blas_thread holds the loaded OpenBLAS at one thread and
+  restores its count on exit. The load-time rule does not cover a numpy
+  that the caller imported first, or a count the user set, so the data
+  bits rest on the pin, not on the load.
 
 The library is the OpenBLAS mapped into the process that exports a
-get/set_num_threads pair, found through ctypes on the first run; only
-anisofield.experiments imports this module. Without one (another BLAS, or
-a platform without /proc/self/maps) the pin is a no-op and says so.
+get/set_num_threads pair, found through ctypes on the first run. Without
+one (another BLAS, or a platform without /proc/self/maps) the pin is a
+no-op and says so.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import os
+import sys
 from typing import Callable, Iterator, Optional
+
+# the variables OpenBLAS reads its thread count from at load
+_COUNT_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(v in os.environ for v in _COUNT_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # symbol prefix and suffix of the thread-count pair, as numpy's wheels
 # (scipy-openblas, 64-bit ints) and system OpenBLAS builds export it
