@@ -39,6 +39,8 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _COUNT_VARS):
         import numpy  # noqa: F401
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
+# in every case numpy, and with it OpenBLAS, is loaded by `import anisofield`
+import numpy  # noqa: E402, F401
 
 # symbol prefix and suffix of the thread-count pair, as numpy's wheels
 # (scipy-openblas, 64-bit ints) and system OpenBLAS builds export it

@@ -19,13 +19,13 @@ from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from . import _blas
 from . import calibration as calib
 from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 
-TOOL_VERSION = "0.6.0"
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 
 
@@ -487,9 +487,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         version=TOOL_VERSION,
         started=started,
         finished=finished,
-        seed_scheme=("blake2b(master, replicate, stream) -> per-replicate "
-                     "Philox; a field drift's trigonometric coefficients from "
-                     "stream 'drift'"),
+        seed_scheme=("replicate i of a stream draws from Philox with key "
+                     "[blake2b-64(master, stream), i] and counter 0; a field "
+                     "drift's trigonometric coefficients from stream 'drift'"),
         outputs={"results.csv": _sha256(results_path),
                  "report.json": _sha256(report_path)},
         blas=blas,

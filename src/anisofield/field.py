@@ -15,16 +15,13 @@ n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
 with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
 2015). sample_paths factors K once, by dense Cholesky, and draws any number
 of replicates from it, one Philox stream per replicate; grids are kept small
-(a few thousand points), exactness over scale. Philox is
-counter-based, so a stream is only its key: standard_normals derives the
-keys of all seeds in one vectorised port of numpy's SeedSequence and draws
-every row from one generator, with the bits of Generator(Philox(seed)).
+(a few thousand points), exactness over scale. Philox is counter-based,
+so a stream is only its key: replicate i of a stream is keyed by the
+stream's hash and i (see seeds).
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 # numpy loads numpy.random on first attribute access; importing it here puts
@@ -33,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ModelRejected
 from .metric import HurstVector, pair_lags, rho_pairwise
-from .seeds import MASK64, derive_seed
+from .seeds import stream_key
 
 JITTER_REL = 1e-10
 JITTER_REL_MAX = 1e-6
@@ -137,100 +134,29 @@ def verify_condition2(model: FieldModel) -> float:
     return lam
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
+def standard_normal_batch(dim: int, n: int, master_seed: int,
+                          stream: str) -> np.ndarray:
+    """(n, dim) standard normals; row i has the bits of
+    Generator(Philox(key=[stream_key(master_seed, stream), i])).standard_normal(dim).
 
-
-def _hash_constants(init: int, mult: int,
-                    count: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) of hashmix's first count calls: the hash constant
-    is multiplied by mult between its xor and its product, whatever the data."""
-    out = []
-    c = init
-    for _ in range(count):
-        nxt = (c * mult) & 0xFFFFFFFF
-        out.append((np.uint32(c), np.uint32(nxt)))
-        c = nxt
-    return out
-
-
-# mix_entropy calls hashmix once per pool word, then once per ordered pair of
-# distinct words; generate_state(2, np.uint64) hashes four words
-_ENTROPY_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 4)
-
-
-def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _philox_keys(seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), 2) uint64 Philox keys, row i equal to
-    SeedSequence(seeds[i]).generate_state(2, np.uint64).
-
-    seeds holds integers in [0, 2^64). All rows are hashed at once in uint32
-    arithmetic, which wraps like numpy's C code. A seed below 2^64 is at most
-    two little-endian 32-bit words, and SeedSequence fills a 4-word pool
-    past its entropy with the hash of 0, so every seed is mixed as the
-    words (low, high, 0, 0).
+    One generator draws every row, its state reset before each row to the
+    row's key, counter 0 and an empty buffer. The (n, dim) array is
+    allocated before the first draw, so a count too large for memory is
+    refused at once.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    words = [(seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32),
-             (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    consts = iter(_ENTROPY_HASH)
-    pool = [_hashmix(w, *next(consts)) for w in words]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    state = [_hashmix(w, *c).astype(np.uint64) for w, c in zip(pool, _STATE_HASH)]
-    keys = np.empty(seeds.shape + (2,), dtype=np.uint64)
-    keys[..., 0] = state[0] | (state[1] << np.uint64(32))
-    keys[..., 1] = state[2] | (state[3] << np.uint64(32))
-    return keys
-
-
-def standard_normals(dim: int, seeds: Sequence[int]) -> np.ndarray:
-    """(len(seeds), dim) standard normals; row i is drawn from Philox(seeds[i]).
-
-    A seed that is not an integer raises TypeError, and one outside
-    [0, 2^64) raises ValueError, before anything is drawn. The rows have
-    the bits of Generator(Philox(seeds[i])).standard_normal(dim), drawn from
-    one generator whose state is reset to a fresh stream of the seed's key
-    before each row: counter 0 and an empty buffer.
-    """
-    seeds = [operator.index(s) for s in seeds]
-    bad = [s for s in seeds if not 0 <= s <= MASK64]
-    if bad:
-        raise ValueError(f"seed {bad[0]} outside [0, 2**64)")
-    z = np.empty((len(seeds), dim))
+    z = np.empty((n, dim))
     bit_gen = Philox(0)
     gen = Generator(bit_gen)
-    fresh = {"counter": [0, 0, 0, 0], "key": None}
-    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, key in enumerate(_philox_keys(seeds)):
-        fresh["key"] = key.tolist()
+    key = [stream_key(master_seed, stream), 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    for i in range(n):
+        key[1] = i
         bit_gen.state = state
         gen.standard_normal(dim, out=z[i])
     return z
-
-
-def standard_normal_batch(dim: int, n: int, master_seed: int,
-                          stream: str) -> np.ndarray:
-    """(n, dim) standard normals, replicate i seeded by derive_seed(master_seed, i, stream)."""
-    return standard_normals(dim, [derive_seed(master_seed, i, stream)
-                                  for i in range(n)])
 
 
 def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
@@ -238,10 +164,11 @@ def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
     """Exact Gaussian draws of the field on the n points, shape (n_samples, n, d).
 
     Replicate i is L_K Z_i L_G^T, with L_K the factor of the n x n kernel
-    matrix, L_G that of G = A A^T and Z_i the point-major normals of
-    derive_seed(seed, i, "field") as an (n, d) block. A G that does not
-    factor raises np.linalg.LinAlgError, a ValueError. The result is a
-    transposed view of an (n_samples, d, n) array.
+    matrix, L_G that of G = A A^T and Z_i row i of
+    standard_normal_batch(n d, n_samples, seed, "field") as a point-major
+    (n, d) block. A G that does not factor raises np.linalg.LinAlgError, a
+    ValueError. The result is a transposed view of an (n_samples, d, n)
+    array.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

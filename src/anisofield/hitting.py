@@ -23,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Refusal
-from .field import FieldModel, sample_paths, standard_normals
+from .field import FieldModel, sample_paths, standard_normal_batch
 from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
                      product_grid, rho_pairwise, rho_to_point)
-from .seeds import derive_seed
 
 # the two-sided 95% normal quantile, ndtri(0.975) to the last bit
 _Z95 = 1.959963984540054
@@ -74,9 +73,9 @@ class LipschitzDrift:
             raise ValueError("Lipschitz constant must be nonnegative")
 
     def evaluate_many(self, index_set: IndexSet, points: np.ndarray,
-                      H: HurstVector, d: int,
-                      seeds: Sequence[int]) -> np.ndarray:
-        """Drift values on the points for each seed, shape (len(seeds), n, d).
+                      H: HurstVector, d: int, n_mc: int,
+                      seed: int) -> np.ndarray:
+        """Drift values on the points for n_mc replicates, shape (n_mc, n, d).
 
         For the "field" kind, let [lo_j, lo_j + D_j] be the bounding box of
         index_set, and w_jm = pi m / D_j for m = 1..M, M = _DRIFT_FREQS.
@@ -86,24 +85,25 @@ class LipschitzDrift:
                               + b_jm sin(w_jm (s_j - lo_j))
 
         with independent coefficient vectors a_jm, b_jm in R^d whose entries
-        are N(0, 1/m^4), drawn from Philox(seeds[i]); callers pass
-        derive_seed(master, i, "drift"), a stream apart from the field's.
-        Along axis j, g is Lipschitz with constant Lambda_j = sum_m w_jm
-        sqrt(|a_jm|^2 + |b_jm|^2), and |s_j - t_j| <= D_j^(1-H_j)
-        |s_j - t_j|^H_j on the box, so ||g(s) - g(t)|| <= B rho(s, t) with
-        B = max_j Lambda_j D_j^(1-H_j). The drift is f = (L / B) g. It
-        depends on the index set, never on the points: two grids give equal
-        values at the points they share, up to the rounding of the product.
+        are N(0, 1/m^4): row i of standard_normal_batch(2 M N d, n_mc,
+        seed, "drift"), a stream apart from the field's, so replicate i
+        depends on (seed, i) alone. Along axis j, g is Lipschitz with
+        constant Lambda_j = sum_m w_jm sqrt(|a_jm|^2 + |b_jm|^2), and
+        |s_j - t_j| <= D_j^(1-H_j) |s_j - t_j|^H_j on the box, so
+        ||g(s) - g(t)|| <= B rho(s, t) with B = max_j Lambda_j D_j^(1-H_j).
+        The drift is f = (L / B) g. It depends on the index set, never on the
+        points: two grids give equal values at the points they share, up to
+        the rounding of the product.
         A box of zero width on some axis raises ValueError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n, k = pts.shape[0], len(seeds)
+        n = pts.shape[0]
         if self.kind == "zero":
-            return np.zeros((k, n, d))
+            return np.zeros((n_mc, n, d))
         if self.kind == "affine":
             vals = np.zeros((n, d))
             vals[:, 0] = self.L * rho_to_point(pts, (0.0,) * H.N, H)
-            return np.repeat(vals[None], k, axis=0)
+            return np.repeat(vals[None], n_mc, axis=0)
         lo = np.min([box[0] for box in index_set.boxes], axis=0)
         side = np.max([box[1] for box in index_set.boxes], axis=0) - lo
         if not (side > 0).all():
@@ -113,13 +113,13 @@ class LipschitzDrift:
         omega = np.pi * m / side[:, None]                      # (N, M)
         phase = (pts - lo)[:, :, None] * omega                 # (n, N, M)
         basis = np.stack([np.cos(phase), np.sin(phase)], axis=2).reshape(n, -1)
-        coef = standard_normals(basis.shape[1] * d, seeds).reshape(
-            k, H.N, 2, _DRIFT_FREQS, d)
+        coef = standard_normal_batch(basis.shape[1] * d, n_mc, seed, "drift")
+        coef = coef.reshape(n_mc, H.N, 2, _DRIFT_FREQS, d)
         coef /= (m * m)[:, None]
         lam = (omega * np.sqrt(np.square(coef).sum(axis=(2, 4)))).sum(axis=2)
         bound = (lam * side ** (1.0 - H.as_array())).max(axis=1)
-        # one (n, 2 M N) x (2 M N, d) product per replicate, whatever k is
-        vals = np.matmul(basis, coef.reshape(k, -1, d))
+        # one (n, 2 M N) x (2 M N, d) product per replicate, whatever n_mc is
+        vals = np.matmul(basis, coef.reshape(n_mc, -1, d))
         vals *= (self.L / bound)[:, None, None]
         return vals
 
@@ -198,19 +198,17 @@ def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
                center) -> np.ndarray:
     """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
 
-    X is drawn from stream "field" and replicate i's drift from
-    Philox(derive_seed(seed, i, "drift")), so a field drift is independent
-    of X. sign is the direction of the drift's translation in the event: -1
-    for a hit on the graph of f, +1 for the shifted field X + f. The shape
-    is (n_mc,).
+    X is drawn from stream "field" and the drift from stream "drift", so a
+    field drift is independent of X. sign is the direction of the drift's
+    translation in the event: -1 for a hit on the graph of f, +1 for the
+    shifted field X + f. The shape is (n_mc,).
     """
     fv = sample_paths(model, pts, n_mc, seed)
     # the field is drawn before the drift is evaluated, so that its normals
     # are freed before the drift's values are allocated; the sum has the
     # bits of the drift plus the field, since IEEE addition commutes and
     # sign is +1 or -1
-    drift = f.evaluate_many(index_set, pts, model.H, model.d,
-                            [derive_seed(seed, i, "drift") for i in range(n_mc)])
+    drift = f.evaluate_many(index_set, pts, model.H, model.d, n_mc, seed)
     drift *= sign
     fv += drift
     fv -= center

@@ -13,8 +13,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import Refusal
+
 _C2_TERM_FLOOR = 1e-16
 _LOG_OVERFLOW = 700.0
+_MAX_AXIS_CELLS = 2.0 ** 53  # the largest cell count float64 indexes exactly
 _CONTAINS_ATOL = 1e-12  # IndexSet.contains widens every box by this much
 
 
@@ -282,16 +285,28 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
         raise ValueError("index set dimension does not match Hurst vector")
     N = H.N
     spacing = (r / N) ** (1.0 / H.as_array())
+    sides = [np.asarray(hi) - np.asarray(lo) for lo, hi in I.boxes]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        per_axis = np.max(sides, axis=0) / spacing
+        c8 = 0.0
+        for L in sides:
+            c8 += float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
+    # refused before any count is taken: more cells on an axis than float64
+    # indexes exactly, a spacing that underflows to 0, or a bound
+    # c8 r^(-Q) that overflows would each print a wrong row
+    log_bound = math.log(c8) - H.Q * math.log(r)
+    if not (np.all(per_axis <= _MAX_AXIS_CELLS) and log_bound <= _LOG_OVERFLOW):
+        raise Refusal(
+            f"a cover by rho-balls of radius {r:g} at H = {list(H.H)} needs "
+            f"{np.max(per_axis):.3g} cells on an axis (at most 2^53) and a "
+            f"count bound of exp({log_bound:.4g}) (at most exp({_LOG_OVERFLOW:g}));"
+            " use a larger radius or exponent")
     cells = []
-    c8 = 0.0
-    for lo, hi in I.boxes:
-        lo_a = np.asarray(lo)
-        hi_a = np.asarray(hi)
-        L = hi_a - lo_a
+    for (lo, _), L in zip(I.boxes, sides):
         counts = np.maximum(1, np.ceil(L / spacing - 1e-12).astype(int))
         piece = L / counts
-        cells.append((tuple(lo_a), tuple(piece), tuple(int(c) for c in counts)))
-        c8 += float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
+        cells.append((tuple(np.asarray(lo)), tuple(piece),
+                      tuple(int(c) for c in counts)))
     return GridCover(radius=float(r), H=H, c8=c8, cells=tuple(cells))
 
 

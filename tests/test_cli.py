@@ -44,46 +44,48 @@ BAD_ELEMENTS = ["0.1", True, [0.1]]
 
 # the small configs of the determinism acceptance test, at seed 17; the
 # metric-check and calib-sim results.csv digests were re-pinned when their
-# quadratures moved from QUADPACK to numpy (tool version 0.2.0)
+# quadratures moved from QUADPACK to numpy (tool version 0.2.0), and every
+# entry that draws normals was re-pinned when replicate i of a stream came
+# to be keyed by the stream's hash and i (tool version 0.7.0)
 GOLDEN = [
     # both re-pinned when the field draw became L_K Z L_G^T from the n x n
     # kernel factor instead of the factor of the nd x nd covariance (tool
     # version 0.5.0): the draws agree with the old ones up to rounding
     ("modulus-scan", {"n_samples": 40, "n_points": 101, "eps": [0.05, 0.1]},
-     "fd40b0567936169e796cdf64e062a4f6f3b443f46ba7e0f250900c3f89283f50",
-     "47dcd931584828834c98b8c03c6818e3bb597cb74a4d740e4e4c3d9ab7511f6c"),
+     "7138381a4076dd896360d4e4f3680c4019cb3c061bb40362b9e8920165b1382f",
+     "dbaaab09edbcbe23b898014e4c916b3746c01dd0cf5a0784fdefe120b5552af7"),
     ("field-sim", {"n_samples": 40, "n_grid": 6},
-     "0f1cb16be3b388e327b3f25071154aa8991931da8ca6fc84536cf31b01684e73",
+     "f28aa3b5e65de12478f035cf52e8ec83220b531d8d638e615076072dbdf0ccfc",
      "c023cea511a7be936be810e57265c619a0fa7c8d972e1b76d1f5fd24154bb7b8"),
     ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1]},
-     "e73f93ac027f8f41383c50395b13426980879fbcbfaf091541da0d44a4052ec6",
-     "c9c2df4986f0e1761f910d39b777bc4772df9f6ff075f0860cc01c427dd61fea"),
+     "75cda22086de668ceccf8e9c8ffec31af50a348221462dbefab24ae3c60c4a32",
+     "7c67fbda2ef0eab237bc52fb8f8916580da31b69d19e06f26aaa72871c773094"),
     ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1]},
-     "c7dc75ba645c0e21f18b37f502d00cd98c74ae06d34e55a073bf5ccb0b7a7d2d",
-     "7bf22ee70b1f9b77101560dca5946249725e508096131680e60f5a568d8097ac"),
+     "7a2f1023b11b33a2061900a5ee58216c49ee015468e931b6d2d57c1817f3e7b8",
+     "415f108a9d9a06c298fec23bf22c0a8eb98d579dad4cf89da922cc650c672dfc"),
     # a nonzero drift, so that the sign of its translation is pinned; the
     # affine entry was re-pinned when the ball grids kept their boundary
     # points, and the field entries when the field drift became a random
     # trigonometric polynomial (both tool version 0.4.0)
     ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1], "drift_kind": "affine",
                       "drift_L": 0.5},
-     "abeb7c9a7cd34236e5f822509d9143c384fe3d7c3b141722cb7679c9f213bfd2",
-     "26a53b95204642acefa99fa400dca7739990902b9372604b119f368d75306af5"),
+     "e6f6d70690dfcdf08433d831b26b323fab0f6dcaa8acd53566d69a2e410f78d3",
+     "d27b0d67dd39b6ff8d9ab4dd8245bdb2a0e71c4a995e842337118b9cbaed4103"),
     ("hitting-scan", {"n_mc": 200, "radii": [0.2, 0.1], "drift_kind": "field",
                       "drift_L": 0.5},
-     "c80eac279c355e66be8af0b5b8f8f2c4835f83707a7fe0fe580101d1a4d86c0c",
-     "8360c09264b21b14161c8dbbcc252f2474c5ab9ed87b3b1b17b9c5f69556bacd"),
+     "7761ae3c62ce13c326edfc6e5166e6b036bcdf689c182684ac59b96a7b8ff157",
+     "aed0546f53d9a470abbc552080ff9e87ac43b270859140747b00ed35d341a69f"),
     ("polarity-scan", {"n_mc": 200, "deltas": [0.2, 0.1], "drift_kind": "field",
                        "drift_L": 0.5},
-     "56c6885e4bc2a7a4f5c08ec0efa562b56c2f42c1a7988814422cbc2e1c9ea589",
-     "da9ad0669e656f049e1375ac1d877f57efe0d3e8e6bc66e8120c8aa730e7ddb4"),
+     "ce0d90772c46de2c43cc09dc9cd576d6727c44fdb97774d448a194180cdf939e",
+     "33ac59fde413078765d281aae9ee6419e2a376432eb04573ba27011cde874e11"),
     # results.csv re-pinned when the chaining_c2 and series rows went (tool
     # version 0.6.0); the entropy and cover rows, and report.json, are unchanged
     ("metric-check", {},
      "14cd26a63ce13359e67a752333a9d4144e87aa3d35d08c0123686269a5bfe7f7",
      "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
     ("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
-     "d53a50b1685863e23f7d58cdf92cda4d85bb11f52da40740f59292da73ca6629",
+     "5dbfc38288bde2f0d3cafd3b5d96a54df66d31c3d7fe1daa5d674b3f2c8d459d",
      "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20"),
     # re-pinned when the grid dropped its mirrored v < 0 half (tool version
     # 0.2.2): the v >= 0 rows are unchanged, and the report's error is now
@@ -95,21 +97,23 @@ GOLDEN = [
 
 # the calib-sim-fine benchmark config at seed 101: a 992-point grid, so the
 # spectral covariances reach lags the small calib-sim entry above never has;
-# results.csv re-pinned for the one-thread BLAS bits (tool version 0.3.0)
+# results.csv re-pinned for the one-thread BLAS bits (tool version 0.3.0) and
+# for the stream keys of tool version 0.7.0
 GOLDEN_CALIB_FINE = (
     {"V": 10.0, "step": 0.01, "noise_scales": [1e-3, 1e-2, 1e-1],
      "n_replicates": 1000}, 101,
-    "8e592ffa5cf09b5bfa23d4c97f8a35d0e7ac3a278930762e4afcaa160c2163b4",
+    "f07a808788e42722d0a95f2375179fabad341d578a852acca03df4f8b6e929a4",
     "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
 
 # the polarity-field-drift benchmark config at seed 101: a 129-point grid with
 # a field drift; re-pinned when that drift became a random trigonometric
-# polynomial with a closed-form continuum bound (tool version 0.4.0)
+# polynomial with a closed-form continuum bound (tool version 0.4.0), and for
+# the stream keys of tool version 0.7.0
 GOLDEN_POLARITY_FIELD_DRIFT = (
     {"hurst": [0.75], "grid_step": 1.0 / 128.0, "drift_kind": "field",
      "drift_L": 0.5, "deltas": [0.2, 0.1, 0.05, 0.025], "n_mc": 600}, 101,
-    "034822690f70cace6227d694e7d2b0047d5d202acfc21f6e18f46669004bfdb4",
-    "9512d7d3e4842edfd281a8639e6282455db193bcc296e5a0c42b19966caab745")
+    "e8588a0a5f78501fce02a9a940fdaceb27652eaec833381a77883bc13bb4368d",
+    "085d287331edf29a2703c71188f65b2e2d1228ad8b77b87a97a3a5c635726292")
 
 
 def _with_first_leaf(value, element):
@@ -478,6 +482,42 @@ class TestMainExitCodes:
         assert err["error"] == "MemoryError"
         assert "physical memory" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,item", [
+        ("hitting-scan", "n_mc=1000000000"),
+        ("calib-sim", "n_replicates=1000000000")])
+    def test_huge_replicate_count_refused_fast(self, tmp_path, kind, item):
+        # the (n, dim) normals are allocated before any per-replicate work,
+        # so an address-space limit refuses them at once
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                "from anisofield.cli import main\n"
+                "raise SystemExit(main(sys.argv[1:]))\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, kind, "--out", str(out), "--set", item],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "MemoryError"
+        assert not out.exists()
+
+    def test_cover_beyond_float64_exits_2(self, tmp_path, capsys):
+        # 1.3e30 cells on an axis once wrapped to a count of 1, and the
+        # bound's r^(-Q) overflowed into a traceback; each is now refused
+        for item in ("hurst=[0.01]", "cover_radii=[1e-300]", "hurst=[0.001]"):
+            out = tmp_path / "run"
+            assert main(["metric-check", "--out", str(out), "--set", item]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "Refusal" and "cells on an axis" in err["message"]
+            assert not out.exists()
 
     @given(st.sampled_from(NUMERIC_KEYS), st.data())
     def test_wrongly_typed_number_exits_2(self, tmp_path_factory, target, data):

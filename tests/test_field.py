@@ -7,14 +7,13 @@ from scipy import stats
 
 from anisofield.errors import ModelRejected
 from anisofield import hitting
-from anisofield.field import (FieldModel, _philox_keys, build_covariance,
+from anisofield.field import (FieldModel, build_covariance,
                               cholesky_with_jitter, modulus_statistic,
                               sample_paths, standard_normal_batch,
-                              standard_normals, verify_condition1,
-                              verify_condition2)
+                              verify_condition1, verify_condition2)
 from anisofield.metric import (HurstVector, IndexSet, product_grid,
                                rho_pairwise, rho_to_point)
-from anisofield.seeds import derive_seed
+from anisofield.seeds import MASK64, stream_key
 
 
 def model_2x2(H=(0.5,)):
@@ -196,57 +195,51 @@ class TestKroneckerDraw:
             sample_paths(m, np.linspace(0.0, 1.0, 5)[:, None], 3, 0)
 
 
-def seed_sequence_keys(seeds):
-    return np.array([np.random.SeedSequence(s).generate_state(2, np.uint64)
-                     for s in seeds], dtype=np.uint64).reshape(-1, 2)
+def philox_row(master, stream, i, dim):
+    """The first dim normals of a fresh generator keyed [stream_key, i]."""
+    key = np.array([stream_key(master, stream), i], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(dim)
 
 
 class TestKeyedDraws:
-    """standard_normals keys one Philox per row: the keys must be numpy's
-    SeedSequence keys and the rows the bits of a fresh generator per seed."""
+    """standard_normal_batch keys one Philox per row: row i of a stream is
+    the first draw of the generator keyed [stream_key(master, stream), i]."""
 
-    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-
-    def test_keys_match_seed_sequence_on_edge_seeds(self):
-        got = _philox_keys(np.array(self.EDGE_SEEDS, dtype=np.uint64))
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, seed_sequence_keys(self.EDGE_SEEDS))
-
-    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
-    def test_keys_match_seed_sequence(self, seeds):
-        got = _philox_keys(np.array(seeds, dtype=np.uint64))
-        assert got.shape == (len(seeds), 2)
-        assert np.array_equal(got, seed_sequence_keys(seeds))
+    EDGE_MASTERS = [0, 1, 2**32, 2**63, 2**64 - 1, -1, -2**70]
 
     def test_rows_equal_one_generator_per_seed(self):
         # 992 normals per row run through the ziggurat's rejection paths, and
         # each row must start from a fresh stream, not where the last ended
-        seeds = self.EDGE_SEEDS + [derive_seed(21, i, "field")
-                                   for i in range(200)]
-        seeds += [7, 7, 0]
-        got = standard_normals(992, seeds)
-        assert got.shape == (len(seeds), 992)
-        for row, s in zip(got, seeds):
-            expect = np.random.Generator(np.random.Philox(s)).standard_normal(992)
-            assert row.tobytes() == expect.tobytes()
+        for master in self.EDGE_MASTERS:
+            got = standard_normal_batch(992, 5, master, "field")
+            assert got.shape == (5, 992)
+            for i, row in enumerate(got):
+                assert row.tobytes() == philox_row(master, "field", i,
+                                                   992).tobytes()
 
-    def test_standard_normal_batch_is_the_stream_case(self):
-        seeds = [derive_seed(3, i, "x") for i in range(70)]
-        assert np.array_equal(standard_normals(5, seeds),
-                              standard_normal_batch(5, 70, 3, "x"))
-        # row i is the first draw of its own Philox stream
-        assert np.all(standard_normals(5, seeds) == np.stack([
-            np.random.Generator(np.random.Philox(s)).standard_normal(5)
-            for s in seeds]))
-
-    def test_no_seeds(self):
-        assert standard_normals(7, []).shape == (0, 7)
-        assert _philox_keys(np.array([], dtype=np.uint64)).shape == (0, 2)
+    @given(st.integers(-2**70, 2**70), st.integers(1, 40))
+    def test_rows_match_philox_key(self, master, n):
+        got = standard_normal_batch(3, n, master, "x")
+        assert np.all(got == np.stack([philox_row(master, "x", i, 3)
+                                       for i in range(n)]))
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
-    def test_seed_outside_64_bits_refused(self, bad):
-        with pytest.raises(ValueError, match="outside"):
-            standard_normals(3, [5, bad, 6])
+    def test_master_outside_64_bits_is_masked(self, bad):
+        assert np.array_equal(standard_normal_batch(3, 4, bad, "x"),
+                              standard_normal_batch(3, 4, bad & MASK64, "x"))
+
+    def test_no_seeds(self):
+        assert standard_normal_batch(7, 0, 3, "x").shape == (0, 7)
+
+    def test_consecutive_keys_independent(self):
+        # keys that differ in their last word give uncorrelated rows
+        z = standard_normal_batch(1000, 1000, 11, "field")
+        c = z - z.mean(axis=1, keepdims=True)
+        corr = np.sum(c[:-1] * c[1:], axis=1) / np.sqrt(
+            np.sum(c[:-1] ** 2, axis=1) * np.sum(c[1:] ** 2, axis=1))
+        assert np.max(np.abs(corr)) < 5.0 / math.sqrt(1000)
+        _, pval = stats.kstest(z.ravel(), "norm")
+        assert pval > 1e-3
 
 
 class TestModulusStatistic:

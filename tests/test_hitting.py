@@ -15,7 +15,6 @@ from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 wilson_interval)
 from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
                                rho_pairwise, rho_to_point)
-from anisofield.seeds import derive_seed
 
 H075 = HurstVector(H=(0.75,))
 UNIT = IndexSet.box([0.0], [1.0])
@@ -25,9 +24,9 @@ def model(H=(0.75,)):
     return FieldModel(H=HurstVector(H=H), mixing=((1.0, 0.0), (1.0, 1.0)))
 
 
-def drift_values(f, points, seeds, index_set=UNIT, H=H075):
+def drift_values(f, points, n_mc, seed, index_set=UNIT, H=H075):
     """The drift for the d = 2 field, as a scan on index_set evaluates it."""
-    return f.evaluate_many(index_set, points, H, 2, seeds)
+    return f.evaluate_many(index_set, points, H, 2, n_mc, seed)
 
 
 @pytest.fixture
@@ -104,14 +103,14 @@ class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
         g = np.linspace(0, 1, 20)[:, None]
-        ratio, ok = check_lipschitz(drift_values(f, g, [0])[0],
+        ratio, ok = check_lipschitz(drift_values(f, g, 1, 0)[0],
                                     f.L, g, H075)
         assert ratio == 0.0 and ok
 
     def test_affine_saturates_but_respects_bound(self):
         f = LipschitzDrift(kind="affine", L=2.0)
         g = np.linspace(0, 1, 30)[:, None]
-        ratio, ok = check_lipschitz(drift_values(f, g, [0])[0],
+        ratio, ok = check_lipschitz(drift_values(f, g, 1, 0)[0],
                                     f.L, g, H075)
         assert ok and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
@@ -120,29 +119,33 @@ class TestLipschitzDrift:
         # raw values with slope 2 checked against a claimed bound of 0.1
         g = np.linspace(0, 1, 10)[:, None]
         f = LipschitzDrift(kind="affine", L=2.0)
-        vals = drift_values(f, g, [0])[0]
+        vals = drift_values(f, g, 1, 0)[0]
         ratio, ok = check_lipschitz(vals, 0.1, g, H075)
         assert not ok and ratio > 0.1
         # the same values pass against the honest bound
         _, ok2 = check_lipschitz(vals, 2.0, g, H075)
         assert ok2
 
-    def test_drift_independent_of_field_stream(self):
-        # the coefficients come from the seed the caller passes, the drift
-        # stream's, and repeat bit for bit
+    def test_drift_independent_of_field_stream(self, monkeypatch):
+        # the coefficients come from the drift stream, not the field's, and
+        # repeat bit for bit
         fdrift = LipschitzDrift(kind="field", L=1.0)
         g = np.linspace(0, 1, 12)[:, None]
-        a = drift_values(fdrift, g, [derive_seed(5, 0, "drift")])[0]
-        b = drift_values(fdrift, g, [derive_seed(5, 0, "drift")])[0]
+        a = drift_values(fdrift, g, 1, 5)[0]
+        b = drift_values(fdrift, g, 1, 5)[0]
         assert np.array_equal(a, b)
-        c = drift_values(fdrift, g, [derive_seed(5, 0, "field")])[0]
+        real = hitting.standard_normal_batch
+        monkeypatch.setattr(hitting, "standard_normal_batch",
+                            lambda dim, n, seed, stream:
+                            real(dim, n, seed, "field"))
+        c = drift_values(fdrift, g, 1, 5)[0]
         assert not np.allclose(a, c)
 
     def test_field_drift_needs_positive_widths(self):
         line = IndexSet.box([0.0, 0.5], [1.0, 0.5])
         pts = np.array([[0.0, 0.5], [1.0, 0.5]])
         with pytest.raises(ValueError, match="positive width"):
-            drift_values(LipschitzDrift(kind="field", L=1.0), pts, [1],
+            drift_values(LipschitzDrift(kind="field", L=1.0), pts, 1, 1,
                          index_set=line, H=HurstVector(H=(0.75, 0.75)))
 
     def test_unknown_kind_refused(self):
@@ -157,7 +160,6 @@ class TestLipschitzDrift:
 
 
 class TestBatchedFieldDrift:
-    SEEDS = [derive_seed(4, i, "drift") for i in range(6)]
     GRID = np.linspace(0, 1, 33)[:, None]
 
     def drift(self, L=0.5):
@@ -166,14 +168,14 @@ class TestBatchedFieldDrift:
     def test_rows_match_single_seed_evaluate(self):
         # one product per replicate: a row's bits do not depend on the others
         f = self.drift()
-        many = drift_values(f, self.GRID, self.SEEDS)
+        many = drift_values(f, self.GRID, 6, 4)
         assert many.shape == (6, 33, 2)
-        for i, s in enumerate(self.SEEDS):
+        for i in range(6):
             assert many[i].tobytes() == drift_values(
-                f, self.GRID, [s])[0].tobytes()
+                f, self.GRID, i + 1, 4)[i].tobytes()
 
     def test_replicate_does_not_depend_on_n_mc(self, monkeypatch):
-        # the scan derives replicate i's seed from (seed, i) alone
+        # the scan keys replicate i's streams by (seed, i) alone
         seen = []
         real = LipschitzDrift.evaluate_many
 
@@ -194,10 +196,9 @@ class TestBatchedFieldDrift:
         # times finer than the benchmark's 2^-7: the bound is the
         # continuum's, not a grid's
         f = self.drift()
-        seeds = [derive_seed(21, i, "drift") for i in range(200)]
         for e in range(4, 12):
             g = (np.arange(2 ** e + 1) / 2.0 ** e)[:, None]
-            ratio = max_pair_ratio(drift_values(f, g, seeds),
+            ratio = max_pair_ratio(drift_values(f, g, 200, 21),
                                    rho_pairwise(g, H075))
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), e
             # not a vanishing drift either: about a third of L at the median
@@ -207,21 +208,20 @@ class TestBatchedFieldDrift:
         box = IndexSet.box([0.0, -1.0], [1.0, 1.0])
         for step in (1 / 8, 1 / 16):
             pts = hitting._stepped_grid(*box.boxes[0], step)
-            ratio = max_pair_ratio(drift_values(f, pts, seeds, box, H2),
+            ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2),
                                    rho_pairwise(pts, H2))
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), step
         # check_lipschitz agrees with the batched ratio on one replicate
-        vals = drift_values(f, pts, seeds[:1], box, H2)[0]
+        vals = drift_values(f, pts, 1, 21, box, H2)[0]
         assert check_lipschitz(vals, 0.5, pts, H2) == (ratio[0], True)
 
     def test_nested_grids_agree_at_shared_points(self):
         f = self.drift()
-        seeds = [derive_seed(22, i, "drift") for i in range(50)]
         fine = (np.arange(2049) / 2048.0)[:, None]
-        top = drift_values(f, fine, seeds)
+        top = drift_values(f, fine, 50, 22)
         for e in (4, 7, 10):
             g = fine[::2 ** (11 - e)]
-            np.testing.assert_allclose(drift_values(f, g, seeds),
+            np.testing.assert_allclose(drift_values(f, g, 50, 22),
                                        top[:, ::2 ** (11 - e)],
                                        rtol=0.0, atol=1e-14)
 
@@ -239,16 +239,16 @@ class TestBatchedFieldDrift:
 
     def test_deterministic_kinds_repeat_per_seed(self):
         f = LipschitzDrift(kind="affine", L=2.0)
-        many = drift_values(f, self.GRID, [0, 1, 2])
-        one = drift_values(f, self.GRID, [0])[0]
+        many = drift_values(f, self.GRID, 3, 0)
+        one = drift_values(f, self.GRID, 1, 0)[0]
         assert all(np.array_equal(row, one) for row in many)
-        zero = drift_values(LipschitzDrift(kind="zero"), self.GRID, [0, 1])
+        zero = drift_values(LipschitzDrift(kind="zero"), self.GRID, 2, 0)
         assert zero.shape == (2, 33, 2) and not zero.any()
 
     def test_affine_is_L_rho_along_e1(self):
         # bit for bit the outer product of L rho(0, s) with the unit vector e_1
         f = LipschitzDrift(kind="affine", L=0.7)
-        vals = drift_values(f, self.GRID, [0])[0]
+        vals = drift_values(f, self.GRID, 1, 0)[0]
         rho = rho_to_point(self.GRID, (0.0,), H075)
         e1 = np.array([1.0, 0.0])
         assert np.array_equal(vals, (0.7 * rho)[:, None] * e1[None, :])
@@ -388,16 +388,15 @@ class TestPolarityScan:
         assert factor_calls == [((17, 17), 0.0)]
 
     def test_field_drift_golden(self):
-        # re-pinned when the field drift became a random trigonometric
-        # polynomial with a closed-form continuum bound (tool version 0.4.0)
+        # re-pinned when replicate i's stream came to be keyed by the
+        # stream's hash and i (tool version 0.7.0)
         m = model()
         rep = polarity_scan(m, UNIT,
                             LipschitzDrift(kind="field", L=0.5),
                             [0.0, 0.0], [0.2, 0.1, 0.05, 0.025], 600, 7, 1 / 128)
         assert [e.p_hat for e in rep.estimates] == [
-            0.21666666666666667, 0.125, 0.06166666666666667,
-            0.03166666666666667]
-        assert rep.fitted_slope == 0.9342686223621539
+            0.255, 0.15833333333333333, 0.09333333333333334, 0.03]
+        assert rep.fitted_slope == 1.0024889210024361
 
     def test_deltas_must_decrease(self):
         with pytest.raises(ValueError):

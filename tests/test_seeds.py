@@ -1,33 +1,27 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from anisofield.seeds import derive_seed
+from anisofield.seeds import stream_key
 
 
 def test_deterministic():
-    assert derive_seed(42, 3, "field") == derive_seed(42, 3, "field")
+    assert stream_key(42, "field") == stream_key(42, "field")
 
 
-def test_negative_replicate_rejected():
-    with pytest.raises(ValueError):
-        derive_seed(0, -1, "field")
-
-
-@given(st.integers(0, 2**64 - 1), st.integers(0, 10**6))
-def test_streams_distinct(master, rep):
-    assert derive_seed(master, rep, "field") != derive_seed(master, rep, "drift")
+@given(st.integers(0, 2**64 - 1))
+def test_streams_distinct(master):
+    assert stream_key(master, "field") != stream_key(master, "drift")
 
 
 def test_collision_scan():
     rng = np.random.default_rng(0)
     masters = rng.integers(0, 2**63, size=1_000_000)
-    seen = {derive_seed(int(m), 0, "field") for m in masters}
-    seen |= {derive_seed(int(m), 0, "drift") for m in masters}
+    seen = {stream_key(int(m), "field") for m in masters}
+    seen |= {stream_key(int(m), "drift") for m in masters}
     assert len(seen) == 2 * len(set(masters))
 
 
 def test_in_range():
-    for rep in (0, 1, 17, 2**31):
-        s = derive_seed(123, rep, "x")
+    for master in (0, 1, 17, 2**31, 2**64 - 1, -1):
+        s = stream_key(master, "x")
         assert 0 <= s < 2**64
