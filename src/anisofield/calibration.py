@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from . import field as fieldmod
 
 _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
-_W_ROUND = 10  # decimals for deduplicating transform arguments
-_COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2001
+_COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2617
+_DRAW_ROWS = 256  # replicates per block of spectral draws (the bits depend on it)
 _VERDICT_ROWS = 128  # replicates per block of log arguments in psi_verdicts (speed, see there)
 _TOL_ZERO = 1e-12  # |A| below this is a zero hit of the log argument
 _UNWRAP_MARGIN = math.pi / 2.0  # increments from pi - margin on are phase jumps
@@ -110,8 +110,10 @@ def _power_law_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
     decays at both ends, so the trapezoid rule in t converges geometrically
     as _LOG_STEP shrinks; at 0.15 it stayed within 4e-13 of a 25-digit
     reference for a in [0.51, 10] and w in [1e-10, 1000]. The range
-    _LOG_RANGE drops under 1e-17 below u = e^-20 and, for every w >= 1e-10
-    (the rounding quantum of the arguments), under e^-1000 above u = e^30.
+    _LOG_RANGE drops under 1e-17 below u = e^-20 and, for every w >= 1e-10,
+    under e^-1000 above u = e^30. For 0 < w < 1e-10 the part above e^30 is
+    at most 2 e^(30 (1 - 2a)) / (2a - 1), under 2e-13 for every a >= 1 (the
+    exponents with a finite tail moment, 2a - p > 1 with p > 1).
     """
     t = np.arange(_LOG_RANGE[0], _LOG_RANGE[1] + _LOG_STEP / 2.0, _LOG_STEP)
     u = np.exp(t)
@@ -127,24 +129,16 @@ def _cos_transform_cached(noise: NoiseLevel, w: float) -> float:
     return float(np.dot(g, np.exp(-w * u)))
 
 
-def _w_key(ws):
-    """Cache key of transform arguments: |w| rounded to _W_ROUND decimals.
-
-    np.round's semantics (scale, round half to even, unscale), which differ
-    from Python's correctly rounded round() on a few arguments per million;
-    the scalar and vector routes share this key so they agree bit for bit.
-    """
-    return np.round(np.abs(ws), _W_ROUND)
-
-
 def cos_transform(noise: NoiseLevel, w: float) -> float:
-    """C(w) = int cos(wx) eps(x)^2 dx (even in w)."""
-    return _cos_transform_cached(noise, float(_w_key(float(w))))
+    """C(w) = int cos(wx) eps(x)^2 dx (even in w), evaluated at |w| itself,
+    which is also the cache key."""
+    return _cos_transform_cached(noise, abs(float(w)))
 
 
 def cos_transform_many(noise: NoiseLevel, ws: np.ndarray) -> np.ndarray:
+    """cos_transform of every entry of ws, one lookup per distinct |w|."""
     ws = np.asarray(ws, dtype=float)
-    uniq, inv = np.unique(_w_key(ws.ravel()), return_inverse=True)
+    uniq, inv = np.unique(np.abs(ws.ravel()), return_inverse=True)
     vals = np.array([_cos_transform_cached(noise, float(w)) for w in uniq])
     return vals[inv].reshape(ws.shape)
 
@@ -154,11 +148,12 @@ def _spectral_covariances(noise: NoiseLevel,
     """Covariances of X1 on [0, *pos] and of X2 on pos, an evenly stepped grid.
 
     Entry (u, v) is (C(u - v) + C(u + v)) / 2 for X1 and (C(u - v) -
-    C(u + v)) / 2 for X2. On pos the key of pos_i - pos_j depends only on
-    i - j (Toeplitz) and that of pos_i + pos_j only on i + j (Hankel), so
-    one transform per lag fills both blocks: the lags pos - pos[0] and the
-    sums pos[s - s//2] + pos[s//2], laid out as strided views. The anchor
-    0 breaks the step; its row and column are C(pos), its corner C(0).
+    C(u + v)) / 2 for X2. On pos, pos_i - pos_j depends only on i - j
+    (Toeplitz) and pos_i + pos_j only on i + j (Hankel), up to rounding of
+    the lattice, so one transform per lag fills both blocks: the lags
+    pos - pos[0] and the sums pos[s - s//2] + pos[s//2], laid out as strided
+    views. The anchor 0 breaks the step; its row and column are C(pos), its
+    corner C(0).
     Both blocks are allocated first, so that a grid too large to hold them
     fails before any transform.
     """
@@ -303,30 +298,51 @@ class FrequencyGrid:
         return self.points[1:]
 
 
-def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
-                            n_samples: int, seed: int) -> np.ndarray:
-    """Exact draws of X(v) = X1(v) + i X2(v) on the grid, shape
-    (n_samples, len(grid.points)) complex.
+def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
+                    seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact draws of X(v) = X1(v) + i X2(v) on the grid, streamed as
+    (lo, X) for consecutive row blocks: X holds replicates lo, ...,
+    lo + len(X) - 1, shape (len(X), len(grid.points)) complex, with
+    _DRAW_ROWS rows in every block but the last.
 
     A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
     grid leaves out). X1 and X2 decouple (even noise), each with a
     cosine-transform covariance, drawn as the normals of its own stream
-    ("spec-cos", "spec-sin") times the transposed Cholesky factor. X1's
-    covariance and factor are freed before X2's covariance is factored.
+    ("spec-cos", "spec-sin") times the transposed Cholesky factor. Both
+    covariances are factored once, before the first block, and X1's
+    covariance is freed before X2's is factored; after that a block holds
+    only its own normals, products and values. Replicate i's normals are
+    row i of the stream whatever the block, but the product of a row block
+    with a factor may round differently from that of a larger block, so
+    the bits depend on _DRAW_ROWS.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     cov1, cov2 = _spectral_covariances(noise, grid.positive)
-
-    L = fieldmod.cholesky_with_jitter(cov1)[0]
+    L1 = fieldmod.cholesky_with_jitter(cov1)[0]
     del cov1
-    vals = (fieldmod.standard_normal_batch(L.shape[0], n_samples, seed,
-                                           "spec-cos") @ L.T).astype(complex)
-    del L
-    L = fieldmod.cholesky_with_jitter(cov2)[0]
+    L2 = fieldmod.cholesky_with_jitter(cov2)[0]
     del cov2
-    vals.imag[:, 1:] = fieldmod.standard_normal_batch(
-        L.shape[0], n_samples, seed, "spec-sin") @ L.T
+    for lo in range(0, n_samples, _DRAW_ROWS):
+        k = min(_DRAW_ROWS, n_samples - lo)
+        X = np.empty((k, L1.shape[0]), dtype=complex)
+        X.real = fieldmod.standard_normal_batch(
+            L1.shape[0], k, seed, "spec-cos", start=lo) @ L1.T
+        X.imag[:, 0] = 0.0
+        X.imag[:, 1:] = fieldmod.standard_normal_batch(
+            L2.shape[0], k, seed, "spec-sin", start=lo) @ L2.T
+        yield lo, X
+
+
+def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
+                            n_samples: int, seed: int) -> np.ndarray:
+    """The blocks of spectral_blocks in one (n_samples, len(grid.points))
+    complex array, bit for bit."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    vals = np.empty((n_samples, grid.points.size), dtype=complex)
+    for lo, X in spectral_blocks(noise, grid, n_samples, seed):
+        vals[lo:lo + X.shape[0]] = X
     return vals
 
 
@@ -412,12 +428,12 @@ def psi_verdicts(grid: FrequencyGrid, noise_scale: float,
     """Verdicts of psi_estimator for a (k, n) block of spectral replicates.
 
     A is formed _VERDICT_ROWS replicates at a time, so each complex
-    temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks save time and
-    memory: at k = 1000, n = 992 three calls take about 0.08 s in blocks
-    of 128 rows and 0.14 s in one block, and a calib-sim run on that grid
-    peaks at 79 MiB RSS in blocks and at 103 MiB in one block. The log path
-    itself is never unwrapped. Row i equals psi_estimator's verdict on row
-    i bit for bit.
+    temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks save time: at
+    k = 1000, n = 992 three calls take about 0.08 s in blocks of 128 rows
+    and 0.14 s in one block. calib-sim calls this once per noise scale on
+    each block of spectral_blocks. The log path itself is never unwrapped.
+    Row i equals psi_estimator's verdict on row i bit for bit, whatever
+    block it is passed in.
     """
     X = np.asarray(spectral_values)
     v = grid.points

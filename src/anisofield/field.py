@@ -135,14 +135,16 @@ def verify_condition2(model: FieldModel) -> float:
 
 
 def standard_normal_batch(dim: int, n: int, master_seed: int,
-                          stream: str) -> np.ndarray:
-    """(n, dim) standard normals; row i has the bits of
-    Generator(Philox(key=[stream_key(master_seed, stream), i])).standard_normal(dim).
+                          stream: str, start: int = 0) -> np.ndarray:
+    """(n, dim) standard normals of replicates start, ..., start + n - 1;
+    row i has the bits of
+    Generator(Philox(key=[stream_key(master_seed, stream), start + i])).standard_normal(dim).
 
-    One generator draws every row, its state reset before each row to the
-    row's key, counter 0 and an empty buffer. The (n, dim) array is
-    allocated before the first draw, so a count too large for memory is
-    refused at once.
+    Any row range is therefore drawable on its own, with the bits of the
+    same rows of one batch from 0. One generator draws every row, its state
+    reset before each row to the row's key, counter 0 and an empty buffer.
+    The (n, dim) array is allocated before the first draw, so a count too
+    large for memory is refused at once.
     """
     z = np.empty((n, dim))
     bit_gen = Philox(0)
@@ -153,7 +155,7 @@ def standard_normal_batch(dim: int, n: int, master_seed: int,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
     for i in range(n):
-        key[1] = i
+        key[1] = start + i
         bit_gen.state = state
         gen.standard_normal(dim, out=z[i])
     return z

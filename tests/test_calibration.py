@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,22 +149,36 @@ class TestCosTransform:
             assert cos_transform(POW, -w) == v
 
 
+class TestCosTransformAtItsArgument:
+    def test_strictly_decreasing_near_a_kink(self):
+        # C falls like -|w|^(2a-1) from its value at 0, steeply at a = 0.75;
+        # a transform evaluated at a rounded argument is piecewise constant
+        # on these 50 arguments 1e-12 apart
+        noise = NoiseLevel(a=0.75, p=1.05)
+        vals = [cos_transform(noise, 1e-3 + k * 1e-12) for k in range(1, 51)]
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+        many = cos_transform_many(noise, 1e-3 + np.arange(1, 51) * 1e-12)
+        assert many.tolist() == vals
+
+
 class TestCosCache:
     def test_cache_is_bounded(self):
         maxsize = calibration._cos_transform_cached.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 2001
+        assert maxsize is not None and maxsize >= 2617
 
     def test_one_miss_per_distinct_argument(self):
-        # the calib-sim-fine grid: both transform pairs draw on 2001 keys
+        # the calib-sim-fine grid: the Toeplitz lags, the Hankel sums and
+        # the anchor row are looked up at their own values, 2617 of them
         g = FrequencyGrid(10.0, 0.01)
-        q1 = g.points
-        ws = np.concatenate([(q1[:, None] - q1[None, :]).ravel(),
-                             (q1[:, None] + q1[None, :]).ravel()])
-        distinct = np.unique(np.round(np.abs(ws), 10)).size
+        pos = g.positive
+        s = np.arange(2 * pos.size - 1)
+        ws = np.concatenate([pos - pos[0], pos[s - s // 2] + pos[s // 2],
+                             g.points])
+        distinct = np.unique(np.abs(ws)).size
         calibration._cos_transform_cached.cache_clear()
         simulate_spectral_noise(POW, g, 1, 0)
         info = calibration._cos_transform_cached.cache_info()
-        assert info.misses == distinct == 2001
+        assert info.misses == distinct == 2617
         assert info.currsize == distinct
 
 
@@ -182,14 +197,28 @@ def lookup_sizes(monkeypatch):
 
 
 class TestPairTransforms:
-    """The lag assembly of both spectral covariance blocks against
-    cos_transform_many on the full argument matrices."""
+    """The lag assembly of both spectral covariance blocks: bit for bit the
+    Toeplitz and Hankel layout of one transform per lag, and within the
+    lattice's rounding of cos_transform_many on the full argument matrices."""
 
     @staticmethod
     def per_entry(noise, q1):
         Cm = cos_transform_many(noise, q1[:, None] - q1[None, :])
         Cp = cos_transform_many(noise, q1[:, None] + q1[None, :])
         return 0.5 * (Cm + Cp), 0.5 * (Cm[1:, 1:] - Cp[1:, 1:])
+
+    @staticmethod
+    def assert_lag_layout(noise, q1, cov1, cov2):
+        # every entry of a lag takes the lag's transform
+        pos = q1[1:]
+        i, j = np.indices((pos.size, pos.size))
+        T = cos_transform_many(noise, pos - pos[0])[np.abs(i - j)]
+        H = cos_transform_many(noise, pos[(i + j) - (i + j) // 2]
+                               + pos[(i + j) // 2])
+        assert np.array_equal(cov1[1:, 1:], 0.5 * (T + H))
+        assert np.array_equal(cov2, 0.5 * (T - H))
+        edge = cos_transform_many(noise, q1)
+        assert np.array_equal(cov1[0], edge) and np.array_equal(cov1[:, 0], edge)
 
     @pytest.mark.parametrize("noise,grid", [
         (POW, FrequencyGrid(10.0, 0.01)),       # calib-sim-fine
@@ -200,24 +229,21 @@ class TestPairTransforms:
     def test_matches_cos_transform_many(self, noise, grid):
         q1 = grid.points
         cov1, cov2 = calibration._spectral_covariances(noise, grid.positive)
+        self.assert_lag_layout(noise, q1, cov1, cov2)
+        # pos_i - pos_j and its lag pos_|i-j| - pos_0 differ by the lattice's
+        # rounding (at most 7.1e-15 on these grids), and |C'| is at most
+        # int |x| eps^2 = 1 at a = 1.5; measured, the blocks move by 4.4e-16
         ref1, ref2 = self.per_entry(noise, q1)
-        assert np.array_equal(cov1, ref1)
-        assert np.array_equal(cov2, ref2)
+        assert np.max(np.abs(cov1 - ref1)) <= 1e-14
+        assert np.max(np.abs(cov2 - ref2)) <= 1e-14
 
     def test_rounding_boundary_is_toeplitz_plus_hankel(self):
-        # keys split inside one lag: every entry of a lag takes the lag's
-        # transform, within rounding of the per-entry lookup
+        # the grid on which the former 10-decimal key split the entries of a
+        # lag: each still takes the lag's transform, within rounding of the
+        # per-entry lookup
         q1 = FrequencyGrid(5.0, 0.05000000005).points
-        pos = q1[1:]
-        cov1, cov2 = calibration._spectral_covariances(POW, pos)
-        i, j = np.indices((pos.size, pos.size))
-        T = cos_transform_many(POW, pos - pos[0])[np.abs(i - j)]
-        H = cos_transform_many(POW, pos[(i + j) - (i + j) // 2]
-                               + pos[(i + j) // 2])
-        assert np.array_equal(cov1[1:, 1:], 0.5 * (T + H))
-        assert np.array_equal(cov2, 0.5 * (T - H))
-        edge = cos_transform_many(POW, q1)
-        assert np.array_equal(cov1[0], edge) and np.array_equal(cov1[:, 0], edge)
+        cov1, cov2 = calibration._spectral_covariances(POW, q1[1:])
+        self.assert_lag_layout(POW, q1, cov1, cov2)
         ref1, ref2 = self.per_entry(POW, q1)
         assert not np.array_equal(cov1, ref1)
         assert np.max(np.abs(cov1 - ref1)) <= 1e-10
@@ -227,7 +253,7 @@ class TestPairTransforms:
         g = FrequencyGrid(10.0, 0.01)
         simulate_spectral_noise(POW, g, 1, 0)
         n = g.points.size
-        # only the anchor's row and column leave their lag's key
+        # only the anchor's row and column are looked up outside the lags
         assert lookup_sizes and max(lookup_sizes) <= 2 * n
 
 
@@ -238,11 +264,10 @@ class TestQuadpackOracle:
     @pytest.mark.parametrize("a", [0.6, 0.75, 1.0, 1.5, 3.0])
     def test_power_law_transform(self, a):
         noise = NoiseLevel(a=a, p=1.05)
-        # on arguments already rounded to the cache's _W_ROUND decimals, so
-        # that both sides see the same w (C has an infinite slope at 0 for a <= 1)
-        ws = np.round(np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 81),
-                                      np.linspace(0.01, 20.0, 40)]),
-                      calibration._W_ROUND)
+        # at the arguments themselves: C has an infinite slope at 0 for
+        # a <= 1, where a rounded argument alone once moved C by 1.5e-10
+        ws = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 81),
+                             np.linspace(0.01, 20.0, 40)])
         got = cos_transform_many(noise, ws)
         want = np.array([quadpack_cos_transform(noise, w) for w in ws])
         assert np.max(np.abs(got - want)) <= 1e-10
@@ -425,15 +450,14 @@ class TestSpectralSimulation:
             assert abs(np.var(part) - target) <= 5.0 * target * math.sqrt(2.0 / n)
 
     def test_matches_four_transform_construction(self):
-        # reference: separate transform pairs over [0, *pos] and over pos
+        # reference: the blocks over [0, *pos] and over pos (whose entries
+        # TestPairTransforms holds against the four per-entry transform
+        # matrices), each factored and applied to its stream in one product
         g = FrequencyGrid(5.0, 0.05)
         n, seed = 50, 8
         q1 = g.points
         pos = g.positive
-        cov1 = 0.5 * (cos_transform_many(POW, q1[:, None] - q1[None, :])
-                      + cos_transform_many(POW, q1[:, None] + q1[None, :]))
-        cov2 = 0.5 * (cos_transform_many(POW, pos[:, None] - pos[None, :])
-                      - cos_transform_many(POW, pos[:, None] + pos[None, :]))
+        cov1, cov2 = calibration._spectral_covariances(POW, pos)
         X1 = standard_normal_batch(q1.size, n, seed, "spec-cos") @ \
             cholesky_with_jitter(cov1)[0].T
         X2 = standard_normal_batch(pos.size, n, seed, "spec-sin") @ \
@@ -442,6 +466,30 @@ class TestSpectralSimulation:
         s = simulate_spectral_noise(POW, g, n, seed)
         assert np.array_equal(s, ref)
         assert np.all(s[:, 0].imag == 0.0)
+
+    def test_blocks_are_row_ranges_of_the_streams(self):
+        # 600 rows: two full blocks and a partial one, each its streams'
+        # rows lo.. times the transposed factors; their concatenation is
+        # simulate_spectral_noise bit for bit
+        g = FrequencyGrid(5.0, 0.05)
+        n, seed, rows = 600, 8, calibration._DRAW_ROWS
+        cov1, cov2 = calibration._spectral_covariances(POW, g.positive)
+        L1 = cholesky_with_jitter(cov1)[0]
+        L2 = cholesky_with_jitter(cov2)[0]
+        blocks = list(calibration.spectral_blocks(POW, g, n, seed))
+        assert [(lo, X.shape) for lo, X in blocks] == [
+            (lo, (min(rows, n - lo), g.points.size))
+            for lo in range(0, n, rows)]
+        assert blocks[-1][1].shape[0] < rows
+        for lo, X in blocks:
+            k = X.shape[0]
+            z1 = standard_normal_batch(L1.shape[0], k, seed, "spec-cos", start=lo)
+            z2 = standard_normal_batch(L2.shape[0], k, seed, "spec-sin", start=lo)
+            assert np.array_equal(X.real, z1 @ L1.T)
+            assert np.array_equal(X.imag[:, 1:], z2 @ L2.T)
+            assert np.all(X.imag[:, 0] == 0.0)
+        s = simulate_spectral_noise(POW, g, n, seed)
+        assert s.tobytes() == np.concatenate([X for _, X in blocks]).tobytes()
 
     def test_factors_through_the_field_seam(self, monkeypatch):
         # both spectral components are factored by field.cholesky_with_jitter
@@ -453,11 +501,13 @@ class TestSpectralSimulation:
             return real(cov)
 
         monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
+        # once each, over three draw blocks
         g = FrequencyGrid(3.0, 0.25)
-        s = simulate_spectral_noise(POW, g, 4, 0)
+        n = 2 * calibration._DRAW_ROWS + 4
+        s = simulate_spectral_noise(POW, g, n, 0)
         m = g.positive.size
         assert calls == [(m + 1, m + 1), (m, m)]
-        assert s.shape == (4, m + 1) and s.dtype == complex
+        assert s.shape == (n, m + 1) and s.dtype == complex
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -664,13 +714,14 @@ class TestPsiVerdicts:
     def test_nan_row_not_counted(self, tmp_path, monkeypatch):
         # through calib-sim: the row is written with its failure and left
         # out of well_defined_counts
-        real = calibration.simulate_spectral_noise
+        real = calibration.spectral_blocks
 
         def with_nan(*args, **kwargs):
-            X = real(*args, **kwargs)
-            X[1, 3] = np.nan
-            return X
-        monkeypatch.setattr(calibration, "simulate_spectral_noise", with_nan)
+            for lo, X in real(*args, **kwargs):
+                if lo <= 1 < lo + X.shape[0]:
+                    X[1 - lo, 3] = np.nan
+                yield lo, X
+        monkeypatch.setattr(calibration, "spectral_blocks", with_nan)
         cfg = ExperimentConfig.from_dict("calib-sim", {
             "n_replicates": 4, "V": 3.0, "step": 0.2,
             "noise_scales": [1e-3], "out_dir": str(tmp_path / "run")})
@@ -681,6 +732,53 @@ class TestPsiVerdicts:
             rows = list(csv.DictReader(fh))
         assert [(r["well_defined"], r["failure"]) for r in rows] == [
             ("True", ""), ("False", "nan"), ("True", ""), ("True", "")]
+
+    def test_runner_rows_equal_psi_verdicts(self, tmp_path):
+        # 600 replicates: two full draw blocks and a partial one; each row
+        # is psi_verdicts' verdict on the same row of simulate_spectral_noise
+        scales = [1e-3, 1.0, 100.0]
+        cfg = ExperimentConfig.from_dict("calib-sim", {
+            "n_replicates": 600, "V": 3.0, "step": 0.2, "seed": 5,
+            "noise_scales": scales, "out_dir": str(tmp_path / "run")})
+        run_experiment(cfg)
+        g = FrequencyGrid(3.0, 0.2)
+        spec = simulate_spectral_noise(POW, g, 600, 5)
+        vds = [psi_verdicts(g, scale, spec) for scale in scales]
+        want = ["replicate,noise_scale,well_defined,min_arg_modulus,failure"]
+        for i in range(600):
+            for scale, vd in zip(scales, vds):
+                failure = vd.failures[i]
+                want.append(f"{i},{scale:.17g},{bool(vd.well_defined[i])},"
+                            f"{float(vd.min_arg_modulus[i]):.17g},"
+                            f"{'' if failure is None else failure}")
+        got = (tmp_path / "run" / "results.csv").read_text().splitlines()
+        assert got == want
+        assert {line.rsplit(",", 1)[1] for line in got[1:]} == {"", "phase-jump"}
+
+    def test_runner_memory_does_not_grow_with_replicates(self):
+        # from 256 to 4096 replicates the traced peak grows by the rows the
+        # run returns and by less than as much again: no (n, m) array of
+        # normals or spectral values is held
+        from anisofield.experiments import _run_calib_sim
+
+        def traced(n):
+            cfg = ExperimentConfig.from_dict("calib-sim", {
+                "n_replicates": n, "V": 10.0, "step": 0.05})
+            tracemalloc.start()
+            try:
+                out = _run_calib_sim(cfg)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(out[1]) == n
+            return kept, peak
+
+        traced(256)  # the transforms and the quadrature rule are cached
+        kept_lo, peak_lo = traced(256)
+        kept_hi, peak_hi = traced(4096)
+        rows = kept_hi - kept_lo
+        assert rows > 0
+        assert peak_hi - peak_lo - rows < rows
 
     @staticmethod
     def mirrored_verdicts(grid, scale, spec):

@@ -84,8 +84,11 @@ GOLDEN = [
     ("metric-check", {},
      "14cd26a63ce13359e67a752333a9d4144e87aa3d35d08c0123686269a5bfe7f7",
      "0fdd1f63b91679dc655f3d84905bbe1f5836c6004b63bfeb2ac02cfc1a6581a0"),
+    # results.csv re-pinned when the transform came to be evaluated at its
+    # argument instead of at the argument rounded to 10 decimals (tool
+    # version 0.8.0); report.json is unchanged
     ("calib-sim", {"n_replicates": 10, "V": 3.0, "step": 0.2},
-     "5dbfc38288bde2f0d3cafd3b5d96a54df66d31c3d7fe1daa5d674b3f2c8d459d",
+     "f61fd62831047c9ec382d47b5e374f50343e8e84ea87fec7383839eade8413b5",
      "8d176facbab392fa11a6a630366f8491e9c4f7bf3198a513c5edcb981a932e20"),
     # re-pinned when the grid dropped its mirrored v < 0 half (tool version
     # 0.2.2): the v >= 0 rows are unchanged, and the report's error is now
@@ -97,12 +100,13 @@ GOLDEN = [
 
 # the calib-sim-fine benchmark config at seed 101: a 992-point grid, so the
 # spectral covariances reach lags the small calib-sim entry above never has;
-# results.csv re-pinned for the one-thread BLAS bits (tool version 0.3.0) and
-# for the stream keys of tool version 0.7.0
+# results.csv re-pinned for the one-thread BLAS bits (tool version 0.3.0), for
+# the stream keys of tool version 0.7.0, and for the spectral draws in blocks
+# of 256 replicates and the unrounded transform arguments (tool version 0.8.0)
 GOLDEN_CALIB_FINE = (
     {"V": 10.0, "step": 0.01, "noise_scales": [1e-3, 1e-2, 1e-1],
      "n_replicates": 1000}, 101,
-    "f07a808788e42722d0a95f2375179fabad341d578a852acca03df4f8b6e929a4",
+    "076aa6e57c5ceb8c83b7789da7bd950c7796d5e024bf76978be23075ad094168",
     "856ac666d7e411592b41ec1b04577b04698af72c5f8966fde597c5f89a5c3965")
 
 # the polarity-field-drift benchmark config at seed 101: a 129-point grid with
@@ -179,7 +183,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("kind,over,module,draw", [
         ("calib-sim", {"noise_scales": [1e-3, 1e-2, 1e-3], "n_replicates": 5},
-         calibration, "simulate_spectral_noise"),
+         calibration, "spectral_blocks"),
         ("modulus-scan", {"eps": [0.1, 0.1], "n_samples": 2},
          fieldmod, "sample_paths")], ids=["calib-sim", "modulus-scan"])
     def test_repeated_scan_value_refused_before_drawing(
@@ -487,8 +491,10 @@ class TestMainExitCodes:
         ("hitting-scan", "n_mc=1000000000"),
         ("calib-sim", "n_replicates=1000000000")])
     def test_huge_replicate_count_refused_fast(self, tmp_path, kind, item):
-        # the (n, dim) normals are allocated before any per-replicate work,
-        # so an address-space limit refuses them at once
+        # the (n, dim) normals of a scan, and calib-sim's per-replicate
+        # results, are allocated before any per-replicate work, so an
+        # address-space limit refuses them at once (calib-sim's row budget
+        # refuses this count even earlier)
         import anisofield
         src = os.path.dirname(os.path.dirname(anisofield.__file__))
         env = dict(os.environ)
@@ -507,6 +513,30 @@ class TestMainExitCodes:
         err = json.loads(line)
         assert set(err) == {"error", "message"}
         assert err["error"] == "MemoryError"
+        assert not out.exists()
+
+    def test_replicate_rows_beyond_physical_memory_refused(self, tmp_path):
+        # 10^9 result rows at 250 bytes each: refused by the calib-sim
+        # budget before any draw, with no address-space limit; the spectral
+        # draws stream in blocks, so without the budget this run would go
+        # on for hours
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "anisofield", "calib-sim", "--out", str(out),
+             "--set", "n_replicates=1000000000"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "MemoryError"
+        assert "result rows" in err["message"]
+        assert "physical memory" in err["message"]
         assert not out.exists()
 
     def test_cover_beyond_float64_exits_2(self, tmp_path, capsys):
@@ -594,7 +624,7 @@ class TestMainExitCodes:
                                              monkeypatch):
         def broken(*args, **kwargs):
             raise NumericalCheckFailed("routes disagree")
-        monkeypatch.setattr(calibration, "simulate_spectral_noise", broken)
+        monkeypatch.setattr(calibration, "spectral_blocks", broken)
         rc = main(["calib-sim", "--out", str(tmp_path / "run"),
                    "--set", "n_replicates=2"])
         assert rc == 2

@@ -231,6 +231,16 @@ class TestKeyedDraws:
     def test_no_seeds(self):
         assert standard_normal_batch(7, 0, 3, "x").shape == (0, 7)
 
+    @pytest.mark.parametrize("lo,n", [(0, 600), (256, 256), (512, 88),
+                                      (599, 1), (3, 0)])
+    def test_row_range_equals_rows_of_one_batch(self, lo, n):
+        # a row block drawn on its own has the bits of the same rows of one
+        # batch from replicate 0
+        full = standard_normal_batch(992, 600, 101, "spec-cos")
+        part = standard_normal_batch(992, n, 101, "spec-cos", start=lo)
+        assert part.shape == (n, 992)
+        assert part.tobytes() == full[lo:lo + n].tobytes()
+
     def test_consecutive_keys_independent(self):
         # keys that differ in their last word give uncorrelated rows
         z = standard_normal_batch(1000, 1000, 11, "field")
