@@ -34,7 +34,6 @@ _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
 _COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2617
 _DRAW_ROWS = 256  # replicates per block of spectral draws (the bits depend on it)
-_VERDICT_ROWS = 128  # replicates per block of log arguments in psi_verdicts (speed, see there)
 _TOL_ZERO = 1e-12  # |A| below this is a zero hit of the log argument
 _UNWRAP_MARGIN = math.pi / 2.0  # increments from pi - margin on are phase jumps
 _N_V = 400  # frequencies of lambda_min_on_IV's grid search over [1/V, V]
@@ -360,17 +359,19 @@ def _verdict_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hit, and the jump is the largest wrapped increment between adjacent grid
     points (NaN on zero-hit rows). A row holding a NaN has a NaN min
     modulus, since np.min propagates it; _failures reads that, so no further
-    pass over A is made.
+    pass over A is made. |A| is freed before the phase ratio is formed.
     """
     if np.any(np.abs(A[:, 0] - 1.0) > 1e-9):
         raise ValueError("anchor value must equal 1")
     mods = np.abs(A)
     zero = np.any(mods < _TOL_ZERO, axis=1)
+    min_mod = np.min(mods, axis=1)
+    del mods
     with np.errstate(divide="ignore", invalid="ignore"):
-        jump = np.max(np.abs(np.angle(A[:, 1:] / A[:, :-1])), axis=1,
-                      initial=0.0)
+        incr = np.angle(A[:, 1:] / A[:, :-1])
+        jump = np.max(np.abs(incr, out=incr), axis=1, initial=0.0)
     jump[zero] = np.nan
-    return np.min(mods, axis=1), zero, jump
+    return min_mod, zero, jump
 
 
 def _failures(min_mod: np.ndarray, zero: np.ndarray,
@@ -425,33 +426,16 @@ class PsiVerdicts:
 
 def psi_verdicts(grid: FrequencyGrid, noise_scale: float,
                  spectral_values: np.ndarray) -> PsiVerdicts:
-    """Verdicts of psi_estimator for a (k, n) block of spectral replicates.
-
-    A is formed _VERDICT_ROWS replicates at a time, so each complex
-    temporary holds _VERDICT_ROWS * n * 16 bytes. The blocks save time: at
-    k = 1000, n = 992 three calls take about 0.08 s in blocks of 128 rows
-    and 0.14 s in one block. calib-sim calls this once per noise scale on
-    each block of spectral_blocks. The log path itself is never unwrapped.
-    Row i equals psi_estimator's verdict on row i bit for bit, whatever
-    block it is passed in.
-    """
+    """Verdicts of psi_estimator for a (k, n) block of spectral replicates,
+    judged in one pass (calib-sim passes each block of spectral_blocks, once
+    per noise scale) without unwrapping the log path. Row i equals
+    psi_estimator's verdict on row i bit for bit, whatever the block."""
     X = np.asarray(spectral_values)
     v = grid.points
     if X.ndim != 2 or X.shape[1] != v.size:
         raise ValueError(f"spectral values must have shape (k, {v.size})")
-    FO = fourier_O(v)
-    c = 1j * v * (1.0 + 1j * v)
-    k = X.shape[0]
-    min_mod = np.empty(k)
-    zero = np.empty(k, dtype=bool)
-    jump = np.empty(k)
-    for lo in range(0, k, _VERDICT_ROWS):
-        hi = min(lo + _VERDICT_ROWS, k)
-        A = np.broadcast_to(_log_argument(FO, c, noise_scale, X[lo:hi]),
-                            (hi - lo, v.size))
-        min_mod[lo:hi], zero[lo:hi], jump[lo:hi] = _verdict_rows(A)
-    return PsiVerdicts(min_arg_modulus=min_mod, zero_hit=zero,
-                       max_phase_jump=jump)
+    A = _log_argument(fourier_O(v), 1j * v * (1.0 + 1j * v), noise_scale, X)
+    return PsiVerdicts(*_verdict_rows(np.broadcast_to(A, X.shape)))
 
 
 @dataclass(frozen=True)

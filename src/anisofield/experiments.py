@@ -27,11 +27,12 @@ from . import hitting as hitmod
 from . import metric as metmod
 
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
-# bytes per calib-sim result row at the run's peak: the row's list, index
-# and modulus (about 160 bytes kept) and the verdict arrays and lists the
-# rows are built from; tracemalloc measured 250 per row at one noise scale
-# and 229 at three (10^5 replicates, CPython 3.11)
-_CALIB_ROW_BYTES = 250
+# bytes at a run's peak (tracemalloc, CPython 3.11): per calib-sim result
+# row, its list, index and modulus (about 156 kept) and one block's verdicts,
+# 165 at one noise scale and 141 at three (10^5 replicates); per
+# calib-noiseless grid point, its arrays and row, 272 (10^4 to 5 * 10^5 points)
+_CALIB_ROW_BYTES = 165
+_NOISELESS_POINT_BYTES = 275
 
 
 def _tupleize(v):
@@ -263,12 +264,14 @@ def _nonempty(key: str, values: tuple) -> None:
         raise ValueError(f"{key} must be nonempty")
 
 
-def _distinct(key: str, values: tuple) -> None:
-    """Refuse an empty list, or one that repeats a value: a scan would
-    write the repeated value's rows, and count its replicates, twice."""
+def _distinct(key: str, values: tuple, lo=-math.inf, hi=math.inf) -> None:
+    """Refuse an empty list, a repeated value (its rows would be written,
+    and its replicates counted, twice) or a value outside (lo, hi)."""
     _nonempty(key, values)
     if len(set(values)) != len(values):
         raise ValueError(f"{key} must be distinct, got {list(values)}")
+    if not all(lo < x < hi for x in values):
+        raise ValueError(f"{key} must lie in ({lo:g}, {hi:g}), got {list(values)}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +351,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     fieldmod.verify_condition2(model)
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
-    _distinct("radii", p.radii)
+    _distinct("radii", p.radii, lo=0.0)
     if p.ball_points_per_axis < 1:
         raise ValueError("ball_points_per_axis must be >= 1")
     ests = []
@@ -373,7 +376,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
 
 def _run_modulus_scan(cfg: ExperimentConfig):
     p: ModulusScanParams = cfg.params
-    _distinct("eps", p.eps)
+    _distinct("eps", p.eps, lo=0.0, hi=1.0)
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
     points = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
@@ -395,8 +398,25 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     return ["eps", "status", "p95", "mean"], rows, report
 
 
+def _check_fits(what: str, need: float) -> None:
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(f"{what} need about {need:.3g} bytes, more than "
+                          f"the {have} bytes of physical memory")
+
+
+def _lattice_size(V: float, step: float) -> float:
+    """At least the number of positive frequencies of FrequencyGrid(V,
+    step), from V and step alone; 0 outside its domain, which it refuses."""
+    ok = 1.0 < V < math.inf and 0.0 < step < math.inf
+    return (V - 1.0 / V) / step + 1.5 if ok else 0.0
+
+
 def _run_calib_noiseless(cfg: ExperimentConfig):
     p: CalibNoiselessParams = cfg.params
+    m = _lattice_size(p.V, p.step)
+    _check_fits(f"the grid and rows of {m:.0f} frequencies",
+                _NOISELESS_POINT_BYTES * (m + 1.0))
     grid = calib.FrequencyGrid(p.V, p.step)
     est = calib.psi_estimator(grid, 0.0, T=p.T)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
@@ -411,26 +431,13 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
 
 
 def _check_calib_sim_fits(V: float, step: float, n_rows: int) -> None:
-    """Refuse, before any grid array exists or any normal is drawn, a run
-    whose memory exceeds physical memory: a lattice of m points whose two
-    spectral covariance blocks need 8 ((m+1)^2 + m^2) bytes, or n_rows
-    result rows (replicates times noise scales) at _CALIB_ROW_BYTES each.
-    The draws themselves stream in blocks whose size does not grow with
-    the replicate count. V and step outside FrequencyGrid's domain are left
-    to it."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    rows = float(_CALIB_ROW_BYTES) * n_rows
-    if rows > have:
-        raise MemoryError(f"{n_rows} result rows need about {rows:.3g} bytes, "
-                          f"more than the {have} bytes of physical memory")
-    if not (1.0 < V < math.inf and 0.0 < step < math.inf):
-        return
-    m = (V - 1.0 / V) / step + 1.5  # at least the length of FrequencyGrid's arange
-    need = 8.0 * ((m + 1.0) * (m + 1.0) + m * m)
-    if need > have:
-        raise MemoryError(f"the spectral covariance blocks of up to {m:.0f} "
-                          f"frequencies need {need:.3g} bytes, more than the "
-                          f"{have} bytes of physical memory")
+    """Refuse, before any grid array or normal exists, n_rows result rows
+    at _CALIB_ROW_BYTES each or m lattice points whose two spectral
+    covariance blocks need 8 ((m+1)^2 + m^2) bytes, beyond physical memory."""
+    _check_fits(f"{n_rows} result rows", float(_CALIB_ROW_BYTES) * n_rows)
+    m = _lattice_size(V, step)
+    _check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
+                8.0 * ((m + 1.0) * (m + 1.0) + m * m))
 
 
 def _run_calib_sim(cfg: ExperimentConfig):
@@ -443,35 +450,19 @@ def _run_calib_sim(cfg: ExperimentConfig):
     n, scales = p.n_replicates, p.noise_scales
     _check_calib_sim_fits(p.V, p.step, n * len(scales))
     grid = calib.FrequencyGrid(p.V, p.step)
-    # the per-replicate results are allocated before the first draw; the
-    # spectral values are held one block at a time
-    min_mod = np.empty((len(scales), n))
-    zero = np.empty((len(scales), n), dtype=bool)
-    jump = np.empty((len(scales), n))
-    for lo, X in calib.spectral_blocks(noise, grid, n, cfg.seed):
-        hi = lo + X.shape[0]
-        for s, scale in enumerate(scales):
-            vd = calib.psi_verdicts(grid, scale, X)
-            min_mod[s, lo:hi] = vd.min_arg_modulus
-            zero[s, lo:hi] = vd.zero_hit
-            jump[s, lo:hi] = vd.max_phase_jump
-    verdicts = {}
-    for s, scale in enumerate(scales):
-        vd = calib.PsiVerdicts(min_arg_modulus=min_mod[s], zero_hit=zero[s],
-                               max_phase_jump=jump[s])
-        verdicts[scale] = list(zip(vd.well_defined.tolist(),
-                                   vd.min_arg_modulus.tolist(), vd.failures))
+    # each draw block's rows are made once it is judged, replicate-major
     rows = []
-    n_ok = {s: 0 for s in p.noise_scales}
-    for i in range(p.n_replicates):
-        for scale in p.noise_scales:
-            well_defined, min_mod, failure = verdicts[scale][i]
-            if well_defined:
-                n_ok[scale] += 1
-            rows.append([i, scale, well_defined, min_mod,
-                         "" if failure is None else failure])
-    report = {"n_replicates": p.n_replicates,
-              "well_defined_counts": {str(s): n_ok[s] for s in p.noise_scales}}
+    n_ok = dict.fromkeys(scales, 0)
+    for lo, X in calib.spectral_blocks(noise, grid, n, cfg.seed):
+        vds = [calib.psi_verdicts(grid, scale, X) for scale in scales]
+        per_scale = [zip(vd.well_defined.tolist(), vd.min_arg_modulus.tolist(),
+                         vd.failures) for vd in vds]
+        for i, verdicts in enumerate(zip(*per_scale), start=lo):
+            for scale, (well_defined, min_mod, failure) in zip(scales, verdicts):
+                n_ok[scale] += well_defined
+                rows.append([i, scale, well_defined, min_mod, failure or ""])
+    report = {"n_replicates": n,
+              "well_defined_counts": {str(s): n_ok[s] for s in scales}}
     return (["replicate", "noise_scale", "well_defined", "min_arg_modulus",
              "failure"], rows, report)
 

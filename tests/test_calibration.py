@@ -677,7 +677,7 @@ class TestPsiVerdicts:
             assert failures[i] == est.failure
 
     def test_matches_per_row_estimator(self):
-        # 300 rows span three row blocks; large scales force phase jumps
+        # 300 rows judged in one pass; large scales force phase jumps
         g = FrequencyGrid(10.0, 0.05)
         spec = simulate_spectral_noise(POW, g, 300, 4)
         seen = set()
@@ -700,7 +700,7 @@ class TestPsiVerdicts:
         self.assert_rows_match(vd, g, 1.0, spec)
 
     def test_nan_row(self):
-        # not well defined and named, in every row block, with neighbours kept
+        # not well defined and named, with neighbours kept
         g = FrequencyGrid(2.0, 0.5)
         spec = np.zeros((300, g.points.size), dtype=complex)
         spec[[1, 200], 2] = np.nan
@@ -779,6 +779,22 @@ class TestPsiVerdicts:
         rows = kept_hi - kept_lo
         assert rows > 0
         assert peak_hi - peak_lo - rows < rows
+
+    def test_runner_peak_is_near_its_rows(self):
+        # each draw block's rows are made as soon as it is judged, so the
+        # traced peak exceeds the rows the run keeps by one block's worth,
+        # not by verdict arrays or lists over every replicate
+        from anisofield.experiments import _run_calib_sim
+        cfg = ExperimentConfig.from_dict("calib-sim", {
+            "n_replicates": 20000, "V": 3.0, "step": 0.2})
+        tracemalloc.start()
+        try:
+            out = _run_calib_sim(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out[1]) == 20000
+        assert peak - kept < 0.25 * kept
 
     @staticmethod
     def mirrored_verdicts(grid, scale, spec):

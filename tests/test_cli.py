@@ -516,7 +516,7 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_replicate_rows_beyond_physical_memory_refused(self, tmp_path):
-        # 10^9 result rows at 250 bytes each: refused by the calib-sim
+        # 10^9 result rows at 165 bytes each: refused by the calib-sim
         # budget before any draw, with no address-space limit; the spectral
         # draws stream in blocks, so without the budget this run would go
         # on for hours
@@ -537,6 +537,63 @@ class TestMainExitCodes:
         assert err["error"] == "MemoryError"
         assert "result rows" in err["message"]
         assert "physical memory" in err["message"]
+        assert not out.exists()
+
+    def test_noiseless_grid_beyond_physical_memory_refused(
+            self, tmp_path, capsys, monkeypatch):
+        # with 4 MiB of physical memory, step=1e-4 (about 10^5 frequencies)
+        # is refused before FrequencyGrid allocates; the default step=0.01
+        # (about 10^3) still runs
+        real_sysconf, real_grid = os.sysconf, calibration.FrequencyGrid
+        small = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: small.get(name) or real_sysconf(name))
+        grids = []
+
+        def grid(*args):
+            grids.append(args)
+            return real_grid(*args)
+        monkeypatch.setattr(calibration, "FrequencyGrid", grid)
+        out = tmp_path / "run"
+        assert main(["calib-noiseless", "--out", str(out),
+                     "--set", "step=1e-4"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryError"
+        assert "physical memory" in err["message"]
+        assert grids == [] and not out.exists()
+        assert main(["calib-noiseless", "--out", str(out)]) == 0
+        assert grids == [(10.0, 0.01)]
+
+    @pytest.mark.parametrize("kind,item", [
+        ("hitting-scan", "radii=[0.2,0.1,0]"),
+        ("hitting-scan", "radii=[0.2,-0.1]"),
+        ("modulus-scan", "eps=[0.5,1.5]")])
+    def test_scan_value_out_of_range_refused_before_factoring(
+            self, tmp_path, kind, item):
+        # refused with one JSON line on stderr, no numpy warning ahead of
+        # it, before any covariance is factored (the child's factorization
+        # raises) and with no output directory
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from anisofield import field\n"
+                "def factor(cov):\n"
+                "    raise AssertionError('factored')\n"
+                "field.cholesky_with_jitter = factor\n"
+                "from anisofield.cli import main\n"
+                "raise SystemExit(main(sys.argv[1:]))\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, kind, "--out", str(out), "--set", item],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ValueError" and "must lie in" in err["message"]
         assert not out.exists()
 
     def test_cover_beyond_float64_exits_2(self, tmp_path, capsys):
