@@ -141,7 +141,6 @@ class ModulusScanParams:
 class CalibNoiselessParams:
     V: float = 10.0
     step: float = 0.01
-    T: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -354,12 +353,15 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     _distinct("radii", p.radii, lo=0.0)
     if p.ball_points_per_axis < 1:
         raise ValueError("ball_points_per_axis must be >= 1")
-    ests = []
-    for r in p.radii:
-        widths = 2.0 * r ** (1.0 / model.H.as_array())
-        step = float(widths.min()) / p.ball_points_per_axis
-        ests.append(hitmod.hitting_probability(
-            model, I, p.t, r, drift, p.n_mc, cfg.seed, step))
+    with np.errstate(over="ignore"):
+        widths = [2.0 * r ** (1.0 / model.H.as_array()) for r in p.radii]
+    steps = [float(w.min()) / p.ball_points_per_axis for w in widths]
+    if not all(w.max() < math.inf and s > 0.0 for w, s in zip(widths, steps)):
+        raise ValueError(f"radii {list(p.radii)} need a finite, positive ball-"
+                         "grid step 2 r^(1/H_j) / ball_points_per_axis")
+    ests = [hitmod.hitting_probability(model, I, p.t, r, drift, p.n_mc,
+                                       cfg.seed, step)
+            for r, step in zip(p.radii, steps)]
     return _scan_output(hitmod.scaling_exponent(ests))
 
 
@@ -418,10 +420,10 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
     _check_fits(f"the grid and rows of {m:.0f} frequencies",
                 _NOISELESS_POINT_BYTES * (m + 1.0))
     grid = calib.FrequencyGrid(p.V, p.step)
-    est = calib.psi_estimator(grid, 0.0, T=p.T)
+    est = calib.psi_estimator(grid, 0.0)
     rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
             zip(grid.points, est.values, est.arg_values)]
-    oracle = 2.0 * np.arctan(grid.points) / p.T
+    oracle = 2.0 * np.arctan(grid.points)
     max_err = float(np.max(np.abs(est.values - 1j * oracle)))
     report = {"well_defined": est.well_defined,
               "min_arg_modulus": est.min_arg_modulus,

@@ -116,21 +116,25 @@ def verify_condition1(model: FieldModel, points: np.ndarray) -> tuple[float, flo
         raise ValueError("need at least two grid points")
     rho = rho_pairwise(points, model.H)
     K = model.kernel_matrix(points)
-    tr = float(np.trace(model.gram))
-    canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
-    mask = rho > 0
-    max_ratio = float(np.max(canon[mask] / rho[mask])) if np.any(mask) else 0.0
-    c_analytic = model.condition1_constant
-    return max_ratio, c_analytic, max_ratio <= c_analytic * (1.0 + 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # trace(A A^T) may overflow
+        tr = float(np.trace(model.gram))
+        canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
+        mask = rho > 0
+        max_ratio = float(np.max(canon[mask] / rho[mask])) if np.any(mask) else 0.0
+        c_analytic = model.condition1_constant
+    # not ok unless both the ratio and the constant are finite
+    return max_ratio, c_analytic, max_ratio <= c_analytic * (1.0 + 1e-12) < np.inf
 
 
 def verify_condition2(model: FieldModel) -> float:
-    """Smallest eigenvalue of A A^T; rejects a degenerate (singular) mixing."""
-    lam = float(np.linalg.eigvalsh(model.gram)[0])
-    if lam <= 0.0:
+    """Smallest eigenvalue of A A^T; rejects a singular or non-finite A A^T."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = model.gram
+    lam = float(np.linalg.eigvalsh(G)[0]) if np.isfinite(G).all() else np.nan
+    if not lam > 0.0:
         raise ModelRejected(
-            f"component covariance is singular (lambda_min = {lam:g}); "
-            "the eigenvalue-floor condition fails")
+            f"component covariance is singular or not finite (lambda_min = "
+            f"{lam:g}); the eigenvalue-floor condition fails")
     return lam
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import Refusal
 from .field import FieldModel, sample_paths, standard_normal_batch
-from .metric import (HurstVector, IndexSet, ball_bounding_box, max_pair_ratio,
-                     product_grid, rho_pairwise, rho_to_point)
+from .metric import (HurstVector, IndexSet, ball_bounding_box, product_grid,
+                     rho_to_point)
 
 # the two-sided 95% normal quantile, ndtri(0.975) to the last bit
 _Z95 = 1.959963984540054
@@ -122,19 +122,6 @@ class LipschitzDrift:
         vals = np.matmul(basis, coef.reshape(n_mc, -1, d))
         vals *= (self.L / bound)[:, None, None]
         return vals
-
-
-def check_lipschitz(values: np.ndarray, L: float, points: np.ndarray,
-                    H: HurstVector) -> tuple[float, bool]:
-    """Max pairwise ratio ||f(s)-f(t)|| / rho(s,t) of given values, against L.
-
-    values holds f on the n points, shape (n, d).
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two grid points")
-    vals = np.asarray(values, dtype=float)[None]
-    max_ratio = float(max_pair_ratio(vals, rho_pairwise(points, H))[0])
-    return max_ratio, max_ratio <= L * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 rho(s, t) = sum_j |s_j - t_j|^{H_j} with per-axis exponents H_j in (0, 1].
 Everything here is pure arithmetic: distances, balls, grid covers,
-covering-number upper bounds, the dyadic chaining schedule, Hausdorff
+covering-number upper bounds, the chaining constant c2, Hausdorff
 premeasure sums and the entropy-integral closed form.
 """
 from __future__ import annotations
@@ -272,9 +272,9 @@ class GridCover:
             best = np.where(inside, np.minimum(best, d), best)
         return best
 
-    def is_valid_on(self, points: np.ndarray, rtol: float = 1e-12) -> bool:
+    def is_valid_on(self, points: np.ndarray) -> bool:
         d = self.nearest_center_distance(points)
-        return bool(np.all(d <= self.radius * (1.0 + rtol)))
+        return bool(np.all(d <= self.radius * (1.0 + 1e-12)))
 
 
 def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
@@ -320,25 +320,10 @@ def covering_number_upper(r: float, eps: float, H: HurstVector) -> float:
     return float(np.prod((2.0 * r * N / eps) ** (1.0 / H.as_array()) + 1.0))
 
 
-@dataclass(frozen=True)
-class ChainingSchedule:
-    """Dyadic chaining radii: eps_n = r exp(-2^(n+1)), r_n = beta eps_n 2^((n+1)/2)."""
-
-    r: float
-    beta: float
-    epsilons: tuple[float, ...]
-    radii: tuple[float, ...]
-    c2: float
-
-
-def chaining_schedule(r: float, beta: float, n_max: int) -> ChainingSchedule:
-    if r <= 0 or beta <= 0:
-        raise ValueError("r and beta must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1)
-    eps = r * np.exp(-(2.0 ** (ns + 1)))
-    radii = beta * eps * 2.0 ** ((ns + 1) / 2.0)
+def chaining_c2(beta: float) -> float:
+    """c2 of the chaining radii eps_n = r exp(-2^(n+1)), r_n = beta eps_n 2^((n+1)/2)."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     # c2 = 1 + beta * sum_l 2^((l+1)/2) exp(-2^(l+1)); terms die off doubly fast
     total = 0.0
     l = 1
@@ -348,10 +333,7 @@ def chaining_schedule(r: float, beta: float, n_max: int) -> ChainingSchedule:
             break
         total += term
         l += 1
-    return ChainingSchedule(r=float(r), beta=float(beta),
-                            epsilons=tuple(float(e) for e in eps),
-                            radii=tuple(float(x) for x in radii),
-                            c2=1.0 + beta * total)
+    return 1.0 + beta * total
 
 
 def chaining_series_bound(beta: float, L: float, c: float, d: int, Q: float,

@@ -564,12 +564,22 @@ class TestMainExitCodes:
         assert main(["calib-noiseless", "--out", str(out)]) == 0
         assert grids == [(10.0, 0.01)]
 
-    @pytest.mark.parametrize("kind,item", [
-        ("hitting-scan", "radii=[0.2,0.1,0]"),
-        ("hitting-scan", "radii=[0.2,-0.1]"),
-        ("modulus-scan", "eps=[0.5,1.5]")])
+    @pytest.mark.parametrize("kind,item,error,fragment", [
+        ("hitting-scan", "radii=[0.2,0.1,0]", "ValueError", "must lie in"),
+        ("hitting-scan", "radii=[0.2,-0.1]", "ValueError", "must lie in"),
+        ("modulus-scan", "eps=[0.5,1.5]", "ValueError", "must lie in"),
+        # a ball-grid step 2 r^(1/H) / 16 that overflows or underflows
+        ("hitting-scan", "radii=[1e300]", "ValueError", "ball-grid step"),
+        ("hitting-scan", "radii=[1e-300]", "ValueError", "ball-grid step"),
+        # an A A^T that overflows: its NaN lambda_min once passed the floor
+        ("polarity-scan", "mixing=[[1e300,0],[0,1e300]]", "ModelRejected",
+         "not finite"),
+        ("field-sim", "mixing=[[1e200,0],[0,1e200]]", "ModelRejected",
+         "not finite"),
+        ("modulus-scan", "mixing=[[1e160,0],[1,1e160]]", "ModelRejected",
+         "not finite")])
     def test_scan_value_out_of_range_refused_before_factoring(
-            self, tmp_path, kind, item):
+            self, tmp_path, kind, item, error, fragment):
         # refused with one JSON line on stderr, no numpy warning ahead of
         # it, before any covariance is factored (the child's factorization
         # raises) and with no output directory
@@ -593,7 +603,7 @@ class TestMainExitCodes:
         (line,) = proc.stderr.splitlines()
         err = json.loads(line)
         assert set(err) == {"error", "message"}
-        assert err["error"] == "ValueError" and "must lie in" in err["message"]
+        assert err["error"] == error and fragment in err["message"]
         assert not out.exists()
 
     def test_cover_beyond_float64_exits_2(self, tmp_path, capsys):
@@ -712,14 +722,17 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_removed_calib_sim_T_exits_2(self, tmp_path, capsys):
-        # calib-sim writes only well-definedness verdicts, which T never moves
+        # calib-sim writes only well-definedness verdicts, which T never
+        # moves; in calib-noiseless T only divided psi~ and its closed form
+        # alike (psi_estimator keeps T for library callers)
         out = tmp_path / "run"
-        assert main(["calib-sim", "--out", str(out), "--set", "T=2.0"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
-        assert "unknown config keys" in err["message"]
-        assert "'T'" in err["message"]
-        assert not out.exists()
+        for kind in ("calib-sim", "calib-noiseless"):
+            assert main([kind, "--out", str(out), "--set", "T=2.0"]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert "unknown config keys" in err["message"]
+            assert "'T'" in err["message"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", [-5, 0])
     def test_nonpositive_test_grid_points_exits_2(self, tmp_path, capsys,

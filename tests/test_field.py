@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestConditions:
                                 mixing=((1.0, 0.0), (0.0, 0.0)))
         with pytest.raises(ModelRejected):
             verify_condition2(degenerate)
+
+    def test_overflowing_gram_fails_without_warning(self):
+        # A A^T = 1e400 I overflows to inf, whose lambda_min was a NaN that
+        # passed the floor; 1.69e308 I is finite, but its trace is not
+        H = HurstVector(H=(0.5,))
+        g = np.linspace(0.0, 1.0, 5)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelRejected, match="singular or not finite"):
+                verify_condition2(FieldModel(H=H, mixing=((1e200, 0.0),
+                                                          (0.0, 1e200))))
+            big = FieldModel(H=H, mixing=((1.3e154, 0.0), (0.0, 1.3e154)))
+            assert verify_condition2(big) == pytest.approx(1.69e308)
+            max_ratio, c_analytic, ok = verify_condition1(big, g)
+        assert c_analytic == math.inf and ok is False
 
 
 class TestSamplePaths:

@@ -10,9 +10,8 @@ from anisofield import metric as metricmod
 from anisofield.errors import Refusal
 from anisofield.field import FieldModel
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
-                                check_lipschitz, hitting_probability,
-                                polarity_scan, scaling_exponent,
-                                wilson_interval)
+                                hitting_probability, polarity_scan,
+                                scaling_exponent, wilson_interval)
 from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
                                rho_pairwise, rho_to_point)
 
@@ -103,28 +102,27 @@ class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
         g = np.linspace(0, 1, 20)[:, None]
-        ratio, ok = check_lipschitz(drift_values(f, g, 1, 0)[0],
-                                    f.L, g, H075)
-        assert ratio == 0.0 and ok
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
+                               rho_pairwise(g, H075))[0]
+        assert ratio == 0.0 and ratio <= f.L * (1.0 + 1e-9)
 
     def test_affine_saturates_but_respects_bound(self):
         f = LipschitzDrift(kind="affine", L=2.0)
         g = np.linspace(0, 1, 30)[:, None]
-        ratio, ok = check_lipschitz(drift_values(f, g, 1, 0)[0],
-                                    f.L, g, H075)
-        assert ok and ratio <= 2.0 + 1e-9
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
+                               rho_pairwise(g, H075))[0]
+        assert ratio <= f.L * (1.0 + 1e-9) and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
 
     def test_violating_function_flagged(self):
         # raw values with slope 2 checked against a claimed bound of 0.1
         g = np.linspace(0, 1, 10)[:, None]
         f = LipschitzDrift(kind="affine", L=2.0)
-        vals = drift_values(f, g, 1, 0)[0]
-        ratio, ok = check_lipschitz(vals, 0.1, g, H075)
-        assert not ok and ratio > 0.1
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
+                               rho_pairwise(g, H075))[0]
+        assert not ratio <= 0.1 * (1.0 + 1e-9) and ratio > 0.1
         # the same values pass against the honest bound
-        _, ok2 = check_lipschitz(vals, 2.0, g, H075)
-        assert ok2
+        assert ratio <= 2.0 * (1.0 + 1e-9)
 
     def test_drift_independent_of_field_stream(self, monkeypatch):
         # the coefficients come from the drift stream, not the field's, and
@@ -156,7 +154,8 @@ class TestLipschitzDrift:
         # a 1-D array is not one point with ten components
         g = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(ValueError, match="shape"):
-            check_lipschitz(100 * np.linspace(0, 1, 10), 0.1, g, H075)
+            max_pair_ratio((100 * np.linspace(0, 1, 10))[None],
+                           rho_pairwise(g, H075))
 
 
 class TestBatchedFieldDrift:
@@ -211,9 +210,6 @@ class TestBatchedFieldDrift:
             ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2),
                                    rho_pairwise(pts, H2))
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), step
-        # check_lipschitz agrees with the batched ratio on one replicate
-        vals = drift_values(f, pts, 1, 21, box, H2)[0]
-        assert check_lipschitz(vals, 0.5, pts, H2) == (ratio[0], True)
 
     def test_nested_grids_agree_at_shared_points(self):
         f = self.drift()
@@ -235,7 +231,7 @@ class TestBatchedFieldDrift:
         hitting_probability(model(), UNIT, [0.5], 0.1, f, 30, 2,
                             2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
         with pytest.raises(AssertionError, match="pair walk"):
-            check_lipschitz(np.zeros((3, 2)), 1.0, self.GRID[:3], H075)
+            max_pair_ratio(np.zeros((1, 3, 2)), rho_pairwise(self.GRID[:3], H075))
 
     def test_deterministic_kinds_repeat_per_seed(self):
         f = LipschitzDrift(kind="affine", L=2.0)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
-                               ball_bounding_box, chaining_schedule,
+                               ball_bounding_box, chaining_c2,
                                chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
                                hausdorff_premeasure, max_pair_ratio,
@@ -328,30 +328,12 @@ class TestCoveringNumberUpper:
 
 
 class TestChainingSchedule:
-    def test_first_terms(self):
-        s = chaining_schedule(1.0, 1.0, 2)
-        assert s.epsilons[0] == pytest.approx(math.exp(-4.0), rel=1e-12)
-        assert s.radii[0] == pytest.approx(2.0 * math.exp(-4.0), rel=1e-12)
-
-    def test_linear_in_r(self):
-        a = chaining_schedule(1.0, 2.0, 5)
-        b = chaining_schedule(0.3, 2.0, 5)
-        assert np.allclose(np.array(b.epsilons), 0.3 * np.array(a.epsilons))
-        assert np.allclose(np.array(b.radii), 0.3 * np.array(a.radii))
-
-    def test_strictly_decreasing(self):
-        s = chaining_schedule(2.0, 3.0, 8)
-        assert all(a > b for a, b in zip(s.epsilons, s.epsilons[1:]))
-        assert all(a > b for a, b in zip(s.radii, s.radii[1:]))
-
     def test_c2_series_value(self):
         # independent oracle: brute-force partial sums of the defining series
         total = sum(2.0 ** ((l + 1) / 2.0) * math.exp(-(2.0 ** (l + 1)))
                     for l in range(1, 60))
-        s = chaining_schedule(1.0, 1.0, 1)
-        assert s.c2 == pytest.approx(1.0 + total, abs=1e-12)
-        s7 = chaining_schedule(1.0, 7.0, 1)
-        assert s7.c2 == pytest.approx(1.0 + 7.0 * total, abs=1e-12)
+        assert chaining_c2(1.0) == pytest.approx(1.0 + total, abs=1e-12)
+        assert chaining_c2(7.0) == pytest.approx(1.0 + 7.0 * total, abs=1e-12)
 
 
 class TestChainingSeriesBound:
