@@ -296,7 +296,9 @@ def _run_metric_check(cfg: ExperimentConfig):
     _nonempty("cover_radii", p.cover_radii)
     H = metmod.HurstVector(H=tuple(p.hurst))
     I = metmod.IndexSet.unit_box(H.N)
-    test_pts = I.test_grid(p.test_grid_points)
+    if p.test_grid_points < 1:
+        raise ValueError(f"a test grid needs n_points >= 1, got {p.test_grid_points}")
+    test_pts = I.mesh(max(2, math.ceil(p.test_grid_points ** (1.0 / H.N))))
     rows = []
     for x in p.entropy_x:
         closed = metmod.entropy_integral_closed_form(x)
@@ -311,21 +313,10 @@ def _run_metric_check(cfg: ExperimentConfig):
     return ["check", "param", "value", "bound", "ok"], rows, report
 
 
-def _grid_from_box(lo, hi, n_per_axis) -> np.ndarray:
-    ((lo, hi),) = metmod.IndexSet.box(lo, hi).boxes
-    if any(b <= a for a, b in zip(lo, hi)):
-        raise ValueError(f"box needs box_hi > box_lo on every axis, got "
-                         f"box_lo={list(lo)}, box_hi={list(hi)}")
-    if n_per_axis < 1:
-        raise ValueError(f"a grid needs >= 1 point per axis, got {n_per_axis}")
-    return metmod.product_grid(
-        [np.linspace(a, b, n_per_axis) for a, b in zip(lo, hi)])
-
-
 def _run_field_sim(cfg: ExperimentConfig):
     p: FieldSimParams = cfg.params
     model = _model(p.hurst, p.mixing)
-    points = _grid_from_box(p.box_lo, p.box_hi, p.n_grid)
+    points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_grid)
     lam = fieldmod.verify_condition2(model)
     max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, points)
     paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
@@ -353,16 +344,9 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     _distinct("radii", p.radii, lo=0.0)
     if p.ball_points_per_axis < 1:
         raise ValueError("ball_points_per_axis must be >= 1")
-    with np.errstate(over="ignore"):
-        widths = [2.0 * r ** (1.0 / model.H.as_array()) for r in p.radii]
-    steps = [float(w.min()) / p.ball_points_per_axis for w in widths]
-    if not all(w.max() < math.inf and s > 0.0 for w, s in zip(widths, steps)):
-        raise ValueError(f"radii {list(p.radii)} need a finite, positive ball-"
-                         "grid step 2 r^(1/H_j) / ball_points_per_axis")
-    ests = [hitmod.hitting_probability(model, I, p.t, r, drift, p.n_mc,
-                                       cfg.seed, step)
-            for r, step in zip(p.radii, steps)]
-    return _scan_output(hitmod.scaling_exponent(ests))
+    report = hitmod.hitting_scan(model, I, p.t, p.radii, drift, p.n_mc,
+                                 cfg.seed, p.ball_points_per_axis)
+    return _scan_output(report)
 
 
 def _run_polarity_scan(cfg: ExperimentConfig):
@@ -381,7 +365,7 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     _distinct("eps", p.eps, lo=0.0, hi=1.0)
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
-    points = _grid_from_box(p.box_lo, p.box_hi, p.n_points)
+    points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_points)
     paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
     rep = fieldmod.modulus_statistic(paths, points, model.H, list(p.eps))
     rows = []

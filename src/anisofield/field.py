@@ -127,14 +127,17 @@ def verify_condition1(model: FieldModel, points: np.ndarray) -> tuple[float, flo
 
 
 def verify_condition2(model: FieldModel) -> float:
-    """Smallest eigenvalue of A A^T; rejects a singular or non-finite A A^T."""
+    """Smallest eigenvalue of A A^T; rejects a singular A A^T, and one whose
+    entries or whose condition-1 constant sqrt(2 trace) are not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = model.gram
+        c = model.condition1_constant
     lam = float(np.linalg.eigvalsh(G)[0]) if np.isfinite(G).all() else np.nan
-    if not lam > 0.0:
+    if not (lam > 0.0 and np.isfinite(c)):
         raise ModelRejected(
             f"component covariance is singular or not finite (lambda_min = "
-            f"{lam:g}); the eigenvalue-floor condition fails")
+            f"{lam:g}, sqrt(2 trace) = {c:g}); the eigenvalue-floor or the "
+            "domination condition fails")
     return lam
 
 

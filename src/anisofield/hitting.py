@@ -24,17 +24,13 @@ import numpy as np
 
 from .errors import Refusal
 from .field import FieldModel, sample_paths, standard_normal_batch
-from .metric import (HurstVector, IndexSet, ball_bounding_box, product_grid,
+from .metric import (GRID_RTOL, HurstVector, IndexSet, ball_bounding_box,
                      rho_to_point)
 
 # the two-sided 95% normal quantile, ndtri(0.975) to the last bit
 _Z95 = 1.959963984540054
 # frequencies per axis of a field drift: pi m / D_j for m = 1.._DRIFT_FREQS
 _DRIFT_FREQS = 8
-# relative slack on a lattice count and on a ball's boundary, so that a
-# quotient or a distance that lands a few ulps off an integer or off r
-# neither drops nor adds a point
-_GRID_RTOL = 1e-12
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -146,34 +142,22 @@ class ScalingReport:
     status: str = "ok"
 
 
-def _stepped_grid(lo: Sequence[float], hi: Sequence[float],
-                  grid_step: float) -> np.ndarray:
-    """Product grid of the axes lo_j + arange(n_j) * grid_step inside [lo, hi].
-
-    n_j - 1 is the floor of (hi_j - lo_j) / grid_step, taken with a relative
-    slack of _GRID_RTOL, so an upper edge that the division lands just
-    below is kept.
-    """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(
-            f"grid_step must be finite and positive, got {grid_step!r}")
-    axes = []
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        n_pts = int(np.floor((b - a) / grid_step * (1.0 + _GRID_RTOL))) + 1
-        if n_pts < 8:
-            raise Refusal(
-                f"grid_step {grid_step:g} gives {n_pts} points on axis {j}; "
-                "at least 8 per axis are required")
-        axes.append(a + np.arange(n_pts) * grid_step)
-    return product_grid(axes)
-
-
 def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
-               grid_step: float) -> np.ndarray:
-    """Uniform grid on the bounding box of B_rho(t, r), filtered to ball and I;
-    a point at distance r up to _GRID_RTOL relative is on the ball."""
-    pts = _stepped_grid(*ball_bounding_box(t, r, H), grid_step)
-    mask = (rho_to_point(pts, t, H) <= r * (1.0 + _GRID_RTOL)) & I.contains(pts)
+               points_per_axis: int) -> np.ndarray:
+    """Lattice of step 2 min_j r^(1/H_j) / points_per_axis on the bounding
+    box of B_rho(t, r), filtered to ball and I; a point at distance r up to
+    GRID_RTOL relative is on the ball. A step that overflows or underflows,
+    or a box that rounds to zero width, raises ValueError naming radii."""
+    with np.errstate(over="ignore"):
+        width = 2.0 * r ** (1.0 / H.as_array())
+        lo, hi = ball_bounding_box(t, r, H)
+    step = float(width.min()) / points_per_axis
+    if not (width.max() < math.inf and step > 0.0 and (lo < hi).all()):
+        raise ValueError(f"radii value {r:g} needs a finite, positive ball-"
+                         "grid step 2 r^(1/H_j) / points_per_axis and a ball "
+                         "box t +- r^(1/H_j) of nonzero width on every axis")
+    pts = IndexSet.box(lo, hi).lattice(step)
+    mask = (rho_to_point(pts, t, H) <= r * (1.0 + GRID_RTOL)) & I.contains(pts)
     pts = pts[mask]
     if pts.shape[0] == 0:
         raise Refusal("the rho-ball does not intersect the index set")
@@ -213,23 +197,6 @@ def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:
                            n_mc=n_mc, r=float(r))
 
 
-def hitting_probability(model: FieldModel, index_set: IndexSet, t, r: float,
-                        f: LipschitzDrift, n_mc: int, seed: int,
-                        grid_step: float) -> HittingEstimate:
-    """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r).
-
-    The grid minimum overstates the continuum infimum, so p_hat is biased low.
-    """
-    if n_mc <= 0:
-        raise ValueError("n_mc must be positive")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    t = np.asarray(t, dtype=float).reshape(-1)
-    pts = _ball_grid(t, r, index_set, model.H, grid_step)
-    return _estimate(
-        _distances(model, index_set, pts, f, n_mc, seed, -1.0, 0.0), r)
-
-
 def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
     """Log-log least-squares slope of p_hat against r over nonzero estimates."""
     ests = tuple(sorted(estimates, key=lambda e: -e.r))
@@ -251,6 +218,29 @@ def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
     se = math.sqrt(float(np.sum(resid ** 2)) / max(1, n - 2) / sxx)
     return ScalingReport(radii=radii, estimates=ests,
                          fitted_slope=slope, slope_se=se)
+
+
+def hitting_scan(model: FieldModel, index_set: IndexSet, t,
+                 radii: Sequence[float], f: LipschitzDrift, n_mc: int,
+                 seed: int, points_per_axis: int) -> ScalingReport:
+    """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r) per radius,
+    each from its own draws at seed; every grid is built before the first.
+
+    The grid minimum overstates the continuum infimum, so p_hat is biased low.
+    """
+    radii = [float(r) for r in radii]
+    if not all(r > 0 for r in radii):
+        raise ValueError(f"radii must be positive, got {radii}")
+    if n_mc <= 0:
+        raise ValueError("n_mc must be positive")
+    if points_per_axis < 1:
+        raise ValueError("points_per_axis must be >= 1")
+    t = np.asarray(t, dtype=float).reshape(-1)
+    grids = [_ball_grid(t, r, index_set, model.H, points_per_axis)
+             for r in radii]
+    return scaling_exponent([
+        _estimate(_distances(model, index_set, pts, f, n_mc, seed, -1.0, 0.0), r)
+        for r, pts in zip(radii, grids)])
 
 
 def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
@@ -278,10 +268,6 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
     if center.size != model.d:
         raise ValueError("target center dimension mismatch")
 
-    pts = np.concatenate([_stepped_grid(lo, hi, grid_step)
-                          for lo, hi in index_set.boxes], axis=0)
-    # boxes that touch share points; each is sampled once, in first-seen order
-    _, first = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
+    pts = index_set.lattice(grid_step)
     dmin = _distances(model, index_set, pts, drift, n_mc, seed, 1.0, center)
     return scaling_exponent([_estimate(dmin, delta) for delta in deltas])

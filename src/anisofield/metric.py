@@ -1,7 +1,8 @@
 """Deterministic geometry of the anisotropic metric.
 
 rho(s, t) = sum_j |s_j - t_j|^{H_j} with per-axis exponents H_j in (0, 1].
-Everything here is pure arithmetic: distances, balls, grid covers,
+Everything here is pure arithmetic: distances, balls, the index-set
+grids (IndexSet.lattice and IndexSet.mesh), grid covers,
 covering-number upper bounds, the chaining constant c2, Hausdorff
 premeasure sums and the entropy-integral closed form.
 """
@@ -19,6 +20,9 @@ _C2_TERM_FLOOR = 1e-16
 _LOG_OVERFLOW = 700.0
 _MAX_AXIS_CELLS = 2.0 ** 53  # the largest cell count float64 indexes exactly
 _CONTAINS_ATOL = 1e-12  # IndexSet.contains widens every box by this much
+# relative slack on a lattice count and on a ball's boundary: a quotient or
+# a distance a few ulps off an integer or off r neither drops nor adds a point
+GRID_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -213,18 +217,40 @@ class IndexSet:
             mask |= np.all((pts >= lo) & (pts <= hi), axis=1)
         return mask
 
-    def test_grid(self, n_points: int = 10_000) -> np.ndarray:
-        """Deterministic mesh of about n_points (>= 1) points per box, for cover checks."""
-        if n_points < 1:
-            raise ValueError(f"a test grid needs n_points >= 1, got {n_points}")
-        out = []
+    def lattice(self, step: float) -> np.ndarray:
+        """Rows lo_j + k step, 0 <= k <= floor((hi_j - lo_j) / step) taken with
+        a relative slack of GRID_RTOL, of every box in box order; a row that
+        touching boxes share is kept where it first appears. Fewer than 8
+        points on an axis of a box raise Refusal."""
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"grid_step must be finite and positive, got {step!r}")
+        grids = []
         for lo, hi in self.boxes:
-            lo = np.asarray(lo)
-            hi = np.asarray(hi)
-            per_axis = max(2, math.ceil(n_points ** (1.0 / len(lo))))
-            out.append(product_grid([np.linspace(a, b, per_axis) if b > a
-                                     else np.array([a]) for a, b in zip(lo, hi)]))
-        return np.concatenate(out, axis=0)
+            axes = []
+            for j, (a, b) in enumerate(zip(lo, hi)):
+                n_pts = int(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1
+                if n_pts < 8:
+                    raise Refusal(
+                        f"grid_step {step:g} gives {n_pts} points on axis {j}; "
+                        "at least 8 per axis are required")
+                axes.append(a + np.arange(n_pts) * step)
+            grids.append(product_grid(axes))
+        pts = np.concatenate(grids, axis=0)
+        _, first = np.unique(pts, axis=0, return_index=True)
+        return pts[np.sort(first)]
+
+    def mesh(self, n_per_axis: int) -> np.ndarray:
+        """Rows of the product of linspace(lo_j, hi_j, n_per_axis) over the
+        axes of every box, in box order; each box needs hi_j > lo_j."""
+        if n_per_axis < 1:
+            raise ValueError(f"a grid needs >= 1 point per axis, got {n_per_axis}")
+        for lo, hi in self.boxes:
+            if any(b <= a for a, b in zip(lo, hi)):
+                raise ValueError(f"box needs box_hi > box_lo on every axis, got "
+                                 f"box_lo={list(lo)}, box_hi={list(hi)}")
+        return np.concatenate([product_grid([np.linspace(a, b, n_per_axis)
+                                             for a, b in zip(lo, hi)])
+                               for lo, hi in self.boxes], axis=0)
 
 
 @dataclass(frozen=True)

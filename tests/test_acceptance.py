@@ -16,8 +16,7 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel,
 from anisofield.field import (FieldModel, build_covariance,
                               modulus_statistic, sample_paths,
                               verify_condition1, verify_condition2)
-from anisofield.hitting import (LipschitzDrift, hitting_probability,
-                                polarity_scan, scaling_exponent)
+from anisofield.hitting import LipschitzDrift, hitting_scan, polarity_scan
 from anisofield.metric import (HurstVector, IndexSet, chaining_series_bound,
                                covering_number_upper,
                                entropy_integral_closed_form, grid_cover)
@@ -54,7 +53,7 @@ def test_02_grid_cover_arithmetic():
                  (2, HurstVector(H=(0.75, 0.75)))]
         for N, H in cases:
             I = IndexSet.unit_box(N)
-            pts = I.test_grid(10_000)
+            pts = I.mesh(math.ceil(10_000 ** (1 / N)))
             r_I = sum(0.5 ** h for h in H.H)
             for k in range(1, 7):
                 r = 2.0 ** -k
@@ -100,13 +99,8 @@ def test_05_hitting_probability_scaling():
     def body():
         m = FieldModel(H=HurstVector(H=(0.75,)), mixing=MODEL_2X2)
         I = IndexSet.box([0.0], [1.0])
-        ests = []
-        for r in (0.2, 0.1, 0.05, 0.025):
-            step = 2.0 * r ** (4.0 / 3.0) / 16.0
-            ests.append(hitting_probability(m, I, [0.5], r,
-                                            LipschitzDrift(kind="zero"),
-                                            10_000, 11, step))
-        rep = scaling_exponent(ests)
+        rep = hitting_scan(m, I, [0.5], (0.2, 0.1, 0.05, 0.025),
+                           LipschitzDrift(kind="zero"), 10_000, 11, 16)
         assert rep.status == "ok"
         assert rep.fitted_slope >= 1.7
     _accept("hitting-probability-scaling", body)

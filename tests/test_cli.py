@@ -571,12 +571,22 @@ class TestMainExitCodes:
         # a ball-grid step 2 r^(1/H) / 16 that overflows or underflows
         ("hitting-scan", "radii=[1e300]", "ValueError", "ball-grid step"),
         ("hitting-scan", "radii=[1e-300]", "ValueError", "ball-grid step"),
+        # a positive step whose ball box rounds to t: width 0 on the axis;
+        # the grids of every radius are built before the first draw
+        ("hitting-scan", "radii=[1e-200]", "ValueError", "zero width"),
+        ("hitting-scan", "radii=[0.2,1e-200]", "ValueError", "zero width"),
         # an A A^T that overflows: its NaN lambda_min once passed the floor
         ("polarity-scan", "mixing=[[1e300,0],[0,1e300]]", "ModelRejected",
          "not finite"),
         ("field-sim", "mixing=[[1e200,0],[0,1e200]]", "ModelRejected",
          "not finite"),
         ("modulus-scan", "mixing=[[1e160,0],[1,1e160]]", "ModelRejected",
+         "not finite"),
+        # A A^T is finite, but its trace overflows, or twice its trace does:
+        # the domination constant sqrt(2 trace) would be written as Infinity
+        ("field-sim", "mixing=[[1.3e154,0],[0,1.3e154]]", "ModelRejected",
+         "not finite"),
+        ("field-sim", "mixing=[[9e153,0],[0,9e153]]", "ModelRejected",
          "not finite")])
     def test_scan_value_out_of_range_refused_before_factoring(
             self, tmp_path, kind, item, error, fragment):

@@ -10,7 +10,7 @@ from anisofield import metric as metricmod
 from anisofield.errors import Refusal
 from anisofield.field import FieldModel
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
-                                hitting_probability, polarity_scan,
+                                hitting_scan, polarity_scan,
                                 scaling_exponent, wilson_interval)
 from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
                                rho_pairwise, rho_to_point)
@@ -206,7 +206,7 @@ class TestBatchedFieldDrift:
         H2 = HurstVector(H=(0.5, 0.9))
         box = IndexSet.box([0.0, -1.0], [1.0, 1.0])
         for step in (1 / 8, 1 / 16):
-            pts = hitting._stepped_grid(*box.boxes[0], step)
+            pts = box.lattice(step)
             ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2),
                                    rho_pairwise(pts, H2))
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), step
@@ -228,8 +228,7 @@ class TestBatchedFieldDrift:
         monkeypatch.setattr(metricmod, "pair_lags", refuse)
         f = self.drift()
         polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 30, 2, 1 / 64)
-        hitting_probability(model(), UNIT, [0.5], 0.1, f, 30, 2,
-                            2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
+        hitting_scan(model(), UNIT, [0.5], [0.1], f, 30, 2, 16)
         with pytest.raises(AssertionError, match="pair walk"):
             max_pair_ratio(np.zeros((1, 3, 2)), rho_pairwise(self.GRID[:3], H075))
 
@@ -253,37 +252,32 @@ class TestBatchedFieldDrift:
 class TestHittingProbability:
     def test_zero_replicates_rejected(self):
         with pytest.raises(ValueError):
-            hitting_probability(model(), UNIT, [0.5], 0.1,
-                                LipschitzDrift(kind="zero"), 0, 0, 0.001)
+            hitting_scan(model(), UNIT, [0.5], [0.1],
+                         LipschitzDrift(kind="zero"), 0, 0, 16)
 
     def test_huge_radius_always_hits(self):
         # r far above the field scale: non-hit probability < 1e-6
         m = model()
-        est = hitting_probability(m, UNIT, [0.5], 20.0,
-                                  LipschitzDrift(kind="zero"), 500, 0, 0.9)
-        # ball covers all of [0,1]; grid_step 0.9 would give < 8 points, so
-        # check the refusal fires for coarse grids first
+        (est,) = hitting_scan(m, UNIT, [0.5], [20.0],
+                              LipschitzDrift(kind="zero"), 500, 0, 16).estimates
+        # the ball's box is far wider than [0, 1], so its 16 steps leave few
+        # lattice points in the index set
         assert est.p_hat == 1.0
 
     def test_coarse_grid_refused(self):
         with pytest.raises(Refusal):
-            hitting_probability(model(), UNIT, [0.5], 0.05,
-                                LipschitzDrift(kind="zero"), 10, 0, 0.1)
+            hitting_scan(model(), UNIT, [0.5], [0.05],
+                         LipschitzDrift(kind="zero"), 10, 0, 4)
 
     def test_empty_ball_intersection_refused(self):
         far = IndexSet.box([5.0], [6.0])
         with pytest.raises(Refusal):
-            hitting_probability(model(), far, [0.5], 0.05,
-                                LipschitzDrift(kind="zero"), 10, 0, 0.001)
+            hitting_scan(model(), far, [0.5], [0.05],
+                         LipschitzDrift(kind="zero"), 10, 0, 16)
 
     def test_p_hat_decreasing_in_r(self):
-        m = model()
-        ests = []
-        for r in [0.2, 0.1, 0.05]:
-            step = 2.0 * r ** (4.0 / 3.0) / 16.0
-            ests.append(hitting_probability(m, UNIT, [0.5], r,
-                                            LipschitzDrift(kind="zero"),
-                                            4000, 11, step))
+        ests = hitting_scan(model(), UNIT, [0.5], [0.2, 0.1, 0.05],
+                            LipschitzDrift(kind="zero"), 4000, 11, 16).estimates
         # monotone up to MC noise: assert via non-overlapping Wilson CIs
         assert ests[0].ci_low > ests[1].ci_high
         assert ests[1].ci_low > ests[2].ci_high
@@ -293,15 +287,13 @@ class TestHittingProbability:
         # the hitting-scan default: 16 steps across the ball's box, whose
         # quotient lands a few ulps off 16, and two ends at rho = r up to
         # rounding; all 17 lattice points lie in the closed ball
-        step = 2.0 * r ** (4.0 / 3.0) / 16.0
-        pts = hitting._ball_grid(np.array([0.5]), r, UNIT, H075, step)
+        pts = hitting._ball_grid(np.array([0.5]), r, UNIT, H075, 16)
         assert pts.shape == (17, 1)
 
     def test_field_drift_factors_once(self, factor_calls):
         m = model()
-        hitting_probability(m, UNIT, [0.5], 0.1,
-                            LipschitzDrift(kind="field", L=0.5),
-                            50, 2, 2.0 * 0.1 ** (4.0 / 3.0) / 16.0)
+        hitting_scan(m, UNIT, [0.5], [0.1], LipschitzDrift(kind="field", L=0.5),
+                     50, 2, 16)
         assert len(factor_calls) == 1
 
 
@@ -331,19 +323,6 @@ class TestScalingExponent:
         rep = scaling_exponent(ests)
         assert rep.status == "too-few-nonzero-estimates"
         assert np.isnan(rep.fitted_slope)
-
-
-class TestSteppedGrid:
-    def test_upper_edge_kept(self):
-        # (0.7 - 0) / 0.1 is 6.999999999999999 in floating point
-        pts = hitting._stepped_grid([0.0], [0.7], 0.1)
-        assert pts.shape == (8, 1)
-        assert pts[-1, 0] == pytest.approx(0.7, rel=1e-15)
-
-    def test_binary_steps_unchanged(self):
-        for step in (1 / 64, 1 / 128):
-            pts = hitting._stepped_grid([0.0], [1.0], step)
-            assert np.array_equal(pts[:, 0], np.arange(round(1 / step) + 1) * step)
 
 
 class TestPolarityScan:

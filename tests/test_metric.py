@@ -269,11 +269,38 @@ class TestIndexSetContains:
             IndexSet.unit_box(2).contains(np.full((4, width), 0.5))
 
 
+class TestLattice:
+    def test_upper_edge_kept(self):
+        # (0.7 - 0) / 0.1 is 6.999999999999999 in floating point
+        pts = IndexSet.box([0.0], [0.7]).lattice(0.1)
+        assert pts.shape == (8, 1)
+        assert pts[-1, 0] == pytest.approx(0.7, rel=1e-15)
+
+    def test_binary_steps_unchanged(self):
+        for step in (1 / 64, 1 / 128):
+            pts = IndexSet.box([0.0], [1.0]).lattice(step)
+            assert np.array_equal(pts[:, 0], np.arange(round(1 / step) + 1) * step)
+
+    @pytest.mark.parametrize("boxes", [
+        (((0.1, -0.3), (0.8, 0.45)),),
+        (((0.0, 0.0), (0.5, 1.0)), ((0.5, 0.0), (1.3, 1.0)))],
+        ids=["one-box", "touching-boxes"])
+    def test_binary_steps_nest(self, boxes):
+        # k h and 2k (h/2) are the same double, so halving a binary step
+        # keeps every row bit for bit, off-lattice lower corners included
+        I = IndexSet(boxes=boxes)
+        for h in (1 / 16, 1 / 32, 1 / 64):
+            coarse, fine = I.lattice(h), I.lattice(h / 2)
+            assert len(fine) > len(coarse)
+            assert ({row.tobytes() for row in coarse}
+                    <= {row.tobytes() for row in fine}), h
+
+
 class TestGridCover:
     def test_unit_interval_halves(self):
         gc = grid_cover(IndexSet.unit_box(1), 0.5, H1)
         assert gc.count == 2
-        assert gc.is_valid_on(IndexSet.unit_box(1).test_grid(10_000))
+        assert gc.is_valid_on(IndexSet.unit_box(1).mesh(10_000))
 
     def test_big_radius_single_center(self):
         gc = grid_cover(IndexSet.unit_box(1), 1.5, H1)
@@ -284,12 +311,12 @@ class TestGridCover:
         I = IndexSet.unit_box(2)
         gc = grid_cover(I, 0.25, H)
         assert gc.count <= gc.c8 * 0.25 ** (-H.Q)
-        assert gc.is_valid_on(I.test_grid(10_000))
+        assert gc.is_valid_on(I.mesh(100))
 
     def test_union_of_boxes(self):
         I = IndexSet(boxes=(((-2.0,), (-1.0,)), ((1.0,), (2.0,))))
         gc = grid_cover(I, 0.25, H1)
-        assert gc.is_valid_on(I.test_grid(5_000))
+        assert gc.is_valid_on(I.mesh(5_000))
 
     def test_count_without_centers(self):
         # 1,368,900 balls: counted from the cells, no array of centers built
