@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._record import DERIVED, frozen
 from .errors import NumericalCheckFailed
 from . import field as fieldmod
 
@@ -40,7 +40,7 @@ _N_V = 400  # frequencies of lambda_min_on_IV's grid search over [1/V, V]
 _N_PHI = 200  # phases of that search over [0, pi); even, so 0 and pi/2 are on it
 
 
-@dataclass(frozen=True)
+@frozen
 class NoiseLevel:
     """Power-law noise level eps(x) = (1+|x|)^(-a) with a claimed tail
     exponent p; the tail condition int (1+|x|)^p eps^2 < infinity is exactly
@@ -269,7 +269,7 @@ def holder_bound_check(noise: NoiseLevel, p: float,
     return worst, worst <= 1e-8
 
 
-@dataclass(frozen=True)
+@frozen
 class FrequencyGrid:
     """The anchor v = 0 followed by the lattice 1/V + k step on [1/V, V].
 
@@ -279,7 +279,7 @@ class FrequencyGrid:
 
     V: float
     step: float
-    points: np.ndarray = field(init=False, compare=False)
+    points: np.ndarray = DERIVED
 
     def __post_init__(self):
         V, step = float(self.V), float(self.step)
@@ -406,7 +406,7 @@ def _log_argument(FO: np.ndarray, c: np.ndarray, noise_scale: float,
     return 1.0 + c * F_obs
 
 
-@dataclass(frozen=True)
+@frozen
 class PsiVerdicts:
     """Per-replicate well-definedness of psi~, one entry per row of A."""
 
@@ -438,7 +438,7 @@ def psi_verdicts(grid: FrequencyGrid, noise_scale: float,
     return PsiVerdicts(*_verdict_rows(np.broadcast_to(A, X.shape)))
 
 
-@dataclass(frozen=True)
+@frozen
 class PsiEstimate:
     """Estimator path psi~ on the frequency grid with a well-definedness verdict."""
 

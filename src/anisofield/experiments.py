@@ -1,6 +1,6 @@
 """Experiment drivers: config validation, dispatch, and artifact emission.
 
-Each experiment kind has a frozen params dataclass (unknown keys rejected),
+Each experiment kind has a frozen params record (unknown keys rejected),
 a runner producing CSV rows plus a JSON report, and a manifest recording the
 config echo, derived seed scheme and content digests of the data files.
 Data files are byte-identical across reruns; timestamps live only in the
@@ -8,23 +8,21 @@ manifest.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import _blas
-from . import calibration as calib
 from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
+from ._record import asdict, frozen
 
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 # bytes at a run's peak (tracemalloc, CPython 3.11): per calib-sim result
@@ -80,7 +78,7 @@ def params_from_dict(cls, data: dict):
     return cls(**{k: _tupleize(v) for k, v in data.items()})
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricCheckParams:
     hurst: tuple[float, ...] = (0.75, 0.75)
     entropy_x: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0)
@@ -88,7 +86,7 @@ class MetricCheckParams:
     test_grid_points: int = 10_000
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldSimParams:
     hurst: tuple[float, ...] = (0.5,)
     mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
@@ -98,7 +96,7 @@ class FieldSimParams:
     n_samples: int = 200
 
 
-@dataclass(frozen=True)
+@frozen
 class HittingScanParams:
     hurst: tuple[float, ...] = (0.75,)
     mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
@@ -112,7 +110,7 @@ class HittingScanParams:
     drift_L: float = 0.0
 
 
-@dataclass(frozen=True)
+@frozen
 class PolarityScanParams:
     hurst: tuple[float, ...] = (0.75,)
     mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
@@ -126,7 +124,7 @@ class PolarityScanParams:
     drift_L: float = 0.5
 
 
-@dataclass(frozen=True)
+@frozen
 class ModulusScanParams:
     hurst: tuple[float, ...] = (0.5,)
     mixing: tuple[tuple[float, ...], ...] = ((1.0, 0.0), (1.0, 1.0))
@@ -137,13 +135,13 @@ class ModulusScanParams:
     n_samples: int = 200
 
 
-@dataclass(frozen=True)
+@frozen
 class CalibNoiselessParams:
     V: float = 10.0
     step: float = 0.01
 
 
-@dataclass(frozen=True)
+@frozen
 class CalibSimParams:
     noise_a: float = 1.5
     noise_p: float = 1.5
@@ -164,7 +162,7 @@ PARAM_CLASSES: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class ExperimentConfig:
     """One run's kind, params, master seed and output directory.
 
@@ -197,14 +195,12 @@ class ExperimentConfig:
                    workers=workers)
 
     def echo(self) -> dict:
-        doc = {k: _listify(v) for k, v in dataclasses.asdict(self.params).items()}
-        doc["seed"] = self.seed
-        doc["workers"] = self.workers
-        doc["out_dir"] = self.out_dir
-        return doc
+        doc = {k: _listify(v) for k, v in asdict(self.params).items()}
+        return {**doc, "seed": self.seed, "workers": self.workers,
+                "out_dir": self.out_dir}
 
 
-@dataclass(frozen=True)
+@frozen
 class RunManifest:
     kind: str
     config: dict
@@ -399,6 +395,7 @@ def _lattice_size(V: float, step: float) -> float:
 
 
 def _run_calib_noiseless(cfg: ExperimentConfig):
+    from . import calibration as calib
     p: CalibNoiselessParams = cfg.params
     m = _lattice_size(p.V, p.step)
     _check_fits(f"the grid and rows of {m:.0f} frequencies",
@@ -427,6 +424,7 @@ def _check_calib_sim_fits(V: float, step: float, n_rows: int) -> None:
 
 
 def _run_calib_sim(cfg: ExperimentConfig):
+    from . import calibration as calib
     p: CalibSimParams = cfg.params
     _distinct("noise_scales", p.noise_scales)
     if p.n_replicates < 1:
@@ -496,5 +494,5 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                  "report.json": _sha256(report_path)},
         blas=blas,
     )
-    _write_json(os.path.join(out_dir, "manifest.json"), dataclasses.asdict(manifest))
+    _write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
     return manifest

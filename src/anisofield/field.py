@@ -21,13 +21,12 @@ stream's hash and i (see seeds).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 # numpy loads numpy.random on first attribute access; importing it here puts
 # that cost (~20 ms) in the package import instead of the first draw
 from numpy.random import Generator, Philox
 
+from ._record import frozen
 from .errors import ModelRejected
 from .metric import HurstVector, pair_lags, rho_pairwise
 from .seeds import stream_key
@@ -36,7 +35,7 @@ JITTER_REL = 1e-10
 JITTER_REL_MAX = 1e-6
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldModel:
     """Stationary anisotropic Gaussian field with constant component mixing."""
 
@@ -194,7 +193,7 @@ def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
     return np.matmul(L_G, y.reshape(n_samples, d, n)).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class ModulusReport:
     """Per-sample, per-epsilon modulus statistic M(eps).
 

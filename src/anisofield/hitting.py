@@ -17,11 +17,11 @@ field drift costs one small matrix product per replicate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import frozen
 from .errors import Refusal
 from .field import FieldModel, sample_paths, standard_normal_batch
 from .metric import (GRID_RTOL, HurstVector, IndexSet, ball_bounding_box,
@@ -48,7 +48,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
-@dataclass(frozen=True)
+@frozen
 class LipschitzDrift:
     """Drift f with ||f(s) - f(t)|| <= L rho(s, t).
 
@@ -120,7 +120,7 @@ class LipschitzDrift:
         return vals
 
 
-@dataclass(frozen=True)
+@frozen
 class HittingEstimate:
     p_hat: float
     ci_low: float
@@ -133,7 +133,7 @@ class HittingEstimate:
             raise ValueError("Wilson interval must bracket the point estimate")
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalingReport:
     radii: tuple[float, ...]
     estimates: tuple[HittingEstimate, ...]
@@ -183,6 +183,13 @@ def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
     drift *= sign
     fv += drift
     fv -= center
+    if math.frexp(max(fv.max(), -fv.min()))[1] > 500:
+        # squares overflow from 2**512 on: scale each point's vector by the power of
+        # two of its largest entry (one for all flushes small squares to 0), then back
+        k = np.frexp(np.abs(fv).max(axis=2))[1]
+        norms = np.sqrt(np.add.reduce(np.square(np.ldexp(fv, -k[..., None])), axis=2))
+        with np.errstate(over="ignore"):  # a norm beyond float64 is inf
+            return np.ldexp(norms, k).min(axis=1)
     # the min before the root: sqrt is non-decreasing, so the bits are those
     # of the min over np.linalg.norm(fv, axis=2)
     return np.sqrt(np.add.reduce(np.square(fv, out=fv), axis=2).min(axis=1))

@@ -9,11 +9,11 @@ premeasure sums and the entropy-integral closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._record import frozen
 from .errors import Refusal
 
 _C2_TERM_FLOOR = 1e-16
@@ -25,7 +25,7 @@ _CONTAINS_ATOL = 1e-12  # IndexSet.contains widens every box by this much
 GRID_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@frozen
 class HurstVector:
     """Per-axis smoothness exponents, each in (0, 1]."""
 
@@ -162,7 +162,7 @@ def ball_bounding_box(t, r: float, H: HurstVector) -> tuple[np.ndarray, np.ndarr
     return t - half, t + half
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexSet:
     """Finite union of bounded axis-aligned closed boxes in R^N.
 
@@ -253,7 +253,7 @@ class IndexSet:
                                for lo, hi in self.boxes], axis=0)
 
 
-@dataclass(frozen=True)
+@frozen
 class GridCover:
     """Product-grid cover of an IndexSet by rho-balls of radius r.
 
@@ -389,7 +389,7 @@ def chaining_series_bound(beta: float, L: float, c: float, d: int, Q: float,
     return partial, (converges and not overflowed)
 
 
-@dataclass(frozen=True)
+@frozen
 class EuclideanBall:
     center: tuple[float, ...]
     radius: float

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -7,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from typing import get_origin, get_type_hints
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from anisofield import calibration
 from anisofield import field as fieldmod
+from anisofield._record import fields
 from anisofield.cli import build_parser, config_from_args, main
 from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import (PARAM_CLASSES, ExperimentConfig,
@@ -21,10 +22,10 @@ from anisofield.experiments import (PARAM_CLASSES, ExperimentConfig,
                                     run_experiment, HittingScanParams,
                                     MetricCheckParams)
 
-NUMERIC_KEYS = [(kind, f.name, get_type_hints(cls)[f.name])
+NUMERIC_KEYS = [(kind, name, get_type_hints(cls)[name])
                 for kind, cls in PARAM_CLASSES.items()
-                for f in dataclasses.fields(cls)
-                if get_type_hints(cls)[f.name] in (int, float)]
+                for name in fields(cls)
+                if get_type_hints(cls)[name] in (int, float)]
 WRONG_VALUES = {
     int: st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
                    st.lists(st.integers(), max_size=2)),
@@ -35,11 +36,11 @@ WRONG_VALUES = {
 
 # one list value per list key: a kind's default with its first number
 # replaced by a wrongly typed element
-LIST_KEYS = [pytest.param(kind, f.name, json.loads(json.dumps(f.default)),
-                          id=f"{kind}-{f.name}")
+LIST_KEYS = [pytest.param(kind, name, json.loads(json.dumps(getattr(cls, name))),
+                          id=f"{kind}-{name}")
              for kind, cls in PARAM_CLASSES.items()
-             for f in dataclasses.fields(cls)
-             if get_origin(get_type_hints(cls)[f.name]) is tuple]
+             for name in fields(cls)
+             if get_origin(get_type_hints(cls)[name]) is tuple]
 BAD_ELEMENTS = ["0.1", True, [0.1]]
 
 # the small configs of the determinism acceptance test, at seed 17; the
@@ -138,6 +139,31 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match="unknown experiment kind"):
                 ExperimentConfig.from_dict(kind, {})
 
+    def test_typed_key_cases_cover_every_params_field(self):
+        # 45 fields over 7 kinds at tool version 0.8.0; every number and
+        # list key is a case of the type tests below
+        assert sum(len(fields(cls)) for cls in PARAM_CLASSES.values()) == 45
+        assert len(PARAM_CLASSES) == 7
+        assert {f"{kind}-{key}" for kind, key, _ in NUMERIC_KEYS} == {
+            "metric-check-test_grid_points", "field-sim-n_grid",
+            "field-sim-n_samples", "hitting-scan-n_mc",
+            "hitting-scan-ball_points_per_axis", "hitting-scan-drift_L",
+            "polarity-scan-n_mc", "polarity-scan-grid_step",
+            "polarity-scan-drift_L", "modulus-scan-n_points",
+            "modulus-scan-n_samples", "calib-noiseless-V",
+            "calib-noiseless-step", "calib-sim-noise_a", "calib-sim-noise_p",
+            "calib-sim-V", "calib-sim-step", "calib-sim-n_replicates"}
+        assert {p.id for p in LIST_KEYS} == {
+            f"{kind}-{key}" for kind in ("metric-check",)
+            for key in ("hurst", "entropy_x", "cover_radii")} | {
+            f"{kind}-{key}" for kind in ("field-sim", "hitting-scan",
+                                         "polarity-scan", "modulus-scan")
+            for key in ("hurst", "mixing", "box_lo", "box_hi")} | {
+            "hitting-scan-t", "hitting-scan-radii", "polarity-scan-center",
+            "polarity-scan-deltas", "modulus-scan-eps",
+            "calib-sim-noise_scales"}
+        assert len(LIST_KEYS) == 25
+
     def test_echo_round_trips(self):
         cfg = ExperimentConfig.from_dict(
             "hitting-scan", {"hurst": [0.75], "radii": [0.2, 0.1], "seed": 9})
@@ -217,6 +243,20 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_scan_loads_no_dataclasses_or_calibration(self, tmp_path):
+        # a scan's cold start pays neither for generated record code nor
+        # for the calibration module; a calib kind run after it in the same
+        # interpreter loads calibration then and keeps its digests
+        prelude = (
+            "from anisofield import cli\n"
+            "rc = cli.main(['polarity-scan', '--out', sys.argv[2] + '/scan',\n"
+            "               '--set', 'n_mc=20', '--set', 'grid_step=0.0625'])\n"
+            "assert rc == 0, rc\n"
+            "late = {'dataclasses', 'anisofield.calibration'} & set(sys.modules)\n"
+            "assert not late, late\n")
+        calib_sim = next(c for c in GOLDEN_CASES if c[0] == "calib-sim")
+        proc = run_golden_in_child(tmp_path, [calib_sim], {}, prelude)
+        assert proc.returncode == 0, proc.stderr
 
     def test_runtime_needs_no_scipy(self, tmp_path):
         # with sys.modules["scipy"] = None every scipy import raises, so each
@@ -765,6 +805,47 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert not out.exists()
+
+
+def _scan_p_hat(kind, items, out):
+    """p_hat column of a CLI scan run with every warning an error."""
+    argv = [kind, "--out", str(out), "--set", "n_mc=50"]
+    if kind == "polarity-scan":
+        argv += ["--set", "grid_step=0.0625"]
+    for item in items:
+        argv += ["--set", item]
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+class TestScanOverflow:
+    # squared distances beyond float64 once overflowed with a numpy warning
+    # and a run that exited 0, with p_hat = 0 at every delta for the far
+    # centre
+
+    def test_far_centre_is_hit_at_every_delta(self, tmp_path):
+        p_hat = _scan_p_hat("polarity-scan", [
+            "center=[1e200,0]", "deltas=[1e300,1e250,1e201]"], tmp_path / "r")
+        assert p_hat == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("kind", ["polarity-scan", "hitting-scan"])
+    def test_huge_mixing_misses(self, tmp_path, kind):
+        p_hat = _scan_p_hat(kind, ["mixing=[[6e153,0],[0,6e153]]"], tmp_path / "r")
+        assert p_hat == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind,radii", [("polarity-scan", "deltas"),
+                                            ("hitting-scan", "radii")])
+    def test_huge_affine_drift_as_a_large_one(self, tmp_path, kind, radii):
+        # f(s) = L rho(0, s) e_1 leaves only s = 0 within reach for any
+        # large L, so L = 1e200 (squares overflow) gives the p_hat of
+        # L = 1e100 (they do not); the wide radii make them nonzero
+        runs = [_scan_p_hat(kind, ["drift_kind=affine", f"drift_L={L}",
+                                   f"{radii}=[3,2,1]"], tmp_path / L)
+                for L in ("1e200", "1e100")]
+        assert runs[0] == runs[1] and max(runs[0]) > 0
 
 
 class TestReproducibility:

@@ -384,3 +384,39 @@ class TestPolarityScan:
         a = polarity_scan(*args)
         b = polarity_scan(*args)
         assert [e.p_hat for e in a.estimates] == [e.p_hat for e in b.estimates]
+
+
+class TestDistances:
+    @staticmethod
+    def distances(monkeypatch, fv, center):
+        """hitting._distances of the field values fv (n_mc, n, 2), with a
+        zero drift."""
+        monkeypatch.setattr(hitting, "sample_paths", lambda *a: fv.copy())
+        n_mc, n, _ = fv.shape
+        pts = np.linspace(0.0, 1.0, n)[:, None]
+        return hitting._distances(model(), UNIT, pts, LipschitzDrift(kind="zero"),
+                                  n_mc, 0, 1.0, np.asarray(center, dtype=float))
+
+    def test_scaled_path_keeps_the_bits_where_nothing_overflows(self, monkeypatch):
+        # entries up to 2**510 take the scaled path; no square overflows
+        # there, and the minimum norm has the bits of the direct formula
+        rng = np.random.default_rng(3)
+        fv = np.ldexp(rng.uniform(-1, 1, (40, 9, 2)), rng.integers(-30, 510, (40, 9, 2)))
+        center = [2.0 ** 505, -3.0]
+        got = self.distances(monkeypatch, fv, center)
+        want = np.sqrt(np.add.reduce(np.square(fv - center), axis=2).min(axis=1))
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_squares_give_the_exact_norm(self, monkeypatch):
+        # one point far beyond 2**512 and one near the centre, per replicate:
+        # the minimum is the near one, at any magnitude of the far one
+        rng = np.random.default_rng(4)
+        fv = rng.normal(size=(30, 3, 2))
+        fv[:, 0] *= 1e300
+        fv[:, 2] *= np.ldexp(1.0, rng.integers(-600, 600, 30))[:, None]
+        with np.errstate(all="raise"):
+            got = self.distances(monkeypatch, fv, [0.0, 0.0])
+        want = [min(math.hypot(*p) for p in rep) for rep in fv]
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        far = self.distances(monkeypatch, fv[:, :1], [0.0, 0.0])
+        assert np.all(far > 1e290) and np.all(np.isfinite(far))
