@@ -337,12 +337,7 @@ def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
                             n_samples: int, seed: int) -> np.ndarray:
     """The blocks of spectral_blocks in one (n_samples, len(grid.points))
     complex array, bit for bit."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    vals = np.empty((n_samples, grid.points.size), dtype=complex)
-    for lo, X in spectral_blocks(noise, grid, n_samples, seed):
-        vals[lo:lo + X.shape[0]] = X
-    return vals
+    return np.concatenate([X for _, X in spectral_blocks(noise, grid, n_samples, seed)])
 
 
 def fourier_O(v) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Experiment drivers: config validation, dispatch, and artifact emission.
 
 Each experiment kind has a frozen params record (unknown keys rejected),
-a runner producing CSV rows plus a JSON report, and a manifest recording the
-config echo, derived seed scheme and content digests of the data files.
-Data files are byte-identical across reruns; timestamps live only in the
-manifest.
+a runner producing CSV column blocks plus a JSON report, and a manifest
+recording the config echo, derived seed scheme and content digests of the
+data files, hashed as they are written. Data files are byte-identical
+across reruns; timestamps live only in the manifest.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import sys
 import time
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
@@ -25,24 +27,21 @@ from . import metric as metmod
 from ._record import asdict, frozen
 
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
-# bytes at a run's peak (tracemalloc, CPython 3.11): per calib-sim result
-# row, its list, index and modulus (about 156 kept) and one block's verdicts,
-# 165 at one noise scale and 141 at three (10^5 replicates); per
-# calib-noiseless grid point, its arrays and row, 272 (10^4 to 5 * 10^5 points)
+# traced peak bytes (CPython 3.11) when every row was held to the run's end:
+# a calib-sim row 165, a calib-noiseless grid point with its row 272. Rows are
+# streamed now, so until a work budget replaces them these bound a run's size
+# against physical memory, not the memory that it holds
 _CALIB_ROW_BYTES = 165
 _NOISELESS_POINT_BYTES = 275
+_BLOCK_ROWS = 10_000  # rows in a field-sim block, whole replicates
 
 
 def _tupleize(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_tupleize(x) for x in v)
-    return v
+    return tuple(map(_tupleize, v)) if isinstance(v, (list, tuple)) else v
 
 
 def _listify(v):
-    if isinstance(v, tuple):
-        return [_listify(x) for x in v]
-    return v
+    return list(map(_listify, v)) if isinstance(v, tuple) else v
 
 
 # accepted value types per annotation; bool is refused everywhere even though
@@ -52,15 +51,16 @@ _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 
 def _check_type(key: str, value, annotation, where: str = "") -> None:
-    """Refuse value unless it has the annotated type (a float must also be
-    finite); a tuple[X, ...] is a list whose every element is checked
-    against X by the same rules."""
+    """Refuse value unless it has the annotated type (a float's number must
+    also be a finite float64); a tuple[X, ...] is a list whose every
+    element is checked against X by the same rules."""
     origin = get_origin(annotation) or annotation
     accepted, expected = _ACCEPTED[origin]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"config key {key!r} expects {expected}{where}, got "
                          f"{type(value).__name__} {value!r}")
-    if origin is float and not math.isfinite(value):
+    # an int beyond float64 compares exactly, so it is refused here too
+    if origin is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     if origin is tuple:
         for element in value:
@@ -191,8 +191,7 @@ class ExperimentConfig:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         params = params_from_dict(PARAM_CLASSES[kind], data)
-        return cls(kind=kind, params=params, seed=seed, out_dir=out_dir,
-                   workers=workers)
+        return cls(kind, params, seed, out_dir, workers)
 
     def echo(self) -> dict:
         doc = {k: _listify(v) for k, v in asdict(self.params).items()}
@@ -212,31 +211,37 @@ class RunManifest:
     blas: dict
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
+def _number_text(x) -> str:
+    """A number whose type may vary down its column (a config value as
+    given, a count beside floats): an int in full, a float to 17 digits."""
+    return ("%d" if isinstance(x, int) else "%.17g") % x
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _write_csv(path: str, header: dict[str, str], blocks) -> str:
+    """Write header's column names, then each block's rows, and return the
+    sha256 of the bytes written. header maps each column to its format (%d,
+    %.17g or %s); a block, a tuple of equal-length sequences or arrays, is
+    formatted by one %-format string and written and hashed at once."""
+    row = ",".join(header.values()) + "\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+        put(",".join(header) + "\n")
+        for block in blocks:
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            put(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
+    return digest.hexdigest()
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: str, doc: dict) -> str:
+    """Write doc as indented, key-sorted JSON; returns the bytes' sha256."""
+    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _model(hurst, mixing) -> fieldmod.FieldModel:
@@ -245,13 +250,13 @@ def _model(hurst, mixing) -> fieldmod.FieldModel:
 
 
 def _scan_output(report: hitmod.ScalingReport, **extra):
-    """(header, rows, report_doc) of a hitting or polarity scan; extra keys
-    are added to the report."""
-    rows = [[e.r, e.p_hat, e.ci_low, e.ci_high, e.n_mc] for e in report.estimates]
+    """(header, blocks, report_doc) of a scan; extra keys join the report."""
+    header = dict.fromkeys(["r", "p_hat", "ci_low", "ci_high"], "%.17g") | {"n_mc": "%d"}
+    block = tuple([getattr(e, name) for e in report.estimates] for name in header)
     doc = {"radii": list(report.radii), "fitted_slope": report.fitted_slope,
            "slope_se": report.slope_se, "status": report.status,
            "p_hat": [e.p_hat for e in report.estimates], **extra}
-    return ["r", "p_hat", "ci_low", "ci_high", "n_mc"], rows, doc
+    return header, [block], doc
 
 
 def _nonempty(key: str, values: tuple) -> None:
@@ -270,7 +275,8 @@ def _distinct(key: str, values: tuple, lo=-math.inf, hi=math.inf) -> None:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (header, rows, report_doc)
+# runners: each returns (header, blocks, report_doc), header mapping each column
+# to its format; every refusal comes before the first block of columns
 
 
 def _entropy_quadrature(x: float) -> float:
@@ -292,21 +298,24 @@ def _run_metric_check(cfg: ExperimentConfig):
     _nonempty("cover_radii", p.cover_radii)
     H = metmod.HurstVector(H=tuple(p.hurst))
     I = metmod.IndexSet.unit_box(H.N)
-    if p.test_grid_points < 1:
-        raise ValueError(f"a test grid needs n_points >= 1, got {p.test_grid_points}")
+    if not 1 <= p.test_grid_points <= sys.float_info.max:
+        raise ValueError("a test grid needs n_points >= 1 that float64 holds, "
+                         f"got {p.test_grid_points}")
     test_pts = I.mesh(max(2, math.ceil(p.test_grid_points ** (1.0 / H.N))))
-    rows = []
-    for x in p.entropy_x:
-        closed = metmod.entropy_integral_closed_form(x)
-        quadval = _entropy_quadrature(x)
-        rows.append(["entropy", x, closed, quadval, abs(closed - quadval) <= 1e-8])
-    for r in p.cover_radii:
+
+    def entropy_row(x):
+        closed, quadval = metmod.entropy_integral_closed_form(x), _entropy_quadrature(x)
+        return "entropy", x, closed, quadval, abs(closed - quadval) <= 1e-8
+
+    def cover_row(r):
         gc = metmod.grid_cover(I, r, H)
-        valid = gc.is_valid_on(test_pts)
-        bound = gc.c8 * r ** (-H.Q)
-        rows.append(["cover", r, gc.count, bound, valid and gc.count <= bound])
-    report = {"Q": H.Q, "all_ok": all(bool(r[-1]) for r in rows)}
-    return ["check", "param", "value", "bound", "ok"], rows, report
+        valid, bound = gc.is_valid_on(test_pts), gc.c8 * r ** (-H.Q)
+        return "cover", r, gc.count, bound, valid and gc.count <= bound
+    rows = [*map(entropy_row, p.entropy_x), *map(cover_row, p.cover_radii)]
+    check, param, value, bound, ok = zip(*rows)
+    header = dict(check="%s", param="%s", value="%s", bound="%.17g", ok="%s")
+    block = (check, [*map(_number_text, param)], [*map(_number_text, value)], bound, ok)
+    return header, [block], {"Q": H.Q, "all_ok": all(map(bool, ok))}
 
 
 def _run_field_sim(cfg: ExperimentConfig):
@@ -316,19 +325,22 @@ def _run_field_sim(cfg: ExperimentConfig):
     lam = fieldmod.verify_condition2(model)
     max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, points)
     paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
-    rows = []
-    for rep in range(p.n_samples):
-        for q, s in enumerate(points):
-            rows.append([rep, q] + list(s) + list(paths[rep, q]))
-    header = (["replicate", "point"] + [f"s{j}" for j in range(points.shape[1])]
-              + [f"x{a}" for a in range(model.d)])
-    report = {
-        "condition1": {"max_ratio": max_ratio, "c_analytic": c_analytic, "ok": ok1},
-        "condition2": {"lambda_min": lam},
-        "grid_hash": hashlib.sha256(points.tobytes()).hexdigest(),
-        "n_samples": p.n_samples,
-    }
-    return header, rows, report
+    n = len(points)
+    names = [f"s{j}" for j in range(points.shape[1])] + [f"x{a}" for a in range(model.d)]
+    header = dict.fromkeys(["replicate", "point"], "%d") | dict.fromkeys(names, "%.17g")
+
+    def blocks():
+        # whole replicates, point-major, sliced from the draw
+        per = max(1, _BLOCK_ROWS // n)
+        for lo in range(0, p.n_samples, per):
+            x = paths[lo:lo + per]
+            yield (np.repeat(np.arange(lo, lo + len(x)), n),
+                   np.tile(np.arange(n), len(x)), *np.tile(points, (len(x), 1)).T,
+                   *x.reshape(-1, model.d).T)
+    report = {"condition1": {"max_ratio": max_ratio, "c_analytic": c_analytic, "ok": ok1},
+              "condition2": {"lambda_min": lam}, "n_samples": p.n_samples,
+              "grid_hash": hashlib.sha256(points.tobytes()).hexdigest()}
+    return header, blocks(), report
 
 
 def _run_hitting_scan(cfg: ExperimentConfig):
@@ -364,20 +376,15 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_points)
     paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
     rep = fieldmod.modulus_statistic(paths, points, model.H, list(p.eps))
-    rows = []
-    doc_eps = {}
-    for col, e in enumerate(rep.eps):
-        if rep.missing[col]:
-            rows.append([e, "missing", "", ""])
-            doc_eps[str(e)] = None
-        else:
-            col_vals = rep.M[:, col]
-            q95 = float(np.quantile(col_vals, 0.95))
-            rows.append([e, "ok", q95, float(col_vals.mean())])
-            doc_eps[str(e)] = q95
-    report = {"eps_p95": doc_eps, "n_samples": p.n_samples,
-              "grid_points": len(points)}
-    return ["eps", "status", "p95", "mean"], rows, report
+    cols = range(len(rep.eps))
+    q95 = [None if rep.missing[c] else float(np.quantile(rep.M[:, c], 0.95))
+           for c in cols]
+    mean = [None if rep.missing[c] else float(rep.M[:, c].mean()) for c in cols]
+    block = (rep.eps, ["missing" if rep.missing[c] else "ok" for c in cols],
+             *(["" if v is None else "%.17g" % v for v in vs] for vs in (q95, mean)))
+    report = {"eps_p95": dict(zip(map(str, rep.eps), q95)),
+              "n_samples": p.n_samples, "grid_points": len(points)}
+    return {"eps": "%.17g", "status": "%s", "p95": "%s", "mean": "%s"}, [block], report
 
 
 def _check_fits(what: str, need: float) -> None:
@@ -402,25 +409,14 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
                 _NOISELESS_POINT_BYTES * (m + 1.0))
     grid = calib.FrequencyGrid(p.V, p.step)
     est = calib.psi_estimator(grid, 0.0)
-    rows = [[v, psi.real, psi.imag, abs(a)] for v, psi, a in
-            zip(grid.points, est.values, est.arg_values)]
+    block = (grid.points, est.values.real, est.values.imag, [*map(abs, est.arg_values)])
     oracle = 2.0 * np.arctan(grid.points)
     max_err = float(np.max(np.abs(est.values - 1j * oracle)))
     report = {"well_defined": est.well_defined,
               "min_arg_modulus": est.min_arg_modulus,
               "max_phase_jump": est.max_phase_jump,
               "max_error_vs_closed_form": max_err}
-    return ["v", "re_psi", "im_psi", "abs_arg"], rows, report
-
-
-def _check_calib_sim_fits(V: float, step: float, n_rows: int) -> None:
-    """Refuse, before any grid array or normal exists, n_rows result rows
-    at _CALIB_ROW_BYTES each or m lattice points whose two spectral
-    covariance blocks need 8 ((m+1)^2 + m^2) bytes, beyond physical memory."""
-    _check_fits(f"{n_rows} result rows", float(_CALIB_ROW_BYTES) * n_rows)
-    m = _lattice_size(V, step)
-    _check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
-                8.0 * ((m + 1.0) * (m + 1.0) + m * m))
+    return dict.fromkeys(["v", "re_psi", "im_psi", "abs_arg"], "%.17g"), [block], report
 
 
 def _run_calib_sim(cfg: ExperimentConfig):
@@ -432,35 +428,36 @@ def _run_calib_sim(cfg: ExperimentConfig):
     noise = calib.NoiseLevel(a=p.noise_a, p=p.noise_p)
     noise.certify_tail()
     n, scales = p.n_replicates, p.noise_scales
-    _check_calib_sim_fits(p.V, p.step, n * len(scales))
+    # refused before any grid array or normal exists: the rows, and the two
+    # spectral covariance blocks of m lattice points, 8 ((m+1)^2 + m^2) bytes
+    _check_fits(f"{n * len(scales)} result rows", float(_CALIB_ROW_BYTES) * n * len(scales))
+    m = _lattice_size(p.V, p.step)
+    _check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
+                8.0 * ((m + 1.0) * (m + 1.0) + m * m))
     grid = calib.FrequencyGrid(p.V, p.step)
-    # each draw block's rows are made once it is judged, replicate-major
-    rows = []
-    n_ok = dict.fromkeys(scales, 0)
-    for lo, X in calib.spectral_blocks(noise, grid, n, cfg.seed):
-        vds = [calib.psi_verdicts(grid, scale, X) for scale in scales]
-        per_scale = [zip(vd.well_defined.tolist(), vd.min_arg_modulus.tolist(),
-                         vd.failures) for vd in vds]
-        for i, verdicts in enumerate(zip(*per_scale), start=lo):
-            for scale, (well_defined, min_mod, failure) in zip(scales, verdicts):
-                n_ok[scale] += well_defined
-                rows.append([i, scale, well_defined, min_mod, failure or ""])
-    report = {"n_replicates": n,
-              "well_defined_counts": {str(s): n_ok[s] for s in scales}}
-    return (["replicate", "noise_scale", "well_defined", "min_arg_modulus",
-             "failure"], rows, report)
+    n_ok = {str(s): 0 for s in scales}
+    labels = [_number_text(s) for s in scales]
+
+    def blocks():
+        # one block per draw block, replicate-major; the counts are filled
+        # as the blocks are written, before the report is
+        for lo, X in calib.spectral_blocks(noise, grid, n, cfg.seed):
+            vds = [calib.psi_verdicts(grid, scale, X) for scale in scales]
+            for key, vd in zip(n_ok, vds):
+                n_ok[key] += int(np.count_nonzero(vd.well_defined))
+            yield (np.repeat(np.arange(lo, lo + len(X)), len(scales)),
+                   labels * len(X),
+                   np.stack([vd.well_defined for vd in vds], axis=1).ravel(),
+                   np.stack([vd.min_arg_modulus for vd in vds], axis=1).ravel(),
+                   [f or "" for fs in zip(*(vd.failures for vd in vds)) for f in fs])
+    header = dict(replicate="%d", noise_scale="%s", well_defined="%s",
+                  min_arg_modulus="%.17g", failure="%s")
+    return header, blocks(), {"n_replicates": n, "well_defined_counts": n_ok}
 
 
-RUNNERS: dict[str, Callable] = {
-    "metric-check": _run_metric_check,
-    "field-sim": _run_field_sim,
-    "hitting-scan": _run_hitting_scan,
-    "polarity-scan": _run_polarity_scan,
-    "modulus-scan": _run_modulus_scan,
-    "calib-noiseless": _run_calib_noiseless,
-    "calib-sim": _run_calib_sim,
-}
-
+RUNNERS: dict[str, Callable] = dict(zip(PARAM_CLASSES, (
+    _run_metric_check, _run_field_sim, _run_hitting_scan, _run_polarity_scan,
+    _run_modulus_scan, _run_calib_noiseless, _run_calib_sim)))
 
 def default_out_dir(kind: str) -> str:
     root = os.environ.get(OUT_ROOT_ENV, os.path.join(os.getcwd(), "runs"))
@@ -470,29 +467,37 @@ def default_out_dir(kind: str) -> str:
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     out_dir = config.out_dir or default_out_dir(config.kind)
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    paths = {name: os.path.join(out_dir, name)
+             for name in ("results.csv", "report.json", "manifest.json")}
     # one BLAS thread: the factors and products then have the same bits
-    # whatever the library's thread count, and no idle BLAS thread spins
+    # whatever the library's thread count, and no idle BLAS thread spins;
+    # the blocks are drawn as they are written, so the writing is pinned too
     with _blas.one_blas_thread() as blas:
-        header, rows, report = RUNNERS[config.kind](config)
-    # only now, so that a config the runner refuses leaves no directory behind
-    os.makedirs(out_dir, exist_ok=True)
-    results_path = os.path.join(out_dir, "results.csv")
-    report_path = os.path.join(out_dir, "report.json")
-    _write_csv(results_path, header, rows)
-    _write_json(report_path, report)
-    finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    manifest = RunManifest(
-        kind=config.kind,
-        config=config.echo(),
-        version=TOOL_VERSION,
-        started=started,
-        finished=finished,
-        seed_scheme=("replicate i of a stream draws from Philox with key "
-                     "[blake2b-64(master, stream), i] and counter 0; a field "
-                     "drift's trigonometric coefficients from stream 'drift'"),
-        outputs={"results.csv": _sha256(results_path),
-                 "report.json": _sha256(report_path)},
-        blas=blas,
-    )
-    _write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
+        header, blocks, report = RUNNERS[config.kind](config)
+        blocks = iter(blocks)
+        first = next(blocks)
+        # only now, after every refusal and factorization, so that a config
+        # the runner refuses leaves no directory behind
+        created = not os.path.isdir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        try:
+            outputs = {"results.csv": _write_csv(paths["results.csv"], header,
+                                                 itertools.chain([first], blocks)),
+                       "report.json": _write_json(paths["report.json"], report)}
+            manifest = RunManifest(
+                kind=config.kind, config=config.echo(), version=TOOL_VERSION,
+                started=started, outputs=outputs, blas=blas,
+                finished=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+                seed_scheme=("replicate i of a stream draws from Philox with key "
+                             "[blake2b-64(master, stream), i] and counter 0; a field "
+                             "drift's trigonometric coefficients from stream 'drift'"))
+            _write_json(paths["manifest.json"], asdict(manifest))
+        except BaseException:
+            # a failed run leaves none of the three files (an earlier run's
+            # results.csv is overwritten already), nor out_dir if it made it
+            for path in filter(os.path.exists, paths.values()):
+                os.remove(path)
+            if created:
+                os.rmdir(out_dir)
+            raise
     return manifest

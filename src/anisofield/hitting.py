@@ -232,9 +232,9 @@ def hitting_scan(model: FieldModel, index_set: IndexSet, t,
                  seed: int, points_per_axis: int) -> ScalingReport:
     """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r) per radius,
     each from its own draws at seed; every grid is built before the first.
-
-    The grid minimum overstates the continuum infimum, so p_hat is biased low.
-    """
+    Each radius has its own ball lattice and the lattices do not nest, so
+    p_hat need not be monotone in r (see the README's Sampling section).
+    The grid minimum overstates the continuum infimum: p_hat is biased low."""
     radii = [float(r) for r in radii]
     if not all(r > 0 for r in radii):
         raise ValueError(f"radii must be positive, got {radii}")

@@ -755,46 +755,29 @@ class TestPsiVerdicts:
         assert got == want
         assert {line.rsplit(",", 1)[1] for line in got[1:]} == {"", "phase-jump"}
 
-    def test_runner_memory_does_not_grow_with_replicates(self):
-        # from 256 to 4096 replicates the traced peak grows by the rows the
-        # run returns and by less than as much again: no (n, m) array of
-        # normals or spectral values is held
-        from anisofield.experiments import _run_calib_sim
-
-        def traced(n):
+    def test_runner_memory_does_not_grow_with_replicates(self, tmp_path):
+        # the rows are streamed to results.csv one draw block at a time, so
+        # from 512 to 4096 replicates the traced peak of a whole run stays
+        # flat; while every row was held it grew from 1,097 to 2,542 KiB
+        def traced(n, name):
             cfg = ExperimentConfig.from_dict("calib-sim", {
-                "n_replicates": n, "V": 10.0, "step": 0.05})
+                "n_replicates": n, "V": 3.0, "step": 0.05,
+                "noise_scales": [1e-3, 1e-2, 1e-1],
+                "out_dir": str(tmp_path / name)})
             tracemalloc.start()
             try:
-                out = _run_calib_sim(cfg)
-                kept, peak = tracemalloc.get_traced_memory()
+                run_experiment(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(out[1]) == n
-            return kept, peak
+            lines = (tmp_path / name / "results.csv").read_text().splitlines()
+            assert len(lines) == 1 + 3 * n
+            return peak
 
-        traced(256)  # the transforms and the quadrature rule are cached
-        kept_lo, peak_lo = traced(256)
-        kept_hi, peak_hi = traced(4096)
-        rows = kept_hi - kept_lo
-        assert rows > 0
-        assert peak_hi - peak_lo - rows < rows
-
-    def test_runner_peak_is_near_its_rows(self):
-        # each draw block's rows are made as soon as it is judged, so the
-        # traced peak exceeds the rows the run keeps by one block's worth,
-        # not by verdict arrays or lists over every replicate
-        from anisofield.experiments import _run_calib_sim
-        cfg = ExperimentConfig.from_dict("calib-sim", {
-            "n_replicates": 20000, "V": 3.0, "step": 0.2})
-        tracemalloc.start()
-        try:
-            out = _run_calib_sim(cfg)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(out[1]) == 20000
-        assert peak - kept < 0.25 * kept
+        traced(512, "warm")  # the transforms and the quadrature rule are cached
+        peak_lo = traced(512, "lo")
+        peak_hi = traced(4096, "hi")
+        assert peak_hi - peak_lo < 128 * 1024
 
     @staticmethod
     def mirrored_verdicts(grid, scale, spec):

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
@@ -9,11 +11,13 @@ import time
 import warnings
 from typing import get_origin, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anisofield import calibration
 from anisofield import field as fieldmod
+from anisofield import experiments
 from anisofield._record import fields
 from anisofield.cli import build_parser, config_from_args, main
 from anisofield.errors import NumericalCheckFailed
@@ -29,9 +33,11 @@ NUMERIC_KEYS = [(kind, name, get_type_hints(cls)[name])
 WRONG_VALUES = {
     int: st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
                    st.lists(st.integers(), max_size=2)),
+    # an int beyond float64 once overflowed in math.isfinite, a traceback
     float: st.one_of(st.booleans(), st.none(), st.text(max_size=4),
                      st.lists(st.floats(), max_size=2),
-                     st.sampled_from([math.nan, math.inf, -math.inf])),
+                     st.sampled_from([math.nan, math.inf, -math.inf,
+                                      10**400, -10**400])),
 }
 
 # one list value per list key: a kind's default with its first number
@@ -283,14 +289,15 @@ GOLDEN_CASES = [(kind, over, 17, results, report)
 
 def run_golden_in_child(tmp_path, cases, env_extra, prelude=""):
     """Run each (kind, overrides, seed, results, report) case in one fresh
-    interpreter, after prelude, and check its digests and that no scipy
-    module was loaded; returns the finished process."""
+    interpreter, after prelude, and check its digests, both as the manifest
+    gives them and as the written files re-read give them, and that no
+    scipy module was loaded; returns the finished process."""
     import anisofield
     src = os.path.dirname(os.path.dirname(anisofield.__file__))
     env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import json, os, sys\n" + prelude +
+    code = ("import hashlib, json, os, sys\n" + prelude +
             "import anisofield\n"
             "from anisofield import experiments, cli\n"
             "assert anisofield.__file__.startswith(sys.argv[1])\n"
@@ -301,6 +308,9 @@ def run_golden_in_child(tmp_path, cases, env_extra, prelude=""):
             "    man = experiments.run_experiment(cfg)\n"
             "    assert man.outputs == {'results.csv': results,\n"
             "                           'report.json': report}, kind\n"
+            "    for name, digest in man.outputs.items():\n"
+            "        with open(os.path.join(cfg.out_dir, name), 'rb') as fh:\n"
+            "            assert hashlib.sha256(fh.read()).hexdigest() == digest, name\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "          and sys.modules[m] is not None]\n"
             "assert not loaded, loaded\n")
@@ -797,6 +807,44 @@ class TestMainExitCodes:
         assert "n_points >= 1" in err["message"]
         assert not out.exists()
 
+    def test_test_grid_points_beyond_float64_exits_2(self, tmp_path, capsys):
+        # n ** (1/N) of an int beyond float64 once overflowed, a traceback
+        out = tmp_path / "run"
+        rc = main(["metric-check", "--out", str(out),
+                   "--set", f"test_grid_points={10**400}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "n_points >= 1" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reused", [False, True], ids=["new", "reused"])
+    def test_failure_after_the_first_block_leaves_no_output(
+            self, tmp_path, capsys, monkeypatch, reused):
+        # the draws run while results.csv is written; a failure after the
+        # first block removes that file, and the directory if the run made it
+        real = calibration.spectral_blocks
+        out = tmp_path / "run"
+        seen = []
+
+        def one_block_then_fail(*args, **kwargs):
+            yield next(real(*args, **kwargs))
+            seen.append((out / "results.csv").exists())
+            raise NumericalCheckFailed("the second block failed")
+        monkeypatch.setattr(calibration, "spectral_blocks", one_block_then_fail)
+        if reused:
+            out.mkdir()
+            (out / "notes.txt").write_text("not the run's")
+        rc = main(["calib-sim", "--out", str(out), "--set", "n_replicates=600"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NumericalCheckFailed", "message": "the second block failed"}
+        assert seen == [True]
+        if reused:
+            assert os.listdir(out) == ["notes.txt"]
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("kind,item", [("field-sim", "n_grid=0"),
                                            ("modulus-scan", "n_points=0")])
     def test_empty_grid_exits_2(self, tmp_path, capsys, kind, item):
@@ -805,6 +853,75 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert not out.exists()
+
+
+def fmt_rule(x) -> str:
+    """The per-value rule results.csv was written by before the block
+    writer, kept as the reference: a float to 17 significant digits,
+    anything else by str."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+class TestCsvWriter:
+    # a format with a column it formats: the values the runners hand over,
+    # as lists of Python or numpy scalars and as numpy arrays
+    COLUMNS = [
+        ("%d", [0, 7, -12, 2**70, np.int64(-5)]),
+        ("%d", np.array([0, -5, 2**62])),
+        ("%s", [True, False, np.True_, np.False_, "", "zero-hit", "ok"]),
+        ("%s", np.array([True, False])),
+        ("%.17g", [0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf, -0.0, 0.0,
+                   5e-324, 1e300, np.float64(0.1), np.float64(-2.5e-17)]),
+        ("%.17g", np.array([0.1, math.nan, -math.inf, -0.0, 5e-324]))]
+
+    @pytest.mark.parametrize("fmt,column", COLUMNS, ids=[
+        "int", "int-array", "bool-str", "bool-array", "float", "float-array"])
+    def test_one_column_has_the_bytes_of_the_rule(self, tmp_path, fmt, column):
+        path = tmp_path / "out.csv"
+        digest = experiments._write_csv(str(path), {"x": fmt}, [(column,)])
+        want = "x\n" + "".join(fmt_rule(v) + "\n" for v in column)
+        assert path.read_bytes() == want.encode()
+        assert digest == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_blocks_of_mixed_columns(self, tmp_path):
+        # several blocks, each a tuple of columns of one length, lists and
+        # arrays mixed; the rows follow one another in block order
+        blocks = [(np.arange(3), np.array([0.1, math.nan, -0.0]), ["a", "", "b"]),
+                  ([3], [np.float64(1e-300)], [np.True_]),
+                  (np.array([4, 5]), [math.inf, 2.0], [False, "phase-jump"])]
+        path = tmp_path / "out.csv"
+        digest = experiments._write_csv(
+            str(path), {"i": "%d", "f": "%.17g", "s": "%s"}, iter(blocks))
+        rows = [",".join(map(fmt_rule, row)) for block in blocks
+                for row in zip(*block)]
+        want = "\n".join(["i,f,s", *rows]) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert digest == hashlib.sha256(want.encode()).hexdigest()
+
+    @pytest.mark.parametrize("kind,items,column,want", [
+        ("calib-sim", ["noise_scales=[1e-3,1]"], "noise_scale",
+         ["0.001", "1"] * 2),
+        ("calib-sim", [f"noise_scales=[{10**20}]"], "noise_scale",
+         ["100000000000000000000"] * 2),
+        ("metric-check", ["entropy_x=[1,0.5]", "cover_radii=[1,0.5]"], "param",
+         ["1", "0.5", "1", "0.5"])],
+        ids=["calib-sim-int-scale", "calib-sim-huge-int-scale",
+             "metric-check-int-params"])
+    def test_config_ints_keep_their_digits(self, tmp_path, kind, items,
+                                           column, want):
+        # a config value is kept as given, so an int in a float column is
+        # written as an int: 1 as 1, and 10**20 in full, not as 1e+20
+        size = "n_replicates=2" if kind == "calib-sim" else "test_grid_points=100"
+        argv = [kind, "--out", str(tmp_path / "run"), "--set", size]
+        for item in items:
+            argv += ["--set", item]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        with open(tmp_path / "run" / "results.csv", newline="") as fh:
+            got = [row[column] for row in csv.DictReader(fh)]
+        given = [v for item in items for v in json.loads(item.split("=", 1)[1])]
+        assert got == want
+        assert set(got) == set(map(fmt_rule, given))
 
 
 def _scan_p_hat(kind, items, out):
