@@ -18,9 +18,9 @@ call, burning CPU time that does no work. Two rules keep both away:
   bits rest on the pin, not on the load.
 
 The library is the OpenBLAS mapped into the process that exports a
-get/set_num_threads pair, found through ctypes on the first run. Without
-one (another BLAS, or a platform without /proc/self/maps) the pin is a
-no-op and says so.
+get/set_num_threads pair, found through ctypes on first use; dpotrf also
+hands out its LAPACK Cholesky. Without one (another BLAS, or a platform
+without /proc/self/maps) the pin is a no-op and says so.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import contextlib
 import functools
 import os
 import sys
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 # the variables OpenBLAS reads its thread count from at load
 _COUNT_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -48,9 +48,9 @@ _SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
 
 
 @functools.cache
-def _openblas() -> Optional[tuple[str, Callable[[], int], Callable[[int], None]]]:
-    """(basename, get_num_threads, set_num_threads) of the first OpenBLAS
-    mapped into the process that exports both, or None."""
+def _library() -> Optional[tuple[str, Any, str, str]]:
+    """(path, ctypes handle, symbol prefix, suffix) of the first OpenBLAS
+    mapped into the process that exports a thread-count pair, or None."""
     import ctypes
     try:
         with open("/proc/self/maps") as fh:
@@ -64,15 +64,43 @@ def _openblas() -> Optional[tuple[str, Callable[[], int], Callable[[int], None]]
         except OSError:
             continue
         for prefix, suffix in _SYMBOLS:
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return os.path.basename(path), get, put
+            if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                return path, lib, prefix, suffix
     return None
+
+
+@functools.cache
+def _openblas() -> Optional[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(basename, get_num_threads, set_num_threads) of _library(), or None."""
+    import ctypes
+    if (found := _library()) is None:
+        return None
+    path, lib, prefix, suffix = found
+    get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}") for op in ("get", "set"))
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return os.path.basename(path), get, put
+
+
+@functools.cache
+def dpotrf() -> Optional[Callable[[Any], int]]:
+    """potrf(a) -> info: dpotrf('L', n, a, n, info) of _library() on the
+    memory of a C-ordered float64 n x n array a, or None; in numpy's wheels
+    scipy_dpotrf_64_ (64-bit ints), the routine numpy's cholesky calls."""
+    import ctypes
+    _, lib, prefix, suffix = _library() or (None, None, "", "")
+    fn = getattr(lib, prefix.replace("openblas", "") + "dpotrf_" + suffix, None)
+    if fn is None:
+        return None
+    c_int = ctypes.c_int64 if suffix else ctypes.c_int
+    fn.restype, ptr = None, ctypes.POINTER(c_int)
+    fn.argtypes = [ctypes.c_char_p, ptr, ctypes.c_void_p, ptr, ptr]
+
+    def potrf(a) -> int:
+        n, info = c_int(len(a)), c_int(0)
+        fn(b"L", n, a.ctypes.data, n, info)
+        return info.value
+    return potrf
 
 
 @contextlib.contextmanager

@@ -34,6 +34,7 @@ _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
 _COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2617
 _DRAW_ROWS = 256  # replicates per block of spectral draws (the bits depend on it)
+_VERDICT_ROWS = 32  # rows of a block judged at once (no bit depends on it)
 _TOL_ZERO = 1e-12  # |A| below this is a zero hit of the log argument
 _UNWRAP_MARGIN = math.pi / 2.0  # increments from pi - margin on are phase jumps
 _N_V = 400  # frequencies of lambda_min_on_IV's grid search over [1/V, V]
@@ -305,23 +306,19 @@ def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
     _DRAW_ROWS rows in every block but the last.
 
     A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
-    grid leaves out). X1 and X2 decouple (even noise), each with a
-    cosine-transform covariance, drawn as the normals of its own stream
-    ("spec-cos", "spec-sin") times the transposed Cholesky factor. Both
-    covariances are factored once, before the first block, and X1's
-    covariance is freed before X2's is factored; after that a block holds
-    only its own normals, products and values. Replicate i's normals are
-    row i of the stream whatever the block, but the product of a row block
-    with a factor may round differently from that of a larger block, so
-    the bits depend on _DRAW_ROWS.
+    grid leaves out). X1 and X2 decouple (even noise): each is the normals
+    of its own stream ("spec-cos", "spec-sin") times the transposed Cholesky
+    factor of its cosine-transform covariance, factored in place once,
+    before the first block. The generator holds one block with its normals
+    and products at a time, and drops it once yielded. Replicate i's normals
+    are row i of the stream whatever the block, but a row block's product
+    with a factor may round differently from a larger block's, so the bits
+    depend on _DRAW_ROWS.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    cov1, cov2 = _spectral_covariances(noise, grid.positive)
-    L1 = fieldmod.cholesky_with_jitter(cov1)[0]
-    del cov1
-    L2 = fieldmod.cholesky_with_jitter(cov2)[0]
-    del cov2
+    L1, L2 = (fieldmod.cholesky_with_jitter(cov)[0]
+              for cov in _spectral_covariances(noise, grid.positive))
     for lo in range(0, n_samples, _DRAW_ROWS):
         k = min(_DRAW_ROWS, n_samples - lo)
         X = np.empty((k, L1.shape[0]), dtype=complex)
@@ -331,6 +328,7 @@ def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
         X.imag[:, 1:] = fieldmod.standard_normal_batch(
             L2.shape[0], k, seed, "spec-sin", start=lo) @ L2.T
         yield lo, X
+        del X
 
 
 def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
@@ -352,16 +350,14 @@ def _verdict_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The anchor A[:, 0] must equal 1, a modulus below _TOL_ZERO is a zero
     hit, and the jump is the largest wrapped increment between adjacent grid
-    points (NaN on zero-hit rows). A row holding a NaN has a NaN min
-    modulus, since np.min propagates it; _failures reads that, so no further
-    pass over A is made. |A| is freed before the phase ratio is formed.
+    points (NaN on zero-hit rows). A NaN in a row makes its min modulus NaN
+    (np.min propagates it), which _failures reads, so A gets no further pass.
     """
     if np.any(np.abs(A[:, 0] - 1.0) > 1e-9):
         raise ValueError("anchor value must equal 1")
     mods = np.abs(A)
     zero = np.any(mods < _TOL_ZERO, axis=1)
     min_mod = np.min(mods, axis=1)
-    del mods
     with np.errstate(divide="ignore", invalid="ignore"):
         incr = np.angle(A[:, 1:] / A[:, :-1])
         jump = np.max(np.abs(incr, out=incr), axis=1, initial=0.0)
@@ -421,16 +417,18 @@ class PsiVerdicts:
 
 def psi_verdicts(grid: FrequencyGrid, noise_scale: float,
                  spectral_values: np.ndarray) -> PsiVerdicts:
-    """Verdicts of psi_estimator for a (k, n) block of spectral replicates,
-    judged in one pass (calib-sim passes each block of spectral_blocks, once
-    per noise scale) without unwrapping the log path. Row i equals
-    psi_estimator's verdict on row i bit for bit, whatever the block."""
+    """Verdicts of psi_estimator for a (k, n) block of spectral replicates
+    (calib-sim passes each block of spectral_blocks, once per noise scale),
+    judged in tiles of _VERDICT_ROWS rows without unwrapping the log path.
+    Row i equals psi_estimator's verdict on row i bit for bit, whatever the block."""
     X = np.asarray(spectral_values)
     v = grid.points
     if X.ndim != 2 or X.shape[1] != v.size:
         raise ValueError(f"spectral values must have shape (k, {v.size})")
-    A = _log_argument(fourier_O(v), 1j * v * (1.0 + 1j * v), noise_scale, X)
-    return PsiVerdicts(*_verdict_rows(np.broadcast_to(A, X.shape)))
+    FO, c = fourier_O(v), 1j * v * (1.0 + 1j * v)
+    return PsiVerdicts(*map(np.concatenate, zip(*(
+        _verdict_rows(np.broadcast_to(_log_argument(FO, c, noise_scale, t), t.shape))
+        for t in np.split(X, range(_VERDICT_ROWS, len(X), _VERDICT_ROWS))))))
 
 
 @frozen

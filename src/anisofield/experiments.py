@@ -350,8 +350,8 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     I = metmod.IndexSet.box(p.box_lo, p.box_hi)
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     _distinct("radii", p.radii, lo=0.0)
-    if p.ball_points_per_axis < 1:
-        raise ValueError("ball_points_per_axis must be >= 1")
+    if not 1 <= p.ball_points_per_axis <= sys.float_info.max:
+        raise ValueError("ball_points_per_axis must be >= 1 and held by float64")
     report = hitmod.hitting_scan(model, I, p.t, p.radii, drift, p.n_mc,
                                  cfg.seed, p.ball_points_per_axis)
     return _scan_output(report)
@@ -423,13 +423,13 @@ def _run_calib_sim(cfg: ExperimentConfig):
     from . import calibration as calib
     p: CalibSimParams = cfg.params
     _distinct("noise_scales", p.noise_scales)
-    if p.n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
+    if not 1 <= p.n_replicates <= sys.float_info.max:
+        raise ValueError("n_replicates must be >= 1 and held by float64")
     noise = calib.NoiseLevel(a=p.noise_a, p=p.noise_p)
     noise.certify_tail()
     n, scales = p.n_replicates, p.noise_scales
     # refused before any grid array or normal exists: the rows, and the two
-    # spectral covariance blocks of m lattice points, 8 ((m+1)^2 + m^2) bytes
+    # spectral covariance blocks (and factors) of m points, 8 ((m+1)^2 + m^2) bytes
     _check_fits(f"{n * len(scales)} result rows", float(_CALIB_ROW_BYTES) * n * len(scales))
     m = _lattice_size(p.V, p.step)
     _check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
@@ -450,6 +450,7 @@ def _run_calib_sim(cfg: ExperimentConfig):
                    np.stack([vd.well_defined for vd in vds], axis=1).ravel(),
                    np.stack([vd.min_arg_modulus for vd in vds], axis=1).ravel(),
                    [f or "" for fs in zip(*(vd.failures for vd in vds)) for f in fs])
+            del X, vds  # not held while the next block is drawn
     header = dict(replicate="%d", noise_scale="%s", well_defined="%s",
                   min_arg_modulus="%.17g", failure="%s")
     return header, blocks(), {"n_replicates": n, "well_defined_counts": n_ok}

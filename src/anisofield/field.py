@@ -13,11 +13,11 @@ A set of index points is an (n, N) array, one point per row. The covariance
 of the field's values on n points is the Kronecker product K (x) G of the
 n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
 with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
-2015). sample_paths factors K once, by dense Cholesky, and draws any number
-of replicates from it, one Philox stream per replicate; grids are kept small
-(a few thousand points), exactness over scale. Philox is counter-based,
-so a stream is only its key: replicate i of a stream is keyed by the
-stream's hash and i (see seeds).
+2015). sample_paths factors K once, by dense Cholesky in K's own memory,
+and draws any number of replicates from it, one Philox stream per
+replicate; grids are kept small (a few thousand points), exactness over
+scale. Philox is counter-based, so a stream is only its key: replicate i
+of a stream is keyed by the stream's hash and i (see seeds).
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import numpy as np
 # that cost (~20 ms) in the package import instead of the first draw
 from numpy.random import Generator, Philox
 
+from . import _blas
 from ._record import frozen
 from .errors import ModelRejected
 from .metric import HurstVector, pair_lags, rho_pairwise
@@ -74,8 +75,9 @@ class FieldModel:
         if pts.shape[1] != self.H.N:
             raise ValueError("points dimension does not match model")
         exps = 2.0 * self.H.as_array()
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        return np.exp(-np.sum(diff ** exps, axis=2))
+        K = np.empty((len(pts), len(pts)))  # before, so below, the temporaries
+        np.sum(np.abs(pts[:, None, :] - pts[None, :, :]) ** exps, axis=2, out=K)
+        return np.exp(np.negative(K, out=K), out=K)
 
 
 def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
@@ -88,25 +90,36 @@ def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
 
 
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, adding relative diagonal jitter if needed.
+    """Lower Cholesky factor L of the bitwise-symmetric cov, written over cov
+    (L is cov), with relative diagonal jitter if needed: (L, jitter).
 
-    Starts at 1e-10 of the max diagonal and doubles up to 1e-6 before
-    rejecting the model.
+    A C-ordered float64 cov is factored in place by OpenBLAS's dpotrf('L'),
+    numpy's call on its copy of the same bytes, and the L^T left above the
+    diagonal is moved below it; else np.linalg.cholesky's factor is copied
+    in. Either way L has the bits of np.linalg.cholesky(cov + jitter I); the
+    jitter doubles from 1e-10 of the max diagonal up to 1e-6, then fails.
     """
-    scale = float(np.max(np.diag(cov)))
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    rel = JITTER_REL
-    eye = np.eye(cov.shape[0])
-    while rel <= JITTER_REL_MAX:
-        try:
-            return np.linalg.cholesky(cov + rel * scale * eye), rel * scale
-        except np.linalg.LinAlgError:
-            rel *= 2.0
-    raise ModelRejected(
-        f"covariance factorization failed after jitter up to {JITTER_REL_MAX:g} relative")
+    n, diag, scale = len(cov), cov.diagonal().copy(), float(np.max(cov.diagonal()))
+    ok = cov.flags.c_contiguous and cov.dtype == float and cov.shape == (n, n)
+    potrf, jitter, rel = _blas.dpotrf() if ok else None, 0.0, JITTER_REL
+    while True:
+        if potrf is None:
+            try:
+                cov[...] = np.linalg.cholesky(cov)
+                return cov, jitter
+            except np.linalg.LinAlgError:
+                pass
+        elif potrf(cov) == 0:
+            for i in range(1, n):
+                cov[i, :i], cov[:i, i] = cov[:i, i], 0.0  # row i of L
+            return cov, jitter
+        if rel > JITTER_REL_MAX:
+            raise ModelRejected("covariance factorization failed after "
+                                f"jitter up to {JITTER_REL_MAX:g} relative")
+        for i in range(n):  # a failed try wrote on and above the diagonal only
+            cov[i, i + 1:] = cov[i + 1:, i]
+        jitter, rel = rel * scale, 2.0 * rel
+        cov.flat[::n + 1] = diag + jitter
 
 
 def verify_condition1(model: FieldModel, points: np.ndarray) -> tuple[float, float, bool]:

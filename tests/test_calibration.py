@@ -755,6 +755,60 @@ class TestPsiVerdicts:
         assert got == want
         assert {line.rsplit(",", 1)[1] for line in got[1:]} == {"", "phase-jump"}
 
+    @pytest.mark.parametrize("rows", [1, 33, 77, 256])
+    def test_tiles_do_not_move_a_verdict(self, rows):
+        # blocks that are not all multiples of the tile; past one row, the
+        # block holds a NaN row and, at each scale, a zero-hit row, and the
+        # largest scale forces phase jumps
+        g = FrequencyGrid(10.0, 0.05)
+        v, k = g.points, 7
+        c = 1j * v[k] * (1.0 + 1j * v[k])
+        seen = set()
+        for scale in (1e-3, 100.0):
+            spec = simulate_spectral_noise(POW, g, rows, 6)
+            if rows > 1:
+                spec[rows // 2, 3] = np.nan
+                spec[rows - 1, k] = (-1.0 / c - fourier_O(v[k])) / scale
+            vd = psi_verdicts(g, scale, spec)
+            failures = vd.failures
+            for i in range(rows):
+                est = psi_estimator(g, scale, spectral_values=spec[i])
+                assert (vd.min_arg_modulus[i].tobytes()
+                        == np.float64(est.min_arg_modulus).tobytes())
+                assert (vd.max_phase_jump[i].tobytes()
+                        == np.float64(est.max_phase_jump).tobytes())
+                assert bool(vd.zero_hit[i]) == (est.failure == "zero-hit")
+                assert failures[i] == est.failure
+            seen.update(failures)
+        if rows > 1:
+            assert seen == {None, "nan", "zero-hit", "phase-jump"}
+
+    def test_run_holds_two_factors_and_one_block(self):
+        # calib-sim's loop over the draw blocks: each factor is written over
+        # its covariance and the verdicts are formed in tiles, so past the
+        # factors the traced peak is one block with its normals and their
+        # product, 2.0 blocks (3.5 while each factor had its own array and
+        # A was formed for the whole block)
+        g = FrequencyGrid(5.0, 0.01)
+        scales = (1e-3, 1e-2, 1e-1)
+
+        def run():
+            for lo, X in calibration.spectral_blocks(POW, g, 600, 3):
+                vds = [psi_verdicts(g, scale, X) for scale in scales]
+                del X, vds
+
+        run()  # the transforms are cached
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = g.positive.size
+        factors = 8 * ((m + 1) ** 2 + m * m)
+        block = calibration._DRAW_ROWS * (m + 1) * 16
+        assert peak <= factors + 2.5 * block
+
     def test_runner_memory_does_not_grow_with_replicates(self, tmp_path):
         # the rows are streamed to results.csv one draw block at a time, so
         # from 512 to 4096 replicates the traced peak of a whole run stays

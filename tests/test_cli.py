@@ -818,6 +818,24 @@ class TestMainExitCodes:
         assert "n_points >= 1" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,key", [
+        ("calib-sim", "n_replicates"),
+        ("hitting-scan", "ball_points_per_axis")])
+    def test_int_key_beyond_float64_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, kind, key):
+        # the row budget and the ball-grid step once overflowed converting
+        # the int to a float, a traceback; it is refused before any factor
+        def factor(cov):
+            raise AssertionError("factored before the refusal")
+        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", factor)
+        out = tmp_path / "run"
+        rc = main([kind, "--out", str(out), "--set", f"{key}={10**400}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"{key} must be >= 1 and held by float64" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("reused", [False, True], ids=["new", "reused"])
     def test_failure_after_the_first_block_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, reused):

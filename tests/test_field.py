@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from anisofield.errors import ModelRejected
-from anisofield import hitting
+from anisofield import _blas, calibration, hitting
+from anisofield import field as fieldmod
 from anisofield.field import (FieldModel, build_covariance,
                               cholesky_with_jitter, modulus_statistic,
                               sample_paths, standard_normal_batch,
@@ -31,7 +32,8 @@ class TestBuildCovariance:
         m = model_2x2()
         cov = build_covariance(m, np.array([[0.1], [0.1]]))
         assert np.allclose(cov[:2, :2], cov[2:, 2:])
-        L, jitter = cholesky_with_jitter(cov)
+        # the factor is written over its argument, and cov is read below
+        L, jitter = cholesky_with_jitter(cov.copy())
         assert np.allclose(L @ L.T, cov, atol=1e-8)
 
     def test_exponential_toeplitz_entries(self):
@@ -57,6 +59,80 @@ class TestBuildCovariance:
             FieldModel(H=H, mixing=((1.0,),)).kernel_matrix(pts)
         with pytest.raises(ValueError, match="dimension"):
             rho_to_point(pts, (0.0, 0.0), H)
+
+
+def copying_factor(cov):
+    """The factor and jitter of np.linalg.cholesky on copies of cov: cov
+    itself, then cov plus 1e-10, 2e-10, ... up to 1e-6 of its largest
+    diagonal entry on the diagonal; cov is left as it is."""
+    scale = float(np.max(np.diag(cov)))
+    try:
+        return np.linalg.cholesky(cov), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    rel = fieldmod.JITTER_REL
+    while rel <= fieldmod.JITTER_REL_MAX:
+        try:
+            return (np.linalg.cholesky(cov + rel * scale * np.eye(len(cov))),
+                    rel * scale)
+        except np.linalg.LinAlgError:
+            rel *= 2.0
+    raise ModelRejected("no jitter factors it")
+
+
+def calib_covariances(V, step):
+    g = calibration.FrequencyGrid(V, step)
+    return calibration._spectral_covariances(calibration.NoiseLevel(a=1.5),
+                                             g.positive)
+
+
+class TestFactorInPlace:
+    """cholesky_with_jitter writes the factor over its argument, with the
+    bits of np.linalg.cholesky on a copy."""
+
+    @pytest.fixture(params=["dpotrf", "fallback"])
+    def lookup(self, request, monkeypatch):
+        if request.param == "dpotrf":
+            if _blas.dpotrf() is None:
+                pytest.skip("the loaded BLAS exports no dpotrf")
+        else:
+            monkeypatch.setattr(_blas, "dpotrf", lambda: None)
+        return request.param
+
+    @pytest.mark.parametrize("cov", [
+        pytest.param(lambda: calib_covariances(5.0, 0.1)[0], id="calib-X1-5-0.1"),
+        pytest.param(lambda: calib_covariances(5.0, 0.1)[1], id="calib-X2-5-0.1"),
+        pytest.param(lambda: calib_covariances(10.0, 0.01)[0], id="calib-X1-10-0.01"),
+        pytest.param(lambda: calib_covariances(10.0, 0.01)[1], id="calib-X2-10-0.01"),
+        *(pytest.param(lambda n=n: model_2x2().kernel_matrix(
+            np.linspace(0.0, 1.0, n)[:, None]), id=f"kernel-{n}")
+          for n in (2, 129, 1025))])
+    def test_bits_of_the_copying_factor(self, lookup, cov):
+        cov = cov()
+        ref, ref_jitter = copying_factor(cov)
+        L, jitter = cholesky_with_jitter(cov)
+        assert L is cov and np.shares_memory(L, cov)
+        assert jitter == ref_jitter == 0.0
+        assert L.flags.c_contiguous and L.tobytes() == ref.tobytes()
+        rng = np.random.default_rng(len(L))
+        for rows in (1, 7, 256):
+            z = rng.standard_normal((rows, len(L)))
+            assert (z @ L.T).tobytes() == (z @ ref.T).tobytes()
+
+    def test_duplicated_point_jitter(self, lookup):
+        cov = build_covariance(model_2x2(), np.array([[0.1], [0.1]]))
+        ref, ref_jitter = copying_factor(cov)
+        L, jitter = cholesky_with_jitter(cov.copy())
+        assert jitter == ref_jitter > 0.0
+        assert L.tobytes() == ref.tobytes()
+        assert L.tobytes() == np.linalg.cholesky(
+            build_covariance(model_2x2(), np.array([[0.1], [0.1]]))
+            + jitter * np.eye(4)).tobytes()
+
+    def test_indefinite_matrix_rejected(self, lookup):
+        # eigenvalues 3 and -1: no jitter up to 1e-6 of the diagonal helps
+        with pytest.raises(ModelRejected, match="jitter up to 1e-06"):
+            cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestConditions:
