@@ -33,7 +33,6 @@ from . import field as fieldmod
 _LOG_STEP = 0.15  # trapezoid step in log u of the power-law transform
 _LOG_RANGE = (-20.0, 30.0)  # log u range of that rule (334 nodes)
 _COS_CACHE_SIZE = 1 << 16  # distinct transform arguments kept; V=10, step=0.01 needs 2617
-_DRAW_ROWS = 256  # replicates per block of spectral draws (the bits depend on it)
 _VERDICT_ROWS = 32  # rows of a block judged at once (no bit depends on it)
 _TOL_ZERO = 1e-12  # |A| below this is a zero hit of the log argument
 _UNWRAP_MARGIN = math.pi / 2.0  # increments from pi - margin on are phase jumps
@@ -303,24 +302,22 @@ def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
     """Exact draws of X(v) = X1(v) + i X2(v) on the grid, streamed as
     (lo, X) for consecutive row blocks: X holds replicates lo, ...,
     lo + len(X) - 1, shape (len(X), len(grid.points)) complex, with
-    _DRAW_ROWS rows in every block but the last.
+    field._DRAW_ROWS rows in every block but the last, as field.path_blocks.
 
     A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
     grid leaves out). X1 and X2 decouple (even noise): each is the normals
     of its own stream ("spec-cos", "spec-sin") times the transposed Cholesky
     factor of its cosine-transform covariance, factored in place once,
     before the first block. The generator holds one block with its normals
-    and products at a time, and drops it once yielded. Replicate i's normals
-    are row i of the stream whatever the block, but a row block's product
-    with a factor may round differently from a larger block's, so the bits
-    depend on _DRAW_ROWS.
+    and products at a time, and drops it once yielded. Like path_blocks',
+    the bits depend on the block size.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     L1, L2 = (fieldmod.cholesky_with_jitter(cov)[0]
               for cov in _spectral_covariances(noise, grid.positive))
-    for lo in range(0, n_samples, _DRAW_ROWS):
-        k = min(_DRAW_ROWS, n_samples - lo)
+    for lo in range(0, n_samples, fieldmod._DRAW_ROWS):
+        k = min(fieldmod._DRAW_ROWS, n_samples - lo)
         X = np.empty((k, L1.shape[0]), dtype=complex)
         X.real = fieldmod.standard_normal_batch(
             L1.shape[0], k, seed, "spec-cos", start=lo) @ L1.T
@@ -329,13 +326,6 @@ def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
             L2.shape[0], k, seed, "spec-sin", start=lo) @ L2.T
         yield lo, X
         del X
-
-
-def simulate_spectral_noise(noise: NoiseLevel, grid: FrequencyGrid,
-                            n_samples: int, seed: int) -> np.ndarray:
-    """The blocks of spectral_blocks in one (n_samples, len(grid.points))
-    complex array, bit for bit."""
-    return np.concatenate([X for _, X in spectral_blocks(noise, grid, n_samples, seed)])
 
 
 def fourier_O(v) -> np.ndarray:
@@ -450,7 +440,7 @@ def psi_estimator(grid: FrequencyGrid, noise_scale: float,
     """psi~(v) = (1/T) log(1 + iv(1+iv)(FO(v) + noise_scale X(v))).
 
     T > 0 is the maturity scale. X is one spectral replicate on the grid,
-    e.g. a row of simulate_spectral_noise; a noisy call (noise_scale != 0)
+    e.g. a row of a spectral_blocks block; a noisy call (noise_scale != 0)
     needs it. At the anchor v = 0 the argument is exactly 1 and psi~(0) = 0.
     A modulus below _TOL_ZERO (the polar-set event at machine scale), a NaN
     in A or a too-large phase increment is reported in the verdict instead

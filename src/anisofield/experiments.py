@@ -25,6 +25,7 @@ from . import field as fieldmod
 from . import hitting as hitmod
 from . import metric as metmod
 from ._record import asdict, frozen
+from .errors import check_fits
 
 OUT_ROOT_ENV = "ANISOFIELD_OUT"
 # traced peak bytes (CPython 3.11) when every row was held to the run's end:
@@ -33,7 +34,7 @@ OUT_ROOT_ENV = "ANISOFIELD_OUT"
 # against physical memory, not the memory that it holds
 _CALIB_ROW_BYTES = 165
 _NOISELESS_POINT_BYTES = 275
-_BLOCK_ROWS = 10_000  # rows in a field-sim block, whole replicates
+_CSV_ROWS = 10_000  # rows that _write_csv formats at once
 
 
 def _tupleize(v):
@@ -221,7 +222,7 @@ def _write_csv(path: str, header: dict[str, str], blocks) -> str:
     """Write header's column names, then each block's rows, and return the
     sha256 of the bytes written. header maps each column to its format (%d,
     %.17g or %s); a block, a tuple of equal-length sequences or arrays, is
-    formatted by one %-format string and written and hashed at once."""
+    written and hashed in slices of at most _CSV_ROWS rows, one %-format each."""
     row = ",".join(header.values()) + "\n"
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -231,8 +232,10 @@ def _write_csv(path: str, header: dict[str, str], blocks) -> str:
             digest.update(data)
         put(",".join(header) + "\n")
         for block in blocks:
-            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            put(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
+            for lo in range(0, len(block[0]), _CSV_ROWS):
+                columns = [c[lo:lo + _CSV_ROWS] for c in block]
+                columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+                put(row * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
     return digest.hexdigest()
 
 
@@ -324,16 +327,13 @@ def _run_field_sim(cfg: ExperimentConfig):
     points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_grid)
     lam = fieldmod.verify_condition2(model)
     max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, points)
-    paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
     n = len(points)
     names = [f"s{j}" for j in range(points.shape[1])] + [f"x{a}" for a in range(model.d)]
     header = dict.fromkeys(["replicate", "point"], "%d") | dict.fromkeys(names, "%.17g")
 
     def blocks():
-        # whole replicates, point-major, sliced from the draw
-        per = max(1, _BLOCK_ROWS // n)
-        for lo in range(0, p.n_samples, per):
-            x = paths[lo:lo + per]
+        # whole replicates, point-major, one draw block at a time
+        for lo, x in fieldmod.path_blocks(model, points, p.n_samples, cfg.seed):
             yield (np.repeat(np.arange(lo, lo + len(x)), n),
                    np.tile(np.arange(n), len(x)), *np.tile(points, (len(x), 1)).T,
                    *x.reshape(-1, model.d).T)
@@ -374,24 +374,19 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
     points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_points)
-    paths = fieldmod.sample_paths(model, points, p.n_samples, cfg.seed)
-    rep = fieldmod.modulus_statistic(paths, points, model.H, list(p.eps))
+    # each draw block is reduced to its rows of M before the next is drawn
+    reps = [fieldmod.modulus_statistic(x, points, model.H, list(p.eps))
+            for _, x in fieldmod.path_blocks(model, points, p.n_samples, cfg.seed)]
+    rep, M = reps[0], np.concatenate([r.M for r in reps])
     cols = range(len(rep.eps))
-    q95 = [None if rep.missing[c] else float(np.quantile(rep.M[:, c], 0.95))
+    q95 = [None if rep.missing[c] else float(np.quantile(M[:, c], 0.95))
            for c in cols]
-    mean = [None if rep.missing[c] else float(rep.M[:, c].mean()) for c in cols]
+    mean = [None if rep.missing[c] else float(M[:, c].mean()) for c in cols]
     block = (rep.eps, ["missing" if rep.missing[c] else "ok" for c in cols],
              *(["" if v is None else "%.17g" % v for v in vs] for vs in (q95, mean)))
     report = {"eps_p95": dict(zip(map(str, rep.eps), q95)),
               "n_samples": p.n_samples, "grid_points": len(points)}
     return {"eps": "%.17g", "status": "%s", "p95": "%s", "mean": "%s"}, [block], report
-
-
-def _check_fits(what: str, need: float) -> None:
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise MemoryError(f"{what} need about {need:.3g} bytes, more than "
-                          f"the {have} bytes of physical memory")
 
 
 def _lattice_size(V: float, step: float) -> float:
@@ -405,8 +400,8 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
     from . import calibration as calib
     p: CalibNoiselessParams = cfg.params
     m = _lattice_size(p.V, p.step)
-    _check_fits(f"the grid and rows of {m:.0f} frequencies",
-                _NOISELESS_POINT_BYTES * (m + 1.0))
+    check_fits(f"the grid and rows of {m:.0f} frequencies",
+               _NOISELESS_POINT_BYTES * (m + 1.0))
     grid = calib.FrequencyGrid(p.V, p.step)
     est = calib.psi_estimator(grid, 0.0)
     block = (grid.points, est.values.real, est.values.imag, [*map(abs, est.arg_values)])
@@ -430,10 +425,10 @@ def _run_calib_sim(cfg: ExperimentConfig):
     n, scales = p.n_replicates, p.noise_scales
     # refused before any grid array or normal exists: the rows, and the two
     # spectral covariance blocks (and factors) of m points, 8 ((m+1)^2 + m^2) bytes
-    _check_fits(f"{n * len(scales)} result rows", float(_CALIB_ROW_BYTES) * n * len(scales))
+    check_fits(f"{n * len(scales)} result rows", float(_CALIB_ROW_BYTES) * n * len(scales))
     m = _lattice_size(p.V, p.step)
-    _check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
-                8.0 * ((m + 1.0) * (m + 1.0) + m * m))
+    check_fits(f"the spectral covariance blocks of {m:.0f} frequencies",
+               8.0 * ((m + 1.0) * (m + 1.0) + m * m))
     grid = calib.FrequencyGrid(p.V, p.step)
     n_ok = {str(s): 0 for s in scales}
     labels = [_number_text(s) for s in scales]

@@ -13,13 +13,15 @@ A set of index points is an (n, N) array, one point per row. The covariance
 of the field's values on n points is the Kronecker product K (x) G of the
 n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
 with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
-2015). sample_paths factors K once, by dense Cholesky in K's own memory,
-and draws any number of replicates from it, one Philox stream per
-replicate; grids are kept small (a few thousand points), exactness over
-scale. Philox is counter-based, so a stream is only its key: replicate i
+2015). path_blocks factors K once, in K's own memory, and streams any
+number of replicates from it in blocks, one Philox stream per replicate;
+grids are kept small (a few thousand points), exactness over scale.
+Philox is counter-based, so a stream is only its key: replicate i
 of a stream is keyed by the stream's hash and i (see seeds).
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 # numpy loads numpy.random on first attribute access; importing it here puts
@@ -34,6 +36,7 @@ from .seeds import stream_key
 
 JITTER_REL = 1e-10
 JITTER_REL_MAX = 1e-6
+_DRAW_ROWS = 256  # replicates per draw block of every sampler (the bits depend on it)
 
 
 @frozen
@@ -82,7 +85,7 @@ class FieldModel:
 
 def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
     """Dense covariance of the stacked vector (X(t_1), ..., X(t_n)) over the
-    rows t_p of an (n, N) array: the reference law that sample_paths draws.
+    rows t_p of an (n, N) array: the reference law that path_blocks draws.
 
     Ordering is point-major: row p*d + a corresponds to component a at point p.
     """
@@ -180,30 +183,33 @@ def standard_normal_batch(dim: int, n: int, master_seed: int,
     return z
 
 
-def sample_paths(model: FieldModel, points: np.ndarray, n_samples: int,
-                 seed: int) -> np.ndarray:
-    """Exact Gaussian draws of the field on the n points, shape (n_samples, n, d).
+def path_blocks(model: FieldModel, points: np.ndarray, n_samples: int,
+                seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact draws of the field on the n points, as (lo, X) for consecutive
+    blocks of _DRAW_ROWS replicates (the last may be shorter): X holds
+    replicates lo, ..., lo + len(X) - 1, a (len(X), n, d) transposed view.
 
-    Replicate i is L_K Z_i L_G^T, with L_K the factor of the n x n kernel
-    matrix, L_G that of G = A A^T and Z_i row i of
-    standard_normal_batch(n d, n_samples, seed, "field") as a point-major
-    (n, d) block. A G that does not factor raises np.linalg.LinAlgError, a
-    ValueError. The result is a transposed view of an (n_samples, d, n)
-    array.
+    Replicate i is L_K Z_i L_G^T, with L_K and L_G the factors of the n x n
+    kernel matrix and of G = A A^T, both taken before the first block, and
+    Z_i row i of stream "field" as a point-major (n, d) block. A G that does
+    not factor raises np.linalg.LinAlgError, a ValueError. A block's product
+    with a factor may round otherwise than a larger one's, so the bits
+    depend on _DRAW_ROWS, never on the rows after the block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     L_G = np.linalg.cholesky(model.gram)
     L_K = cholesky_with_jitter(model.kernel_matrix(points))[0]
     n, d = L_K.shape[0], model.d
-    z = standard_normal_batch(n * d, n_samples, seed, "field")
-    # component-major rows, so that one GEMM over the point axis serves every
-    # replicate; n_samples batched L_K @ Z_i products are several times slower
-    y = np.ascontiguousarray(
-        z.reshape(n_samples, n, d).transpose(0, 2, 1)).reshape(-1, n)
-    del z
-    y = y @ L_K.T
-    return np.matmul(L_G, y.reshape(n_samples, d, n)).transpose(0, 2, 1)
+    for lo in range(0, n_samples, _DRAW_ROWS):
+        k = min(_DRAW_ROWS, n_samples - lo)
+        # component-major rows, so that one GEMM over the point axis serves
+        # the block; k batched L_K @ Z_i products are several times slower
+        y = np.ascontiguousarray(standard_normal_batch(
+            n * d, k, seed, "field", start=lo).reshape(k, n, d).transpose(0, 2, 1))
+        y = np.matmul(L_G, (y.reshape(-1, n) @ L_K.T).reshape(k, d, n))
+        yield lo, y.transpose(0, 2, 1)
+        del y  # not held while the next block is drawn
 
 
 @frozen

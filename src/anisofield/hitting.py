@@ -10,9 +10,9 @@ predicted exponent minus a desk-scale tolerance.
 A drift is zero, affine in rho(0, s), or a random trigonometric polynomial
 drawn independently of the field and scaled by a closed-form bound, so that
 ||f(s) - f(t)|| <= L rho(s, t) holds on the whole bounding box of the index
-set, not only on the scan's grid. Each scan draws the field through
-field.sample_paths, which factors the scan's n x n kernel matrix once; a
-field drift costs one small matrix product per replicate.
+set, not only on the scan's grid. Each scan draws the field in blocks from
+field.path_blocks, which factors its n x n kernel matrix once, reducing each
+block before the next; a field drift costs one small product per replicate.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._record import frozen
 from .errors import Refusal
-from .field import FieldModel, sample_paths, standard_normal_batch
+from .field import FieldModel, path_blocks, standard_normal_batch
 from .metric import (GRID_RTOL, HurstVector, IndexSet, ball_bounding_box,
                      rho_to_point)
 
@@ -70,8 +70,9 @@ class LipschitzDrift:
 
     def evaluate_many(self, index_set: IndexSet, points: np.ndarray,
                       H: HurstVector, d: int, n_mc: int,
-                      seed: int) -> np.ndarray:
-        """Drift values on the points for n_mc replicates, shape (n_mc, n, d).
+                      seed: int, start: int = 0) -> np.ndarray:
+        """Drift values on the points for replicates start, ...,
+        start + n_mc - 1, shape (n_mc, n, d).
 
         For the "field" kind, let [lo_j, lo_j + D_j] be the bounding box of
         index_set, and w_jm = pi m / D_j for m = 1..M, M = _DRIFT_FREQS.
@@ -81,9 +82,9 @@ class LipschitzDrift:
                               + b_jm sin(w_jm (s_j - lo_j))
 
         with independent coefficient vectors a_jm, b_jm in R^d whose entries
-        are N(0, 1/m^4): row i of standard_normal_batch(2 M N d, n_mc,
-        seed, "drift"), a stream apart from the field's, so replicate i
-        depends on (seed, i) alone. Along axis j, g is Lipschitz with
+        are N(0, 1/m^4): row i of stream "drift" (standard_normal_batch),
+        a stream apart from the field's, so replicate i depends on (seed, i)
+        alone, whatever start and n_mc are. Along axis j, g is Lipschitz with
         constant Lambda_j = sum_m w_jm sqrt(|a_jm|^2 + |b_jm|^2), and
         |s_j - t_j| <= D_j^(1-H_j) |s_j - t_j|^H_j on the box, so
         ||g(s) - g(t)|| <= B rho(s, t) with B = max_j Lambda_j D_j^(1-H_j).
@@ -109,7 +110,7 @@ class LipschitzDrift:
         omega = np.pi * m / side[:, None]                      # (N, M)
         phase = (pts - lo)[:, :, None] * omega                 # (n, N, M)
         basis = np.stack([np.cos(phase), np.sin(phase)], axis=2).reshape(n, -1)
-        coef = standard_normal_batch(basis.shape[1] * d, n_mc, seed, "drift")
+        coef = standard_normal_batch(basis.shape[1] * d, n_mc, seed, "drift", start)
         coef = coef.reshape(n_mc, H.N, 2, _DRIFT_FREQS, d)
         coef /= (m * m)[:, None]
         lam = (omega * np.sqrt(np.square(coef).sum(axis=(2, 4)))).sum(axis=2)
@@ -174,25 +175,27 @@ def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
     translation in the event: -1 for a hit on the graph of f, +1 for the
     shifted field X + f. The shape is (n_mc,).
     """
-    fv = sample_paths(model, pts, n_mc, seed)
-    # the field is drawn before the drift is evaluated, so that its normals
-    # are freed before the drift's values are allocated; the sum has the
-    # bits of the drift plus the field, since IEEE addition commutes and
-    # sign is +1 or -1
-    drift = f.evaluate_many(index_set, pts, model.H, model.d, n_mc, seed)
-    drift *= sign
-    fv += drift
-    fv -= center
-    if math.frexp(max(fv.max(), -fv.min()))[1] > 500:
-        # squares overflow from 2**512 on: scale each point's vector by the power of
-        # two of its largest entry (one for all flushes small squares to 0), then back
-        k = np.frexp(np.abs(fv).max(axis=2))[1]
-        norms = np.sqrt(np.add.reduce(np.square(np.ldexp(fv, -k[..., None])), axis=2))
-        with np.errstate(over="ignore"):  # a norm beyond float64 is inf
-            return np.ldexp(norms, k).min(axis=1)
-    # the min before the root: sqrt is non-decreasing, so the bits are those
-    # of the min over np.linalg.norm(fv, axis=2)
-    return np.sqrt(np.add.reduce(np.square(fv, out=fv), axis=2).min(axis=1))
+    dist = np.empty(n_mc)  # before the first draw: too large a count fails at once
+    for lo, fv in path_blocks(model, pts, n_mc, seed):
+        # the sum has the bits of the drift plus the field, since IEEE
+        # addition commutes and sign is +1 or -1
+        drift = f.evaluate_many(index_set, pts, model.H, model.d, len(fv), seed, lo)
+        drift *= sign
+        fv += drift
+        fv -= center
+        if math.frexp(max(fv.max(), -fv.min()))[1] > 500:
+            # squares overflow from 2**512 on: scale each point's vector by the power of
+            # two of its largest entry (one for all flushes small squares to 0), then back
+            k = np.frexp(np.abs(fv).max(axis=2))[1]
+            norms = np.sqrt(np.add.reduce(np.square(np.ldexp(fv, -k[..., None])), axis=2))
+            with np.errstate(over="ignore"):  # a norm beyond float64 is inf
+                dist[lo:lo + len(fv)] = np.ldexp(norms, k).min(axis=1)
+        else:
+            # the min before the root: sqrt is non-decreasing, so the bits are
+            # those of the min over np.linalg.norm(fv, axis=2)
+            dist[lo:lo + len(fv)] = np.sqrt(
+                np.add.reduce(np.square(fv, out=fv), axis=2).min(axis=1))
+    return dist
 
 
 def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:

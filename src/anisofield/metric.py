@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ._record import frozen
-from .errors import Refusal
+from .errors import Refusal, check_fits
 
 _C2_TERM_FLOOR = 1e-16
 _LOG_OVERFLOW = 700.0
@@ -221,21 +221,26 @@ class IndexSet:
         """Rows lo_j + k step, 0 <= k <= floor((hi_j - lo_j) / step) taken with
         a relative slack of GRID_RTOL, of every box in box order; a row that
         touching boxes share is kept where it first appears. Fewer than 8
-        points on an axis of a box raise Refusal."""
+        points on an axis of a box raise Refusal, and n points whose n x n
+        kernel matrix (8 n^2 bytes) exceeds physical memory MemoryError, both
+        from the per-axis counts before any array is built; n counts a
+        shared row once per box."""
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"grid_step must be finite and positive, got {step!r}")
-        grids = []
-        for lo, hi in self.boxes:
-            axes = []
-            for j, (a, b) in enumerate(zip(lo, hi)):
-                n_pts = int(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1
+        counts = [[float(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1.0
+                   for a, b in zip(lo, hi)] for lo, hi in self.boxes]
+        for axes in counts:
+            for j, n_pts in enumerate(axes):
                 if n_pts < 8:
                     raise Refusal(
-                        f"grid_step {step:g} gives {n_pts} points on axis {j}; "
+                        f"grid_step {step:g} gives {n_pts:.0f} points on axis {j}; "
                         "at least 8 per axis are required")
-                axes.append(a + np.arange(n_pts) * step)
-            grids.append(product_grid(axes))
-        pts = np.concatenate(grids, axis=0)
+        n = sum(map(math.prod, counts))
+        check_fits(f"the {n:.3g}^2 kernel matrix entries of a {n:.3g}-point "
+                   f"lattice of step {step:g}", 8.0 * n * n)
+        pts = np.concatenate([product_grid([a + np.arange(int(k)) * step
+                                            for a, k in zip(lo, axes)])
+                              for (lo, _), axes in zip(self.boxes, counts)], axis=0)
         _, first = np.unique(pts, axis=0, return_index=True)
         return pts[np.sort(first)]
 

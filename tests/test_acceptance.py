@@ -11,16 +11,17 @@ from scipy import integrate
 
 from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     holder_bound_check, lambda_min_on_IV,
-                                    psi_estimator, simulate_spectral_noise,
+                                    psi_estimator, spectral_blocks,
                                     tail_integral, total_mass)
 from anisofield.field import (FieldModel, build_covariance,
-                              modulus_statistic, sample_paths,
+                              modulus_statistic, path_blocks,
                               verify_condition1, verify_condition2)
 from anisofield.hitting import LipschitzDrift, hitting_scan, polarity_scan
 from anisofield.metric import (HurstVector, IndexSet, chaining_series_bound,
                                covering_number_upper,
                                entropy_integral_closed_form, grid_cover)
 from anisofield.experiments import ExperimentConfig, run_experiment
+from conftest import drawn
 
 
 def _accept(name, fn):
@@ -83,7 +84,7 @@ def test_04_field_simulation_exactness():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
         g = np.linspace(0.0, 1.0, 10)[:, None]
         n = 20_000
-        paths = sample_paths(m, g, n, 7)
+        paths = drawn(path_blocks(m, g, n, 7))
         flat = paths.reshape(n, -1)
         ana = build_covariance(m, g)
         emp = flat.T @ flat / n
@@ -126,7 +127,7 @@ def test_07_modulus_of_continuity_stability():
     def body():
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=MODEL_2X2)
         g = np.linspace(0.0, 0.2, 1281)[:, None]
-        paths = sample_paths(m, g, 2000, 21)
+        paths = drawn(path_blocks(m, g, 2000, 21))
         rep = modulus_statistic(paths, g, m.H, [0.025, 0.05, 0.1, 0.2])
         assert not any(rep.missing)
         q95 = np.quantile(rep.M, 0.95, axis=0)
@@ -166,7 +167,7 @@ def test_10_psi_noisy_well_definedness():
         noise = NoiseLevel(a=1.5, p=1.5)
         grid = FrequencyGrid(10.0, 0.05)
         n_rep = 200
-        samples = simulate_spectral_noise(noise, grid, n_rep, 123)
+        samples = drawn(spectral_blocks(noise, grid, n_rep, 123))
         scales = (1e-3, 1e-2, 1e-1)
         ok = np.zeros((n_rep, len(scales)), dtype=bool)
         for i in range(n_rep):

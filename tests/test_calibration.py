@@ -15,13 +15,14 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     holder_exponent, ito_covariance,
                                     lambda_min_on_IV, moment_integral,
                                     psi_estimator, psi_verdicts,
-                                    simulate_spectral_noise, tail_integral,
+                                    spectral_blocks, tail_integral,
                                     total_mass)
 from anisofield import calibration
 from anisofield import field as fieldmod
 from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import ExperimentConfig, run_experiment
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
+from conftest import drawn
 
 POW = NoiseLevel(a=1.5, p=1.5)
 
@@ -176,7 +177,7 @@ class TestCosCache:
                              g.points])
         distinct = np.unique(np.abs(ws)).size
         calibration._cos_transform_cached.cache_clear()
-        simulate_spectral_noise(POW, g, 1, 0)
+        drawn(spectral_blocks(POW, g, 1, 0))
         info = calibration._cos_transform_cached.cache_info()
         assert info.misses == distinct == 2617
         assert info.currsize == distinct
@@ -251,7 +252,7 @@ class TestPairTransforms:
 
     def test_no_n_squared_lookup_on_the_fine_grid(self, lookup_sizes):
         g = FrequencyGrid(10.0, 0.01)
-        simulate_spectral_noise(POW, g, 1, 0)
+        drawn(spectral_blocks(POW, g, 1, 0))
         n = g.points.size
         # only the anchor's row and column are looked up outside the lags
         assert lookup_sizes and max(lookup_sizes) <= 2 * n
@@ -425,18 +426,18 @@ class TestFrequencyGrid:
 class TestSpectralSimulation:
     def test_empty(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            simulate_spectral_noise(POW, FrequencyGrid(3.0, 0.5), 0, 0)
+            drawn(spectral_blocks(POW, FrequencyGrid(3.0, 0.5), 0, 0))
 
     def test_deterministic_and_worker_invariant(self):
         g = FrequencyGrid(3.0, 0.25)
-        a = simulate_spectral_noise(POW, g, 50, 11)
-        b = simulate_spectral_noise(POW, g, 50, 11)
+        a = drawn(spectral_blocks(POW, g, 50, 11))
+        b = drawn(spectral_blocks(POW, g, 50, 11))
         assert a.tobytes() == b.tobytes()
 
     def test_empirical_covariance_matches_ito(self):
         g = FrequencyGrid(4.0, 0.5)
         n = 40_000
-        s = simulate_spectral_noise(POW, g, n, 3)
+        s = drawn(spectral_blocks(POW, g, n, 3))
         # anchor variance equals the total mass
         var0 = float(np.var(s[:, 0].real))
         M = total_mass(POW)
@@ -463,16 +464,16 @@ class TestSpectralSimulation:
         X2 = standard_normal_batch(pos.size, n, seed, "spec-sin") @ \
             cholesky_with_jitter(cov2)[0].T
         ref = X1 + 1j * np.concatenate([np.zeros((n, 1)), X2], axis=1)
-        s = simulate_spectral_noise(POW, g, n, seed)
+        s = drawn(spectral_blocks(POW, g, n, seed))
         assert np.array_equal(s, ref)
         assert np.all(s[:, 0].imag == 0.0)
 
     def test_blocks_are_row_ranges_of_the_streams(self):
         # 600 rows: two full blocks and a partial one, each its streams'
-        # rows lo.. times the transposed factors; their concatenation is
-        # simulate_spectral_noise bit for bit
+        # rows lo.. times the transposed factors; a second draw repeats
+        # them bit for bit
         g = FrequencyGrid(5.0, 0.05)
-        n, seed, rows = 600, 8, calibration._DRAW_ROWS
+        n, seed, rows = 600, 8, fieldmod._DRAW_ROWS
         cov1, cov2 = calibration._spectral_covariances(POW, g.positive)
         L1 = cholesky_with_jitter(cov1)[0]
         L2 = cholesky_with_jitter(cov2)[0]
@@ -488,7 +489,7 @@ class TestSpectralSimulation:
             assert np.array_equal(X.real, z1 @ L1.T)
             assert np.array_equal(X.imag[:, 1:], z2 @ L2.T)
             assert np.all(X.imag[:, 0] == 0.0)
-        s = simulate_spectral_noise(POW, g, n, seed)
+        s = drawn(spectral_blocks(POW, g, n, seed))
         assert s.tobytes() == np.concatenate([X for _, X in blocks]).tobytes()
 
     def test_factors_through_the_field_seam(self, monkeypatch):
@@ -503,15 +504,15 @@ class TestSpectralSimulation:
         monkeypatch.setattr(fieldmod, "cholesky_with_jitter", counting)
         # once each, over three draw blocks
         g = FrequencyGrid(3.0, 0.25)
-        n = 2 * calibration._DRAW_ROWS + 4
-        s = simulate_spectral_noise(POW, g, n, 0)
+        n = 2 * fieldmod._DRAW_ROWS + 4
+        s = drawn(spectral_blocks(POW, g, n, 0))
         m = g.positive.size
         assert calls == [(m + 1, m + 1), (m, m)]
         assert s.shape == (n, m + 1) and s.dtype == complex
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
-            simulate_spectral_noise(POW, FrequencyGrid(2.0, 0.5), -1, 0)
+            drawn(spectral_blocks(POW, FrequencyGrid(2.0, 0.5), -1, 0))
 
 
 class TestFourierO:
@@ -621,7 +622,7 @@ class TestPsiEstimator:
     def test_small_noise_close_to_oracle(self):
         g = FrequencyGrid(5.0, 0.05)
         est = psi_estimator(g, 1e-4,
-                            simulate_spectral_noise(POW, g, 1, 9)[0])
+                            drawn(spectral_blocks(POW, g, 1, 9))[0])
         assert est.well_defined
         assert np.max(np.abs(est.values - 2j * np.arctan(g.points))) < 1e-2
 
@@ -659,7 +660,7 @@ class TestPsiEstimator:
 
     def test_replicate_block_refused(self):
         g = FrequencyGrid(2.0, 0.5)
-        spec = simulate_spectral_noise(POW, g, 3, 0)
+        spec = drawn(spectral_blocks(POW, g, 3, 0))
         with pytest.raises(ValueError, match=rf"shape \({g.points.size},\)"):
             psi_estimator(g, 0.1, spec)
 
@@ -679,7 +680,7 @@ class TestPsiVerdicts:
     def test_matches_per_row_estimator(self):
         # 300 rows judged in one pass; large scales force phase jumps
         g = FrequencyGrid(10.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 300, 4)
+        spec = drawn(spectral_blocks(POW, g, 300, 4))
         seen = set()
         for scale in self.SCALES:
             vd = psi_verdicts(g, scale, spec)
@@ -735,14 +736,14 @@ class TestPsiVerdicts:
 
     def test_runner_rows_equal_psi_verdicts(self, tmp_path):
         # 600 replicates: two full draw blocks and a partial one; each row
-        # is psi_verdicts' verdict on the same row of simulate_spectral_noise
+        # is psi_verdicts' verdict on the same row of the blocks concatenated
         scales = [1e-3, 1.0, 100.0]
         cfg = ExperimentConfig.from_dict("calib-sim", {
             "n_replicates": 600, "V": 3.0, "step": 0.2, "seed": 5,
             "noise_scales": scales, "out_dir": str(tmp_path / "run")})
         run_experiment(cfg)
         g = FrequencyGrid(3.0, 0.2)
-        spec = simulate_spectral_noise(POW, g, 600, 5)
+        spec = drawn(spectral_blocks(POW, g, 600, 5))
         vds = [psi_verdicts(g, scale, spec) for scale in scales]
         want = ["replicate,noise_scale,well_defined,min_arg_modulus,failure"]
         for i in range(600):
@@ -765,7 +766,7 @@ class TestPsiVerdicts:
         c = 1j * v[k] * (1.0 + 1j * v[k])
         seen = set()
         for scale in (1e-3, 100.0):
-            spec = simulate_spectral_noise(POW, g, rows, 6)
+            spec = drawn(spectral_blocks(POW, g, rows, 6))
             if rows > 1:
                 spec[rows // 2, 3] = np.nan
                 spec[rows - 1, k] = (-1.0 / c - fourier_O(v[k])) / scale
@@ -806,7 +807,7 @@ class TestPsiVerdicts:
             tracemalloc.stop()
         m = g.positive.size
         factors = 8 * ((m + 1) ** 2 + m * m)
-        block = calibration._DRAW_ROWS * (m + 1) * 16
+        block = fieldmod._DRAW_ROWS * (m + 1) * 16
         assert peak <= factors + 2.5 * block
 
     def test_runner_memory_does_not_grow_with_replicates(self, tmp_path):
@@ -876,7 +877,7 @@ class TestPsiVerdicts:
 
     def test_noiseless_rows_ignore_spectral_values(self):
         g = FrequencyGrid(5.0, 0.05)
-        spec = simulate_spectral_noise(POW, g, 4, 1)
+        spec = drawn(spectral_blocks(POW, g, 4, 1))
         vd = psi_verdicts(g, 0.0, spec)
         est = psi_estimator(g, 0.0)
         assert np.all(vd.min_arg_modulus == est.min_arg_modulus)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from typing import get_origin, get_type_hints
 
@@ -217,7 +218,7 @@ class TestConfigParsing:
         ("calib-sim", {"noise_scales": [1e-3, 1e-2, 1e-3], "n_replicates": 5},
          calibration, "spectral_blocks"),
         ("modulus-scan", {"eps": [0.1, 0.1], "n_samples": 2},
-         fieldmod, "sample_paths")], ids=["calib-sim", "modulus-scan"])
+         fieldmod, "path_blocks")], ids=["calib-sim", "modulus-scan"])
     def test_repeated_scan_value_refused_before_drawing(
             self, tmp_path, monkeypatch, kind, over, module, draw):
         calls = []
@@ -563,6 +564,34 @@ class TestMainExitCodes:
         err = json.loads(line)
         assert set(err) == {"error", "message"}
         assert err["error"] == "MemoryError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,item", [
+        ("hitting-scan", "ball_points_per_axis=1000000000"),
+        ("polarity-scan", "grid_step=1e-9")])
+    def test_huge_lattice_refused_before_it_is_built(self, tmp_path, kind, item):
+        # about 10^9 points: the lattice's 8 n^2-byte kernel matrix is
+        # refused from its per-axis counts, before the lattice's own 8 GB
+        # would be allocated; the limit keeps a regression from taking the
+        # host's memory
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                "from anisofield.cli import main\n"
+                "raise SystemExit(main(sys.argv[1:]))\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, kind, "--out", str(out), "--set", item],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "MemoryError"
+        assert "kernel matrix entries of a 1e+09-point lattice" in err["message"]
         assert not out.exists()
 
     def test_replicate_rows_beyond_physical_memory_refused(self, tmp_path):
@@ -916,6 +945,21 @@ class TestCsvWriter:
         assert path.read_bytes() == want.encode()
         assert digest == hashlib.sha256(want.encode()).hexdigest()
 
+    def test_a_block_is_written_in_slices(self, tmp_path, monkeypatch):
+        # a block longer than a slice, cut at every row boundary a slice of
+        # two rows can fall on, has the bytes of the rows written at once
+        monkeypatch.setattr(experiments, "_CSV_ROWS", 2)
+        blocks = [(np.arange(5), [0.1, math.nan, -0.0, 2.0, 1e300],
+                   ["a", "", "b", True, "phase-jump"]), ([5], [3.0], ["c"])]
+        path = tmp_path / "out.csv"
+        digest = experiments._write_csv(
+            str(path), {"i": "%d", "f": "%.17g", "s": "%s"}, iter(blocks))
+        rows = [",".join(map(fmt_rule, row)) for block in blocks
+                for row in zip(*block)]
+        want = "\n".join(["i,f,s", *rows]) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert digest == hashlib.sha256(want.encode()).hexdigest()
+
     @pytest.mark.parametrize("kind,items,column,want", [
         ("calib-sim", ["noise_scales=[1e-3,1]"], "noise_scale",
          ["0.001", "1"] * 2),
@@ -981,6 +1025,35 @@ class TestScanOverflow:
                                    f"{radii}=[3,2,1]"], tmp_path / L)
                 for L in ("1e200", "1e100")]
         assert runs[0] == runs[1] and max(runs[0]) > 0
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("kind,over,count", [
+        ("polarity-scan", {"drift_kind": "field", "drift_L": 0.5,
+                           "grid_step": 1.0 / 128.0}, "n_mc"),
+        ("hitting-scan", {}, "n_mc"),
+        ("modulus-scan", {}, "n_samples"),
+        ("field-sim", {"n_grid": 64}, "n_samples")],
+        ids=["polarity-field-drift", "hitting-scan", "modulus-scan", "field-sim"])
+    def test_run_holds_one_draw_block(self, tmp_path, kind, over, count):
+        # the field is drawn in blocks of 256 replicates, each reduced or
+        # written before the next, so from 512 to 4096 replicates the traced
+        # peak of a whole run stays flat; one array of every replicate had
+        # made it 2 to 8 times larger
+        def traced(n, name):
+            cfg = ExperimentConfig.from_dict(kind, dict(
+                over, **{count: n}, out_dir=str(tmp_path / name)))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced(512, "warm")  # imports and caches are in place
+        peak_lo = traced(512, "lo")
+        peak_hi = traced(4096, "hi")
+        assert peak_hi <= 1.25 * peak_lo, (peak_lo, peak_hi)
 
 
 class TestReproducibility:

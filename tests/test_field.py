@@ -11,11 +11,12 @@ from anisofield import _blas, calibration, hitting
 from anisofield import field as fieldmod
 from anisofield.field import (FieldModel, build_covariance,
                               cholesky_with_jitter, modulus_statistic,
-                              sample_paths, standard_normal_batch,
+                              path_blocks, standard_normal_batch,
                               verify_condition1, verify_condition2)
 from anisofield.metric import (HurstVector, IndexSet, product_grid,
                                rho_pairwise, rho_to_point)
 from anisofield.seeds import MASK64, stream_key
+from conftest import drawn
 
 
 def model_2x2(H=(0.5,)):
@@ -186,19 +187,19 @@ class TestConditions:
 class TestSamplePaths:
     def test_empty(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            sample_paths(model_2x2(), np.linspace(0, 1, 4)[:, None], 0, 0)
+            drawn(path_blocks(model_2x2(), np.linspace(0, 1, 4)[:, None], 0, 0))
 
     def test_deterministic_and_worker_invariant(self):
         m = model_2x2()
         g = np.linspace(0.0, 1.0, 8)[:, None]
-        a = sample_paths(m, g, 300, 99)
-        b = sample_paths(m, g, 300, 99)
+        a = drawn(path_blocks(m, g, 300, 99))
+        b = drawn(path_blocks(m, g, 300, 99))
         assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def check_mean_and_covariance(m, g):
         n = 20_000
-        paths = sample_paths(m, g, n, 7)
+        paths = drawn(path_blocks(m, g, n, 7))
         flat = paths.reshape(n, -1)
         ana = build_covariance(m, g)
         sd = np.sqrt(np.diag(ana))
@@ -219,7 +220,7 @@ class TestSamplePaths:
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,),))
         g = np.array([[0.0], [0.4]])
         n = 20_000
-        vals = sample_paths(m, g, n, 3)[:, :, 0]
+        vals = drawn(path_blocks(m, g, n, 3))[:, :, 0]
         expect = math.exp(-0.4)
         corr = float(np.mean(vals[:, 0] * vals[:, 1]))
         se = math.sqrt((1.0 + expect ** 2) / n)
@@ -228,7 +229,7 @@ class TestSamplePaths:
     def test_gaussianity_ks(self):
         m = model_2x2()
         g = np.linspace(0.0, 1.0, 5)[:, None]
-        vals = sample_paths(m, g, 20_000, 17)
+        vals = drawn(path_blocks(m, g, 20_000, 17))
         sd = math.sqrt(build_covariance(m, g)[0, 0])
         _, pval = stats.kstest(vals[:, 0, 0] / sd, "norm")
         assert pval > 1e-3
@@ -244,14 +245,14 @@ def dense_reference(m, pts, n_samples, seed):
 
 
 class TestKroneckerDraw:
-    """sample_paths factors the n x n kernel and G = A A^T apart; its draws
+    """path_blocks factors the n x n kernel and G = A A^T apart; its draws
     equal those of the dense factor of K (x) G up to rounding."""
 
     # the largest relative difference seen was 2.2e-11, at n = 1025
     RTOL = 1e-9
 
     def check(self, m, pts, n_samples=30, seed=4):
-        got = sample_paths(m, pts, n_samples, seed)
+        got = drawn(path_blocks(m, pts, n_samples, seed))
         ref = dense_reference(m, pts, n_samples, seed)
         assert got.shape == ref.shape == (n_samples, len(pts), m.d)
         assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
@@ -282,7 +283,7 @@ class TestKroneckerDraw:
         # three components from one field: G = A A^T has rank 1
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,), (2.0,), (3.0,)))
         with pytest.raises(ValueError):
-            sample_paths(m, np.linspace(0.0, 1.0, 5)[:, None], 3, 0)
+            drawn(path_blocks(m, np.linspace(0.0, 1.0, 5)[:, None], 3, 0))
 
 
 def philox_row(master, stream, i, dim):
@@ -346,7 +347,7 @@ class TestModulusStatistic:
     def setup_method(self):
         self.m = model_2x2(H=(0.5,))
         self.grid = np.linspace(0.0, 0.2, 201)[:, None]  # rho spacing 0.0316
-        self.paths = sample_paths(self.m, self.grid, 50, 5)
+        self.paths = drawn(path_blocks(self.m, self.grid, 50, 5))
 
     def test_empty_eps_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -363,7 +364,7 @@ class TestModulusStatistic:
 
     def test_shift_invariant(self):
         rep = modulus_statistic(self.paths, self.grid, self.m.H, [0.2])
-        shifted = sample_paths(self.m, self.grid, 50, 5) + np.array([3.0, -1.0])
+        shifted = drawn(path_blocks(self.m, self.grid, 50, 5)) + np.array([3.0, -1.0])
         rep2 = modulus_statistic(shifted, self.grid, self.m.H, [0.2])
         assert np.allclose(rep.M[:, 0], rep2.M[:, 0])
 
@@ -376,7 +377,7 @@ class TestModulusStatistic:
         small = np.linspace(0.0, 0.2, 10)[:, None]
         big = np.linspace(0.0, 0.2, 20)[:, None]
         for drawn_on, grid in ((big, small), (small, big)):
-            values = sample_paths(self.m, drawn_on, 5, 1)
+            values = drawn(path_blocks(self.m, drawn_on, 5, 1))
             with pytest.raises(ValueError, match="shape"):
                 modulus_statistic(values, grid, self.m.H, [0.9])
 
@@ -402,7 +403,7 @@ class TestModulusMatchesAllPairs:
         return M, tuple(np.isnan(M[0]))
 
     def check(self, model, points, eps, n_samples=6, seed=3):
-        paths = sample_paths(model, points, n_samples, seed)
+        paths = drawn(path_blocks(model, points, n_samples, seed))
         rep = modulus_statistic(paths, points, model.H, eps)
         M, missing = self.all_pairs(paths, points, model.H, eps)
         assert np.array_equal(rep.M, M, equal_nan=True)

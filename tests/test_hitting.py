@@ -14,6 +14,7 @@ from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 scaling_exponent, wilson_interval)
 from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
                                rho_pairwise, rho_to_point)
+from conftest import drawn
 
 H075 = HurstVector(H=(0.75,))
 UNIT = IndexSet.box([0.0], [1.0])
@@ -134,8 +135,8 @@ class TestLipschitzDrift:
         assert np.array_equal(a, b)
         real = hitting.standard_normal_batch
         monkeypatch.setattr(hitting, "standard_normal_batch",
-                            lambda dim, n, seed, stream:
-                            real(dim, n, seed, "field"))
+                            lambda dim, n, seed, stream, start=0:
+                            real(dim, n, seed, "field", start))
         c = drift_values(fdrift, g, 1, 5)[0]
         assert not np.allclose(a, c)
 
@@ -189,6 +190,17 @@ class TestBatchedFieldDrift:
                           [0.2, 0.1], n_mc, 4, 1 / 16)
         assert [v.shape[0] for v in seen] == [40, 7]
         assert seen[0][:7].tobytes() == seen[1].tobytes()
+
+    def test_field_replicate_does_not_depend_on_n_mc(self):
+        # a replicate's bits depend on its draw block alone: the first block
+        # of 256 is the same in draws of any larger count; one product over
+        # every replicate had moved some of its entries at each count
+        m = model(H=(0.5,))
+        pts = IndexSet.box((0.0,), (0.2,)).mesh(401)
+        ref = drawn(fieldmod.path_blocks(m, pts, 256, 3))
+        for n_mc in (300, 512, 1000, 2000):
+            got = drawn(fieldmod.path_blocks(m, pts, n_mc, 3))
+            assert got[:256].tobytes() == ref.tobytes(), n_mc
 
     def test_continuum_bound_on_a_ladder(self):
         # 200 replicates are <= L on every grid from step 2^-4 to 2^-11, 16
@@ -391,7 +403,7 @@ class TestDistances:
     def distances(monkeypatch, fv, center):
         """hitting._distances of the field values fv (n_mc, n, 2), with a
         zero drift."""
-        monkeypatch.setattr(hitting, "sample_paths", lambda *a: fv.copy())
+        monkeypatch.setattr(hitting, "path_blocks", lambda *a: [(0, fv.copy())])
         n_mc, n, _ = fv.shape
         pts = np.linspace(0.0, 1.0, n)[:, None]
         return hitting._distances(model(), UNIT, pts, LipschitzDrift(kind="zero"),
