@@ -252,6 +252,15 @@ def _model(hurst, mixing) -> fieldmod.FieldModel:
                                mixing=tuple(mixing))
 
 
+def _field_mesh(box_lo, box_hi, n_per_axis: int) -> np.ndarray:
+    """The mesh of field-sim and modulus-scan, refused from its count before it
+    is built if its kernel matrix would not fit (I.mesh refuses a count < 1)."""
+    I = metmod.IndexSet.box(box_lo, box_hi)
+    k = float(min(max(n_per_axis, 0), sys.float_info.max))
+    metmod.check_kernel_fits(math.prod([k] * I.dim), I.dim, "mesh")
+    return I.mesh(n_per_axis)
+
+
 def _scan_output(report: hitmod.ScalingReport, **extra):
     """(header, blocks, report_doc) of a scan; extra keys join the report."""
     header = dict.fromkeys(["r", "p_hat", "ci_low", "ci_high"], "%.17g") | {"n_mc": "%d"}
@@ -324,7 +333,7 @@ def _run_metric_check(cfg: ExperimentConfig):
 def _run_field_sim(cfg: ExperimentConfig):
     p: FieldSimParams = cfg.params
     model = _model(p.hurst, p.mixing)
-    points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_grid)
+    points = _field_mesh(p.box_lo, p.box_hi, p.n_grid)
     lam = fieldmod.verify_condition2(model)
     max_ratio, c_analytic, ok1 = fieldmod.verify_condition1(model, points)
     n = len(points)
@@ -373,7 +382,7 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     _distinct("eps", p.eps, lo=0.0, hi=1.0)
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
-    points = metmod.IndexSet.box(p.box_lo, p.box_hi).mesh(p.n_points)
+    points = _field_mesh(p.box_lo, p.box_hi, p.n_points)
     # each draw block is reduced to its rows of M before the next is drawn
     reps = [fieldmod.modulus_statistic(x, points, model.H, list(p.eps))
             for _, x in fieldmod.path_blocks(model, points, p.n_samples, cfg.seed)]

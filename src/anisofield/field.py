@@ -6,15 +6,18 @@ components by a constant matrix A. This family certifies both standing
 assumptions with explicit constants:
 
 * canonical-metric domination with c = sqrt(2 trace(A A^T)), because
-  1 - exp(-a) <= a and sum of squares <= square of sums;
+  1 - exp(-a) <= a and sum of squares <= square of sums (verify_condition1
+  checks it on a grid's pairs, lag by lag);
 * an eigenvalue floor lambda = lambda_min(A A^T) > 0 for nonsingular A A^T.
 
 A set of index points is an (n, N) array, one point per row. The covariance
 of the field's values on n points is the Kronecker product K (x) G of the
 n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
 with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
-2015). path_blocks factors K once, in K's own memory, and streams any
-number of replicates from it in blocks, one Philox stream per replicate;
+2015). K is built in place, with one n x n buffer for N > 1
+(kernel_matrix), and no run allocates another n x n array: path_blocks
+factors K once, in its own memory, and streams any number of replicates
+from it in blocks, one Philox stream per replicate;
 grids are kept small (a few thousand points), exactness over scale.
 Philox is counter-based, so a stream is only its key: replicate i
 of a stream is keyed by the stream's hash and i (see seeds).
@@ -31,7 +34,7 @@ from numpy.random import Generator, Philox
 from . import _blas
 from ._record import frozen
 from .errors import ModelRejected
-from .metric import HurstVector, pair_lags, rho_pairwise
+from .metric import HurstVector, lag_gaps, pair_lags
 from .seeds import stream_key
 
 JITTER_REL = 1e-10
@@ -73,13 +76,22 @@ class FieldModel:
         return float(np.sqrt(2.0 * np.trace(self.gram)))
 
     def kernel_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Scalar kernel exp(-sum_j |ds_j|^(2 H_j)) on all point pairs."""
+        """Scalar kernel exp(-sum_j |ds_j|^(2 H_j)) on all point pairs, summed in
+        axis order in K and, for N > 1, one buffer (metric.check_kernel_fits):
+        the bits of np.sum over the axes, for N < 8 (it pairs 8 or more)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.H.N:
+        n, N = pts.shape
+        if N != self.H.N:
             raise ValueError("points dimension does not match model")
-        exps = 2.0 * self.H.as_array()
-        K = np.empty((len(pts), len(pts)))  # before, so below, the temporaries
-        np.sum(np.abs(pts[:, None, :] - pts[None, :, :]) ** exps, axis=2, out=K)
+        K, buf = np.empty((n, n)), np.empty((n, n) if N > 1 else 0)
+        for j, e in enumerate(2.0 * self.H.as_array()):
+            out = buf if j else K
+            np.abs(np.subtract.outer(pts[:, j], pts[:, j], out=out), out=out)
+            # numpy takes a scalar exponent 2 or 0.5 as a square or a root, a
+            # row as pow: the bits of the (n, n, N) power for N = 1 and N > 1
+            np.power(out, e if N == 1 else np.full(n, e), out=out)
+            if j:
+                K += buf
         return np.exp(np.negative(K, out=K), out=K)
 
 
@@ -126,17 +138,19 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def verify_condition1(model: FieldModel, points: np.ndarray) -> tuple[float, float, bool]:
-    """Max over point pairs of canonical distance / rho, against the analytic constant."""
+    """Max over the pairs of metric.lag_gaps with rho > 0 of canonical distance
+    / rho, against the analytic constant; no n x n array is built."""
     if len(points) < 2:
         raise ValueError("need at least two grid points")
-    rho = rho_pairwise(points, model.H)
-    K = model.kernel_matrix(points)
+    exps, max_ratio = 2.0 * model.H.as_array(), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # trace(A A^T) may overflow
         tr = float(np.trace(model.gram))
-        canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
-        mask = rho > 0
-        max_ratio = float(np.max(canon[mask] / rho[mask])) if np.any(mask) else 0.0
-        c_analytic = model.condition1_constant
+        for gaps, rho in lag_gaps(points, model.H):  # K: kernel_matrix's bits at N < 8
+            mask = rho > 0
+            K = np.exp(-np.sum(gaps[mask] ** exps, axis=1))
+            canon = np.sqrt(np.maximum(0.0, 2.0 * tr * (1.0 - K)))
+            max_ratio = np.maximum(max_ratio, np.max(canon / rho[mask], initial=0.0))
+        max_ratio, c_analytic = float(max_ratio), model.condition1_constant
     # not ok unless both the ratio and the constant are finite
     return max_ratio, c_analytic, max_ratio <= c_analytic * (1.0 + 1e-12) < np.inf
 
@@ -236,14 +250,13 @@ def modulus_statistic(values: np.ndarray, points: np.ndarray, H: HurstVector,
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
-    rho = rho_pairwise(points, H)
     # pairs with rho == 0 count toward every eps
     n_samples = values.shape[0]
     # largest squared norms: the root is taken once, after the max, with the
     # same bits (see metric.pair_lags)
     best = np.zeros((len(eps_sorted), n_samples))
     found = [False] * len(eps_sorted)
-    for den, sq, _ in pair_lags(values, rho,
+    for den, sq, _ in pair_lags(values, points, H,
                                 lambda den: den <= eps_sorted[-1]):
         for col, e in enumerate(eps_sorted):
             mask = den <= e

@@ -1,8 +1,10 @@
 """Deterministic geometry of the anisotropic metric.
 
 rho(s, t) = sum_j |s_j - t_j|^{H_j} with per-axis exponents H_j in (0, 1].
-Everything here is pure arithmetic: distances, balls, the index-set
-grids (IndexSet.lattice and IndexSet.mesh), grid covers,
+Everything here is pure arithmetic: distances, the one walk over point
+pairs (lag_gaps, lag by lag, so no n x n array is built), balls, the
+index-set grids (IndexSet.lattice and IndexSet.mesh) and the refusal of
+a grid whose kernel matrix would not fit, grid covers,
 covering-number upper bounds, the chaining constant c2, Hausdorff
 premeasure sums and the entropy-integral closed form.
 """
@@ -53,23 +55,27 @@ class HurstVector:
         return np.asarray(self.H, dtype=float)
 
 
-def rho_pairwise(points: np.ndarray, H: HurstVector) -> np.ndarray:
-    """Full matrix of rho distances between rows of an (n, N) array."""
+def lag_gaps(points: np.ndarray, H: HurstVector) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For lag = 1, ..., n - 1 of the rows t_i of an (n, N) array, (gaps, rho):
+    the (n - lag, N) per-axis gaps |t_{i+lag} - t_i| and their rho, the bits
+    of the all-pairs rho matrix's lag-th superdiagonal (pair i in row i)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != H.N:
         raise ValueError("points dimension does not match Hurst vector")
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    return np.sum(diff ** H.as_array(), axis=2)
+    exps = H.as_array()
+    for lag in range(1, pts.shape[0]):
+        gaps = np.abs(pts[lag:] - pts[:-lag])
+        yield gaps, np.sum(gaps ** exps, axis=1)
 
 
-def pair_lags(values: np.ndarray, rho: np.ndarray,
+def pair_lags(values: np.ndarray, points: np.ndarray, H: HurstVector,
               keep: Callable[[np.ndarray], np.ndarray]
               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk the grid pairs i < j one superdiagonal of rho at a time.
+    """Walk the pairs i < j of the points one lag at a time (lag_gaps).
 
-    values has shape (k, n, d) and rho is the (n, n) distance matrix of the
-    same points. For each lag = j - i, yields (den, sq, mask): den =
-    np.diagonal(rho, lag), sq the (n - lag, k) squared norms
+    values has shape (k, n, d), drawn on the n rows of the (n, N) points. For
+    each lag = j - i, yields (den, sq, mask): den the lag's rho distances
+    (lag_gaps), sq the (n - lag, k) squared norms
     ||v(j) - v(i)||^2 (pair i in row i), and mask = keep(den), the pairs of
     the lag that the caller reduces over. sq is a view of the leading
     n - lag rows of one (n, k) buffer that every lag reuses: the caller may
@@ -90,15 +96,14 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
     (np.max and np.maximum, not np.fmax).
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 3 or vals.shape[1] != rho.shape[0]:
-        raise ValueError(f"values must have shape (k, {rho.shape[0]}, d) to "
-                         f"match rho, got {vals.shape}")
+    n = np.atleast_2d(points).shape[0]
+    if vals.ndim != 3 or vals.shape[1] != n:
+        raise ValueError(f"values must have shape (k, {n}, d) to match the "
+                         f"points, got {vals.shape}")
     comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
-    n = vals.shape[1]
     sq_buf = np.empty_like(comps[0])
     diff_buf = np.empty_like(comps[0]) if len(comps) > 1 else None
-    for lag in range(1, n):
-        den = np.diagonal(rho, lag)
+    for lag, (_, den) in enumerate(lag_gaps(points, H), 1):
         mask = keep(den)
         if not mask.any():
             continue
@@ -113,17 +118,17 @@ def pair_lags(values: np.ndarray, rho: np.ndarray,
         yield den, sq, mask
 
 
-def max_pair_ratio(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def max_pair_ratio(values: np.ndarray, points: np.ndarray, H: HurstVector) -> np.ndarray:
     """Per replicate, max over pairs s < t with rho(s, t) > 0 of ||v(s) - v(t)|| / rho(s, t).
 
-    values has shape (k, n, d) and rho is the (n, n) distance matrix of the
-    same points; the result has shape (k,) and is 0 where no pair has
-    rho > 0. The pairs come from pair_lags, and each pair divides by its own
-    rho: in place on the lag's squares when the lag keeps every pair, on
-    one masked copy when it drops a pair with rho == 0.
+    values has shape (k, n, d), drawn on the n rows of the (n, N) points;
+    the result has shape (k,) and is 0 where no pair has rho > 0. The pairs
+    come from pair_lags, and each pair divides by its own rho: in place on
+    the lag's squares when the lag keeps every pair, on one masked copy when
+    it drops a pair with rho == 0.
     """
     best = np.zeros(np.shape(values)[0])
-    for den, sq, mask in pair_lags(values, rho, lambda den: den > 0):
+    for den, sq, mask in pair_lags(values, points, H, lambda den: den > 0):
         if not mask.all():
             sq, den = sq[mask], den[mask]
         ratio = np.sqrt(sq, out=sq)
@@ -160,6 +165,14 @@ def ball_bounding_box(t, r: float, H: HurstVector) -> tuple[np.ndarray, np.ndarr
         raise ValueError("center dimension does not match Hurst vector")
     half = r ** (1.0 / H.as_array())
     return t - half, t + half
+
+
+def check_kernel_fits(n: float, N: int, grid: str) -> None:
+    """Raise MemoryError if the kernel matrix of a grid of n points in R^N would
+    not fit in physical memory: FieldModel.kernel_matrix peaks at 8 n^2 bytes
+    for N = 1 and at 16 n^2, K and one buffer, for N >= 2."""
+    check_fits(f"the {n:.3g}^2 kernel matrix entries of a {n:.3g}-point {grid}",
+               8.0 * min(N, 2) * n * n)
 
 
 @frozen
@@ -221,10 +234,10 @@ class IndexSet:
         """Rows lo_j + k step, 0 <= k <= floor((hi_j - lo_j) / step) taken with
         a relative slack of GRID_RTOL, of every box in box order; a row that
         touching boxes share is kept where it first appears. Fewer than 8
-        points on an axis of a box raise Refusal, and n points whose n x n
-        kernel matrix (8 n^2 bytes) exceeds physical memory MemoryError, both
-        from the per-axis counts before any array is built; n counts a
-        shared row once per box."""
+        points on an axis of a box raise Refusal, and n points whose kernel
+        matrix would not fit MemoryError (check_kernel_fits), both from the
+        per-axis counts before any array is built; n counts a shared row
+        once per box."""
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"grid_step must be finite and positive, got {step!r}")
         counts = [[float(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1.0
@@ -236,8 +249,7 @@ class IndexSet:
                         f"grid_step {step:g} gives {n_pts:.0f} points on axis {j}; "
                         "at least 8 per axis are required")
         n = sum(map(math.prod, counts))
-        check_fits(f"the {n:.3g}^2 kernel matrix entries of a {n:.3g}-point "
-                   f"lattice of step {step:g}", 8.0 * n * n)
+        check_kernel_fits(n, self.dim, f"lattice of step {step:g}")
         pts = np.concatenate([product_grid([a + np.arange(int(k)) * step
                                             for a, k in zip(lo, axes)])
                               for (lo, _), axes in zip(self.boxes, counts)], axis=0)

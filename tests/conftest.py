@@ -13,3 +13,30 @@ def drawn(blocks):
     """The (lo, X) draw blocks of field.path_blocks or
     calibration.spectral_blocks in one array, bit for bit."""
     return np.concatenate([X for _, X in blocks])
+
+
+def rho_pairwise(points, H):
+    """The all-pairs reference of metric.lag_gaps: the (n, n) matrix of rho
+    distances between the rows of an (n, N) array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != H.N:
+        raise ValueError("points dimension does not match Hurst vector")
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    return np.sum(diff ** H.as_array(), axis=2)
+
+
+def lag_point_sets():
+    """(points, H) by name: N = 1, 2 and 3, H = 0.5, 0.75 and 1, and an
+    irregular set with a duplicated point (rho == 0 pairs) whose exponents
+    1 and 0.5 meet numpy's square and root paths of a scalar power."""
+    from anisofield.metric import HurstVector, IndexSet
+    pts = np.random.default_rng(4).uniform(size=(15, 2))
+    return {
+        "1d-h0.5": (np.linspace(0.0, 1.0, 41)[:, None], HurstVector(H=(0.5,))),
+        "1d-h0.75": ((np.arange(129) / 128.0)[:, None], HurstVector(H=(0.75,))),
+        "1d-h1": (np.linspace(0.0, 0.2, 37)[:, None], HurstVector(H=(1.0,))),
+        "2d": (IndexSet.box([0.0, -1.0], [1.0, 1.0]).mesh(9),
+               HurstVector(H=(0.5, 0.9))),
+        "3d": (IndexSet.unit_box(3).mesh(5), HurstVector(H=(1.0, 0.75, 0.5))),
+        "irregular": (np.concatenate([pts, pts[[2, 7]]]), HurstVector(H=(1.0, 0.5))),
+    }

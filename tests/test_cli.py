@@ -594,6 +594,39 @@ class TestMainExitCodes:
         assert "kernel matrix entries of a 1e+09-point lattice" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,item", [
+        ("field-sim", "n_grid=100000"), ("modulus-scan", "n_points=100000")])
+    def test_huge_mesh_refused_before_it_is_built(self, tmp_path, kind, item):
+        # 10^5 points: the mesh's 8 n^2-byte kernel matrix is refused from
+        # its count, before condition 1 walks its 5 10^9 pairs or the kernel
+        # is built
+        import anisofield
+        src = os.path.dirname(os.path.dirname(anisofield.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                "from anisofield.cli import main\n"
+                "raise SystemExit(main(sys.argv[1:]))\n")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, kind, "--out", str(out), "--set", item],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "MemoryError"
+        assert "kernel matrix entries of a 1e+05-point mesh" in err["message"]
+        assert not out.exists()
+
+    def test_metric_check_mesh_is_not_refused(self, tmp_path):
+        # 250,000 test points, whose kernel matrix would need 10^12 bytes:
+        # metric-check builds no kernel, so its mesh has no kernel budget
+        cfg = ExperimentConfig.from_dict("metric-check", {
+            "test_grid_points": 250_000, "out_dir": str(tmp_path / "run")})
+        assert run_experiment(cfg).kind == "metric-check"
+
     def test_replicate_rows_beyond_physical_memory_refused(self, tmp_path):
         # 10^9 result rows at 165 bytes each: refused by the calib-sim
         # budget before any draw, with no address-space limit; the spectral

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,10 +14,9 @@ from anisofield.field import (FieldModel, build_covariance,
                               cholesky_with_jitter, modulus_statistic,
                               path_blocks, standard_normal_batch,
                               verify_condition1, verify_condition2)
-from anisofield.metric import (HurstVector, IndexSet, product_grid,
-                               rho_pairwise, rho_to_point)
+from anisofield.metric import HurstVector, IndexSet, product_grid, rho_to_point
 from anisofield.seeds import MASK64, stream_key
-from conftest import drawn
+from conftest import drawn, lag_point_sets, rho_pairwise
 
 
 def model_2x2(H=(0.5,)):
@@ -45,6 +45,30 @@ class TestBuildCovariance:
         assert np.allclose(K, expect)
         cov = build_covariance(m, g)
         assert np.allclose(cov, cov.T)
+
+    @pytest.mark.parametrize("name", lag_point_sets())
+    def test_kernel_has_the_bits_of_the_all_axes_power(self, name):
+        points, H = lag_point_sets()[name]
+        exps = 2.0 * H.as_array()
+        ref = np.exp(-np.sum(np.abs(points[:, None, :] - points[None, :, :]) ** exps,
+                             axis=2))
+        K = FieldModel(H=H, mixing=((1.0,),)).kernel_matrix(points)
+        assert K.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("H,n_per_axis,bound", [
+        ((0.5,), 2025, 1.05), ((0.5, 0.9), 45, 2.05)], ids=["N=1", "N=2"])
+    def test_kernel_build_peak(self, H, n_per_axis, bound):
+        # K itself, and for N > 1 one buffer; the all-axes power had held
+        # 2N more n x n arrays
+        points = IndexSet.unit_box(len(H)).mesh(n_per_axis)
+        m = FieldModel(H=HurstVector(H=H), mixing=((1.0,),))
+        tracemalloc.start()
+        try:
+            m.kernel_matrix(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * len(points) ** 2, peak
 
     def test_jitter_reported(self):
         assert cholesky_with_jitter(build_covariance(
@@ -153,6 +177,27 @@ class TestConditions:
         r3, c3, _ = verify_condition1(m3, g)
         assert r3 == pytest.approx(3.0 * r1)
         assert c3 == pytest.approx(3.0 * c1)
+
+    @pytest.mark.parametrize("name", lag_point_sets())
+    def test_condition1_matches_all_pairs(self, name):
+        points, H = lag_point_sets()[name]
+        m = FieldModel(H=H, mixing=((1.0, 0.0), (1.0, 1.0)))
+        rho, K = rho_pairwise(points, H), m.kernel_matrix(points)
+        canon = np.sqrt(np.maximum(0.0, 2.0 * float(np.trace(m.gram)) * (1.0 - K)))
+        mask = rho > 0
+        assert verify_condition1(m, points)[0] == float(np.max(canon[mask] / rho[mask]))
+
+    def test_condition1_builds_no_pair_matrix(self):
+        # the n x n rho, K, canonical-distance and mask arrays of 2,049
+        # points had peaked at 164 MiB
+        g = np.linspace(0.0, 1.0, 2049)[:, None]
+        tracemalloc.start()
+        try:
+            verify_condition1(model_2x2(H=(0.75,)), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_condition2_closed_forms(self):
         ident = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0, 0.0), (0.0, 1.0)))

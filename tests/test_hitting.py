@@ -12,8 +12,7 @@ from anisofield.field import FieldModel
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 hitting_scan, polarity_scan,
                                 scaling_exponent, wilson_interval)
-from anisofield.metric import (HurstVector, IndexSet, max_pair_ratio,
-                               rho_pairwise, rho_to_point)
+from anisofield.metric import HurstVector, IndexSet, max_pair_ratio, rho_to_point
 from conftest import drawn
 
 H075 = HurstVector(H=(0.75,))
@@ -103,15 +102,13 @@ class TestLipschitzDrift:
     def test_constant_zero_ok(self):
         f = LipschitzDrift(kind="zero")
         g = np.linspace(0, 1, 20)[:, None]
-        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
-                               rho_pairwise(g, H075))[0]
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0), g, H075)[0]
         assert ratio == 0.0 and ratio <= f.L * (1.0 + 1e-9)
 
     def test_affine_saturates_but_respects_bound(self):
         f = LipschitzDrift(kind="affine", L=2.0)
         g = np.linspace(0, 1, 30)[:, None]
-        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
-                               rho_pairwise(g, H075))[0]
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0), g, H075)[0]
         assert ratio <= f.L * (1.0 + 1e-9) and ratio <= 2.0 + 1e-9
         assert ratio == pytest.approx(2.0, rel=1e-9)  # adjacent points saturate
 
@@ -119,8 +116,7 @@ class TestLipschitzDrift:
         # raw values with slope 2 checked against a claimed bound of 0.1
         g = np.linspace(0, 1, 10)[:, None]
         f = LipschitzDrift(kind="affine", L=2.0)
-        ratio = max_pair_ratio(drift_values(f, g, 1, 0),
-                               rho_pairwise(g, H075))[0]
+        ratio = max_pair_ratio(drift_values(f, g, 1, 0), g, H075)[0]
         assert not ratio <= 0.1 * (1.0 + 1e-9) and ratio > 0.1
         # the same values pass against the honest bound
         assert ratio <= 2.0 * (1.0 + 1e-9)
@@ -155,8 +151,7 @@ class TestLipschitzDrift:
         # a 1-D array is not one point with ten components
         g = np.linspace(0, 1, 10)[:, None]
         with pytest.raises(ValueError, match="shape"):
-            max_pair_ratio((100 * np.linspace(0, 1, 10))[None],
-                           rho_pairwise(g, H075))
+            max_pair_ratio((100 * np.linspace(0, 1, 10))[None], g, H075)
 
 
 class TestBatchedFieldDrift:
@@ -209,8 +204,7 @@ class TestBatchedFieldDrift:
         f = self.drift()
         for e in range(4, 12):
             g = (np.arange(2 ** e + 1) / 2.0 ** e)[:, None]
-            ratio = max_pair_ratio(drift_values(f, g, 200, 21),
-                                   rho_pairwise(g, H075))
+            ratio = max_pair_ratio(drift_values(f, g, 200, 21), g, H075)
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), e
             # not a vanishing drift either: about a third of L at the median
             assert np.median(ratio) > 0.1
@@ -219,8 +213,7 @@ class TestBatchedFieldDrift:
         box = IndexSet.box([0.0, -1.0], [1.0, 1.0])
         for step in (1 / 8, 1 / 16):
             pts = box.lattice(step)
-            ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2),
-                                   rho_pairwise(pts, H2))
+            ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2), pts, H2)
             assert ratio.max() <= 0.5 * (1.0 + 1e-9), step
 
     def test_nested_grids_agree_at_shared_points(self):
@@ -242,7 +235,7 @@ class TestBatchedFieldDrift:
         polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 30, 2, 1 / 64)
         hitting_scan(model(), UNIT, [0.5], [0.1], f, 30, 2, 16)
         with pytest.raises(AssertionError, match="pair walk"):
-            max_pair_ratio(np.zeros((1, 3, 2)), rho_pairwise(self.GRID[:3], H075))
+            max_pair_ratio(np.zeros((1, 3, 2)), self.GRID[:3], H075)
 
     def test_deterministic_kinds_repeat_per_seed(self):
         f = LipschitzDrift(kind="affine", L=2.0)

@@ -10,9 +10,10 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                ball_bounding_box, chaining_c2,
                                chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
-                               hausdorff_premeasure, max_pair_ratio,
-                               pair_lags, rho_pairwise)
+                               hausdorff_premeasure, lag_gaps,
+                               max_pair_ratio, pair_lags)
 from anisofield.field import modulus_statistic
+from conftest import lag_point_sets, rho_pairwise
 
 H1 = HurstVector(H=(1.0,))
 H05 = HurstVector(H=(0.5,))
@@ -96,7 +97,7 @@ class TestMaxPairRatio:
         pts = np.concatenate([pts, pts[[2, 7]]])   # duplicates: rho = 0 pairs
         rho = rho_pairwise(pts, H)
         vals = rng.standard_normal((4, pts.shape[0], 3))
-        got = max_pair_ratio(vals, rho)
+        got = max_pair_ratio(vals, pts, H)
         assert got.shape == (4,)
         assert np.allclose(got, self.all_pairs(vals, rho), rtol=1e-12, atol=0.0)
 
@@ -104,14 +105,18 @@ class TestMaxPairRatio:
         # the closest pair is (0, 2), which only the last lag visits
         pts = np.array([[0.0], [1.0], [0.01]])
         vals = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
-        got = max_pair_ratio(vals, rho_pairwise(pts, H1))
+        got = max_pair_ratio(vals, pts, H1)
         assert got == pytest.approx([100.0], rel=1e-12)
 
+    def test_points_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match="dimension"):
+            max_pair_ratio(np.zeros((1, 4, 2)), np.zeros((4, 2)), H1)
+
     def test_no_pair_with_positive_distance(self):
-        rho = rho_pairwise(np.zeros((3, 1)), H05)
-        assert np.array_equal(max_pair_ratio(np.ones((2, 3, 2)), rho), [0.0, 0.0])
-        single = rho_pairwise(np.zeros((1, 1)), H05)
-        assert np.array_equal(max_pair_ratio(np.ones((2, 1, 2)), single), [0.0, 0.0])
+        pts = np.zeros((3, 1))
+        assert np.array_equal(max_pair_ratio(np.ones((2, 3, 2)), pts, H05), [0.0, 0.0])
+        single = np.zeros((1, 1))
+        assert np.array_equal(max_pair_ratio(np.ones((2, 1, 2)), single, H05), [0.0, 0.0])
 
 
 def _lattice():
@@ -179,6 +184,16 @@ class TestPairReductionsBitExact:
         assert dropped == [9, 13]
         assert all((np.diagonal(rho, lag) > 0).any() for lag in dropped)
 
+    @pytest.mark.parametrize("name", lag_point_sets())
+    def test_lag_rho_is_the_all_pairs_superdiagonal(self, name):
+        points, H = lag_point_sets()[name]
+        rho = rho_pairwise(points, H)
+        walked = [(gaps.copy(), den) for gaps, den in lag_gaps(points, H)]
+        assert len(walked) == points.shape[0] - 1
+        for lag, (gaps, den) in enumerate(walked, 1):
+            assert den.tobytes() == np.diagonal(rho, lag).tobytes()
+            assert np.array_equal(gaps, np.abs(points[:-lag] - points[lag:]))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pair_lags_squares_survive_buffer_reuse(self, d):
         # every lag writes into the same two buffers: copies taken during the
@@ -190,7 +205,7 @@ class TestPairReductionsBitExact:
         # lags with n - lag divisible by 3 are skipped
         walked = [(n - den.size, den.copy(), sq.copy(), mask)
                   for den, sq, mask in pair_lags(
-                      v, rho, lambda den: np.full(den.size, den.size % 3 != 0))]
+                      v, points, H, lambda den: np.full(den.size, den.size % 3 != 0))]
         lags = [lag for lag, *_ in walked]
         assert lags == [lag for lag in range(1, n) if (n - lag) % 3 != 0]
         for lag, den, sq, mask in walked:
@@ -202,7 +217,7 @@ class TestPairReductionsBitExact:
     def test_max_pair_ratio(self, grid):
         points, H = self.GRIDS[grid]()
         vals = np.random.default_rng(11).standard_normal((5, points.shape[0], 3))
-        got = max_pair_ratio(vals, rho_pairwise(points, H))
+        got = max_pair_ratio(vals, points, H)
         assert np.array_equal(got, self.ratio_reference(vals, points, H))
 
     @pytest.mark.parametrize("grid", GRIDS)
@@ -220,7 +235,7 @@ class TestPairReductionsBitExact:
         points, H = self.GRIDS[grid]()
         vals = np.random.default_rng(13).standard_normal((3, points.shape[0], 2))
         vals[1, 4, 1] = np.nan
-        got = max_pair_ratio(vals, rho_pairwise(points, H))
+        got = max_pair_ratio(vals, points, H)
         assert np.isnan(got).tolist() == [False, True, False]
         assert np.array_equal(got, self.ratio_reference(vals, points, H),
                               equal_nan=True)
@@ -229,6 +244,24 @@ class TestPairReductionsBitExact:
         assert np.isnan(rep.M[:, 0]).tolist() == [False, True, False]
         assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
                               equal_nan=True)
+
+
+class TestWalkMemory:
+    def test_modulus_statistic_holds_only_its_walk_buffers(self):
+        # a (256, 2049, 2) draw block: the walk's point-major copy of each
+        # component, the squares and one difference, each 2049 x 256
+        # doubles; the 2049 x 2049 rho read by the walk had made it 6 times
+        # larger
+        points = np.linspace(0.0, 0.2, 2049)[:, None]
+        vals = np.random.default_rng(15).standard_normal((256, 2049, 2))
+        buffers = 4 * vals.shape[0] * vals.shape[1] * 8
+        tracemalloc.start()
+        try:
+            modulus_statistic(vals, points, H05, [0.2, 0.1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * buffers, (peak, buffers)
 
 
 class TestBallBoundingBox:
