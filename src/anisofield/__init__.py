@@ -2,4 +2,4 @@
 
 from . import _blas  # noqa: F401  (first: loads numpy's OpenBLAS at one thread)
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"

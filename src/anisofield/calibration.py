@@ -2,10 +2,11 @@
 
 The observed object is dO~(x) = O(x) dx + eps(x) dW(x); its Fourier
 transform splits into a deterministic part FO(v) and the Gaussian spectral
-process X(v) = int e^{ivx} eps(x) dW(x). We simulate X exactly from its
-Ito-isometry covariances, evaluate the eigenvalue floor lambda_V on the
-punctured interval I_V = [-V, -1/V] u [1/V, V], check the tail-moment
-Hoelder bound, and run the estimator
+process X(v) = int e^{ivx} eps(x) dW(x). We simulate X exactly through
+field.draw_blocks, from the factors of its Ito-isometry covariances, taken
+before the first draw and returned with their jitter; we evaluate the
+eigenvalue floor lambda_V on the punctured interval I_V = [-V, -1/V] u
+[1/V, V], check the tail-moment Hoelder bound, and run the estimator
 
     psi~(v) = (1/T) log(1 + iv(1+iv) (FO(v) + noise_scale X(v)))
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -298,34 +299,23 @@ class FrequencyGrid:
 
 
 def spectral_blocks(noise: NoiseLevel, grid: FrequencyGrid, n_samples: int,
-                    seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact draws of X(v) = X1(v) + i X2(v) on the grid, streamed as
-    (lo, X) for consecutive row blocks: X holds replicates lo, ...,
-    lo + len(X) - 1, shape (len(X), len(grid.points)) complex, with
-    field._DRAW_ROWS rows in every block but the last, as field.path_blocks.
-
-    A real driving noise forces X2(0) = 0 (and X(-v) = conj X(v), which the
-    grid leaves out). X1 and X2 decouple (even noise): each is the normals
-    of its own stream ("spec-cos", "spec-sin") times the transposed Cholesky
-    factor of its cosine-transform covariance, factored in place once,
-    before the first block. The generator holds one block with its normals
-    and products at a time, and drops it once yielded. Like path_blocks',
-    the bits depend on the block size.
-    """
+                    seed: int) -> fieldmod.Draws:
+    """Exact draws of X(v) = X1(v) + i X2(v) on the grid, in blocks (k,
+    len(grid.points)); a real noise makes X2(0) = 0 and X(-v) = conj X(v),
+    off the grid. X1 and X2 decouple (even noise): each is its stream's
+    normals ("spec-cos", "spec-sin"), drawn as used, times the Cholesky factor
+    (transposed; jitter: X1's, X2's) of its covariance, taken at the call."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    L1, L2 = (fieldmod.cholesky_with_jitter(cov)[0]
-              for cov in _spectral_covariances(noise, grid.positive))
-    for lo in range(0, n_samples, fieldmod._DRAW_ROWS):
-        k = min(fieldmod._DRAW_ROWS, n_samples - lo)
-        X = np.empty((k, L1.shape[0]), dtype=complex)
-        X.real = fieldmod.standard_normal_batch(
-            L1.shape[0], k, seed, "spec-cos", start=lo) @ L1.T
-        X.imag[:, 0] = 0.0
-        X.imag[:, 1:] = fieldmod.standard_normal_batch(
-            L2.shape[0], k, seed, "spec-sin", start=lo) @ L2.T
-        yield lo, X
-        del X
+    (L1, j1), (L2, j2) = map(fieldmod.cholesky_with_jitter,
+                             _spectral_covariances(noise, grid.positive))
+
+    def draw(k, normals):
+        X = np.zeros((k, L1.shape[0]), dtype=complex)  # X2(0) = 0
+        X.real = normals(L1.shape[0], "spec-cos") @ L1.T
+        X.imag[:, 1:] = normals(L2.shape[0], "spec-sin") @ L2.T
+        return X
+    return fieldmod.Draws(fieldmod.draw_blocks(n_samples, seed, draw), (j1, j2))
 
 
 def fourier_O(v) -> np.ndarray:

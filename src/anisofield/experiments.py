@@ -1,10 +1,12 @@
 """Experiment drivers: config validation, dispatch, and artifact emission.
 
 Each experiment kind has a frozen params record (unknown keys rejected),
-a runner producing CSV column blocks plus a JSON report, and a manifest
-recording the config echo, derived seed scheme and content digests of the
-data files, hashed as they are written. Data files are byte-identical
-across reruns; timestamps live only in the manifest.
+a runner producing CSV column blocks, a JSON report and the jitter of each
+covariance factor it took, and a manifest recording the config echo,
+derived seed scheme, that jitter and content digests of the data files,
+hashed as they are written. Data files are byte-identical across reruns;
+timestamps live only in the manifest. A nonzero jitter changes the law
+drawn, so the report then carries it too.
 """
 from __future__ import annotations
 
@@ -210,6 +212,7 @@ class RunManifest:
     seed_scheme: str
     outputs: dict
     blas: dict
+    jitter: dict  # factor name -> jitter added to its diagonal (0 if none)
 
 
 def _number_text(x) -> str:
@@ -261,14 +264,15 @@ def _field_mesh(box_lo, box_hi, n_per_axis: int) -> np.ndarray:
     return I.mesh(n_per_axis)
 
 
-def _scan_output(report: hitmod.ScalingReport, **extra):
-    """(header, blocks, report_doc) of a scan; extra keys join the report."""
+def _scan_output(report: hitmod.ScalingReport, factors: list[str], **extra):
+    """(header, blocks, report_doc, jitter) of a scan, jitter naming the
+    factors of report.jitter; extra keys join the report."""
     header = dict.fromkeys(["r", "p_hat", "ci_low", "ci_high"], "%.17g") | {"n_mc": "%d"}
     block = tuple([getattr(e, name) for e in report.estimates] for name in header)
     doc = {"radii": list(report.radii), "fitted_slope": report.fitted_slope,
            "slope_se": report.slope_se, "status": report.status,
            "p_hat": [e.p_hat for e in report.estimates], **extra}
-    return header, [block], doc
+    return header, [block], doc, dict(zip(factors, report.jitter))
 
 
 def _nonempty(key: str, values: tuple) -> None:
@@ -287,8 +291,9 @@ def _distinct(key: str, values: tuple, lo=-math.inf, hi=math.inf) -> None:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (header, blocks, report_doc), header mapping each column
-# to its format; every refusal comes before the first block of columns
+# runners: each returns (header, blocks, report_doc, jitter), header mapping
+# each column to its format and jitter each factor's name to its jitter, known
+# at return; every refusal comes before the first block of columns
 
 
 def _entropy_quadrature(x: float) -> float:
@@ -327,7 +332,7 @@ def _run_metric_check(cfg: ExperimentConfig):
     check, param, value, bound, ok = zip(*rows)
     header = dict(check="%s", param="%s", value="%s", bound="%.17g", ok="%s")
     block = (check, [*map(_number_text, param)], [*map(_number_text, value)], bound, ok)
-    return header, [block], {"Q": H.Q, "all_ok": all(map(bool, ok))}
+    return header, [block], {"Q": H.Q, "all_ok": all(map(bool, ok))}, {}
 
 
 def _run_field_sim(cfg: ExperimentConfig):
@@ -339,17 +344,18 @@ def _run_field_sim(cfg: ExperimentConfig):
     n = len(points)
     names = [f"s{j}" for j in range(points.shape[1])] + [f"x{a}" for a in range(model.d)]
     header = dict.fromkeys(["replicate", "point"], "%d") | dict.fromkeys(names, "%.17g")
+    draws = fieldmod.path_blocks(model, points, p.n_samples, cfg.seed)
 
     def blocks():
         # whole replicates, point-major, one draw block at a time
-        for lo, x in fieldmod.path_blocks(model, points, p.n_samples, cfg.seed):
+        for lo, x in draws:
             yield (np.repeat(np.arange(lo, lo + len(x)), n),
                    np.tile(np.arange(n), len(x)), *np.tile(points, (len(x), 1)).T,
                    *x.reshape(-1, model.d).T)
     report = {"condition1": {"max_ratio": max_ratio, "c_analytic": c_analytic, "ok": ok1},
               "condition2": {"lambda_min": lam}, "n_samples": p.n_samples,
               "grid_hash": hashlib.sha256(points.tobytes()).hexdigest()}
-    return header, blocks(), report
+    return header, blocks(), report, {"kernel": draws.jitter[0]}
 
 
 def _run_hitting_scan(cfg: ExperimentConfig):
@@ -363,7 +369,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
         raise ValueError("ball_points_per_axis must be >= 1 and held by float64")
     report = hitmod.hitting_scan(model, I, p.t, p.radii, drift, p.n_mc,
                                  cfg.seed, p.ball_points_per_axis)
-    return _scan_output(report)
+    return _scan_output(report, [f"kernel r={r}" for r in p.radii])
 
 
 def _run_polarity_scan(cfg: ExperimentConfig):
@@ -374,7 +380,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     report = hitmod.polarity_scan(model, I, drift, p.center, p.deltas,
                                   p.n_mc, cfg.seed, p.grid_step)
-    return _scan_output(report, target_exponent=model.d - model.H.Q)
+    return _scan_output(report, ["kernel"], target_exponent=model.d - model.H.Q)
 
 
 def _run_modulus_scan(cfg: ExperimentConfig):
@@ -384,8 +390,8 @@ def _run_modulus_scan(cfg: ExperimentConfig):
     fieldmod.verify_condition2(model)
     points = _field_mesh(p.box_lo, p.box_hi, p.n_points)
     # each draw block is reduced to its rows of M before the next is drawn
-    reps = [fieldmod.modulus_statistic(x, points, model.H, list(p.eps))
-            for _, x in fieldmod.path_blocks(model, points, p.n_samples, cfg.seed)]
+    draws = fieldmod.path_blocks(model, points, p.n_samples, cfg.seed)
+    reps = [fieldmod.modulus_statistic(x, points, model.H, list(p.eps)) for _, x in draws]
     rep, M = reps[0], np.concatenate([r.M for r in reps])
     cols = range(len(rep.eps))
     q95 = [None if rep.missing[c] else float(np.quantile(M[:, c], 0.95))
@@ -395,7 +401,8 @@ def _run_modulus_scan(cfg: ExperimentConfig):
              *(["" if v is None else "%.17g" % v for v in vs] for vs in (q95, mean)))
     report = {"eps_p95": dict(zip(map(str, rep.eps), q95)),
               "n_samples": p.n_samples, "grid_points": len(points)}
-    return {"eps": "%.17g", "status": "%s", "p95": "%s", "mean": "%s"}, [block], report
+    header = {"eps": "%.17g", "status": "%s", "p95": "%s", "mean": "%s"}
+    return header, [block], report, {"kernel": draws.jitter[0]}
 
 
 def _lattice_size(V: float, step: float) -> float:
@@ -420,7 +427,7 @@ def _run_calib_noiseless(cfg: ExperimentConfig):
               "min_arg_modulus": est.min_arg_modulus,
               "max_phase_jump": est.max_phase_jump,
               "max_error_vs_closed_form": max_err}
-    return dict.fromkeys(["v", "re_psi", "im_psi", "abs_arg"], "%.17g"), [block], report
+    return dict.fromkeys(["v", "re_psi", "im_psi", "abs_arg"], "%.17g"), [block], report, {}
 
 
 def _run_calib_sim(cfg: ExperimentConfig):
@@ -441,11 +448,12 @@ def _run_calib_sim(cfg: ExperimentConfig):
     grid = calib.FrequencyGrid(p.V, p.step)
     n_ok = {str(s): 0 for s in scales}
     labels = [_number_text(s) for s in scales]
+    draws = calib.spectral_blocks(noise, grid, n, cfg.seed)
 
     def blocks():
         # one block per draw block, replicate-major; the counts are filled
         # as the blocks are written, before the report is
-        for lo, X in calib.spectral_blocks(noise, grid, n, cfg.seed):
+        for lo, X in draws:
             vds = [calib.psi_verdicts(grid, scale, X) for scale in scales]
             for key, vd in zip(n_ok, vds):
                 n_ok[key] += int(np.count_nonzero(vd.well_defined))
@@ -457,7 +465,8 @@ def _run_calib_sim(cfg: ExperimentConfig):
             del X, vds  # not held while the next block is drawn
     header = dict(replicate="%d", noise_scale="%s", well_defined="%s",
                   min_arg_modulus="%.17g", failure="%s")
-    return header, blocks(), {"n_replicates": n, "well_defined_counts": n_ok}
+    report = {"n_replicates": n, "well_defined_counts": n_ok}
+    return header, blocks(), report, dict(zip(["spec-cos", "spec-sin"], draws.jitter))
 
 
 RUNNERS: dict[str, Callable] = dict(zip(PARAM_CLASSES, (
@@ -478,7 +487,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     # whatever the library's thread count, and no idle BLAS thread spins;
     # the blocks are drawn as they are written, so the writing is pinned too
     with _blas.one_blas_thread() as blas:
-        header, blocks, report = RUNNERS[config.kind](config)
+        header, blocks, report, jitter = RUNNERS[config.kind](config)
+        if any(jitter.values()):  # beside the numbers drawn from K + jitter I
+            report["jitter"] = {name: j for name, j in jitter.items() if j}
         blocks = iter(blocks)
         first = next(blocks)
         # only now, after every refusal and factorization, so that a config
@@ -491,7 +502,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                        "report.json": _write_json(paths["report.json"], report)}
             manifest = RunManifest(
                 kind=config.kind, config=config.echo(), version=TOOL_VERSION,
-                started=started, outputs=outputs, blas=blas,
+                started=started, outputs=outputs, blas=blas, jitter=jitter,
                 finished=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
                 seed_scheme=("replicate i of a stream draws from Philox with key "
                              "[blake2b-64(master, stream), i] and counter 0; a field "

@@ -16,8 +16,10 @@ n x n scalar kernel matrix K and G = A A^T, so an exact draw is L_K Z L_G^T,
 with Z an (n, d) block of standard normals (Gilboa, Saatci & Cunningham
 2015). K is built in place, with one n x n buffer for N > 1
 (kernel_matrix), and no run allocates another n x n array: path_blocks
-factors K once, in its own memory, and streams any number of replicates
-from it in blocks, one Philox stream per replicate;
+factors K in its own memory when it is called, so a refusal and the
+jitter come before any draw, and draw_blocks, the one draw loop of every
+sampler (the spectral process's too), streams any number of replicates
+from the factors in blocks, one Philox stream per replicate;
 grids are kept small (a few thousand points), exactness over scale.
 Philox is counter-based, so a stream is only its key: replicate i
 of a stream is keyed by the stream's hash and i (see seeds).
@@ -39,7 +41,7 @@ from .seeds import stream_key
 
 JITTER_REL = 1e-10
 JITTER_REL_MAX = 1e-6
-_DRAW_ROWS = 256  # replicates per draw block of every sampler (the bits depend on it)
+_DRAW_ROWS = 256  # replicates per block of draw_blocks (the bits depend on it)
 
 
 @frozen
@@ -197,33 +199,44 @@ def standard_normal_batch(dim: int, n: int, master_seed: int,
     return z
 
 
-def path_blocks(model: FieldModel, points: np.ndarray, n_samples: int,
-                seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact draws of the field on the n points, as (lo, X) for consecutive
-    blocks of _DRAW_ROWS replicates (the last may be shorter): X holds
-    replicates lo, ..., lo + len(X) - 1, a (len(X), n, d) transposed view.
+@frozen
+class Draws:
+    """A sampler's blocks (lo, X), drawn once, as iterated, and its factors' jitter."""
 
-    Replicate i is L_K Z_i L_G^T, with L_K and L_G the factors of the n x n
-    kernel matrix and of G = A A^T, both taken before the first block, and
-    Z_i row i of stream "field" as a point-major (n, d) block. A G that does
-    not factor raises np.linalg.LinAlgError, a ValueError. A block's product
-    with a factor may round otherwise than a larger one's, so the bits
-    depend on _DRAW_ROWS, never on the rows after the block.
-    """
+    blocks: Iterator[tuple[int, np.ndarray]]
+    jitter: tuple[float, ...]
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def draw_blocks(n_samples: int, seed: int, draw) -> Iterator[tuple[int, np.ndarray]]:
+    """The one draw loop: (lo, draw(k, normals)) for lo = 0, _DRAW_ROWS, ...,
+    k = min(_DRAW_ROWS, n_samples - lo), normals(dim, stream) giving the block's
+    rows of a stream (standard_normal_batch); no block is held once yielded."""
+    for lo in range(0, n_samples, _DRAW_ROWS):
+        k = min(_DRAW_ROWS, n_samples - lo)
+        yield lo, draw(k, lambda dim, s: standard_normal_batch(dim, k, seed, s, start=lo))
+
+
+def path_blocks(model: FieldModel, points: np.ndarray, n_samples: int,
+                seed: int) -> Draws:
+    """Exact draws of the field on the n points, in blocks of (k, n, d) views.
+    Replicate i is L_K Z_i L_G^T, L_K and L_G the factors of the n x n kernel
+    matrix and of G = A A^T, taken at the call (the jitter is L_K's), and Z_i
+    row i of stream "field" as a point-major (n, d) block. A G that does not
+    factor raises np.linalg.LinAlgError, a K ModelRejected."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     L_G = np.linalg.cholesky(model.gram)
-    L_K = cholesky_with_jitter(model.kernel_matrix(points))[0]
+    L_K, jitter = cholesky_with_jitter(model.kernel_matrix(points))
     n, d = L_K.shape[0], model.d
-    for lo in range(0, n_samples, _DRAW_ROWS):
-        k = min(_DRAW_ROWS, n_samples - lo)
-        # component-major rows, so that one GEMM over the point axis serves
-        # the block; k batched L_K @ Z_i products are several times slower
-        y = np.ascontiguousarray(standard_normal_batch(
-            n * d, k, seed, "field", start=lo).reshape(k, n, d).transpose(0, 2, 1))
-        y = np.matmul(L_G, (y.reshape(-1, n) @ L_K.T).reshape(k, d, n))
-        yield lo, y.transpose(0, 2, 1)
-        del y  # not held while the next block is drawn
+
+    def draw(k, normals):  # one GEMM over the point axis, not k slower ones
+        y = normals(n * d, "field").reshape(k, n, d).transpose(0, 2, 1).copy()
+        np.matmul(L_G, (y.reshape(-1, n) @ L_K.T).reshape(k, d, n), out=y)  # over the normals
+        return y.transpose(0, 2, 1)
+    return Draws(draw_blocks(n_samples, seed, draw), (jitter,))
 
 
 @frozen

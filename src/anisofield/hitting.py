@@ -13,6 +13,7 @@ drawn independently of the field and scaled by a closed-form bound, so that
 set, not only on the scan's grid. Each scan draws the field in blocks from
 field.path_blocks, which factors its n x n kernel matrix once, reducing each
 block before the next; a field drift costs one small product per replicate.
+The jitter of every kernel factor a scan takes is carried in its report.
 """
 from __future__ import annotations
 
@@ -141,6 +142,7 @@ class ScalingReport:
     fitted_slope: float
     slope_se: float
     status: str = "ok"
+    jitter: tuple[float, ...] = ()  # of each kernel factor the scan took
 
 
 def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
@@ -167,16 +169,18 @@ def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
 
 def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
                f: LipschitzDrift, n_mc: int, seed: int, sign: float,
-               center) -> np.ndarray:
-    """Per replicate, min over the points of ||X(s) + sign * f(s) - center||.
+               center) -> tuple[np.ndarray, float]:
+    """Per replicate, min over the points of ||X(s) + sign * f(s) - center||,
+    and the jitter of the field's kernel factor on the points.
 
     X is drawn from stream "field" and the drift from stream "drift", so a
     field drift is independent of X. sign is the direction of the drift's
     translation in the event: -1 for a hit on the graph of f, +1 for the
-    shifted field X + f. The shape is (n_mc,).
+    shifted field X + f. The distances have shape (n_mc,).
     """
     dist = np.empty(n_mc)  # before the first draw: too large a count fails at once
-    for lo, fv in path_blocks(model, pts, n_mc, seed):
+    draws = path_blocks(model, pts, n_mc, seed)
+    for lo, fv in draws:
         # the sum has the bits of the drift plus the field, since IEEE
         # addition commutes and sign is +1 or -1
         drift = f.evaluate_many(index_set, pts, model.H, model.d, len(fv), seed, lo)
@@ -195,7 +199,7 @@ def _distances(model: FieldModel, index_set: IndexSet, pts: np.ndarray,
             # those of the min over np.linalg.norm(fv, axis=2)
             dist[lo:lo + len(fv)] = np.sqrt(
                 np.add.reduce(np.square(fv, out=fv), axis=2).min(axis=1))
-    return dist
+    return dist, draws.jitter[0]
 
 
 def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:
@@ -207,8 +211,10 @@ def _estimate(dist: np.ndarray, r: float) -> HittingEstimate:
                            n_mc=n_mc, r=float(r))
 
 
-def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
-    """Log-log least-squares slope of p_hat against r over nonzero estimates."""
+def scaling_exponent(estimates: Sequence[HittingEstimate],
+                     jitter: Sequence[float] = ()) -> ScalingReport:
+    """Log-log least-squares slope of p_hat against r over nonzero estimates;
+    jitter, that of each factor behind them, is carried into the report."""
     ests = tuple(sorted(estimates, key=lambda e: -e.r))
     radii = tuple(e.r for e in ests)
     if len(set(radii)) != len(radii):
@@ -217,7 +223,7 @@ def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
     if len(nonzero) < 3:
         return ScalingReport(radii=radii, estimates=ests,
                              fitted_slope=float("nan"), slope_se=float("nan"),
-                             status="too-few-nonzero-estimates")
+                             status="too-few-nonzero-estimates", jitter=tuple(jitter))
     x = np.log([e.r for e in nonzero])
     y = np.log([e.p_hat for e in nonzero])
     n = len(x)
@@ -226,8 +232,8 @@ def scaling_exponent(estimates: Sequence[HittingEstimate]) -> ScalingReport:
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (x - xbar))
     se = math.sqrt(float(np.sum(resid ** 2)) / max(1, n - 2) / sxx)
-    return ScalingReport(radii=radii, estimates=ests,
-                         fitted_slope=slope, slope_se=se)
+    return ScalingReport(radii=radii, estimates=ests, fitted_slope=slope,
+                         slope_se=se, jitter=tuple(jitter))
 
 
 def hitting_scan(model: FieldModel, index_set: IndexSet, t,
@@ -237,7 +243,9 @@ def hitting_scan(model: FieldModel, index_set: IndexSet, t,
     each from its own draws at seed; every grid is built before the first.
     Each radius has its own ball lattice and the lattices do not nest, so
     p_hat need not be monotone in r (see the README's Sampling section).
-    The grid minimum overstates the continuum infimum: p_hat is biased low."""
+    The grid minimum overstates the continuum infimum: p_hat is biased low.
+    Each lattice's kernel is factored just before its draws, one at a time;
+    the report's jitter has one entry per radius, in the order given."""
     radii = [float(r) for r in radii]
     if not all(r > 0 for r in radii):
         raise ValueError(f"radii must be positive, got {radii}")
@@ -248,9 +256,12 @@ def hitting_scan(model: FieldModel, index_set: IndexSet, t,
     t = np.asarray(t, dtype=float).reshape(-1)
     grids = [_ball_grid(t, r, index_set, model.H, points_per_axis)
              for r in radii]
-    return scaling_exponent([
-        _estimate(_distances(model, index_set, pts, f, n_mc, seed, -1.0, 0.0), r)
-        for r, pts in zip(radii, grids)])
+
+    def estimate(r, pts):  # one radius's distances are held at a time
+        dist, jitter = _distances(model, index_set, pts, f, n_mc, seed, -1.0, 0.0)
+        return _estimate(dist, r), jitter
+    estimates, jitter = zip(*map(estimate, radii, grids))
+    return scaling_exponent(estimates, jitter)
 
 
 def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
@@ -279,5 +290,5 @@ def polarity_scan(model: FieldModel, index_set: IndexSet, drift: LipschitzDrift,
         raise ValueError("target center dimension mismatch")
 
     pts = index_set.lattice(grid_step)
-    dmin = _distances(model, index_set, pts, drift, n_mc, seed, 1.0, center)
-    return scaling_exponent([_estimate(dmin, delta) for delta in deltas])
+    dmin, jitter = _distances(model, index_set, pts, drift, n_mc, seed, 1.0, center)
+    return scaling_exponent([_estimate(dmin, delta) for delta in deltas], [jitter])

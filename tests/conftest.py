@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +15,40 @@ def drawn(blocks):
     """The (lo, X) draw blocks of field.path_blocks or
     calibration.spectral_blocks in one array, bit for bit."""
     return np.concatenate([X for _, X in blocks])
+
+
+def increment_z(x, step, H, g, lags):
+    """z per lag l of the replicate mean of S_l = sum_i (x_{i+l} - x_i)^2,
+    for rows x of an (R, n) array drawn on a regular axis of the step, from a
+    stationary field with covariance g exp(-|s - t|^(2H)). Both moments are
+    exact: E S_l = 2 g (n - l)(1 - exp(-(l h)^(2H))), and Var S_l =
+    2 sum_{i,j} Cov(D_i, D_j)^2 summed over the 2 (n - l) - 1 values of
+    i - j, as the kernel is stationary (Kent & Wood, JRSS B 59(3), 1997)."""
+    R, n = x.shape
+
+    def k(m):
+        return g * np.exp(-np.abs(m * step) ** (2.0 * H))
+    z = []
+    for lag in lags:
+        N = n - lag
+        S = np.square(x[:, lag:] - x[:, :-lag]).sum(axis=1)
+        m = np.arange(1 - N, N)
+        cov = 2.0 * k(m) - k(m + lag) - k(m - lag)  # Cov(D_i, D_i+m)
+        var = 2.0 * float(np.sum((N - np.abs(m)) * cov * cov))
+        z.append((S.mean() - 2.0 * N * (g - k(lag))) / math.sqrt(var / R))
+    return np.array(z)
+
+
+def holm_rejects(z, alpha):
+    """Indices of the two-sided normal tests of z that Holm's step-down rule
+    rejects at family-wise level alpha, whatever their dependence."""
+    p = [math.erfc(abs(v) / math.sqrt(2.0)) for v in z]
+    rejected = []
+    for rank, i in enumerate(sorted(range(len(p)), key=p.__getitem__)):
+        if p[i] > alpha / (len(p) - rank):
+            break
+        rejected.append(i)
+    return rejected
 
 
 def rho_pairwise(points, H):

@@ -722,7 +722,8 @@ class TestPsiVerdicts:
                 if lo <= 1 < lo + X.shape[0]:
                     X[1 - lo, 3] = np.nan
                 yield lo, X
-        monkeypatch.setattr(calibration, "spectral_blocks", with_nan)
+        monkeypatch.setattr(calibration, "spectral_blocks", lambda *a, **k: fieldmod.Draws(
+            with_nan(*a, **k), (0.0, 0.0)))
         cfg = ExperimentConfig.from_dict("calib-sim", {
             "n_replicates": 4, "V": 3.0, "step": 0.2,
             "noise_scales": [1e-3], "out_dir": str(tmp_path / "run")})

@@ -908,10 +908,11 @@ class TestMainExitCodes:
         seen = []
 
         def one_block_then_fail(*args, **kwargs):
-            yield next(real(*args, **kwargs))
+            yield next(iter(real(*args, **kwargs)))
             seen.append((out / "results.csv").exists())
             raise NumericalCheckFailed("the second block failed")
-        monkeypatch.setattr(calibration, "spectral_blocks", one_block_then_fail)
+        monkeypatch.setattr(calibration, "spectral_blocks", lambda *a, **k: fieldmod.Draws(
+            one_block_then_fail(*a, **k), (0.0, 0.0)))
         if reused:
             out.mkdir()
             (out / "notes.txt").write_text("not the run's")
@@ -1125,6 +1126,28 @@ class TestReproducibility:
         # pinned digests: a change of any output bit must be declared
         man = self.run(kind, over, tmp_path / "g", seed=17)
         assert man.outputs == {"results.csv": results, "report.json": report}
+
+    def test_jittered_factor_recorded_in_both_files(self, tmp_path):
+        # H = 1 on a 129-point lattice draws from K + 1e-10 I, a different
+        # law from K's: the manifest records it, and the report beside p_hat
+        out = tmp_path / "h1"
+        man = self.run("polarity-scan", {"hurst": [1.0], "grid_step": 0.0078125}, out)
+        doc = json.loads((out / "manifest.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert man.jitter == doc["jitter"] == report["jitter"] == {"kernel": 1e-10}
+
+    @pytest.mark.parametrize("kind,factors", [
+        ("polarity-scan", ["kernel"]), ("calib-sim", ["spec-cos", "spec-sin"]),
+        ("hitting-scan", ["kernel r=0.2", "kernel r=0.1", "kernel r=0.05"]),
+        ("metric-check", [])], ids=["polarity-scan", "calib-sim", "hitting-scan",
+                                    "metric-check"])
+    def test_default_run_records_zero_jitter(self, tmp_path, kind, factors):
+        # one entry per factor taken, in the manifest only
+        self.run(kind, {}, tmp_path / "d")
+        doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        report = json.loads((tmp_path / "d" / "report.json").read_text())
+        assert doc["jitter"] == dict.fromkeys(factors, 0.0)
+        assert "jitter" not in report
 
     def test_metric_check_all_ok_covers_every_row(self, tmp_path):
         self.run("metric-check", {}, tmp_path / "m")

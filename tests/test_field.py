@@ -16,7 +16,7 @@ from anisofield.field import (FieldModel, build_covariance,
                               verify_condition1, verify_condition2)
 from anisofield.metric import HurstVector, IndexSet, product_grid, rho_to_point
 from anisofield.seeds import MASK64, stream_key
-from conftest import drawn, lag_point_sets, rho_pairwise
+from conftest import drawn, holm_rejects, increment_z, lag_point_sets, rho_pairwise
 
 
 def model_2x2(H=(0.5,)):
@@ -329,6 +329,99 @@ class TestKroneckerDraw:
         m = FieldModel(H=HurstVector(H=(0.5,)), mixing=((1.0,), (2.0,), (3.0,)))
         with pytest.raises(ValueError):
             drawn(path_blocks(m, np.linspace(0.0, 1.0, 5)[:, None], 3, 0))
+
+
+class TestDrawLoop:
+    """path_blocks and spectral_blocks are factor builders around the one
+    loop field.draw_blocks: they factor at the call, before any normal is
+    drawn, and the loop steps in blocks of _DRAW_ROWS replicates."""
+
+    @pytest.fixture
+    def normals(self, monkeypatch):
+        calls = []
+        real = fieldmod.standard_normal_batch
+
+        def counting(dim, n, seed, stream, start=0):
+            calls.append((stream, start, n))
+            return real(dim, n, seed, stream, start=start)
+        monkeypatch.setattr(fieldmod, "standard_normal_batch", counting)
+        return calls
+
+    def builders(self):
+        noise = calibration.NoiseLevel(a=1.5)
+        grid = calibration.FrequencyGrid(3.0, 0.5)
+        return {"path_blocks": lambda n: path_blocks(
+                    model_2x2(), np.linspace(0, 1, 9)[:, None], n, 4),
+                "spectral_blocks": lambda n: calibration.spectral_blocks(
+                    noise, grid, n, 4)}
+
+    @pytest.mark.parametrize("name", ["path_blocks", "spectral_blocks"])
+    def test_refusal_at_the_call(self, monkeypatch, normals, name):
+        def refuse(cov):
+            raise ModelRejected("no jitter factors it")
+        monkeypatch.setattr(fieldmod, "cholesky_with_jitter", refuse)
+        with pytest.raises(ModelRejected):
+            self.builders()[name](600)  # not iterated
+        assert normals == []
+
+    def test_jitter_known_before_the_first_block(self, normals):
+        # H = 1 on 129 lattice points factors K + 1e-10 I, a default grid
+        # nothing; each is known before a normal is drawn
+        m = model_2x2(H=(1.0,))
+        draws = path_blocks(m, IndexSet.unit_box(1).lattice(1 / 128), 3, 0)
+        assert draws.jitter == (1e-10,)
+        assert self.builders()["spectral_blocks"](3).jitter == (0.0, 0.0)
+        assert self.builders()["path_blocks"](3).jitter == (0.0,)
+        assert normals == []
+        assert drawn(draws).shape == (3, 129, 2) and normals == [("field", 0, 3)]
+
+    @pytest.mark.parametrize("name", ["path_blocks", "spectral_blocks"])
+    @pytest.mark.parametrize("n,blocks", [(1, [(0, 1)]), (256, [(0, 256)]),
+                                          (257, [(0, 256), (256, 1)]),
+                                          (600, [(0, 256), (256, 256), (512, 88)])])
+    def test_blocks_of_draw_rows(self, normals, name, n, blocks):
+        # each block is drawn from its own rows of every stream, in stream
+        # order, and a stream's rows are drawn only as its factor is applied
+        draws = self.builders()[name](n)
+        got = [(lo, len(X)) for lo, X in draws]
+        assert got == blocks
+        streams = ["field"] if name == "path_blocks" else ["spec-cos", "spec-sin"]
+        assert normals == [(s, lo, k) for lo, k in blocks for s in streams]
+
+
+class TestIncrementLaw:
+    """The field's law at scale, through exact moments of its quadratic
+    variations (conftest.increment_z): H = 0.75, the 2 x 2 mixing, a
+    2,049-point mesh of [0, 1], 200 replicates and lags 1, 2, 8 and 64 on
+    both components, judged jointly by Holm at level 0.01. The seed, 21,
+    was fixed before the first run."""
+
+    H, SEED, LAGS, ALPHA = 0.75, 21, (1, 2, 8, 64), 0.01
+
+    @classmethod
+    def setup_class(cls):
+        cls.points = IndexSet.box((0.0,), (1.0,)).mesh(2049)
+        cls.paths = drawn(path_blocks(model_2x2(H=(cls.H,)), cls.points, 200, cls.SEED))
+
+    def z(self, paths):
+        # component a of the 2 x 2 mixing has variance G_aa = 1 + a
+        return np.concatenate([increment_z(paths[:, :, a], 1.0 / 2048, self.H,
+                                           1.0 + a, self.LAGS) for a in (0, 1)])
+
+    def test_exact_draw_passes(self):
+        z = self.z(self.paths)
+        assert holm_rejects(z, self.ALPHA) == [], z
+
+    def test_hurst_off_by_one_percent_rejected(self):
+        wrong = drawn(path_blocks(model_2x2(H=(self.H * 1.01,)), self.points,
+                                  200, self.SEED))
+        z = self.z(wrong)
+        assert {0, 4} <= set(holm_rejects(z, self.ALPHA)), z  # lag 1, both
+
+    def test_gram_off_by_two_percent_rejected(self):
+        # paths of the mixing sqrt(1.02) A, whose G is 1.02 A A^T
+        z = self.z(self.paths * math.sqrt(1.02))
+        assert {0, 4} <= set(holm_rejects(z, self.ALPHA)), z  # lag 1, both
 
 
 def philox_row(master, stream, i, dim):

@@ -396,11 +396,12 @@ class TestDistances:
     def distances(monkeypatch, fv, center):
         """hitting._distances of the field values fv (n_mc, n, 2), with a
         zero drift."""
-        monkeypatch.setattr(hitting, "path_blocks", lambda *a: [(0, fv.copy())])
+        monkeypatch.setattr(hitting, "path_blocks",
+                            lambda *a: fieldmod.Draws([(0, fv.copy())], (0.0,)))
         n_mc, n, _ = fv.shape
         pts = np.linspace(0.0, 1.0, n)[:, None]
         return hitting._distances(model(), UNIT, pts, LipschitzDrift(kind="zero"),
-                                  n_mc, 0, 1.0, np.asarray(center, dtype=float))
+                                  n_mc, 0, 1.0, np.asarray(center, dtype=float))[0]
 
     def test_scaled_path_keeps_the_bits_where_nothing_overflows(self, monkeypatch):
         # entries up to 2**510 take the scaled path; no square overflows

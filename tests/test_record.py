@@ -127,8 +127,8 @@ def test_echo_unchanged_for_every_kind():
 
 def test_manifest_asdict_is_shallow_and_ordered():
     config, outputs = {"n": [1, 2]}, {"results.csv": "0" * 64}
-    man = RunManifest("k", config, "0.8.0", "s", "f", "scheme", outputs, {})
+    man = RunManifest("k", config, "0.8.0", "s", "f", "scheme", outputs, {}, {})
     doc = asdict(man)
     assert list(doc) == ["kind", "config", "version", "started", "finished",
-                         "seed_scheme", "outputs", "blas"]
+                         "seed_scheme", "outputs", "blas", "jitter"]
     assert doc["config"] is config and doc["outputs"] is outputs
