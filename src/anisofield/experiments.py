@@ -258,7 +258,7 @@ def _model(hurst, mixing) -> fieldmod.FieldModel:
 def _field_mesh(box_lo, box_hi, n_per_axis: int) -> np.ndarray:
     """The mesh of field-sim and modulus-scan, refused from its count before it
     is built if its kernel matrix would not fit (I.mesh refuses a count < 1)."""
-    I = metmod.IndexSet.box(box_lo, box_hi)
+    I = metmod.IndexSet(box_lo, box_hi)
     k = float(min(max(n_per_axis, 0), sys.float_info.max))
     metmod.check_kernel_fits(math.prod([k] * I.dim), I.dim, "mesh")
     return I.mesh(n_per_axis)
@@ -314,7 +314,7 @@ def _run_metric_check(cfg: ExperimentConfig):
     _nonempty("entropy_x", p.entropy_x)
     _nonempty("cover_radii", p.cover_radii)
     H = metmod.HurstVector(H=tuple(p.hurst))
-    I = metmod.IndexSet.unit_box(H.N)
+    I = metmod.IndexSet((0.0,) * H.N, (1.0,) * H.N)
     if not 1 <= p.test_grid_points <= sys.float_info.max:
         raise ValueError("a test grid needs n_points >= 1 that float64 holds, "
                          f"got {p.test_grid_points}")
@@ -362,7 +362,7 @@ def _run_hitting_scan(cfg: ExperimentConfig):
     p: HittingScanParams = cfg.params
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
-    I = metmod.IndexSet.box(p.box_lo, p.box_hi)
+    I = metmod.IndexSet(p.box_lo, p.box_hi)
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     _distinct("radii", p.radii, lo=0.0)
     if not 1 <= p.ball_points_per_axis <= sys.float_info.max:
@@ -376,7 +376,7 @@ def _run_polarity_scan(cfg: ExperimentConfig):
     p: PolarityScanParams = cfg.params
     model = _model(p.hurst, p.mixing)
     fieldmod.verify_condition2(model)
-    I = metmod.IndexSet.box(p.box_lo, p.box_hi)
+    I = metmod.IndexSet(p.box_lo, p.box_hi)
     drift = hitmod.LipschitzDrift(kind=p.drift_kind, L=p.drift_L)
     report = hitmod.polarity_scan(model, I, drift, p.center, p.deltas,
                                   p.n_mc, cfg.seed, p.grid_step)

@@ -9,8 +9,8 @@ predicted exponent minus a desk-scale tolerance.
 
 A drift is zero, affine in rho(0, s), or a random trigonometric polynomial
 drawn independently of the field and scaled by a closed-form bound, so that
-||f(s) - f(t)|| <= L rho(s, t) holds on the whole bounding box of the index
-set, not only on the scan's grid. Each scan draws the field in blocks from
+||f(s) - f(t)|| <= L rho(s, t) holds on the whole index set, a box, not
+only on the scan's grid. Each scan draws the field in blocks from
 field.path_blocks, which factors its n x n kernel matrix once, reducing each
 block before the next; a field drift costs one small product per replicate.
 The jitter of every kernel factor a scan takes is carried in its report.
@@ -57,7 +57,7 @@ class LipschitzDrift:
       * "zero"   -- f = 0;
       * "affine" -- f(s) = L * rho(0, s) * e_1;
       * "field"  -- a random trigonometric polynomial per component, scaled
-        so that the bound holds on the bounding box of the index set.
+        so that the bound holds on the whole box of the index set.
     """
 
     kind: str
@@ -75,7 +75,7 @@ class LipschitzDrift:
         """Drift values on the points for replicates start, ...,
         start + n_mc - 1, shape (n_mc, n, d).
 
-        For the "field" kind, let [lo_j, lo_j + D_j] be the bounding box of
+        For the "field" kind, let [lo_j, lo_j + D_j] be axis j of the box
         index_set, and w_jm = pi m / D_j for m = 1..M, M = _DRIFT_FREQS.
         Replicate i is
 
@@ -102,8 +102,8 @@ class LipschitzDrift:
             vals = np.zeros((n, d))
             vals[:, 0] = self.L * rho_to_point(pts, (0.0,) * H.N, H)
             return np.repeat(vals[None], n_mc, axis=0)
-        lo = np.min([box[0] for box in index_set.boxes], axis=0)
-        side = np.max([box[1] for box in index_set.boxes], axis=0) - lo
+        lo = np.asarray(index_set.lo)
+        side = np.asarray(index_set.hi) - lo
         if not (side > 0).all():
             raise ValueError("a field drift needs an index set of positive "
                              f"width on every axis, got widths {side.tolist()}")
@@ -159,7 +159,7 @@ def _ball_grid(t: np.ndarray, r: float, I: IndexSet, H: HurstVector,
         raise ValueError(f"radii value {r:g} needs a finite, positive ball-"
                          "grid step 2 r^(1/H_j) / points_per_axis and a ball "
                          "box t +- r^(1/H_j) of nonzero width on every axis")
-    pts = IndexSet.box(lo, hi).lattice(step)
+    pts = IndexSet(lo, hi).lattice(step)
     mask = (rho_to_point(pts, t, H) <= r * (1.0 + GRID_RTOL)) & I.contains(pts)
     pts = pts[mask]
     if pts.shape[0] == 0:
@@ -238,23 +238,26 @@ def scaling_exponent(estimates: Sequence[HittingEstimate],
 
 def hitting_scan(model: FieldModel, index_set: IndexSet, t,
                  radii: Sequence[float], f: LipschitzDrift, n_mc: int,
-                 seed: int, points_per_axis: int) -> ScalingReport:
+                 seed: int, ball_points_per_axis: int) -> ScalingReport:
     """Estimate P(inf over the ball grid of ||X(s) - f(s)|| <= r) per radius,
     each from its own draws at seed; every grid is built before the first.
     Each radius has its own ball lattice and the lattices do not nest, so
     p_hat need not be monotone in r (see the README's Sampling section).
     The grid minimum overstates the continuum infimum: p_hat is biased low.
     Each lattice's kernel is factored just before its draws, one at a time;
-    the report's jitter has one entry per radius, in the order given."""
+    the report's jitter has one entry per radius, in the order given. A ball
+    grid's narrowest axis has ball_points_per_axis + 1 points and a lattice
+    needs 8, so a ball_points_per_axis below 7 raises Refusal."""
     radii = [float(r) for r in radii]
     if not all(r > 0 for r in radii):
         raise ValueError(f"radii must be positive, got {radii}")
     if n_mc <= 0:
         raise ValueError("n_mc must be positive")
-    if points_per_axis < 1:
-        raise ValueError("points_per_axis must be >= 1")
+    if ball_points_per_axis < 7:
+        raise Refusal(f"ball_points_per_axis {ball_points_per_axis} is below its "
+                      "minimum of 7: the ball grid needs at least 8 points per axis")
     t = np.asarray(t, dtype=float).reshape(-1)
-    grids = [_ball_grid(t, r, index_set, model.H, points_per_axis)
+    grids = [_ball_grid(t, r, index_set, model.H, ball_points_per_axis)
              for r in radii]
 
     def estimate(r, pts):  # one radius's distances are held at a time

@@ -3,8 +3,9 @@
 rho(s, t) = sum_j |s_j - t_j|^{H_j} with per-axis exponents H_j in (0, 1].
 Everything here is pure arithmetic: distances, the one walk over point
 pairs (lag_gaps, lag by lag, so no n x n array is built), balls, the
-index-set grids (IndexSet.lattice and IndexSet.mesh) and the refusal of
-a grid whose kernel matrix would not fit, grid covers,
+index set (one closed box) and its grids (IndexSet.lattice and
+IndexSet.mesh, both product grids), the refusal of a grid whose kernel
+matrix would not fit, grid covers,
 covering-number upper bounds, the chaining constant c2, Hausdorff
 premeasure sums and the entropy-integral closed form.
 """
@@ -21,7 +22,7 @@ from .errors import Refusal, check_fits
 _C2_TERM_FLOOR = 1e-16
 _LOG_OVERFLOW = 700.0
 _MAX_AXIS_CELLS = 2.0 ** 53  # the largest cell count float64 indexes exactly
-_CONTAINS_ATOL = 1e-12  # IndexSet.contains widens every box by this much
+_CONTAINS_ATOL = 1e-12  # IndexSet.contains widens the box by this much
 # relative slack on a lattice count and on a ball's boundary: a quotient or
 # a distance a few ulps off an integer or off r neither drops nor adds a point
 GRID_RTOL = 1e-12
@@ -177,143 +178,110 @@ def check_kernel_fits(n: float, N: int, grid: str) -> None:
 
 @frozen
 class IndexSet:
-    """Finite union of bounded axis-aligned closed boxes in R^N.
+    """Bounded axis-aligned closed box [lo, hi] in R^N: lo and hi are
+    equal-length tuples with lo_j <= hi_j on every axis."""
 
-    Each box is a (lo, hi) pair of equal-length tuples with lo <= hi.
-    """
-
-    boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     def __post_init__(self):
-        norm = []
-        if len(self.boxes) == 0:
-            raise ValueError("index set needs at least one box")
-        dim = None
-        for lo, hi in self.boxes:
-            lo = tuple(float(x) for x in lo)
-            hi = tuple(float(x) for x in hi)
-            if len(lo) != len(hi) or len(lo) == 0:
-                raise ValueError("malformed box")
-            if dim is None:
-                dim = len(lo)
-            elif len(lo) != dim:
-                raise ValueError("boxes of mixed dimension")
-            for a, b in zip(lo, hi):
-                if not (math.isfinite(a) and math.isfinite(b)) or a > b:
-                    raise ValueError(f"empty or unbounded box [{a}, {b}]")
-            norm.append((lo, hi))
-        object.__setattr__(self, "boxes", tuple(norm))
-
-    @classmethod
-    def box(cls, lo: Sequence[float], hi: Sequence[float]) -> "IndexSet":
-        return cls(boxes=(((tuple(lo)), tuple(hi)),))
-
-    @classmethod
-    def unit_box(cls, N: int) -> "IndexSet":
-        return cls.box([0.0] * N, [1.0] * N)
+        lo = tuple(float(x) for x in self.lo)
+        hi = tuple(float(x) for x in self.hi)
+        if len(lo) != len(hi) or len(lo) == 0:
+            raise ValueError("malformed box")
+        for a, b in zip(lo, hi):
+            if not (math.isfinite(a) and math.isfinite(b)) or a > b:
+                raise ValueError(f"empty or unbounded box [{a}, {b}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def dim(self) -> int:
-        return len(self.boxes[0][0])
+        return len(self.lo)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: which rows of points lie in the union of boxes, each
-        widened by _CONTAINS_ATOL. Points must have dim coordinates."""
+        """Boolean mask: which rows of points lie in the box widened by
+        _CONTAINS_ATOL. Points must have dim coordinates."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have {pts.shape[1]} coordinates but the "
                              f"index set has dimension {self.dim}")
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for lo, hi in self.boxes:
-            lo = np.asarray(lo) - _CONTAINS_ATOL
-            hi = np.asarray(hi) + _CONTAINS_ATOL
-            mask |= np.all((pts >= lo) & (pts <= hi), axis=1)
-        return mask
+        return np.all((pts >= np.asarray(self.lo) - _CONTAINS_ATOL)
+                      & (pts <= np.asarray(self.hi) + _CONTAINS_ATOL), axis=1)
 
     def lattice(self, step: float) -> np.ndarray:
-        """Rows lo_j + k step, 0 <= k <= floor((hi_j - lo_j) / step) taken with
-        a relative slack of GRID_RTOL, of every box in box order; a row that
-        touching boxes share is kept where it first appears. Fewer than 8
-        points on an axis of a box raise Refusal, and n points whose kernel
-        matrix would not fit MemoryError (check_kernel_fits), both from the
-        per-axis counts before any array is built; n counts a shared row
-        once per box."""
+        """Rows of the product of the axes lo_j + k step, 0 <= k <=
+        floor((hi_j - lo_j) / step) taken with a relative slack of GRID_RTOL;
+        an axis value that rounds onto the one before it (a step below the
+        spacing of doubles there) is kept once, so the rows are distinct.
+        Fewer than 8 points on an axis raise Refusal, and n points whose
+        kernel matrix would not fit MemoryError (check_kernel_fits), both
+        from the per-axis counts before any array is built."""
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"grid_step must be finite and positive, got {step!r}")
-        counts = [[float(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1.0
-                   for a, b in zip(lo, hi)] for lo, hi in self.boxes]
-        for axes in counts:
-            for j, n_pts in enumerate(axes):
-                if n_pts < 8:
-                    raise Refusal(
-                        f"grid_step {step:g} gives {n_pts:.0f} points on axis {j}; "
-                        "at least 8 per axis are required")
-        n = sum(map(math.prod, counts))
-        check_kernel_fits(n, self.dim, f"lattice of step {step:g}")
-        pts = np.concatenate([product_grid([a + np.arange(int(k)) * step
-                                            for a, k in zip(lo, axes)])
-                              for (lo, _), axes in zip(self.boxes, counts)], axis=0)
-        _, first = np.unique(pts, axis=0, return_index=True)
-        return pts[np.sort(first)]
+        counts = [float(np.floor((b - a) / step * (1.0 + GRID_RTOL))) + 1.0
+                  for a, b in zip(self.lo, self.hi)]
+        for j, n_pts in enumerate(counts):
+            if n_pts < 8:
+                raise Refusal(
+                    f"grid_step {step:g} gives {n_pts:.0f} points on axis {j}; "
+                    "at least 8 per axis are required")
+        check_kernel_fits(math.prod(counts), self.dim, f"lattice of step {step:g}")
+        axes = [a + np.arange(int(k)) * step for a, k in zip(self.lo, counts)]
+        return product_grid([ax[np.diff(ax, prepend=-math.inf) > 0] for ax in axes])
 
     def mesh(self, n_per_axis: int) -> np.ndarray:
         """Rows of the product of linspace(lo_j, hi_j, n_per_axis) over the
-        axes of every box, in box order; each box needs hi_j > lo_j."""
+        axes; the box needs hi_j > lo_j."""
         if n_per_axis < 1:
             raise ValueError(f"a grid needs >= 1 point per axis, got {n_per_axis}")
-        for lo, hi in self.boxes:
-            if any(b <= a for a, b in zip(lo, hi)):
-                raise ValueError(f"box needs box_hi > box_lo on every axis, got "
-                                 f"box_lo={list(lo)}, box_hi={list(hi)}")
-        return np.concatenate([product_grid([np.linspace(a, b, n_per_axis)
-                                             for a, b in zip(lo, hi)])
-                               for lo, hi in self.boxes], axis=0)
+        if any(b <= a for a, b in zip(self.lo, self.hi)):
+            raise ValueError(f"box needs box_hi > box_lo on every axis, got "
+                             f"box_lo={list(self.lo)}, box_hi={list(self.hi)}")
+        return product_grid([np.linspace(a, b, n_per_axis)
+                             for a, b in zip(self.lo, self.hi)])
 
 
 @frozen
 class GridCover:
     """Product-grid cover of an IndexSet by rho-balls of radius r.
 
-    Built by cutting each box orthogonal to axis j with spacing (r/N)^(1/H_j);
-    every resulting cell sits inside one rho-ball centered at the cell midpoint.
-    ``c8`` is the constructive constant with count <= c8 * r^(-Q), valid for
-    all radii r <= 1 (computed from the box side lengths). The centers are
-    never materialized: their number grows like r^(-Q).
+    Built by cutting the box orthogonal to axis j with spacing (r/N)^(1/H_j)
+    into counts_j cells of width piece_j; every cell sits inside one rho-ball
+    centered at the cell midpoint. ``c8`` is the constructive constant with
+    count <= c8 * r^(-Q), valid for all radii r <= 1 (computed from the box
+    side lengths). The centers are never materialized: their number grows
+    like r^(-Q).
     """
 
     radius: float
     H: HurstVector
     c8: float
-    # per box: (lo, piece widths, per-axis counts)
-    cells: tuple[tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]], ...]
+    lo: tuple[float, ...]
+    piece: tuple[float, ...]
+    counts: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        """Number of balls: the cells of every box."""
-        return sum(math.prod(counts) for _, _, counts in self.cells)
+        """Number of balls: the cells of the box."""
+        return math.prod(self.counts)
 
     def nearest_center_distance(self, points: np.ndarray) -> np.ndarray:
-        """rho distance from each point to its covering cell center.
+        """rho distance from each point to its covering cell center, inf
+        outside the box.
 
-        Uses the grid structure: the covering center of a point inside a box is
-        the midpoint of the cell the point falls in. Points in several boxes
-        take the minimum over boxes.
+        Uses the grid structure: the covering center of a point inside the box
+        is the midpoint of the cell the point falls in.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        exps = self.H.as_array()
-        best = np.full(pts.shape[0], np.inf)
-        for lo, piece, counts in self.cells:
-            lo = np.asarray(lo)
-            piece = np.asarray(piece)
-            counts = np.asarray(counts)
-            safe = np.where(piece > 0, piece, 1.0)
-            idx = np.clip(np.floor((pts - lo) / safe), 0, counts - 1)
-            centers = lo + (idx + 0.5) * piece
-            inside = np.all((pts >= lo - 1e-12) & (pts <= lo + piece * counts + 1e-12),
-                            axis=1)
-            d = np.sum(np.abs(pts - centers) ** exps, axis=1)
-            best = np.where(inside, np.minimum(best, d), best)
-        return best
+        lo, piece, counts = map(np.asarray, (self.lo, self.piece, self.counts))
+        safe = np.where(piece > 0, piece, 1.0)
+        idx = np.clip(np.floor((pts - lo) / safe), 0, counts - 1)
+        centers = lo + (idx + 0.5) * piece
+        inside = np.all((pts >= lo - 1e-12) & (pts <= lo + piece * counts + 1e-12),
+                        axis=1)
+        d = np.sum(np.abs(pts - centers) ** self.H.as_array(), axis=1)
+        return np.where(inside, d, np.inf)
 
     def is_valid_on(self, points: np.ndarray) -> bool:
         d = self.nearest_center_distance(points)
@@ -328,12 +296,10 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
         raise ValueError("index set dimension does not match Hurst vector")
     N = H.N
     spacing = (r / N) ** (1.0 / H.as_array())
-    sides = [np.asarray(hi) - np.asarray(lo) for lo, hi in I.boxes]
+    L = np.asarray(I.hi) - np.asarray(I.lo)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        per_axis = np.max(sides, axis=0) / spacing
-        c8 = 0.0
-        for L in sides:
-            c8 += float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
+        per_axis = L / spacing
+        c8 = float(np.prod(L * (N ** (1.0 / H.as_array())) + 1.0))
     # refused before any count is taken: more cells on an axis than float64
     # indexes exactly, a spacing that underflows to 0, or a bound
     # c8 r^(-Q) that overflows would each print a wrong row
@@ -344,13 +310,9 @@ def grid_cover(I: IndexSet, r: float, H: HurstVector) -> GridCover:
             f"{np.max(per_axis):.3g} cells on an axis (at most 2^53) and a "
             f"count bound of exp({log_bound:.4g}) (at most exp({_LOG_OVERFLOW:g}));"
             " use a larger radius or exponent")
-    cells = []
-    for (lo, _), L in zip(I.boxes, sides):
-        counts = np.maximum(1, np.ceil(L / spacing - 1e-12).astype(int))
-        piece = L / counts
-        cells.append((tuple(np.asarray(lo)), tuple(piece),
-                      tuple(int(c) for c in counts)))
-    return GridCover(radius=float(r), H=H, c8=c8, cells=tuple(cells))
+    counts = np.maximum(1, np.ceil(L / spacing - 1e-12).astype(int))
+    return GridCover(radius=float(r), H=H, c8=c8, lo=I.lo, piece=tuple(L / counts),
+                     counts=tuple(int(c) for c in counts))
 
 
 def covering_number_upper(r: float, eps: float, H: HurstVector) -> float:

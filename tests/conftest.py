@@ -71,8 +71,8 @@ def lag_point_sets():
         "1d-h0.5": (np.linspace(0.0, 1.0, 41)[:, None], HurstVector(H=(0.5,))),
         "1d-h0.75": ((np.arange(129) / 128.0)[:, None], HurstVector(H=(0.75,))),
         "1d-h1": (np.linspace(0.0, 0.2, 37)[:, None], HurstVector(H=(1.0,))),
-        "2d": (IndexSet.box([0.0, -1.0], [1.0, 1.0]).mesh(9),
+        "2d": (IndexSet([0.0, -1.0], [1.0, 1.0]).mesh(9),
                HurstVector(H=(0.5, 0.9))),
-        "3d": (IndexSet.unit_box(3).mesh(5), HurstVector(H=(1.0, 0.75, 0.5))),
+        "3d": (IndexSet([0.0] * 3, [1.0] * 3).mesh(5), HurstVector(H=(1.0, 0.75, 0.5))),
         "irregular": (np.concatenate([pts, pts[[2, 7]]]), HurstVector(H=(1.0, 0.5))),
     }

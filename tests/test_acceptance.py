@@ -53,7 +53,7 @@ def test_02_grid_cover_arithmetic():
                  (1, HurstVector(H=(0.5,))),
                  (2, HurstVector(H=(0.75, 0.75)))]
         for N, H in cases:
-            I = IndexSet.unit_box(N)
+            I = IndexSet([0.0] * N, [1.0] * N)
             pts = I.mesh(math.ceil(10_000 ** (1 / N)))
             r_I = sum(0.5 ** h for h in H.H)
             for k in range(1, 7):
@@ -99,7 +99,7 @@ def test_04_field_simulation_exactness():
 def test_05_hitting_probability_scaling():
     def body():
         m = FieldModel(H=HurstVector(H=(0.75,)), mixing=MODEL_2X2)
-        I = IndexSet.box([0.0], [1.0])
+        I = IndexSet([0.0], [1.0])
         rep = hitting_scan(m, I, [0.5], (0.2, 0.1, 0.05, 0.025),
                            LipschitzDrift(kind="zero"), 10_000, 11, 16)
         assert rep.status == "ok"
@@ -110,7 +110,7 @@ def test_05_hitting_probability_scaling():
 def test_06_polarity_scaling_both_drifts():
     def body():
         m = FieldModel(H=HurstVector(H=(0.75,)), mixing=MODEL_2X2)
-        I = IndexSet.box([0.0], [1.0])
+        I = IndexSet([0.0], [1.0])
         deltas = [0.2, 0.1, 0.05, 0.025]
         for drift in (LipschitzDrift(kind="zero"),
                       LipschitzDrift(kind="field", L=0.5)):

@@ -413,6 +413,25 @@ class TestMainExitCodes:
         assert err["message"].startswith(f"{key} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], [
+        "--set", "hurst=[0.8,0.9]", "--set", "box_lo=[0,0]",
+        "--set", "box_hi=[1,1]", "--set", "t=[0.5,0.5]"]], ids=["1d", "2d"])
+    def test_ball_points_below_seven_names_its_key(self, tmp_path, capsys,
+                                                   extra):
+        # the ball grid's narrowest axis has ball_points_per_axis + 1 points
+        # and a lattice needs 8; the refusal once named grid_step, a key
+        # that hitting-scan does not have
+        out = tmp_path / "run"
+        rc = main(["hitting-scan", "--out", str(out), "--set",
+                   "ball_points_per_axis=6", *extra])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "Refusal"
+        assert "ball_points_per_axis" in err["message"]
+        assert "minimum of 7" in err["message"]
+        assert "grid_step" not in err["message"]
+        assert not out.exists()
+
     def test_field_drift_on_a_flat_box_exits_2(self, tmp_path, capsys):
         # the drift's frequencies pi m / D_j need every width D_j > 0
         out = tmp_path / "run"

@@ -60,7 +60,7 @@ class TestBuildCovariance:
     def test_kernel_build_peak(self, H, n_per_axis, bound):
         # K itself, and for N > 1 one buffer; the all-axes power had held
         # 2N more n x n arrays
-        points = IndexSet.unit_box(len(H)).mesh(n_per_axis)
+        points = IndexSet([0.0] * len(H), [1.0] * len(H)).mesh(n_per_axis)
         m = FieldModel(H=HurstVector(H=H), mixing=((1.0,),))
         tracemalloc.start()
         try:
@@ -308,12 +308,8 @@ class TestKroneckerDraw:
     def test_2d_ball_grid(self):
         H = HurstVector(H=(0.8, 0.9))
         pts = hitting._ball_grid(np.array([0.5, 0.5]), 0.3,
-                                 IndexSet.box((0.0, 0.0), (1.0, 1.0)), H, 14)
+                                 IndexSet((0.0, 0.0), (1.0, 1.0)), H, 14)
         self.check(FieldModel(H=H, mixing=((1.0, 0.0), (1.0, 1.0))), pts)
-
-    def test_touching_boxes_union(self):
-        halves = IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
-        self.check(model_2x2(H=(0.75,)), halves.lattice(1 / 16))
 
     def test_more_fields_than_components(self):
         m = FieldModel(H=HurstVector(H=(0.6,)),
@@ -368,7 +364,7 @@ class TestDrawLoop:
         # H = 1 on 129 lattice points factors K + 1e-10 I, a default grid
         # nothing; each is known before a normal is drawn
         m = model_2x2(H=(1.0,))
-        draws = path_blocks(m, IndexSet.unit_box(1).lattice(1 / 128), 3, 0)
+        draws = path_blocks(m, IndexSet([0.0], [1.0]).lattice(1 / 128), 3, 0)
         assert draws.jitter == (1e-10,)
         assert self.builders()["spectral_blocks"](3).jitter == (0.0, 0.0)
         assert self.builders()["path_blocks"](3).jitter == (0.0,)
@@ -400,7 +396,7 @@ class TestIncrementLaw:
 
     @classmethod
     def setup_class(cls):
-        cls.points = IndexSet.box((0.0,), (1.0,)).mesh(2049)
+        cls.points = IndexSet((0.0,), (1.0,)).mesh(2049)
         cls.paths = drawn(path_blocks(model_2x2(H=(cls.H,)), cls.points, 200, cls.SEED))
 
     def z(self, paths):

@@ -14,9 +14,10 @@ from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 scaling_exponent, wilson_interval)
 from anisofield.metric import HurstVector, IndexSet, max_pair_ratio, rho_to_point
 from conftest import drawn
+from oracle_ou import hit_probability
 
 H075 = HurstVector(H=(0.75,))
-UNIT = IndexSet.box([0.0], [1.0])
+UNIT = IndexSet([0.0], [1.0])
 
 
 def model(H=(0.75,)):
@@ -137,7 +138,7 @@ class TestLipschitzDrift:
         assert not np.allclose(a, c)
 
     def test_field_drift_needs_positive_widths(self):
-        line = IndexSet.box([0.0, 0.5], [1.0, 0.5])
+        line = IndexSet([0.0, 0.5], [1.0, 0.5])
         pts = np.array([[0.0, 0.5], [1.0, 0.5]])
         with pytest.raises(ValueError, match="positive width"):
             drift_values(LipschitzDrift(kind="field", L=1.0), pts, 1, 1,
@@ -191,7 +192,7 @@ class TestBatchedFieldDrift:
         # of 256 is the same in draws of any larger count; one product over
         # every replicate had moved some of its entries at each count
         m = model(H=(0.5,))
-        pts = IndexSet.box((0.0,), (0.2,)).mesh(401)
+        pts = IndexSet((0.0,), (0.2,)).mesh(401)
         ref = drawn(fieldmod.path_blocks(m, pts, 256, 3))
         for n_mc in (300, 512, 1000, 2000):
             got = drawn(fieldmod.path_blocks(m, pts, n_mc, 3))
@@ -210,7 +211,7 @@ class TestBatchedFieldDrift:
             assert np.median(ratio) > 0.1
         # on a 2-D box whose sides differ, at two steps
         H2 = HurstVector(H=(0.5, 0.9))
-        box = IndexSet.box([0.0, -1.0], [1.0, 1.0])
+        box = IndexSet([0.0, -1.0], [1.0, 1.0])
         for step in (1 / 8, 1 / 16):
             pts = box.lattice(step)
             ratio = max_pair_ratio(drift_values(f, pts, 200, 21, box, H2), pts, H2)
@@ -275,7 +276,7 @@ class TestHittingProbability:
                          LipschitzDrift(kind="zero"), 10, 0, 4)
 
     def test_empty_ball_intersection_refused(self):
-        far = IndexSet.box([5.0], [6.0])
+        far = IndexSet([5.0], [6.0])
         with pytest.raises(Refusal):
             hitting_scan(model(), far, [0.5], [0.05],
                          LipschitzDrift(kind="zero"), 10, 0, 16)
@@ -360,13 +361,6 @@ class TestPolarityScan:
                       [0.0, 0.0], [0.2, 0.1, 0.05], 50, 1, 1 / 64)
         assert len(factor_calls) == 1
 
-    def test_touching_boxes_share_points(self, factor_calls):
-        # 0.5 lies in both halves; sampled twice it makes the covariance singular
-        halves = IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
-        polarity_scan(model(), halves, LipschitzDrift(kind="zero"),
-                      [0.0, 0.0], [0.2, 0.1], 20, 0, 1 / 16)
-        assert factor_calls == [((17, 17), 0.0)]
-
     def test_field_drift_golden(self):
         # re-pinned when replicate i's stream came to be keyed by the
         # stream's hash and i (tool version 0.7.0)
@@ -389,6 +383,45 @@ class TestPolarityScan:
         a = polarity_scan(*args)
         b = polarity_scan(*args)
         assert [e.p_hat for e in a.estimates] == [e.p_hat for e in b.estimates]
+
+
+class TestContinuumOracle:
+    """H = 1/2, the mixing I_3 (d = 3, d - Q = 1), centre 0 on [0, 1]: the
+    scan's grid probabilities against the exact continuum value of
+    oracle_ou.hit_probability."""
+
+    DELTAS = (0.4, 0.2, 0.1, 0.05, 0.025)
+    STEP = 2.0 ** -9
+    SEED = 15015  # fixed before the first run
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        m = FieldModel(H=HurstVector(H=(0.5,)), mixing=I3)
+        return polarity_scan(m, UNIT, LipschitzDrift(kind="zero"), [0.0] * 3,
+                             self.DELTAS, 20_000, self.SEED, self.STEP)
+
+    def test_oracle_agrees_at_two_resolutions(self):
+        for delta in self.DELTAS:
+            coarse, fine = hit_probability(delta), hit_probability(delta, 2000, 4000)
+            assert abs(coarse - fine) <= 1e-4, delta
+
+    def test_grid_never_above_the_continuum(self, scan):
+        # a grid can only miss hits: every p_hat sits at or below the
+        # oracle, up to its Wilson interval
+        assert [e.r for e in scan.estimates] == list(self.DELTAS)
+        for e in scan.estimates:
+            assert e.ci_low <= hit_probability(e.r), e
+
+    def test_shifted_oracle_inside_each_interval(self, scan):
+        # a barrier monitored at step h acts like a continuous one moved by
+        # beta sigma sqrt(h), beta = -zeta(1/2) / sqrt(2 pi) and sigma = sqrt(2)
+        # (Broadie, Glasserman & Kou 1997); the shift holds for delta >= 2 s
+        s = 0.5826 * math.sqrt(2.0 * self.STEP)
+        checked = [e for e in scan.estimates if e.r >= 2.0 * s]
+        assert [e.r for e in checked] == [0.4, 0.2, 0.1]
+        for e in checked:
+            assert e.ci_low <= hit_probability(e.r - s) <= e.ci_high, e
 
 
 class TestDistances:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -288,40 +289,52 @@ class TestBallBoundingBox:
 
 
 class TestIndexSetContains:
+    def test_union_of_boxes_refused(self):
+        # the index set is one box, held as lo and hi; there is no boxes field
+        with pytest.raises(TypeError, match="boxes"):
+            IndexSet(boxes=(((0.0,), (0.5,)), ((0.5,), (1.0,))))
+
     def test_boxes_widened_by_1e12(self):
-        I = IndexSet(boxes=(((0.0,), (0.5,)), ((1.0,), (2.0,))))
-        pts = np.array([[0.0], [0.5 + 5e-13], [0.5 + 1e-11], [0.75],
-                        [1.0 - 5e-13], [2.0], [-1e-11]])
+        I = IndexSet([1.0, -0.5], [2.0, 0.5])
+        pts = np.array([[1.0, 0.0], [2.0 + 5e-13, 0.5], [2.0 + 1e-11, 0.0],
+                        [0.75, 0.0], [1.0 - 5e-13, -0.5 - 5e-13], [1.5, 0.5 + 1e-11],
+                        [1.0 - 1e-11, 0.0]])
         assert I.contains(pts).tolist() == [True, True, False, False,
-                                            True, True, False]
+                                            True, False, False]
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_points_of_another_width_refused(self, width):
         # (m, 1) points would broadcast against 2-D bounds
         with pytest.raises(ValueError, match="dimension 2"):
-            IndexSet.unit_box(2).contains(np.full((4, width), 0.5))
+            IndexSet([0.0, 0.0], [1.0, 1.0]).contains(np.full((4, width), 0.5))
 
 
 class TestLattice:
     def test_upper_edge_kept(self):
         # (0.7 - 0) / 0.1 is 6.999999999999999 in floating point
-        pts = IndexSet.box([0.0], [0.7]).lattice(0.1)
+        pts = IndexSet([0.0], [0.7]).lattice(0.1)
         assert pts.shape == (8, 1)
         assert pts[-1, 0] == pytest.approx(0.7, rel=1e-15)
 
     def test_binary_steps_unchanged(self):
         for step in (1 / 64, 1 / 128):
-            pts = IndexSet.box([0.0], [1.0]).lattice(step)
+            pts = IndexSet([0.0], [1.0]).lattice(step)
             assert np.array_equal(pts[:, 0], np.arange(round(1 / step) + 1) * step)
 
-    @pytest.mark.parametrize("boxes", [
-        (((0.1, -0.3), (0.8, 0.45)),),
-        (((0.0, 0.0), (0.5, 1.0)), ((0.5, 0.0), (1.3, 1.0)))],
-        ids=["one-box", "touching-boxes"])
-    def test_binary_steps_nest(self, boxes):
+    def test_rows_distinct_below_the_double_spacing(self):
+        # the step 1/8 is below the spacing of doubles at 2^53, so axis 0
+        # repeats its values: each row is kept once, with the order and
+        # bits of the row-wise de-duplication of tool version 0.9.1
+        pts = IndexSet([2.0 ** 53, 0.0], [2.0 ** 53 + 64, 1.0]).lattice(1 / 8)
+        assert pts.shape == (297, 2)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+            "003dafe9aae46a9c5ae8e5c568db45ea6a94393d084e8c9a3202bfd4bde4b6e6")
+
+    @pytest.mark.parametrize("lo,hi", [((0.1, -0.3), (0.8, 0.45))], ids=["one-box"])
+    def test_binary_steps_nest(self, lo, hi):
         # k h and 2k (h/2) are the same double, so halving a binary step
         # keeps every row bit for bit, off-lattice lower corners included
-        I = IndexSet(boxes=boxes)
+        I = IndexSet(lo, hi)
         for h in (1 / 16, 1 / 32, 1 / 64):
             coarse, fine = I.lattice(h), I.lattice(h / 2)
             assert len(fine) > len(coarse)
@@ -331,32 +344,27 @@ class TestLattice:
 
 class TestGridCover:
     def test_unit_interval_halves(self):
-        gc = grid_cover(IndexSet.unit_box(1), 0.5, H1)
+        gc = grid_cover(IndexSet([0.0], [1.0]), 0.5, H1)
         assert gc.count == 2
-        assert gc.is_valid_on(IndexSet.unit_box(1).mesh(10_000))
+        assert gc.is_valid_on(IndexSet([0.0], [1.0]).mesh(10_000))
 
     def test_big_radius_single_center(self):
-        gc = grid_cover(IndexSet.unit_box(1), 1.5, H1)
+        gc = grid_cover(IndexSet([0.0], [1.0]), 1.5, H1)
         assert gc.count == 1
 
     def test_square_count_bound(self):
         H = HurstVector(H=(0.5, 0.5))
-        I = IndexSet.unit_box(2)
+        I = IndexSet([0.0, 0.0], [1.0, 1.0])
         gc = grid_cover(I, 0.25, H)
         assert gc.count <= gc.c8 * 0.25 ** (-H.Q)
         assert gc.is_valid_on(I.mesh(100))
-
-    def test_union_of_boxes(self):
-        I = IndexSet(boxes=(((-2.0,), (-1.0,)), ((1.0,), (2.0,))))
-        gc = grid_cover(I, 0.25, H1)
-        assert gc.is_valid_on(I.mesh(5_000))
 
     def test_count_without_centers(self):
         # 1,368,900 balls: counted from the cells, no array of centers built
         H = HurstVector(H=(0.75, 0.75))
         tracemalloc.start()
         try:
-            gc = grid_cover(IndexSet.unit_box(2), 0.01, H)
+            gc = grid_cover(IndexSet([0.0, 0.0], [1.0, 1.0]), 0.01, H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -60,7 +60,7 @@ class TestFrozen:
         (lambda: NoiseLevel(a=0.5), "must exceed 1/2"),
         (lambda: HurstVector(H=(0.5, 1.5)), "outside (0, 1]"),
         (lambda: HurstVector(H=()), "at least one exponent"),
-        (lambda: IndexSet(boxes=()), "at least one box"),
+        (lambda: IndexSet((0.0, 1.0), (1.0, 0.5)), "empty or unbounded box [1.0, 0.5]"),
         (lambda: EuclideanBall(center=(0.0,), radius=-1.0), "negative radius"),
         (lambda: LipschitzDrift(kind="cubic"), "cubic"),
         (lambda: HittingEstimate(0.5, 0.6, 0.7, 10, 0.1), "bracket"),
