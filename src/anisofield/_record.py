@@ -7,7 +7,6 @@ A field whose default is `DERIVED` is set by `__post_init__` alone."""
 from operator import attrgetter
 
 DERIVED = object()
-fields = attrgetter("_fields")  # the field names of a record or its class
 
 
 def _init(self, *args, **kwargs):

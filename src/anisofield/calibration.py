@@ -55,10 +55,6 @@ class NoiseLevel:
         if not (self.a > 0.5):
             raise ValueError("power-law exponent a must exceed 1/2 for eps in L^2")
 
-    def eps(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (1.0 + np.abs(x)) ** (-self.a)
-
     def certify_tail(self, p: Optional[float] = None) -> float:
         """Symbolic convergence check for int (1+|x|)^p eps^2; returns p."""
         p = self.p if p is None else float(p)
@@ -178,18 +174,6 @@ def holder_exponent(p: float) -> float:
     if p <= 1:
         raise ValueError("p must exceed 1")
     return min(p / 2.0, 1.0)
-
-
-def ito_covariance(noise: NoiseLevel, u: float, v: float) -> np.ndarray:
-    """Covariance blocks of (X1, X2) = (Re X, Im X) between frequencies u and v.
-
-    Entries are int cos(ux)cos(vx) eps^2, int cos(ux)sin(vx) eps^2, etc.;
-    the cross entries vanish because eps^2 is even.
-    """
-    Cm = cos_transform(noise, u - v)
-    Cp = cos_transform(noise, u + v)
-    return np.array([[0.5 * (Cm + Cp), 0.0],
-                     [0.0, 0.5 * (Cm - Cp)]])
 
 
 def lambda_min_on_IV(noise: NoiseLevel, V: float) -> float:

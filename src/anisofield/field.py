@@ -23,6 +23,9 @@ from the factors in blocks, one Philox stream per replicate;
 grids are kept small (a few thousand points), exactness over scale.
 Philox is counter-based, so a stream is only its key: replicate i
 of a stream is keyed by the stream's hash and i (see seeds).
+modulus_statistic reduces a draw block over the pairs of metric.lag_gaps,
+in buffers that it owns. The dense reference law K (x) G is built by the
+tests only.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from numpy.random import Generator, Philox
 from . import _blas
 from ._record import frozen
 from .errors import ModelRejected
-from .metric import HurstVector, lag_gaps, pair_lags
+from .metric import HurstVector, lag_gaps
 from .seeds import stream_key
 
 JITTER_REL = 1e-10
@@ -95,15 +98,6 @@ class FieldModel:
             if j:
                 K += buf
         return np.exp(np.negative(K, out=K), out=K)
-
-
-def build_covariance(model: FieldModel, points: np.ndarray) -> np.ndarray:
-    """Dense covariance of the stacked vector (X(t_1), ..., X(t_n)) over the
-    rows t_p of an (n, N) array: the reference law that path_blocks draws.
-
-    Ordering is point-major: row p*d + a corresponds to component a at point p.
-    """
-    return np.kron(model.kernel_matrix(points), model.gram)
 
 
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -255,7 +249,16 @@ def modulus_statistic(values: np.ndarray, points: np.ndarray, H: HurstVector,
                       eps_list: list[float]) -> ModulusReport:
     """max over point pairs with rho(s,t) <= eps of ||X(s)-X(t)|| / (eps sqrt(log 1/eps)).
 
-    values holds the draws on the n points, shape (n_samples, n, d).
+    values holds the draws on the n rows of the (n, N) points, shape
+    (n_samples, n, d); any other shape raises ValueError. The pairs are
+    walked lag by lag (metric.lag_gaps); a lag with no pair within the
+    largest eps is skipped before its norms are computed. Memory is one
+    point-major (n, n_samples) copy per component, so a lag's two slices are
+    contiguous row blocks, and one (n, n_samples) buffer each for the
+    squares and (d > 1) a component's difference, reused by every lag.
+    The root is taken once, after the max over the squares: sqrt and the
+    division are correctly rounded, so non-decreasing, which gives the bits
+    of the max of the per-pair ratios, and a NaN propagates (not np.fmax).
     """
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
@@ -263,21 +266,32 @@ def modulus_statistic(values: np.ndarray, points: np.ndarray, H: HurstVector,
     for e in eps_sorted:
         if not (0.0 < e < 1.0):
             raise ValueError("each eps must lie in (0, 1) so the normalizer is real")
+    vals = np.asarray(values, dtype=float)
+    n = np.atleast_2d(points).shape[0]
+    if vals.ndim != 3 or vals.shape[1] != n:
+        raise ValueError(f"values must have shape (n_samples, {n}, d) to match "
+                         f"the points, got {vals.shape}")
+    comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
+    sq_buf = np.empty_like(comps[0])
+    diff_buf = np.empty_like(comps[0]) if len(comps) > 1 else None
     # pairs with rho == 0 count toward every eps
-    n_samples = values.shape[0]
-    # largest squared norms: the root is taken once, after the max, with the
-    # same bits (see metric.pair_lags)
-    best = np.zeros((len(eps_sorted), n_samples))
+    best = np.zeros((len(eps_sorted), vals.shape[0]))
     found = [False] * len(eps_sorted)
-    for den, sq, _ in pair_lags(values, points, H,
-                                lambda den: den <= eps_sorted[-1]):
+    for lag, (_, den) in enumerate(lag_gaps(points, H), 1):
+        if not (den <= eps_sorted[-1]).any():
+            continue
+        sq = np.subtract(comps[0][lag:], comps[0][:-lag], out=sq_buf[:n - lag])
+        np.square(sq, out=sq)
+        for v in comps[1:]:
+            diff = np.subtract(v[lag:], v[:-lag], out=diff_buf[:n - lag])
+            sq += np.square(diff, out=diff)
         for col, e in enumerate(eps_sorted):
             mask = den <= e
             if mask.any():
                 found[col] = True
                 part = sq if mask.all() else sq[mask]
                 np.maximum(best[col], part.max(axis=0), out=best[col])
-    M = np.full((n_samples, len(eps_sorted)), np.nan)
+    M = np.full((vals.shape[0], len(eps_sorted)), np.nan)
     for col, e in enumerate(eps_sorted):
         if found[col]:
             M[:, col] = np.sqrt(best[col]) / (e * np.sqrt(np.log(1.0 / e)))

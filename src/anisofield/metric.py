@@ -2,7 +2,8 @@
 
 rho(s, t) = sum_j |s_j - t_j|^{H_j} with per-axis exponents H_j in (0, 1].
 Everything here is pure arithmetic: distances, the one walk over point
-pairs (lag_gaps, lag by lag, so no n x n array is built), balls, the
+pairs (lag_gaps, lag by lag, so no n x n array is built; condition 1 and
+the modulus statistic in field reduce over it), balls, the
 index set (one closed box) and its grids (IndexSet.lattice and
 IndexSet.mesh, both product grids), the refusal of a grid whose kernel
 matrix would not fit, grid covers,
@@ -12,7 +13,7 @@ premeasure sums and the entropy-integral closed form.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,75 +68,6 @@ def lag_gaps(points: np.ndarray, H: HurstVector) -> Iterator[tuple[np.ndarray, n
     for lag in range(1, pts.shape[0]):
         gaps = np.abs(pts[lag:] - pts[:-lag])
         yield gaps, np.sum(gaps ** exps, axis=1)
-
-
-def pair_lags(values: np.ndarray, points: np.ndarray, H: HurstVector,
-              keep: Callable[[np.ndarray], np.ndarray]
-              ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk the pairs i < j of the points one lag at a time (lag_gaps).
-
-    values has shape (k, n, d), drawn on the n rows of the (n, N) points. For
-    each lag = j - i, yields (den, sq, mask): den the lag's rho distances
-    (lag_gaps), sq the (n - lag, k) squared norms
-    ||v(j) - v(i)||^2 (pair i in row i), and mask = keep(den), the pairs of
-    the lag that the caller reduces over. sq is a view of the leading
-    n - lag rows of one (n, k) buffer that every lag reuses: the caller may
-    overwrite it, but it holds the next lag's squares once the walk moves
-    on, so a caller that keeps it must copy it. A lag where no pair is kept
-    is skipped before its norms are computed. Each component is held
-    point-major, as one contiguous (n, k) copy, so a lag's two slices are
-    contiguous row blocks: no (k, pairs, d) gather is ever built and no grid
-    regularity is assumed. Memory is that copy per component plus two (n, k)
-    buffers, the squares and (for d > 1) one component's difference,
-    allocated once for the whole walk. values of any other shape raise
-    ValueError.
-
-    Squares are yielded, not norms, so that a caller can reduce before the
-    root: sqrt is correctly rounded, hence non-decreasing, and so is
-    division by a positive constant c. So max_i sqrt(sq_i) / c equals
-    sqrt(max_i sq_i) / c bit for bit, and a NaN propagates through both
-    (np.max and np.maximum, not np.fmax).
-    """
-    vals = np.asarray(values, dtype=float)
-    n = np.atleast_2d(points).shape[0]
-    if vals.ndim != 3 or vals.shape[1] != n:
-        raise ValueError(f"values must have shape (k, {n}, d) to match the "
-                         f"points, got {vals.shape}")
-    comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
-    sq_buf = np.empty_like(comps[0])
-    diff_buf = np.empty_like(comps[0]) if len(comps) > 1 else None
-    for lag, (_, den) in enumerate(lag_gaps(points, H), 1):
-        mask = keep(den)
-        if not mask.any():
-            continue
-        # the squares are summed in place, in component order: the same
-        # additions as a plain sum, written into the leading rows of the
-        # two buffers instead of fresh arrays
-        sq = np.subtract(comps[0][lag:], comps[0][:-lag], out=sq_buf[:n - lag])
-        np.square(sq, out=sq)
-        for v in comps[1:]:
-            diff = np.subtract(v[lag:], v[:-lag], out=diff_buf[:n - lag])
-            sq += np.square(diff, out=diff)
-        yield den, sq, mask
-
-
-def max_pair_ratio(values: np.ndarray, points: np.ndarray, H: HurstVector) -> np.ndarray:
-    """Per replicate, max over pairs s < t with rho(s, t) > 0 of ||v(s) - v(t)|| / rho(s, t).
-
-    values has shape (k, n, d), drawn on the n rows of the (n, N) points;
-    the result has shape (k,) and is 0 where no pair has rho > 0. The pairs
-    come from pair_lags, and each pair divides by its own rho: in place on
-    the lag's squares when the lag keeps every pair, on one masked copy when
-    it drops a pair with rho == 0.
-    """
-    best = np.zeros(np.shape(values)[0])
-    for den, sq, mask in pair_lags(values, points, H, lambda den: den > 0):
-        if not mask.all():
-            sq, den = sq[mask], den[mask]
-        ratio = np.sqrt(sq, out=sq)
-        ratio /= den[:, None]
-        np.maximum(best, ratio.max(axis=0), out=best)
-    return best
 
 
 def product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -39,6 +39,22 @@ def increment_z(x, step, H, g, lags):
     return np.array(z)
 
 
+def increment_z_cov(x, c, lags):
+    """z per lag l of the replicate mean of S_l = sum_i (x_{i+l} - x_i)^2,
+    for rows x of an (R, n) array drawn on a regular axis from a centred
+    Gaussian law with any (n, n) covariance c. The increments D_i have
+    covariance S_D[i, j] = c[i+l, j+l] - c[i+l, j] - c[i, j+l] + c[i, j],
+    so E S_l = trace(S_D) and Var S_l = 2 ||S_D||_F^2 exactly."""
+    R = x.shape[0]
+    z = []
+    for lag in lags:
+        S = np.square(x[:, lag:] - x[:, :-lag]).sum(axis=1)
+        D = c[lag:, lag:] - c[lag:, :-lag] - c[:-lag, lag:] + c[:-lag, :-lag]
+        var = 2.0 * float(np.sum(D * D))
+        z.append((S.mean() - float(np.trace(D))) / math.sqrt(var / R))
+    return np.array(z)
+
+
 def holm_rejects(z, alpha):
     """Indices of the two-sided normal tests of z that Holm's step-down rule
     rejects at family-wise level alpha, whatever their dependence."""
@@ -76,3 +92,58 @@ def lag_point_sets():
         "3d": (IndexSet([0.0] * 3, [1.0] * 3).mesh(5), HurstVector(H=(1.0, 0.75, 0.5))),
         "irregular": (np.concatenate([pts, pts[[2, 7]]]), HurstVector(H=(1.0, 0.5))),
     }
+
+
+def max_pair_ratio(values, points, H):
+    """Per replicate, max over pairs s < t with rho(s, t) > 0 of
+    ||v(s) - v(t)|| / rho(s, t): the Lipschitz check of a drift's values.
+
+    values has shape (k, n, d), drawn on the n rows of the (n, N) points
+    (any other shape raises ValueError); the result has shape (k,) and is 0
+    where no pair has rho > 0. The pairs come lag by lag from
+    metric.lag_gaps, so no n x n array is built: each lag's squares are
+    summed in place, in component order, into the leading rows of two
+    (n, k) buffers allocated once, and each pair divides by its own rho.
+    """
+    from anisofield import metric
+    vals = np.asarray(values, dtype=float)
+    n = np.atleast_2d(points).shape[0]
+    if vals.ndim != 3 or vals.shape[1] != n:
+        raise ValueError(f"values must have shape (k, {n}, d) to match the "
+                         f"points, got {vals.shape}")
+    comps = [np.ascontiguousarray(vals[:, :, c].T) for c in range(vals.shape[2])]
+    sq_buf, diff_buf = np.empty_like(comps[0]), np.empty_like(comps[0])
+    best = np.zeros(vals.shape[0])
+    for lag, (_, den) in enumerate(metric.lag_gaps(points, H), 1):
+        mask = den > 0
+        if not mask.any():
+            continue
+        sq = np.subtract(comps[0][lag:], comps[0][:-lag], out=sq_buf[:n - lag])
+        np.square(sq, out=sq)
+        for v in comps[1:]:
+            diff = np.subtract(v[lag:], v[:-lag], out=diff_buf[:n - lag])
+            sq += np.square(diff, out=diff)
+        if not mask.all():
+            sq, den = sq[mask], den[mask]
+        ratio = np.sqrt(sq, out=sq)
+        ratio /= den[:, None]
+        np.maximum(best, ratio.max(axis=0), out=best)
+    return best
+
+
+def build_covariance(model, points):
+    """The reference law of field.path_blocks: the dense covariance K (x) G
+    of the stacked vector (X(t_1), ..., X(t_n)) over the rows t_p of an
+    (n, N) array, point-major (row p d + a is component a at point p)."""
+    return np.kron(model.kernel_matrix(points), model.gram)
+
+
+def ito_covariance(noise, u, v):
+    """Covariance blocks of (X1, X2) = (Re X, Im X) of the spectral process
+    between frequencies u and v: int cos(ux)cos(vx) eps^2 and int
+    sin(ux)sin(vx) eps^2 on the diagonal; the cross entries vanish because
+    eps^2 is even."""
+    from anisofield.calibration import cos_transform
+    Cm, Cp = cos_transform(noise, u - v), cos_transform(noise, u + v)
+    return np.array([[0.5 * (Cm + Cp), 0.0],
+                     [0.0, 0.5 * (Cm - Cp)]])

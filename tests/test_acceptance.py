@@ -13,15 +13,14 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     holder_bound_check, lambda_min_on_IV,
                                     psi_estimator, spectral_blocks,
                                     tail_integral, total_mass)
-from anisofield.field import (FieldModel, build_covariance,
-                              modulus_statistic, path_blocks,
+from anisofield.field import (FieldModel, modulus_statistic, path_blocks,
                               verify_condition1, verify_condition2)
 from anisofield.hitting import LipschitzDrift, hitting_scan, polarity_scan
 from anisofield.metric import (HurstVector, IndexSet, chaining_series_bound,
                                covering_number_upper,
                                entropy_integral_closed_form, grid_cover)
 from anisofield.experiments import ExperimentConfig, run_experiment
-from conftest import drawn
+from conftest import build_covariance, drawn
 
 
 def _accept(name, fn):

@@ -12,7 +12,7 @@ from anisofield.calibration import (FrequencyGrid, NoiseLevel,
                                     cos_transform, cos_transform_many,
                                     fourier_O,
                                     holder_bound_check,
-                                    holder_exponent, ito_covariance,
+                                    holder_exponent,
                                     lambda_min_on_IV, moment_integral,
                                     psi_estimator, psi_verdicts,
                                     spectral_blocks, tail_integral,
@@ -22,7 +22,8 @@ from anisofield import field as fieldmod
 from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import ExperimentConfig, run_experiment
 from anisofield.field import cholesky_with_jitter, standard_normal_batch
-from conftest import drawn
+from conftest import (drawn, holm_rejects, increment_z, increment_z_cov,
+                      ito_covariance)
 
 POW = NoiseLevel(a=1.5, p=1.5)
 
@@ -55,14 +56,6 @@ class TestNoiseLevel:
             NoiseLevel(a=0.5)
         with pytest.raises(ValueError):
             NoiseLevel(a=float("nan"))
-
-    def test_eps_values(self):
-        assert POW.eps(np.array(0.0)) == 1.0
-        assert POW.eps(np.array(1.0)) == pytest.approx(2.0 ** -1.5)
-
-    def test_eps_even(self):
-        xs = np.linspace(-3, 3, 31)
-        assert np.allclose(POW.eps(xs), POW.eps(-xs))
 
     def test_certify_tail(self):
         assert POW.certify_tail() == 1.5
@@ -513,6 +506,55 @@ class TestSpectralSimulation:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             drawn(spectral_blocks(POW, FrequencyGrid(2.0, 0.5), -1, 0))
+
+
+class TestIncrementLaw:
+    """The spectral law at scale, through exact moments of the quadratic
+    variations of X1 and X2 on the positive lattice (conftest.increment_z_cov):
+    V = 10 and step 0.01 (calib-sim-fine's grid, 991 positive frequencies),
+    1,000 replicates and lags 1, 2, 8 and 64, judged jointly by Holm at
+    level 0.01. The covariances are built apart from _spectral_covariances,
+    from the full matrices of u - v and u + v. The seed, 23, was fixed
+    before the first run."""
+
+    SEED, LAGS, ALPHA, R = 23, (1, 2, 8, 64), 0.01, 1000
+
+    @classmethod
+    def setup_class(cls):
+        cls.grid = FrequencyGrid(10.0, 0.01)
+        u = cls.grid.positive
+        Cm = cos_transform_many(POW, u[:, None] - u[None, :])
+        Cp = cos_transform_many(POW, u[:, None] + u[None, :])
+        cls.cov = (0.5 * (Cm + Cp), 0.5 * (Cm - Cp))
+        cls.X = drawn(spectral_blocks(POW, cls.grid, cls.R, cls.SEED))
+
+    def z(self, X):
+        # column 0 is the anchor v = 0; X1 first, then X2
+        return np.concatenate([increment_z_cov(part[:, 1:], c, self.LAGS)
+                               for part, c in zip((X.real, X.imag), self.cov)])
+
+    def test_exact_draw_passes(self):
+        z = self.z(self.X)
+        assert holm_rejects(z, self.ALPHA) == [], z
+
+    def test_exponent_off_by_one_percent_rejected(self):
+        wrong = drawn(spectral_blocks(NoiseLevel(a=1.515, p=1.5), self.grid,
+                                      self.R, self.SEED))
+        z = self.z(wrong)
+        assert holm_rejects(z, self.ALPHA), z
+
+    def test_variance_off_by_two_percent_rejected(self):
+        z = self.z(self.X * math.sqrt(1.02))
+        assert holm_rejects(z, self.ALPHA), z
+
+    def test_moments_match_the_stationary_ones(self):
+        # on a stationary kernel the n^2 moments equal increment_z's O(n) sums
+        x = np.random.default_rng(0).standard_normal((5, 257))
+        s = np.arange(257) / 256.0
+        c = 2.0 * np.exp(-np.abs(s[:, None] - s[None, :]) ** 1.5)
+        np.testing.assert_allclose(increment_z_cov(x, c, self.LAGS),
+                                   increment_z(x, 1.0 / 256, 0.75, 2.0, self.LAGS),
+                                   rtol=1e-9)
 
 
 class TestFourierO:

@@ -19,7 +19,6 @@ from hypothesis import given, strategies as st
 from anisofield import calibration
 from anisofield import field as fieldmod
 from anisofield import experiments
-from anisofield._record import fields
 from anisofield.cli import build_parser, config_from_args, main
 from anisofield.errors import NumericalCheckFailed
 from anisofield.experiments import (PARAM_CLASSES, ExperimentConfig,
@@ -29,7 +28,7 @@ from anisofield.experiments import (PARAM_CLASSES, ExperimentConfig,
 
 NUMERIC_KEYS = [(kind, name, get_type_hints(cls)[name])
                 for kind, cls in PARAM_CLASSES.items()
-                for name in fields(cls)
+                for name in get_type_hints(cls)
                 if get_type_hints(cls)[name] in (int, float)]
 WRONG_VALUES = {
     int: st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
@@ -46,7 +45,7 @@ WRONG_VALUES = {
 LIST_KEYS = [pytest.param(kind, name, json.loads(json.dumps(getattr(cls, name))),
                           id=f"{kind}-{name}")
              for kind, cls in PARAM_CLASSES.items()
-             for name in fields(cls)
+             for name in get_type_hints(cls)
              if get_origin(get_type_hints(cls)[name]) is tuple]
 BAD_ELEMENTS = ["0.1", True, [0.1]]
 
@@ -149,7 +148,7 @@ class TestConfigParsing:
     def test_typed_key_cases_cover_every_params_field(self):
         # 45 fields over 7 kinds at tool version 0.8.0; every number and
         # list key is a case of the type tests below
-        assert sum(len(fields(cls)) for cls in PARAM_CLASSES.values()) == 45
+        assert sum(len(get_type_hints(cls)) for cls in PARAM_CLASSES.values()) == 45
         assert len(PARAM_CLASSES) == 7
         assert {f"{kind}-{key}" for kind, key, _ in NUMERIC_KEYS} == {
             "metric-check-test_grid_points", "field-sim-n_grid",
@@ -409,8 +408,12 @@ class TestMainExitCodes:
         rc = main([kind, "--out", str(out), "--set", f"{key}={value}"])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
-        assert err["message"].startswith(f"{key} must be")
+        if key == "ball_points_per_axis":  # refused by the ball grid's minimum
+            assert err["error"] == "Refusal"
+            assert err["message"].startswith(f"{key} 0 is below its minimum of 7")
+        else:
+            assert err["error"] == "ValueError"
+            assert err["message"].startswith(f"{key} must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], [
@@ -896,16 +899,20 @@ class TestMainExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "n_points >= 1" in err["message"]
+        assert "config key 'test_grid_points' must be held by float64" in err["message"]
         assert not out.exists()
 
+    # the int params keys but test_grid_points, which the test above takes
     @pytest.mark.parametrize("kind,key", [
-        ("calib-sim", "n_replicates"),
-        ("hitting-scan", "ball_points_per_axis")])
+        (kind, key) for kind, key, annotation in NUMERIC_KEYS
+        if annotation is int and key != "test_grid_points"],
+        ids=lambda case: case)
     def test_int_key_beyond_float64_exits_2(self, tmp_path, capsys,
                                             monkeypatch, kind, key):
         # the row budget and the ball-grid step once overflowed converting
-        # the int to a float, a traceback; it is refused before any factor
+        # the int to a float, a traceback, and a replicate count ran until
+        # killed; each is refused where the params are parsed, before any
+        # factor
         def factor(cov):
             raise AssertionError("factored before the refusal")
         monkeypatch.setattr(fieldmod, "cholesky_with_jitter", factor)
@@ -914,7 +921,7 @@ class TestMainExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert f"{key} must be >= 1 and held by float64" in err["message"]
+        assert f"config key {key!r} must be held by float64" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("reused", [False, True], ids=["new", "reused"])

@@ -10,13 +10,13 @@ from scipy import stats
 from anisofield.errors import ModelRejected
 from anisofield import _blas, calibration, hitting
 from anisofield import field as fieldmod
-from anisofield.field import (FieldModel, build_covariance,
-                              cholesky_with_jitter, modulus_statistic,
+from anisofield.field import (FieldModel, cholesky_with_jitter, modulus_statistic,
                               path_blocks, standard_normal_batch,
                               verify_condition1, verify_condition2)
 from anisofield.metric import HurstVector, IndexSet, product_grid, rho_to_point
 from anisofield.seeds import MASK64, stream_key
-from conftest import drawn, holm_rejects, increment_z, lag_point_sets, rho_pairwise
+from conftest import (build_covariance, drawn, holm_rejects, increment_z,
+                      lag_point_sets, rho_pairwise)
 
 
 def model_2x2(H=(0.5,)):

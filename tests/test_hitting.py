@@ -12,8 +12,8 @@ from anisofield.field import FieldModel
 from anisofield.hitting import (HittingEstimate, LipschitzDrift,
                                 hitting_scan, polarity_scan,
                                 scaling_exponent, wilson_interval)
-from anisofield.metric import HurstVector, IndexSet, max_pair_ratio, rho_to_point
-from conftest import drawn
+from anisofield.metric import HurstVector, IndexSet, rho_to_point
+from conftest import drawn, max_pair_ratio
 from oracle_ou import hit_probability
 
 H075 = HurstVector(H=(0.75,))
@@ -231,7 +231,8 @@ class TestBatchedFieldDrift:
         def refuse(*args):
             raise AssertionError("pair walk")
 
-        monkeypatch.setattr(metricmod, "pair_lags", refuse)
+        monkeypatch.setattr(metricmod, "lag_gaps", refuse)
+        monkeypatch.setattr(fieldmod, "lag_gaps", refuse)
         f = self.drift()
         polarity_scan(model(), UNIT, f, [0.0, 0.0], [0.2, 0.1], 30, 2, 1 / 64)
         hitting_scan(model(), UNIT, [0.5], [0.1], f, 30, 2, 16)

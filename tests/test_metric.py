@@ -11,10 +11,9 @@ from anisofield.metric import (EuclideanBall, HurstVector, IndexSet,
                                ball_bounding_box, chaining_c2,
                                chaining_series_bound, covering_number_upper,
                                entropy_integral_closed_form, grid_cover,
-                               hausdorff_premeasure, lag_gaps,
-                               max_pair_ratio, pair_lags)
+                               hausdorff_premeasure, lag_gaps)
 from anisofield.field import modulus_statistic
-from conftest import lag_point_sets, rho_pairwise
+from conftest import lag_point_sets, max_pair_ratio, rho_pairwise
 
 H1 = HurstVector(H=(1.0,))
 H05 = HurstVector(H=(0.5,))
@@ -195,25 +194,6 @@ class TestPairReductionsBitExact:
             assert den.tobytes() == np.diagonal(rho, lag).tobytes()
             assert np.array_equal(gaps, np.abs(points[:-lag] - points[lag:]))
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_pair_lags_squares_survive_buffer_reuse(self, d):
-        # every lag writes into the same two buffers: copies taken during the
-        # walk must still hold each lag's own squares afterwards
-        points, H = _linspace()
-        n = points.shape[0]
-        v = np.random.default_rng(14).standard_normal((4, n, d))
-        rho = rho_pairwise(points, H)
-        # lags with n - lag divisible by 3 are skipped
-        walked = [(n - den.size, den.copy(), sq.copy(), mask)
-                  for den, sq, mask in pair_lags(
-                      v, points, H, lambda den: np.full(den.size, den.size % 3 != 0))]
-        lags = [lag for lag, *_ in walked]
-        assert lags == [lag for lag in range(1, n) if (n - lag) % 3 != 0]
-        for lag, den, sq, mask in walked:
-            assert np.array_equal(den, np.diagonal(rho, lag)) and mask.all()
-            expect = ((v[:, lag:] - v[:, :-lag]) ** 2).sum(axis=2).T
-            assert sq.tobytes() == expect.tobytes()
-
     @pytest.mark.parametrize("grid", GRIDS)
     def test_max_pair_ratio(self, grid):
         points, H = self.GRIDS[grid]()
@@ -223,12 +203,16 @@ class TestPairReductionsBitExact:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_modulus_statistic(self, grid):
+        # every lag's squares are summed into the same buffers, one
+        # component at a time; on the lattice and the linspace the lags
+        # beyond eps = 0.9 are skipped
         points, H = self.GRIDS[grid]()
-        vals = np.random.default_rng(12).standard_normal((5, points.shape[0], 2))
         eps = [0.02, 0.1, 0.3, 0.9]
-        rep = modulus_statistic(vals, points, H, eps)
-        assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
-                              equal_nan=True)
+        for d in (1, 2, 3):
+            vals = np.random.default_rng(12).standard_normal((5, points.shape[0], d))
+            rep = modulus_statistic(vals, points, H, eps)
+            assert np.array_equal(rep.M, self.modulus_reference(vals, points, H, eps),
+                                  equal_nan=True), d
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_nan_value_gives_nan(self, grid):
@@ -256,6 +240,19 @@ class TestWalkMemory:
         points = np.linspace(0.0, 0.2, 2049)[:, None]
         vals = np.random.default_rng(15).standard_normal((256, 2049, 2))
         buffers = 4 * vals.shape[0] * vals.shape[1] * 8
+        tracemalloc.start()
+        try:
+            modulus_statistic(vals, points, H05, [0.2, 0.1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * buffers, (peak, buffers)
+
+    def test_one_component_takes_no_difference_buffer(self):
+        # the copy and the squares: a difference buffer would be a third
+        points = np.linspace(0.0, 0.2, 2049)[:, None]
+        vals = np.random.default_rng(15).standard_normal((256, 2049, 1))
+        buffers = 2 * vals.shape[0] * vals.shape[1] * 8
         tracemalloc.start()
         try:
             modulus_statistic(vals, points, H05, [0.2, 0.1])
